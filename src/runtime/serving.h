@@ -1,11 +1,16 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_policy.h"
 #include "common/seqlock.h"
+#include "common/thread_pool.h"
 #include "runtime/threaded.h"
 
 namespace nmc::runtime::internal {
@@ -34,18 +39,31 @@ struct ReaderStats {
 inline constexpr int64_t kSampleStride = 17;
 
 /// Yield cadence for the spin paths. On an oversubscribed machine (more
-/// threads than cores — CI runners, the 1-core container this repo grows
-/// in) an unyielding spin loop starves the very thread it waits on.
+/// threads than cores — CI runners, small VMs) an unyielding spin
+/// loop starves the very thread it waits on.
 inline constexpr int64_t kReaderYieldEvery = 256;
 
+inline constexpr size_t kCacheLineBytes = 64;
+
+/// The readers' stop flag, alone on its cache line. Every reader loads it
+/// once per iteration. Were the line shared with state the coordinator
+/// writes per update, each such write would invalidate the readers' copy,
+/// and every spin iteration would pull the line back across cores.
+struct alignas(kCacheLineBytes) StopFlag {
+  common::RuntimeAtomic<bool> value{false};
+};
+static_assert(alignof(StopFlag) == kCacheLineBytes &&
+                  sizeof(StopFlag) == kCacheLineBytes,
+              "the readers' stop flag must fill exactly one cache line");
+
 inline void ReaderLoop(const common::Seqlock<PublishedEstimate>& slot,
-                       const common::RuntimeAtomic<bool>& run_done,
-                       int64_t sample_capacity, ReaderStats* stats) {
+                       const StopFlag& run_done, int64_t sample_capacity,
+                       ReaderStats* stats) {
   if (sample_capacity > 0) {
     stats->samples.resize(static_cast<size_t>(sample_capacity));
   }
   int64_t last_generation = 0;
-  while (!run_done.load(std::memory_order_acquire)) {
+  while (!run_done.value.load(std::memory_order_acquire)) {
     PublishedEstimate snapshot;
     if (!slot.TryRead(&snapshot)) {
       ++stats->torn;
@@ -67,22 +85,85 @@ inline void ReaderLoop(const common::Seqlock<PublishedEstimate>& slot,
   }
 }
 
-/// Folds the joined readers' accumulators into the run result (totals plus
-/// the retained snapshot rings, trimmed to what was actually sampled).
-inline void FoldReaderStats(std::vector<ReaderStats>* reader_stats,
-                            ThreadedRunResult* result) {
-  result->reader_samples.reserve(reader_stats->size());
-  for (ReaderStats& stats : *reader_stats) {
-    result->total_reads += stats.reads;
-    result->torn_reads += stats.torn;
-    result->generation_regressions += stats.regressions;
-    const int64_t kept =
-        stats.sampled < static_cast<int64_t>(stats.samples.size())
-            ? stats.sampled
-            : static_cast<int64_t>(stats.samples.size());
-    stats.samples.resize(static_cast<size_t>(kept));
-    result->reader_samples.push_back(std::move(stats.samples));
+/// One run's serving state: the seqlock slot, the readers' stop flag, the
+/// reader pool, and the publish path with its capture log. Construction
+/// publishes generation 0 and starts the readers; the coordinator calls
+/// Publish() wherever the estimate may have changed (each ProcessBatch
+/// return) and Finish() once, after its final publish.
+class ServingState {
+ public:
+  /// `expected_updates` sizes the capture buffers: one transcript entry
+  /// per update, and one publish per ProcessBatch return, which consumes
+  /// several updates except in the chattiest regimes (the log grows past
+  /// the reservation when it must).
+  ServingState(ThreadedRunResult* result, bool capture, int num_readers,
+               int64_t reader_sample_capacity, int64_t expected_updates,
+               double initial_estimate)
+      : result_(result),
+        capture_(capture),
+        reader_stats_(static_cast<size_t>(num_readers)) {
+    if (capture_) {
+      result_->transcript.reserve(static_cast<size_t>(expected_updates));
+      result_->publish_log.reserve(
+          static_cast<size_t>(expected_updates / 8 + 16));
+    }
+    Publish(0, initial_estimate);
+    if (num_readers == 0) return;
+    pool_ = std::make_unique<common::ThreadPool>(num_readers);
+    joins_.reserve(static_cast<size_t>(num_readers));
+    for (ReaderStats& stats : reader_stats_) {
+      ReaderStats* rs = &stats;
+      joins_.push_back(pool_->Submit([this, rs, reader_sample_capacity]() {
+        ReaderLoop(slot_, run_done_, reader_sample_capacity, rs);
+      }));
+    }
   }
-}
+
+  ServingState(const ServingState&) = delete;
+  ServingState& operator=(const ServingState&) = delete;
+
+  /// Releases any readers Finish() did not stop, so the pool can join.
+  ~ServingState() { run_done_.value.store(true, std::memory_order_release); }
+
+  /// Coordinator only: publishes `estimate` as generation `generation`.
+  void Publish(int64_t generation, double estimate) {
+    const PublishedEstimate published{generation, estimate};
+    slot_.Publish(published);
+    ++result_->publishes;
+    if (capture_) result_->publish_log.push_back(published);
+  }
+
+  /// Stops and joins the readers, then folds their counters and retained
+  /// snapshot rings (trimmed to what was actually sampled) into the
+  /// result. The release store pairs with the readers' acquire load, so a
+  /// reader exits only after the final publish is visible to it.
+  void Finish() {
+    run_done_.value.store(true, std::memory_order_release);
+    for (std::future<void>& join : joins_) join.get();
+    result_->reader_samples.reserve(reader_stats_.size());
+    for (ReaderStats& stats : reader_stats_) {
+      result_->total_reads += stats.reads;
+      result_->torn_reads += stats.torn;
+      result_->generation_regressions += stats.regressions;
+      const int64_t kept =
+          stats.sampled < static_cast<int64_t>(stats.samples.size())
+              ? stats.sampled
+              : static_cast<int64_t>(stats.samples.size());
+      stats.samples.resize(static_cast<size_t>(kept));
+      result_->reader_samples.push_back(std::move(stats.samples));
+    }
+  }
+
+ private:
+  ThreadedRunResult* result_;
+  bool capture_;
+  common::Seqlock<PublishedEstimate> slot_;
+  StopFlag run_done_;
+  /// Declared before the pool, so the pool joins the readers before the
+  /// accumulators they write are destroyed.
+  std::vector<ReaderStats> reader_stats_;
+  std::unique_ptr<common::ThreadPool> pool_;
+  std::vector<std::future<void>> joins_;
+};
 
 }  // namespace nmc::runtime::internal

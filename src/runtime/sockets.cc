@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <future>
-#include <memory>
 
 #include <poll.h>
 #include <signal.h>
@@ -12,8 +10,6 @@
 #include <unistd.h>
 
 #include "common/check.h"
-#include "common/seqlock.h"
-#include "common/thread_pool.h"
 #include "runtime/serving.h"
 #include "runtime/wire.h"
 #include "sim/protocol.h"
@@ -119,11 +115,10 @@ int AcceptHello(int listener, int* site_id) {
 struct SiteState {
   SiteProcess proc;
   wire::FrameReassembler reassembler;
-  /// Reliable link: next sequence number to consume (strictly in-order).
-  /// Raw link: one past the highest sequence number consumed.
-  int64_t expected_seq = 0;
-  /// Generated-world cursor: shard[0..world_next) is in the world.
-  int64_t world_next = 0;
+  /// One past the highest sequence number consumed, which on the
+  /// reliable link is the only one consumable next (strictly in order).
+  /// Also the generated-world cursor: shard[0..next_seq) is in the world.
+  int64_t next_seq = 0;
   /// kUpdate frames seen at ingress — the loss shim's hash domain, so
   /// retransmissions of the same update draw fresh coins.
   int64_t arrival_updates = 0;
@@ -163,10 +158,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   SocketRunResult run;
   ThreadedRunResult& result = run.serving;
   SocketStats& stats = run.stats;
-  if (options.capture) {
-    result.transcript.reserve(static_cast<size_t>(total_updates));
-    result.publish_log.reserve(static_cast<size_t>(total_updates + 16));
-  }
 
   // Per-site prefix sums of the shard: prefix[s][i] = sum of the first i
   // values. The violation checker charges a raw-link gap to the world in
@@ -181,33 +172,11 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   }
 
   // Serving layer: identical to the threads backend.
-  common::Seqlock<PublishedEstimate> slot;
-  const auto publish = [&](int64_t generation, double estimate) {
-    slot.Publish(PublishedEstimate{generation, estimate});
-    ++result.publishes;
-    if (options.capture) {
-      result.publish_log.push_back(PublishedEstimate{generation, estimate});
-    }
-  };
   double estimate = protocol->Estimate();
-  publish(0, estimate);
-
-  common::RuntimeAtomic<bool> run_done{false};
-  std::vector<internal::ReaderStats> reader_stats(
-      static_cast<size_t>(options.num_readers));
-  std::unique_ptr<common::ThreadPool> pool;
-  std::vector<std::future<void>> joins;
-  if (options.num_readers > 0) {
-    pool = std::make_unique<common::ThreadPool>(options.num_readers);
-    joins.reserve(static_cast<size_t>(options.num_readers));
-    for (int r = 0; r < options.num_readers; ++r) {
-      internal::ReaderStats* rs = &reader_stats[static_cast<size_t>(r)];
-      joins.push_back(pool->Submit([&slot, &run_done, &options, rs]() {
-        internal::ReaderLoop(slot, run_done, options.reader_sample_capacity,
-                             rs);
-      }));
-    }
-  }
+  internal::ServingState serving(&result, options.capture,
+                                 options.num_readers,
+                                 options.reader_sample_capacity,
+                                 total_updates, estimate);
 
   // Transport bring-up: listener first (TCP children connect-retry against
   // it), then one child per site.
@@ -243,9 +212,10 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   double world_sum = 0.0;
   int64_t consumed_total = 0;
 
-  // Scheduled-kill delivery, frame-granular: checked after every consumed
-  // update (and once per round as a backstop) so the SIGKILL lands exactly
-  // when the coordinator's consumption crosses the threshold — not a whole
+  // Scheduled-kill delivery, update-granular: checked after every
+  // ProcessBatch return (and once per round as a backstop), and drive()
+  // ends each call at the site's next threshold, so the SIGKILL lands
+  // exactly when the coordinator's consumption reaches it — not a whole
   // drain round later, by which point a fast child may already have
   // FIN'd.
   const auto maybe_kill = [&](SiteState& st) {
@@ -260,49 +230,66 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     }
   };
 
-  const auto consume = [&](int s, int64_t seq, double value) {
+  // Feeds `values`, consecutive updates of site s, to the protocol through
+  // ProcessBatch and checks every one against the generated world. Over a
+  // call's silent prefix the estimate is frozen (the ProcessBatch
+  // contract; the same argument as sim::PumpChunk), so only the call's
+  // last update reads a fresh Estimate(), and the serving layer publishes
+  // once per call. In-order values are the site's next shard entries and
+  // enter the world here; a raw-link gap or duplicate arrives with its
+  // world accounting already settled.
+  const auto drive = [&](int s, std::span<const double> values,
+                         bool in_order) {
     SiteState& st = sites[static_cast<size_t>(s)];
-    if (seq == st.world_next) {
-      world_sum += value;
-      st.world_next = seq + 1;
-    } else if (seq > st.world_next) {
-      // Raw-link gap: the skipped updates were generated (the site sent
-      // them before this one) — they enter the world here, unseen by the
-      // protocol. This is precisely where the raw counter's estimate
-      // detaches from the truth.
-      const std::vector<double>& p = prefix[static_cast<size_t>(s)];
-      world_sum += p[static_cast<size_t>(seq + 1)] -
-                   p[static_cast<size_t>(st.world_next)];
-      st.world_next = seq + 1;
-    }
-    protocol->ProcessUpdate(s, value);
-    ++consumed_total;
-    ++st.consumed_from;
-    estimate = protocol->Estimate();
-    publish(consumed_total, estimate);
-    if (options.capture) {
-      result.transcript.push_back(TranscriptEntry{s, value});
-    }
-    const double abs_error = std::fabs(estimate - world_sum);
-    const double abs_sum = std::fabs(world_sum);
-    if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
-      ++stats.violation_steps;
-    }
-    ++stats.checked_steps;
-    if (abs_sum >= options.rel_error_floor) {
-      stats.max_rel_error =
-          std::max(stats.max_rel_error, abs_error / abs_sum);
-    }
-    if (st.awaiting_recovery) {
-      st.awaiting_recovery = false;
-      const int64_t recovery = consumed_total - st.consumed_at_kill;
-      stats.max_recovery_updates =
-          std::max(stats.max_recovery_updates, recovery);
-      if (recovery > options.resync_deadline_updates) {
-        stats.all_kills_recovered = false;
+    size_t pos = 0;
+    while (pos < values.size()) {
+      // End the call at the site's next kill threshold, so maybe_kill
+      // below fires at exactly that consumption count. An incarnation
+      // already past its threshold is killed after one update.
+      size_t len = values.size() - pos;
+      if (!st.kill_pending_eof && st.kill_idx < st.kill_after.size()) {
+        const int64_t to_kill = std::max<int64_t>(
+            1, st.kill_after[st.kill_idx] - st.consumed_from);
+        len = std::min(len, static_cast<size_t>(to_kill));
       }
+      const std::span<const double> batch = values.subspan(pos, len);
+      const int64_t consumed = protocol->ProcessBatch(s, batch);
+      NMC_CHECK_GE(consumed, 1);
+      NMC_CHECK_LE(consumed, static_cast<int64_t>(batch.size()));
+      for (int64_t j = 0; j < consumed; ++j) {
+        const double value = batch[static_cast<size_t>(j)];
+        if (in_order) world_sum += value;
+        if (j == consumed - 1) estimate = protocol->Estimate();
+        const double abs_error = std::fabs(estimate - world_sum);
+        const double abs_sum = std::fabs(world_sum);
+        if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
+          ++stats.violation_steps;
+        }
+        if (abs_sum >= options.rel_error_floor) {
+          stats.max_rel_error =
+              std::max(stats.max_rel_error, abs_error / abs_sum);
+        }
+        if (options.capture) {
+          result.transcript.push_back(TranscriptEntry{s, value});
+        }
+      }
+      if (st.awaiting_recovery) {
+        st.awaiting_recovery = false;
+        const int64_t recovery = consumed_total + 1 - st.consumed_at_kill;
+        stats.max_recovery_updates =
+            std::max(stats.max_recovery_updates, recovery);
+        if (recovery > options.resync_deadline_updates) {
+          stats.all_kills_recovered = false;
+        }
+      }
+      consumed_total += consumed;
+      st.consumed_from += consumed;
+      stats.checked_steps += consumed;
+      serving.Publish(consumed_total, estimate);
+      maybe_kill(st);
+      pos += static_cast<size_t>(consumed);
     }
-    maybe_kill(st);
+    if (in_order) st.next_seq += static_cast<int64_t>(values.size());
   };
 
   const auto maybe_nack = [&](int s) {
@@ -311,46 +298,40 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     st.nacked_this_round = true;
     sim::Message nack;
     nack.type = static_cast<int>(FrameType::kNack);
-    nack.u = st.expected_seq;
+    nack.u = st.next_seq;
     if (SendControl(st.proc.fd, nack, 200)) ++stats.nacks_sent;
   };
 
-  bool progressed_this_round = false;
-
+  // Handles one frame that is not the site's next in-order update (drain()
+  // batches those): a control frame, or an update off the sequence.
   const auto handle_frame = [&](int s, const sim::Message& m) {
     SiteState& st = sites[static_cast<size_t>(s)];
-    ++stats.frames;
-    progressed_this_round = true;
     switch (static_cast<FrameType>(m.type)) {
       case FrameType::kUpdate: {
-        const int64_t arrival = st.arrival_updates++;
-        if (options.faults.loss > 0.0 &&
-            FaultUniform(options.faults.seed, static_cast<uint64_t>(s),
-                         static_cast<uint64_t>(arrival)) <
-                options.faults.loss) {
-          ++stats.drops_injected;
-          return;
-        }
         const int64_t seq = m.u;
         if (options.reliable) {
-          if (seq < st.expected_seq) {
+          if (seq < st.next_seq) {
             ++stats.duplicate_updates;
-            return;
-          }
-          if (seq > st.expected_seq) {
+          } else {
             maybe_nack(s);
-            return;
           }
-          consume(s, seq, m.a);
-          ++st.expected_seq;
-        } else {
-          consume(s, seq, m.a);
-          st.expected_seq = std::max(st.expected_seq, seq + 1);
+          return;
         }
+        if (seq > st.next_seq) {
+          // Raw-link gap: the skipped updates were generated (the site
+          // sent them before this one) — they enter the world here, unseen
+          // by the protocol. This is precisely where the raw counter's
+          // estimate detaches from the truth.
+          const std::vector<double>& p = prefix[static_cast<size_t>(s)];
+          world_sum += p[static_cast<size_t>(seq + 1)] -
+                       p[static_cast<size_t>(st.next_seq)];
+          st.next_seq = seq + 1;
+        }
+        drive(s, std::span<const double>(&m.a, 1), /*in_order=*/false);
         return;
       }
       case FrameType::kFin: {
-        if (options.reliable && m.u != st.expected_seq) {
+        if (options.reliable && m.u != st.next_seq) {
           // The site believes it is done but the coordinator has a gap:
           // rewind it. A stale pre-rewind FIN takes this branch too.
           maybe_nack(s);
@@ -385,7 +366,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     if (st.kill_pending_eof) {
       st.kill_pending_eof = false;
       if (options.reliable) {
-        spawn(s, st.expected_seq);
+        spawn(s, st.next_seq);
         ++stats.respawns;
         st.awaiting_recovery = true;
       } else {
@@ -398,6 +379,50 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     }
   };
 
+  // Drains site s's reassembler. Consecutive in-order kUpdate frames
+  // collect in run_values and reach the protocol as one run; any other
+  // frame first flushes the run, then goes to handle_frame. A loss-shim
+  // drop is discarded on the spot: it touches nothing the run depends on,
+  // and the frame after it is off the sequence anyway. run_values holds
+  // the frames one round's reads can bring in; a fuller run flushes early.
+  constexpr int kReadsPerRound = 8;
+  uint8_t rbuf[16384];
+  std::vector<double> run_values(kReadsPerRound * sizeof(rbuf) /
+                                 wire::kFrameBytes);
+  bool progressed_this_round = false;
+  const auto drain = [&](int s) {
+    SiteState& st = sites[static_cast<size_t>(s)];
+    size_t len = 0;
+    const auto flush = [&]() {
+      drive(s, std::span<const double>(run_values.data(), len),
+            /*in_order=*/true);
+      len = 0;
+    };
+    sim::Message m;
+    while (!st.done() && st.reassembler.Next(&m) == wire::DecodeStatus::kOk) {
+      ++stats.frames;
+      progressed_this_round = true;
+      if (m.type == static_cast<int>(FrameType::kUpdate)) {
+        const int64_t arrival = st.arrival_updates++;
+        if (options.faults.loss > 0.0 &&
+            FaultUniform(options.faults.seed, static_cast<uint64_t>(s),
+                         static_cast<uint64_t>(arrival)) <
+                options.faults.loss) {
+          ++stats.drops_injected;
+          continue;
+        }
+        if (m.u == st.next_seq + static_cast<int64_t>(len)) {
+          run_values[len++] = m.a;
+          if (len == run_values.size()) flush();
+          continue;
+        }
+      }
+      flush();
+      handle_frame(s, m);
+    }
+    flush();
+  };
+
   // The event loop: poll the live sockets (plus the TCP listener while any
   // site lacks a connection), reassemble frames, feed the confined
   // protocol, publish. 1ms poll timeout keeps the fault schedule and the
@@ -408,7 +433,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   pfd_site.reserve(static_cast<size_t>(num_sites) + 1);
   int64_t last_echo = 0;
   int64_t idle_rounds = 0;
-  uint8_t rbuf[16384];
 
   while (true) {
     bool all_done = true;
@@ -481,7 +505,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
       SiteState& st = sites[static_cast<size_t>(s)];
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       // Bounded reads per site per round keep the loop fair across sites.
-      for (int reads = 0; reads < 8; ++reads) {
+      for (int reads = 0; reads < kReadsPerRound; ++reads) {
         const ssize_t got = recv(st.proc.fd, rbuf, sizeof(rbuf), 0);
         if (got > 0) {
           st.reassembler.Feed(std::span<const uint8_t>(
@@ -503,10 +527,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     // final whole frames are consumed before its death is handled.)
     for (int s = 0; s < num_sites; ++s) {
       SiteState& st = sites[static_cast<size_t>(s)];
-      sim::Message m;
-      while (!st.done() && st.reassembler.Next(&m) == wire::DecodeStatus::kOk) {
-        handle_frame(s, m);
-      }
+      drain(s);
       // Our own children cannot desynchronize the stream; a corrupt
       // reassembler means a wire bug, not a fault to tolerate.
       NMC_CHECK(!st.reassembler.corrupt());
@@ -514,7 +535,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     }
 
     // Backstop for kill thresholds already crossed when a site (re)spawns
-    // — consume-time delivery handles the common case. The EOF shows up on
+    // — drive()-time delivery handles the common case. The EOF shows up on
     // a later round.
     for (int s = 0; s < num_sites; ++s) {
       maybe_kill(sites[static_cast<size_t>(s)]);
@@ -543,8 +564,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
 
   // Teardown: stop the serving layer, then make sure nothing survives us —
   // no zombies, no open fds, regardless of how the loop ended.
-  run_done.store(true, std::memory_order_release);
-  for (std::future<void>& join : joins) join.get();
+  serving.Finish();
   for (SiteState& st : sites) {
     if (st.proc.pid > 0 || st.proc.fd >= 0) {
       (void)ReapSiteProcess(&st.proc, true);
@@ -552,14 +572,13 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     }
     if (st.awaiting_recovery) stats.all_kills_recovered = false;
     if (st.kill_pending_eof) stats.all_kills_recovered = false;
-    stats.generated_updates += st.world_next;
+    stats.generated_updates += st.next_seq;
   }
   if (listener >= 0) close(listener);
   stats.updates_lost = stats.generated_updates - consumed_total;
 
   result.updates = consumed_total;
   result.final_published = PublishedEstimate{consumed_total, estimate};
-  internal::FoldReaderStats(&reader_stats, &result);
   return run;
 }
 

@@ -126,10 +126,11 @@ struct SocketRunResult {
 /// Runs `protocol` on the sockets transport backend: shards[i] streams
 /// from a forked child process over a Unix-domain socketpair (or loopback
 /// TCP) in the versioned wire framing, a nonblocking poll event loop on
-/// the coordinator reassembles frames and feeds the confined protocol
-/// exactly as the sim drive loop would, and every post-update estimate is
-/// published through the same seqlock serving layer as the threads
-/// backend. Returns once every site has FIN/FinAck'd (or died per the
+/// the coordinator reassembles frames, feeds each site's consecutive
+/// in-order updates to the confined protocol through ProcessBatch, as the
+/// sim drive loop does, and publishes the estimate after every
+/// ProcessBatch return through the same seqlock serving layer as the
+/// threads backend. Returns once every site has FIN/FinAck'd (or died per the
 /// fault plan) and every child is reaped — no zombies, no open fds.
 ///
 /// The protocol object is only ever touched by the calling thread;

@@ -9,7 +9,6 @@
 
 #include "common/atomic_policy.h"
 #include "common/check.h"
-#include "common/seqlock.h"
 #include "common/spsc_queue.h"
 #include "common/thread_pool.h"
 #include "runtime/serving.h"
@@ -18,9 +17,6 @@
 namespace nmc::runtime {
 
 namespace {
-
-using internal::ReaderLoop;
-using internal::ReaderStats;
 
 void SiteLoop(const std::vector<double>& shard,
               common::SpscQueue<double>* inbox,
@@ -62,12 +58,6 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
     total_updates += static_cast<int64_t>(shard.size());
   }
 
-  ThreadedRunResult result;
-  if (options.capture) {
-    result.transcript.reserve(static_cast<size_t>(total_updates));
-    result.publish_log.reserve(static_cast<size_t>(total_updates / 8 + 16));
-  }
-
   std::vector<std::unique_ptr<common::SpscQueue<double>>> inboxes;
   std::vector<std::unique_ptr<common::SpscQueue<PublishedEstimate>>> echoes;
   inboxes.reserve(static_cast<size_t>(num_sites));
@@ -84,28 +74,14 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   for (int i = 0; i < num_sites; ++i) {
     site_done[i].store(false, std::memory_order_relaxed);
   }
-  common::RuntimeAtomic<bool> run_done{false};
   common::RuntimeAtomic<int64_t> echoes_received{0};
 
-  common::Seqlock<PublishedEstimate> slot;
-  const auto publish = [&](int64_t generation, double estimate) {
-    slot.Publish(PublishedEstimate{generation, estimate});
-    ++result.publishes;
-    if (options.capture) {
-      result.publish_log.push_back(PublishedEstimate{generation, estimate});
-    }
-  };
-  publish(0, protocol->Estimate());
-
-  std::vector<ReaderStats> reader_stats(
-      static_cast<size_t>(options.num_readers));
-
-  // Sites and readers on pool threads; the coordinator is the calling
-  // thread, so the pool never has to schedule a task that other running
-  // tasks spin-wait on.
-  common::ThreadPool pool(num_sites + options.num_readers);
+  // Sites on pool threads, then readers on the serving state's own pool;
+  // the coordinator is the calling thread, so no pool ever has to
+  // schedule a task that other running tasks spin-wait on.
+  common::ThreadPool pool(num_sites);
   std::vector<std::future<void>> joins;
-  joins.reserve(static_cast<size_t>(num_sites + options.num_readers));
+  joins.reserve(static_cast<size_t>(num_sites));
   for (int i = 0; i < num_sites; ++i) {
     joins.push_back(pool.Submit(
         [&shards, &inboxes, &echoes, &site_done, &echoes_received, i]() {
@@ -115,12 +91,11 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
                    &echoes_received);
         }));
   }
-  for (int r = 0; r < options.num_readers; ++r) {
-    ReaderStats* stats = &reader_stats[static_cast<size_t>(r)];
-    joins.push_back(pool.Submit([&slot, &run_done, &options, stats]() {
-      ReaderLoop(slot, run_done, options.reader_sample_capacity, stats);
-    }));
-  }
+  ThreadedRunResult result;
+  internal::ServingState serving(&result, options.capture,
+                                 options.num_readers,
+                                 options.reader_sample_capacity,
+                                 total_updates, protocol->Estimate());
 
   // Coordinator: round-robin over the mailboxes, feeding contiguous spans
   // straight from the ring storage into ProcessBatch (zero copies), and
@@ -151,7 +126,7 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
         pos += static_cast<size_t>(consumed);
         consumed_total += consumed;
         estimate = protocol->Estimate();
-        publish(consumed_total, estimate);
+        serving.Publish(consumed_total, estimate);
       }
       inbox.Advance(batch.size());
     }
@@ -180,13 +155,12 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
     std::this_thread::yield();
   }
   NMC_CHECK_EQ(consumed_total, total_updates);
-  run_done.store(true, std::memory_order_release);
   for (std::future<void>& join : joins) join.get();
+  serving.Finish();
 
   result.updates = consumed_total;
   result.echoes_received = echoes_received.load(std::memory_order_relaxed);
   result.final_published = PublishedEstimate{consumed_total, estimate};
-  internal::FoldReaderStats(&reader_stats, &result);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstddef>
+#include <cstring>
 
 #include "sim/message.h"
 
@@ -26,30 +27,37 @@ inline constexpr size_t kMessageWireBytes = 36;
 
 namespace wire_detail {
 
+// Whole-word loads and stores: one memcpy per field, byte-swapped only on
+// a big-endian host, so the image is little-endian everywhere.
+
 inline void PutLe32(uint32_t word, uint8_t* out) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<uint8_t>((word >> (8 * i)) & 0xFFu);
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap32(word);
   }
+  std::memcpy(out, &word, sizeof(word));
 }
 
 inline void PutLe64(uint64_t word, uint8_t* out) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<uint8_t>((word >> (8 * i)) & 0xFFu);
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
   }
+  std::memcpy(out, &word, sizeof(word));
 }
 
 inline uint32_t GetLe32(const uint8_t* in) {
-  uint32_t word = 0;
-  for (int i = 0; i < 4; ++i) {
-    word |= static_cast<uint32_t>(in[i]) << (8 * i);
+  uint32_t word;
+  std::memcpy(&word, in, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap32(word);
   }
   return word;
 }
 
 inline uint64_t GetLe64(const uint8_t* in) {
-  uint64_t word = 0;
-  for (int i = 0; i < 8; ++i) {
-    word |= static_cast<uint64_t>(in[i]) << (8 * i);
+  uint64_t word;
+  std::memcpy(&word, in, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
   }
   return word;
 }

@@ -89,6 +89,42 @@ TEST(SocketsRuntimeTest, CapturedRunReplaysBitIdenticallyAgainstSimOracle) {
   EXPECT_EQ(result.serving.generation_regressions, 0);
 }
 
+// The coordinator publishes once per ProcessBatch return, not once per
+// frame: on a drift stream the counter's silent runs are long, so
+// publishes fall far below updates, and the captured run still replays
+// bit-identically.
+TEST(SocketsRuntimeTest, PublishesOncePerBatchOnDriftStream) {
+  const int64_t n = int64_t{1} << 15;
+  const int k = 2;
+  const auto shards = TestShards(n, k, 97);
+  const auto protocol = MakeCounter(k, n);
+  SocketRunOptions options;
+  options.capture = true;
+  options.num_readers = 2;
+  const SocketRunResult result = RunSockets(protocol.get(), shards, options);
+  ASSERT_EQ(result.serving.updates, n);
+  EXPECT_LT(result.serving.publishes, n / 4);
+  const auto oracle = MakeCounter(k, n);
+  const LinearizabilityReport report =
+      CheckLinearizable(result.serving, oracle.get());
+  EXPECT_TRUE(report.linearizable) << report.failure;
+  EXPECT_EQ(report.publishes_checked, result.serving.publishes);
+}
+
+// A protocol that communicates on every update ends every ProcessBatch
+// call after one update, so the cadence degrades to one publish per
+// update, plus generation 0.
+TEST(SocketsRuntimeTest, PublishesEveryUpdateWhenEveryUpdateCommunicates) {
+  const int64_t n = 4096;
+  const int k = 2;
+  const auto shards = TestShards(n, k, 98);
+  baselines::ExactSyncProtocol protocol(k);
+  const SocketRunResult result =
+      RunSockets(&protocol, shards, SocketRunOptions());
+  ASSERT_EQ(result.serving.updates, n);
+  EXPECT_EQ(result.serving.publishes, n + 1);
+}
+
 TEST(SocketsRuntimeTest, RawLinkUnderLossViolatesAndLosesUpdates) {
   const int64_t n = 8192;
   const int k = 4;
@@ -174,6 +210,32 @@ TEST(SocketsRuntimeTest, SigkilledSiteRespawnsAndFinishesExactly) {
   EXPECT_EQ(result.stats.unexpected_exits, 0);
   // k children FIN'd plus one killed incarnation reaped on EOF.
   EXPECT_EQ(result.stats.children_reaped, k + 1);
+}
+
+// The counter consumes long ProcessBatch runs, which the coordinator ends
+// at each kill threshold. The killed sites' replacements must finish the
+// shards, and the captured run must still replay bit-identically.
+TEST(SocketsRuntimeTest, SigkillMidBatchRespawnsAndReplays) {
+  const int64_t n = int64_t{1} << 15;
+  const int k = 2;
+  const auto shards = TestShards(n, k, 99);
+  const auto protocol = MakeCounter(k, n);
+  SocketRunOptions options;
+  options.capture = true;
+  options.resync_deadline_updates = n;
+  options.faults.kills.push_back(SiteKillSpec{0, 777});
+  options.faults.kills.push_back(SiteKillSpec{1, 5000});
+  const SocketRunResult result = RunSockets(protocol.get(), shards, options);
+  EXPECT_EQ(result.stats.kills_delivered, 2);
+  EXPECT_EQ(result.stats.respawns, 2);
+  EXPECT_TRUE(result.stats.all_kills_recovered);
+  ASSERT_EQ(result.serving.updates, n);
+  EXPECT_EQ(result.stats.updates_lost, 0);
+  EXPECT_EQ(result.stats.unexpected_exits, 0);
+  const auto oracle = MakeCounter(k, n);
+  const LinearizabilityReport report =
+      CheckLinearizable(result.serving, oracle.get());
+  EXPECT_TRUE(report.linearizable) << report.failure;
 }
 
 TEST(SocketsRuntimeTest, SigkillOnRawLinkStaysDeadAndTearsDown) {

@@ -5,10 +5,13 @@
 
 #include "runtime/wire.h"
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -179,6 +182,106 @@ TEST(WireTest, ReassemblerCorruptionIsSticky) {
   reassembler.Feed(good);
   EXPECT_EQ(reassembler.Next(&out), DecodeStatus::kBadMagic);
   EXPECT_TRUE(reassembler.corrupt());
+}
+
+// Reference codec: the byte-at-a-time shifts the word-wide codec
+// replaced. Slow and obviously little-endian, so it is the oracle.
+void RefPutLe(uint64_t word, int bytes, uint8_t* out) {
+  for (int i = 0; i < bytes; ++i) {
+    out[i] = static_cast<uint8_t>((word >> (8 * i)) & 0xFFu);
+  }
+}
+
+uint64_t RefGetLe(const uint8_t* in, int bytes) {
+  uint64_t word = 0;
+  for (int i = 0; i < bytes; ++i) {
+    word |= static_cast<uint64_t>(in[i]) << (8 * i);
+  }
+  return word;
+}
+
+void RefPack(const sim::Message& message, uint8_t* out) {
+  RefPutLe(static_cast<uint32_t>(message.type), 4, out);
+  RefPutLe(std::bit_cast<uint64_t>(message.a), 8, out + 4);
+  RefPutLe(std::bit_cast<uint64_t>(message.b), 8, out + 12);
+  RefPutLe(static_cast<uint64_t>(message.u), 8, out + 20);
+  RefPutLe(static_cast<uint64_t>(message.v), 8, out + 28);
+}
+
+sim::Message RefUnpack(const uint8_t* in) {
+  sim::Message message;
+  message.type = static_cast<int32_t>(static_cast<uint32_t>(RefGetLe(in, 4)));
+  message.a = std::bit_cast<double>(RefGetLe(in + 4, 8));
+  message.b = std::bit_cast<double>(RefGetLe(in + 12, 8));
+  message.u = static_cast<int64_t>(RefGetLe(in + 20, 8));
+  message.v = static_cast<int64_t>(RefGetLe(in + 28, 8));
+  return message;
+}
+
+// Seeded random messages, with the edge values mixed into every field:
+// NaNs with payloads and either sign, signed zeros, infinities, the int64
+// extremes and negative types.
+std::vector<sim::Message> OracleMessages(int count, uint64_t seed) {
+  const std::array<double, 7> special_doubles = {
+      std::bit_cast<double>(uint64_t{0x7FF8000000000001}),  // qNaN, payload
+      std::bit_cast<double>(uint64_t{0xFFF4000000C0FFEE}),  // -sNaN, payload
+      std::numeric_limits<double>::quiet_NaN(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  const std::array<int64_t, 4> special_ints = {
+      std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max(),
+      -1, 0};
+  const std::array<int, 3> special_types = {
+      -1, std::numeric_limits<int>::min(), std::numeric_limits<int>::max()};
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](const auto& table) {
+    return table[static_cast<size_t>(rng() % table.size())];
+  };
+  std::vector<sim::Message> messages(static_cast<size_t>(count));
+  for (sim::Message& m : messages) {
+    // One draw in four takes each field from its edge-value table.
+    m.type = rng() % 4 == 0
+                 ? pick(special_types)
+                 : static_cast<int32_t>(static_cast<uint32_t>(rng()));
+    m.a = rng() % 4 == 0 ? pick(special_doubles) : std::bit_cast<double>(rng());
+    m.b = rng() % 4 == 0 ? pick(special_doubles) : std::bit_cast<double>(rng());
+    m.u = rng() % 4 == 0 ? pick(special_ints) : static_cast<int64_t>(rng());
+    m.v = rng() % 4 == 0 ? pick(special_ints) : static_cast<int64_t>(rng());
+  }
+  return messages;
+}
+
+TEST(WireTest, WordCodecMatchesByteLoopOracle) {
+  const std::vector<sim::Message> messages = OracleMessages(10000, 20240611);
+  std::vector<uint8_t> stream;
+  for (const sim::Message& m : messages) {
+    uint8_t got[sim::kMessageWireBytes];
+    uint8_t want[sim::kMessageWireBytes];
+    sim::PackMessage(m, got);
+    RefPack(m, want);
+    ASSERT_EQ(std::memcmp(got, want, sizeof(got)), 0);
+    ASSERT_TRUE(sim::MessageBitsEqual(sim::UnpackMessage(want), m));
+    ASSERT_TRUE(sim::MessageBitsEqual(RefUnpack(got), m));
+
+    uint8_t frame[kFrameBytes];
+    EncodeFrame(m, frame);
+    ASSERT_EQ(RefGetLe(frame, 4), kMagic);
+    ASSERT_EQ(RefGetLe(frame + 4, 2), kVersion);
+    ASSERT_EQ(RefGetLe(frame + 6, 2), sim::kMessageWireBytes);
+    ASSERT_EQ(std::memcmp(frame + kHeaderBytes, want, sizeof(want)), 0);
+    stream.insert(stream.end(), frame, frame + kFrameBytes);
+  }
+
+  FrameReassembler reassembler;
+  reassembler.Feed(stream);
+  sim::Message out;
+  for (const sim::Message& m : messages) {
+    ASSERT_EQ(reassembler.Next(&out), DecodeStatus::kOk);
+    ASSERT_TRUE(sim::MessageBitsEqual(out, m));
+  }
+  EXPECT_EQ(reassembler.Next(&out), DecodeStatus::kNeedMore);
 }
 
 TEST(WireTest, DecodeStatusNamesAreStable) {
