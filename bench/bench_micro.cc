@@ -6,9 +6,9 @@
 //
 // Accepts the shared bench flags --json_out=PATH (mapped to
 // --benchmark_out=PATH --benchmark_out_format=json for
-// scripts/run_benches.sh's BENCH_baseline.json aggregation), --batch=N
-// (harness batch size for the pump benches) and --legacy_pump (per-update
-// pump + per-coin samplers), alongside the native --benchmark_* flags.
+// scripts/run_benches.sh's BENCH_baseline.json aggregation) and --batch=N
+// (harness batch size for the pump benches), alongside the native
+// --benchmark_* flags.
 
 #include <benchmark/benchmark.h>
 
@@ -40,19 +40,14 @@
 
 namespace {
 
-/// Pump configuration from --batch / --legacy_pump (see main below);
-/// applied by the tracking-pump benches.
-int g_batch = 0;               // 0 = harness default
-bool g_legacy_pump = false;
+/// Pump configuration from --batch (see main below); applied by the
+/// tracking-pump benches.
+int g_batch = 0;  // 0 = harness default
 
 nmc::sim::TrackingOptions PumpTracking(double epsilon) {
   nmc::sim::TrackingOptions tracking;
   tracking.epsilon = epsilon;
-  if (g_legacy_pump) {
-    tracking.batch_size = 1;
-  } else if (g_batch > 0) {
-    tracking.batch_size = g_batch;
-  }
+  if (g_batch > 0) tracking.batch_size = g_batch;
   return tracking;
 }
 
@@ -72,19 +67,6 @@ nmc::sim::TrackingResult PumpRun(const std::vector<double>& stream,
       .tracking;
 }
 
-nmc::common::SamplerMode PumpSampler() {
-  return g_legacy_pump ? nmc::common::SamplerMode::kLegacyCoins
-                       : nmc::common::SamplerMode::kGeometricSkip;
-}
-
-/// Stream generation mode paired with the sampler mode: --legacy_pump
-/// reproduces the historical scalar-Rng streams bit-for-bit; the default
-/// uses the vectorized BatchRng generators.
-nmc::streams::GenMode PumpGenMode() {
-  return g_legacy_pump ? nmc::streams::GenMode::kLegacyScalar
-                       : nmc::streams::GenMode::kBatch;
-}
-
 void BM_CounterUpdate(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const int64_t n = 1 << 22;  // large horizon: stays in the cheap regime
@@ -94,8 +76,7 @@ void BM_CounterUpdate(benchmark::State& state) {
   options.seed = 1;
   nmc::core::NonMonotonicCounter counter(k, options);
   nmc::sim::RoundRobinAssignment psi(k);
-  const auto stream =
-      nmc::streams::BernoulliStream(1 << 16, 0.0, 2, PumpGenMode());
+  const auto stream = nmc::streams::BernoulliStream(1 << 16, 0.0, 2);
   int64_t t = 0;
   for (auto _ : state) {
     const double v = stream[static_cast<size_t>(t % (1 << 16))];
@@ -131,14 +112,13 @@ BENCHMARK(BM_HyzUpdate)->Arg(4)->Arg(16);
 void BM_TrackingPump(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const int64_t n = 1 << 15;
-  const auto stream = nmc::streams::BernoulliStream(n, 0.0, 21, PumpGenMode());
+  const auto stream = nmc::streams::BernoulliStream(n, 0.0, 21);
   int64_t updates = 0;
   for (auto _ : state) {
     nmc::core::CounterOptions options;
     options.epsilon = 0.25;
     options.horizon_n = n;
     options.seed = 11;
-    options.sampler = PumpSampler();
     nmc::core::NonMonotonicCounter counter(k, options);
     nmc::sim::RoundRobinAssignment psi(k);
     const auto result = PumpRun(stream, &counter, &psi, PumpTracking(0.25));
@@ -157,14 +137,13 @@ BENCHMARK(BM_TrackingPump)->Arg(1)->Arg(8);
 void BM_TrackingPumpLongGap(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const int64_t n = 1 << 15;
-  const auto stream = nmc::streams::BernoulliStream(n, 0.75, 21, PumpGenMode());
+  const auto stream = nmc::streams::BernoulliStream(n, 0.75, 21);
   int64_t updates = 0;
   for (auto _ : state) {
     nmc::core::CounterOptions options;
     options.epsilon = 0.25;
     options.horizon_n = n;
     options.seed = 11;
-    options.sampler = PumpSampler();
     nmc::core::NonMonotonicCounter counter(k, options);
     nmc::sim::RoundRobinAssignment psi(k);
     const auto result = PumpRun(stream, &counter, &psi, PumpTracking(0.25));
@@ -175,21 +154,20 @@ void BM_TrackingPumpLongGap(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackingPumpLongGap)->Arg(1)->Arg(8);
 
-// Harness batch-size sweep over the long-gap config (skip sampler unless
-// --legacy_pump): quantifies how much of the fast-forward win needs the
-// batched pump on top of the skip sampler (batch = 1 still pays one
-// virtual call + invariant check per update).
+// Harness batch-size sweep over the long-gap config: quantifies how much
+// of the fast-forward win needs the batched pump on top of the skip
+// sampler (batch = 1 still pays one virtual call + invariant check per
+// update).
 void BM_BatchedPump(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   const int64_t n = 1 << 15;
-  const auto stream = nmc::streams::BernoulliStream(n, 0.75, 21, PumpGenMode());
+  const auto stream = nmc::streams::BernoulliStream(n, 0.75, 21);
   int64_t updates = 0;
   for (auto _ : state) {
     nmc::core::CounterOptions options;
     options.epsilon = 0.25;
     options.horizon_n = n;
     options.seed = 11;
-    options.sampler = PumpSampler();
     nmc::core::NonMonotonicCounter counter(1, options);
     nmc::sim::RoundRobinAssignment psi(1);
     nmc::sim::TrackingOptions tracking;
@@ -203,40 +181,24 @@ void BM_BatchedPump(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedPump)->Arg(1)->Arg(32)->Arg(256)->Arg(2048);
 
-// Raw sampler cost per inter-report run at rate p = 1/range(0):
-// range(1) = 0 uses the geometric-skip draw (one uniform + one log per
-// run), 1 replays per-update coins (gap+1 Bernoulli draws). items/s
-// counts stream updates consumed, so the ratio is the per-update
-// fast-forward factor with everything else stripped away.
+// Raw sampler cost per inter-report run at rate p = 1/range(0): one
+// geometric-skip draw from the vectorized bulk feed per run, consumed the
+// way HYZ sites consume it. items/s counts stream updates consumed, so it
+// is the per-update fast-forward rate with everything else stripped away.
 void BM_SkipSampler(benchmark::State& state) {
   const double p = 1.0 / static_cast<double>(state.range(0));
-  const bool legacy = state.range(1) != 0;
-  nmc::common::GeometricSkip skip(legacy
-                                    ? nmc::common::SamplerMode::kLegacyCoins
-                                    : nmc::common::SamplerMode::kGeometricSkip);
-  // nmc-lint: allow(NO_UNSEEDED_RNG) fixed microbench anchor seed; the bench harness owns iterations, there is no trial seed to thread
-  nmc::common::Rng rng(17);
-  // The skip path draws its gaps from the vectorized bulk feed, as the
-  // counter sites do; the legacy path stays on per-coin scalar draws.
-  nmc::common::BatchRng batch(rng.NextU64());
-  if (!legacy) skip.AttachBatchRng(&batch);
+  nmc::common::BatchRng batch(17);
+  nmc::common::GeometricSkip skip(&batch);
   int64_t items = 0;
   for (auto _ : state) {
-    if (legacy) {
-      ++items;
-      while (!skip.Step(&rng, p)) ++items;
-    } else {
-      items += skip.TakeRun(&rng, p) + 1;
-    }
+    skip.EnsureGap(p);
+    items += skip.gap() + 1;
+    skip.Advance(skip.gap());
+    skip.TakeCandidate();
   }
   state.SetItemsProcessed(items);
 }
-BENCHMARK(BM_SkipSampler)
-    ->ArgNames({"inv_p", "legacy"})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({1024, 0})
-    ->Args({1024, 1});
+BENCHMARK(BM_SkipSampler)->ArgNames({"inv_p"})->Arg(16)->Arg(1024);
 
 // Bulk RNG throughput on the active SIMD dispatch target: uniforms and
 // geometric gaps per second. The gap fill is the skip sampler's feed; the
@@ -356,7 +318,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> rest;
   nmc::bench::PeelBenchFlags(argc, argv, "bench_micro", &values, &rest);
   if (values.batch > 0) g_batch = values.batch;
-  g_legacy_pump = values.legacy_pump;
 
   std::vector<std::string> args;
   args.reserve(rest.size() + 3);

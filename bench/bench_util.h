@@ -36,7 +36,6 @@ inline RunSummary Repeat(
   spec.epsilon = epsilon;
   spec.psi_name = psi_name;
   spec.batch_size = BenchBatch();
-  spec.legacy_pump = BenchLegacyPump();
   spec.make_stream = make_stream;
   spec.make_protocol = make_protocol;
   const RunSummary summary = RunRepeated(spec, BenchThreads());
@@ -53,15 +52,12 @@ inline RunSummary Repeat(
 }
 
 /// Convenience: the Non-monotonic Counter with the given options (seed is
-/// offset per trial). Under --legacy_pump the sampler is forced to
-/// kLegacyCoins so the whole run replays the pre-batching per-coin
-/// execution. A faulty --channel=... session config overrides
+/// offset per trial). A faulty --channel=... session config overrides
 /// options.channel (perfect stays whatever the caller set, i.e. the
 /// default), with the channel seed offset per trial like the protocol
 /// seed.
 inline std::function<std::unique_ptr<sim::Protocol>(int)> CounterFactory(
     int num_sites, core::CounterOptions options) {
-  if (BenchLegacyPump()) options.sampler = common::SamplerMode::kLegacyCoins;
   if (BenchChannel().faulty()) options.channel = BenchChannel();
   return [num_sites, options](int trial) {
     core::CounterOptions per_trial = options;
@@ -75,11 +71,9 @@ inline std::function<std::unique_ptr<sim::Protocol>(int)> CounterFactory(
 }
 
 /// Convenience: the HYZ monotonic counter with the given options (seed is
-/// offset per trial; sampler forced to kLegacyCoins under --legacy_pump,
-/// channel handling mirroring CounterFactory).
+/// offset per trial; channel handling mirroring CounterFactory).
 inline std::function<std::unique_ptr<sim::Protocol>(int)> HyzFactory(
     int num_sites, hyz::HyzOptions options) {
-  if (BenchLegacyPump()) options.sampler = common::SamplerMode::kLegacyCoins;
   if (BenchChannel().faulty()) options.channel = BenchChannel();
   return [num_sites, options](int trial) {
     hyz::HyzOptions per_trial = options;
@@ -93,8 +87,8 @@ inline std::function<std::unique_ptr<sim::Protocol>(int)> HyzFactory(
 }
 
 /// Convenience: a protocol built by name through sim::ProtocolRegistry
-/// (builtins are registered on first use). Session-wide --legacy_pump and
-/// a faulty --channel config fold into the params exactly as in
+/// (builtins are registered on first use). A faulty --channel config
+/// folds into the params exactly as in
 /// CounterFactory / HyzFactory. `seed_stride` is the per-trial seed
 /// offset and mirrors whichever factory a call site replaces:
 /// CounterFactory reseeds by 7919 per trial, HyzFactory by 1.
@@ -102,7 +96,6 @@ inline std::function<std::unique_ptr<sim::Protocol>(int)> RegistryFactory(
     const std::string& name, int num_sites, sim::ProtocolParams params = {},
     uint64_t seed_stride = 7919) {
   registry::RegisterBuiltinProtocols();
-  if (BenchLegacyPump()) params.legacy_coins = true;
   if (BenchChannel().faulty()) params.channel = BenchChannel();
   return [name, num_sites, params, seed_stride](int trial) {
     sim::ProtocolParams per_trial = params;

@@ -95,8 +95,6 @@ std::string BenchReportToJson(const BenchReport& report) {
   out += "  \"bench\": " + JsonString(report.bench) + ",\n";
   out += "  \"threads\": " + std::to_string(report.threads) + ",\n";
   out += "  \"batch\": " + std::to_string(report.batch) + ",\n";
-  out += std::string("  \"legacy_pump\": ") +
-         (report.legacy_pump ? "true" : "false") + ",\n";
   out += "  \"wall_seconds\": " + JsonDouble(report.wall_seconds) + ",\n";
   out += "  \"total_updates\": " + std::to_string(report.total_updates()) +
          ",\n";
@@ -150,7 +148,6 @@ struct BenchSession {
   std::string json_out;
   int run_counter = 0;
   int batch = 0;
-  bool legacy_pump = false;
   sim::ChannelConfig channel;
   runtime::TransportKind transport = runtime::TransportKind::kSim;
   std::chrono::steady_clock::time_point start;
@@ -173,7 +170,6 @@ constexpr BenchFlagSpec kBenchFlags[] = {
     {"threads", "--threads=N"},
     {"json_out", "--json_out=PATH"},
     {"batch", "--batch=N"},
-    {"legacy_pump", "--legacy_pump"},
     {"channel", "--channel=perfect|loss|delay"},
     {"loss", "--loss=P"},
     {"dup", "--dup=P"},
@@ -200,7 +196,6 @@ bool ConsumeBenchFlags(const common::Flags& flags, BenchFlagValues* values,
   values->threads = flags.Threads();
   values->json_out = flags.GetString("json_out", "");
   values->batch = static_cast<int>(flags.GetInt("batch", 0));
-  values->legacy_pump = flags.GetBool("legacy_pump", false);
 
   sim::ChannelConfig& channel = values->channel;
   const std::string kind = flags.GetString("channel", "perfect");
@@ -289,11 +284,9 @@ void InitBenchRest(int argc, const char* const* argv,
   session.report.threads = values.threads;
   session.json_out = values.json_out;
   session.batch = values.batch;
-  session.legacy_pump = values.legacy_pump;
   session.channel = values.channel;
   session.transport = values.transport;
   session.report.batch = session.batch;
-  session.report.legacy_pump = session.legacy_pump;
   if (session.report.threads > 1) {
     std::printf("[bench: %d worker threads]\n", session.report.threads);
   }
@@ -328,11 +321,6 @@ int BenchThreads() {
 int BenchBatch() {
   const BenchSession& session = Session();
   return session.initialized ? session.batch : 0;
-}
-
-bool BenchLegacyPump() {
-  const BenchSession& session = Session();
-  return session.initialized && session.legacy_pump;
 }
 
 const sim::ChannelConfig& BenchChannel() {

@@ -34,9 +34,8 @@ struct BenchMetric {
 struct BenchReport {
   std::string bench;
   int threads = 1;
-  /// Pump configuration the batches ran under (see --batch/--legacy_pump).
+  /// Pump configuration the batches ran under (see --batch).
   int batch = 0;
-  bool legacy_pump = false;
   std::vector<RunRecord> runs;
   /// Free-form named scalars (see RecordMetric); empty for most benches.
   std::vector<BenchMetric> metrics;
@@ -70,8 +69,6 @@ bool WriteBenchReport(const std::string& path, const BenchReport& report);
 ///   --json_out=P      write a BENCH_*.json report to P on FinishBench()
 ///   --batch=N         harness batch size for Repeat batches (0/absent =
 ///                     harness default)
-///   --legacy_pump     per-update pump + per-coin samplers: reproduces the
-///                     pre-batching execution bit for bit
 ///   --channel=K       fault model: perfect (default) | loss | delay
 ///   --loss=P          drop probability per hop (with --channel=loss)
 ///   --dup=P           duplicate probability per hop (with --channel=loss)
@@ -86,7 +83,6 @@ struct BenchFlagValues {
   int threads = 1;
   std::string json_out;
   int batch = 0;
-  bool legacy_pump = false;
   sim::ChannelConfig channel;
   runtime::TransportKind transport = runtime::TransportKind::kSim;
 };
@@ -122,11 +118,6 @@ int BenchThreads();
 
 /// --batch value resolved by InitBench (0 = harness default).
 int BenchBatch();
-
-/// True when --legacy_pump was given: Repeat pumps one update per
-/// ProcessBatch and the protocol factories in bench_util switch the
-/// samplers to kLegacyCoins.
-bool BenchLegacyPump();
 
 /// Channel model requested by --channel/--loss/... (kPerfect before
 /// InitBench, and by default). The protocol factories in bench_util apply

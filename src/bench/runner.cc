@@ -30,11 +30,7 @@ TrialOutcome RunTrial(const RepeatSpec& spec, int trial) {
                                  1000 + static_cast<uint64_t>(trial));
   sim::TrackingOptions tracking;
   tracking.epsilon = spec.epsilon;
-  if (spec.legacy_pump) {
-    tracking.batch_size = 1;
-  } else if (spec.batch_size > 0) {
-    tracking.batch_size = spec.batch_size;
-  }
+  if (spec.batch_size > 0) tracking.batch_size = spec.batch_size;
   runtime::RunConfig config;
   config.protocol = protocol.get();
   config.stream = &stream;

@@ -51,11 +51,8 @@ struct RepeatSpec {
   double epsilon = 0.1;
   std::string psi_name = "round_robin";
   /// Harness batch size (see TrackingOptions::batch_size); 0 keeps the
-  /// harness default. legacy_pump forces batch size 1 — combined with
-  /// legacy-coin protocol factories it reproduces the pre-batching pump
-  /// bit for bit (the --legacy_pump bench flag).
+  /// harness default.
   int batch_size = 0;
-  bool legacy_pump = false;
   std::function<std::vector<double>(int)> make_stream;
   std::function<std::unique_ptr<sim::Protocol>(int)> make_protocol;
 };

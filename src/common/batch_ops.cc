@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 
 #include "common/batch_ops_kernels.h"
 #include "common/simd_dispatch.h"
@@ -79,72 +78,27 @@ bool CheckUnitPrefix(std::span<const double> values, double sum0,
     return true;
   }
 
-  // Pass 0 — coarse interval test, no data scan at all: a ±1 walk of n
-  // steps keeps every prefix sum inside [sum0 - n, sum0 + n] (both exact:
-  // the IsSmallInteger margin covers them). That interval contains the
-  // visited set, so evaluating the short-circuit tests at its endpoints
-  // only weakens them — a_max can only grow, b_min shrink, b_max grow —
-  // and a coarse pass implies the exact-bounds pass below. Then the only
-  // per-item work left is the sign tally: the all-unit gate plus the
-  // exact final sum, with the min/max sweep skipped entirely. In a
+  // Run-level short-circuit, no extra data scan: a ±1 walk of n steps
+  // keeps every prefix sum inside [sum0 - n, sum0 + n] (both exact: the
+  // IsSmallInteger margin covers them), so the tests of ShortCircuitPasses
+  // over that interval bound every item. The only per-item work left is
+  // the sign tally: the all-unit gate plus the exact final sum. In a
   // settled tracker the estimate sits deep inside the envelope and the
   // +-n slop is negligible against |sum0|, so this is the common case.
+  const SignTally tally = TallySigns(values);
+  if (!tally.all_unit) return false;
   if (ShortCircuitPasses(sum0 - static_cast<double>(values.size()),
                          sum0 + static_cast<double>(values.size()), estimate,
                          epsilon, slack, rel_floor, current_max_rel)) {
-    const SignTally tally = TallySigns(values);
-    if (tally.all_unit) {
-      result->violations = 0;
-      result->max_rel_error = 0.0;
-      result->final_sum = sum0 + static_cast<double>(tally.plus - tally.minus);
-      return true;
-    }
-    return false;
-  }
-
-  // Pass 1 — divide-free run-level sweep: the all-unit gate fused with the
-  // exact integer min/max of the running sum. On a ±1 walk the prefix sums
-  // visit every integer between the two bounds, so extreme-value arguments
-  // over [min_sum, max_sum] bound every per-item quantity below.
-  detail::BoundsState bounds{sum0, std::numeric_limits<double>::infinity(),
-                             -std::numeric_limits<double>::infinity(), true};
-  {
-    const double* data = values.data();
-    size_t n = values.size();
-    switch (ActiveSimdLevel()) {
-#if NMC_SIMD_AVX2
-      case SimdLevel::kAvx2: {
-        const size_t bulk = n & ~static_cast<size_t>(3);
-        if (bulk != 0) detail::UnitRunBoundsAvx2(data, bulk, &bounds);
-        data += bulk;
-        n -= bulk;
-        break;
-      }
-#endif
-      default:
-        break;
-    }
-    if (bounds.all_unit && n != 0) {
-      detail::UnitRunBoundsScalar(data, n, &bounds);
-    }
-  }
-  if (!bounds.all_unit) return false;
-
-  // Run-level short-circuit against the exact visited bounds (see
-  // ShortCircuitPasses for the argument; on a ±1 walk the prefix sums
-  // visit every integer in [min_sum, max_sum], so the interval is tight).
-  // When either test fails the per-item kernels below reproduce the
-  // scalar loop bit for bit.
-  if (ShortCircuitPasses(bounds.min_sum, bounds.max_sum, estimate, epsilon,
-                         slack, rel_floor, current_max_rel)) {
     result->violations = 0;
     // Every item's relative error is provably <= current_max_rel, so 0.0
     // is exact under the documented max-fold contract.
     result->max_rel_error = 0.0;
-    result->final_sum = bounds.sum;
+    result->final_sum = sum0 + static_cast<double>(tally.plus - tally.minus);
     return true;
   }
 
+  // Per-item kernels: reproduce the scalar loop bit for bit.
   detail::PrefixState state{sum0, 0.0, 0};
   const double* data = values.data();
   size_t n = values.size();
@@ -189,25 +143,6 @@ SignTally TallySignsScalar(const double* values, size_t n) {
   }
   tally.all_unit = true;
   return tally;
-}
-
-void UnitRunBoundsScalar(const double* values, size_t n, BoundsState* state) {
-  double sum = state->sum;
-  double mn = state->min_sum;
-  double mx = state->max_sum;
-  for (size_t i = 0; i < n; ++i) {
-    const double v = values[i];
-    if (v != 1.0 && v != -1.0) {
-      state->all_unit = false;
-      return;
-    }
-    sum += v;
-    mn = std::min(mn, sum);
-    mx = std::max(mx, sum);
-  }
-  state->sum = sum;
-  state->min_sum = mn;
-  state->max_sum = mx;
 }
 
 void CheckUnitPrefixScalar(const double* values, size_t n, double estimate,

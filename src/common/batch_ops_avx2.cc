@@ -29,13 +29,6 @@ inline double HorizontalMax(__m256d x) {
   return _mm_cvtsd_f64(_mm_max_sd(m2, _mm_unpackhi_pd(m2, m2)));
 }
 
-inline double HorizontalMin(__m256d x) {
-  const __m128d lo = _mm256_castpd256_pd128(x);
-  const __m128d hi = _mm256_extractf128_pd(x, 1);
-  const __m128d m2 = _mm_min_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_min_sd(m2, _mm_unpackhi_pd(m2, m2)));
-}
-
 }  // namespace
 
 SignTally TallySignsAvx2(const double* values, size_t n) {
@@ -74,35 +67,6 @@ SignTally TallySignsAvx2(const double* values, size_t n) {
   if (!tail.all_unit) return SignTally{};
   return SignTally{plus + tail.plus,
                    static_cast<int64_t>(bulk) - plus + tail.minus, true};
-}
-
-void UnitRunBoundsAvx2(const double* values, size_t n, BoundsState* state) {
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
-  const __m256d one = _mm256_set1_pd(1.0);
-  __m256d carry = _mm256_set1_pd(state->sum);
-  __m256d mn = _mm256_set1_pd(state->min_sum);
-  __m256d mx = _mm256_set1_pd(state->max_sum);
-  for (size_t i = 0; i < n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(values + i);
-    const __m256d unit =
-        _mm256_cmp_pd(_mm256_and_pd(v, abs_mask), one, _CMP_EQ_OQ);
-    if (_mm256_movemask_pd(unit) != 0xF) {
-      state->all_unit = false;
-      return;
-    }
-    // Same carry-free in-register prefix sum as CheckUnitPrefixAvx2 —
-    // exact on ±1 integers, so min/max over lanes match the scalar walk.
-    const __m256d t1 = _mm256_add_pd(v, ShiftIn1(v));
-    const __m256d local = _mm256_add_pd(t1, ShiftIn2(t1));
-    const __m256d sum = _mm256_add_pd(local, carry);
-    carry = _mm256_add_pd(carry, _mm256_permute4x64_pd(local, 0xFF));
-    mn = _mm256_min_pd(mn, sum);
-    mx = _mm256_max_pd(mx, sum);
-  }
-  state->sum = _mm_cvtsd_f64(_mm256_castpd256_pd128(carry));
-  state->min_sum = HorizontalMin(mn);
-  state->max_sum = HorizontalMax(mx);
 }
 
 void CheckUnitPrefixAvx2(const double* values, size_t n, double estimate,

@@ -18,23 +18,10 @@ struct PrefixState {
   int64_t violations;
 };
 
-/// Running state for the run-level bounds sweep behind CheckUnitPrefix's
-/// short-circuit. min_sum/max_sum cover the sums *after* each item (the
-/// seed sum itself is excluded, matching the per-item check). When a
-/// non-±1 value is hit the kernel sets all_unit = false and returns with
-/// the remaining fields unspecified.
-struct BoundsState {
-  double sum;
-  double min_sum;
-  double max_sum;
-  bool all_unit;
-};
-
 SignTally TallySignsScalar(const double* values, size_t n);
 void CheckUnitPrefixScalar(const double* values, size_t n, double estimate,
                            double epsilon, double slack, double rel_floor,
                            PrefixState* state);
-void UnitRunBoundsScalar(const double* values, size_t n, BoundsState* state);
 
 #if NMC_SIMD_AVX2
 SignTally TallySignsAvx2(const double* values, size_t n);
@@ -43,8 +30,6 @@ SignTally TallySignsAvx2(const double* values, size_t n);
 void CheckUnitPrefixAvx2(const double* values, size_t n, double estimate,
                          double epsilon, double slack, double rel_floor,
                          PrefixState* state);
-/// n must be a multiple of 4 (same tail contract as above).
-void UnitRunBoundsAvx2(const double* values, size_t n, BoundsState* state);
 #endif
 
 }  // namespace nmc::common::batch_ops_detail

@@ -30,9 +30,8 @@ inline constexpr int64_t kBatchRngInfiniteGap =
 /// exactly the values of filling n+m at once, regardless of dispatch
 /// level. Incomplete lane quadruples are buffered across calls.
 ///
-/// Not bit-compatible with scalar common::Rng sequences — callers that
-/// promise legacy bit-identity (kLegacyCoins samplers, kLegacyScalar
-/// stream generation) must keep drawing from Rng instead.
+/// Not bit-compatible with scalar common::Rng sequences: switching a
+/// caller between the two changes its fixed-seed output.
 class BatchRng {
  public:
   /// A single SplitMix64 chain from `seed` yields one sub-seed per lane,

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/batch_ops.h"
+#include "common/batch_rng.h"
 #include "common/check.h"
 #include "common/geometric_skip.h"
 #include "common/rng.h"
@@ -102,15 +103,9 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
         options_(options),
         network_(network),
         rng_(rng),
-        skip_(options.sampler) {
-    if (options_.sampler == common::SamplerMode::kGeometricSkip) {
-      // Bulk gap feed for skip-mode draws. Seeding consumes one u64 from
-      // rng_, which is fine: skip-mode transcripts are already allowed to
-      // differ from legacy per-seed, and legacy mode never reaches this
-      // branch, so its bit-exact replay promise is untouched.
-      batch_rng_ = common::BatchRng(rng_.NextU64());
-      skip_.AttachBatchRng(&batch_rng_);
-    }
+        // Bulk gap feed for the skip sampler, seeded from one u64 of rng_.
+        batch_rng_(rng_.NextU64()),
+        skip_(&batch_rng_) {
     if (num_sites_ == 1) {
       // The single site holds the entire history, including any carried
       // state from a previous horizon epoch.
@@ -206,10 +201,6 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
     local_sum_ += value;
     local_sum_sq_ += value * value;
     ++updates_since_state_;
-    // A scalar update may be fractional or push the totals toward the
-    // exact-integer limit: drop the banked small-totals certificate and
-    // let the next bulk run revalidate (one store; no branch).
-    small_budget_ = 0;
   }
 
   /// True when x is an integer far enough below 2^51 that `margin` more
@@ -217,29 +208,6 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
   /// that makes the bulk path below bit-identical to the scalar loop.
   static bool SmallInteger(double x, double margin) {
     return x == std::floor(x) && std::fabs(x) + margin < 0x1.0p51;
-  }
-
-  /// Validation margin banked by a successful small-totals test: one test
-  /// certifies the next ~2^20 unit updates (any scalar Absorb voids the
-  /// bank), so consecutive bulk runs pay one integer compare instead of
-  /// two floor tests each. Small against 2^51, so banking it never
-  /// excludes a run the per-call test would have admitted in practice.
-  static constexpr double kSmallBudgetMargin = 0x1.0p20;
-
-  /// True when both totals are integers far enough below 2^51 that `n`
-  /// more unit steps stay exactly representable. Prefers the banked
-  /// certificate; a revalidation banks the larger margin when it passes.
-  /// Conservative only: a false here merely routes the run to the scalar
-  /// loop, which is bit-identical to the bulk path whenever both apply.
-  bool SmallTotalsFor(int64_t n) {
-    if (small_budget_ >= n) return true;
-    const double margin = std::max(static_cast<double>(n), kSmallBudgetMargin);
-    if (SmallInteger(local_sum_, margin) &&
-        SmallInteger(local_sum_sq_, margin)) {
-      small_budget_ = static_cast<int64_t>(margin);
-      return true;
-    }
-    return false;
   }
 
   void AbsorbRun(std::span<const double> values) {
@@ -250,10 +218,11 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
     // per-update range checks — all-unit implies |v| == 1. Non-unit or
     // non-integer-total runs (fBm, fractional streams) fall through.
     const int64_t n = static_cast<int64_t>(values.size());
-    if (n >= 4 && SmallTotalsFor(n)) {
+    const double margin = static_cast<double>(n);
+    if (n >= 4 && SmallInteger(local_sum_, margin) &&
+        SmallInteger(local_sum_sq_, margin)) {
       const common::SignTally tally = common::TallySigns(values);
       if (tally.all_unit) {
-        small_budget_ -= n;
         local_updates_ += n;
         local_sum_ += static_cast<double>(tally.plus - tally.minus);
         local_sum_sq_ += static_cast<double>(n);
@@ -270,8 +239,8 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
     // The fast-forward chunk bound (fast_forward_) needs |local_sum_| to
     // move by at most 1 per update and the rate law to be monotone in |s|
     // at fixed epsilon — which rules out unbounded fBm increments and the
-    // per-update rescaling of variance_adaptive. Those run on the
-    // per-coin reference path (in legacy mode everything does).
+    // per-update rescaling of variance_adaptive. Those flip one coin per
+    // update.
     if (!fast_forward_) {
       int64_t consumed = 0;
       const int64_t count = static_cast<int64_t>(values.size());
@@ -300,20 +269,9 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
     // consumed gap at a chunk boundary is exact by memorylessness.
     int64_t consumed = 0;
     const int64_t count = static_cast<int64_t>(values.size());
-    // Whole-span fast path: a cached gap that covers the span inside the
-    // live chunk absorbs it in one shot. Exactly the loop below with
-    // m == count — EnsureGap is a no-op on a valid gap and the candidate
-    // branch is unreachable — minus the min/branch bookkeeping, which is
-    // most of the per-call cost at small pump batch sizes.
-    if (chunk_left_ >= count && skip_.valid() && skip_.gap() >= count) {
-      AbsorbRun(values);
-      chunk_left_ -= count;
-      skip_.Advance(count);
-      return count;
-    }
     while (consumed < count) {
       if (chunk_left_ <= 0) RestartSingleSiteChunk();
-      skip_.EnsureGap(&rng_, chunk_dom_);
+      skip_.EnsureGap(chunk_dom_);
       const int64_t m =
           std::min({skip_.gap(), chunk_left_, count - consumed});
       if (m > 0) {
@@ -374,23 +332,6 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
   /// which errs toward sampling more, never less.
   int64_t ConsumeSbc(std::span<const double> values) {
     const int64_t count = static_cast<int64_t>(values.size());
-    if (skip_.mode() == common::SamplerMode::kLegacyCoins) {
-      int64_t consumed = 0;
-      while (consumed < count) {
-        Absorb(values[static_cast<size_t>(consumed)]);
-        ++consumed;
-        const double rate =
-            Phase1Rate(options_, global_estimate_,
-                       global_time_ + updates_since_state_, rate_scale_,
-                       &walk_cache_);
-        if (rng_.Bernoulli(rate)) {
-          SendSyncRequest();
-          break;
-        }
-      }
-      return consumed;
-    }
-
     // Fast-forward: between broadcasts the walk/fBm term is frozen and
     // the drift guard only decays, so the rate at the next update
     // dominates every later one until the next kState invalidates the
@@ -402,7 +343,7 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
         sbc_dom_ = Phase1Rate(options_, global_estimate_,
                               global_time_ + updates_since_state_ + 1,
                               rate_scale_, &walk_cache_);
-        skip_.EnsureGap(&rng_, sbc_dom_);
+        skip_.EnsureGap(sbc_dom_);
       }
       const int64_t m = std::min(skip_.gap(), count - consumed);
       if (m > 0) {
@@ -434,12 +375,11 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
   CounterOptions options_;
   sim::Network* network_;
   common::Rng rng_;
+  common::BatchRng batch_rng_;
   common::GeometricSkip skip_;
-  common::BatchRng batch_rng_{0};  // reseeded + attached in skip mode only
   // Hoisted ConsumeSingleSite gate — constant for the life of the site
   // (see the comment there for why these modes are excluded).
   const bool fast_forward_ =
-      skip_.mode() == common::SamplerMode::kGeometricSkip &&
       options_.fbm_delta == 0.0 && !options_.variance_adaptive;
   RateCache walk_cache_;
 
@@ -451,7 +391,6 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
   int64_t local_updates_ = 0;
   double local_sum_ = 0.0;
   double local_sum_sq_ = 0.0;
-  int64_t small_budget_ = 0;  // banked small-totals margin (see SmallTotalsFor)
   int64_t updates_since_state_ = 0;
   double global_estimate_ = 0.0;
   int64_t global_time_ = 0;
@@ -849,7 +788,6 @@ void NonMonotonicCounter::ActivatePhase2() {
       0.9);
   const double n = static_cast<double>(options_.horizon_n);
   hyz_options.delta = std::min(0.5, options_.phase2_delta_scale / (n * n));
-  hyz_options.sampler = options_.sampler;
   if (options_.phase2_auto_hyz_mode) {
     // Per-round cost: deterministic ~2k, sampled ~sqrt(kL) + L.
     const double k = static_cast<double>(num_sites());

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "common/geometric_skip.h"
 #include "core/gp_search.h"
 #include "hyz/hyz_counter.h"
 #include "sim/channel.h"
@@ -117,16 +116,6 @@ struct CounterOptions {
   /// oversamples all the way to Theta(n). No effect on ±1 streams.
   bool variance_adaptive = false;
 
-  /// How the per-update Bernoulli trials are realized. kGeometricSkip
-  /// (default) draws geometric inter-report gaps at a dominating rate and
-  /// thins candidates, so silent runs are consumed in O(1) coin draws —
-  /// the sampled trajectory has exactly the per-coin distribution, but a
-  /// different RNG consumption pattern. kLegacyCoins flips one Bernoulli
-  /// coin per update in stream order and is bit-identical to the
-  /// pre-skip-sampler implementation (golden transcripts, seed-pinned
-  /// regression tests).
-  common::SamplerMode sampler = common::SamplerMode::kGeometricSkip;
-
   /// Carried state for restarts (used by HorizonFreeCounter): the counter
   /// behaves as if `initial_updates` updates summing to `initial_sum`
   /// (with sum of squares `initial_sum_sq`) had already been processed and
@@ -196,8 +185,8 @@ class NonMonotonicCounter : public sim::Protocol {
   /// Feeds a same-site run: consumes a non-empty prefix of `values` —
   /// stopping right after the first update that triggers communication —
   /// and returns the count consumed (see the Protocol::ProcessBatch
-  /// contract). With the kGeometricSkip sampler the silent prefix of a
-  /// run costs O(1) RNG draws and rate evaluations instead of one per
+  /// contract). The geometric skip sampler makes the silent prefix of a
+  /// run cost O(1) RNG draws and rate evaluations instead of one per
   /// update.
   int64_t ProcessBatch(int site_id, std::span<const double> values) override;
 

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/batch_rng.h"
 #include "common/check.h"
+#include "common/geometric_skip.h"
+#include "common/rng.h"
 
 namespace nmc::hyz {
 
@@ -22,23 +25,15 @@ enum MessageType {
 /// sampling probability.
 class HyzProtocol::Site : public sim::SiteNode {
  public:
-  Site(int site_id, HyzMode mode, common::SamplerMode sampler,
-       sim::Network* network, common::Rng rng)
+  /// The gap feed is seeded from one u64 of the site's forked `rng`. The
+  /// round rate is frozen between broadcasts, so consecutive draws share a
+  /// rate and amortize one log1p over a block; kDeterministic never draws.
+  Site(int site_id, HyzMode mode, sim::Network* network, common::Rng rng)
       : site_id_(site_id),
         mode_(mode),
         network_(network),
-        rng_(rng),
-        skip_(sampler) {
-    if (mode_ == HyzMode::kSampled &&
-        sampler == common::SamplerMode::kGeometricSkip) {
-      // Bulk gap feed: the round rate is frozen between broadcasts, so
-      // consecutive draws share a rate and amortize one log1p over a
-      // block. Seeding consumes one u64 from rng_; skip-mode transcripts
-      // may differ per-seed, legacy mode never takes this branch.
-      batch_rng_ = common::BatchRng(rng_.NextU64());
-      skip_.AttachBatchRng(&batch_rng_);
-    }
-  }
+        batch_rng_(rng.NextU64()),
+        skip_(&batch_rng_) {}
 
   void OnLocalUpdate(double value) override {
     NMC_CHECK_EQ(value, 1.0);
@@ -48,10 +43,9 @@ class HyzProtocol::Site : public sim::SiteNode {
   /// Consumes a prefix of `count` unit increments (>= 1), stopping right
   /// after the first one that emits a report; returns the count consumed.
   /// Both modes fast-forward the silent prefix: kDeterministic knows the
-  /// next report arithmetically (no coins exist to replay, so this is
-  /// bit-exact in every sampler mode), kSampled skips by a geometric gap
-  /// at the frozen round rate — no thinning needed, the rate only changes
-  /// via broadcasts, which invalidate the cached gap.
+  /// next report arithmetically (it draws no coins), kSampled skips by a
+  /// geometric gap at the frozen round rate — no thinning needed, the rate
+  /// only changes via broadcasts, which invalidate the cached gap.
   int64_t ConsumeRun(int64_t count) {
     NMC_CHECK_GE(count, 1);
     if (mode_ == HyzMode::kDeterministic) {
@@ -65,19 +59,7 @@ class HyzProtocol::Site : public sim::SiteNode {
       Report();
       return to_report;
     }
-    if (skip_.mode() == common::SamplerMode::kLegacyCoins) {
-      int64_t consumed = 0;
-      while (consumed < count) {
-        ++round_count_;
-        ++consumed;
-        if (rng_.Bernoulli(rate_)) {
-          Report();
-          break;
-        }
-      }
-      return consumed;
-    }
-    skip_.EnsureGap(&rng_, rate_);
+    skip_.EnsureGap(rate_);
     if (skip_.gap() >= count) {
       skip_.Advance(count);
       round_count_ += count;
@@ -140,9 +122,8 @@ class HyzProtocol::Site : public sim::SiteNode {
   int site_id_;
   HyzMode mode_;
   sim::Network* network_;
-  common::Rng rng_;
+  common::BatchRng batch_rng_;
   common::GeometricSkip skip_;
-  common::BatchRng batch_rng_{0};  // reseeded + attached in skip mode only
   double rate_ = 1.0;
   int64_t threshold_ = 1;
   int64_t round_count_ = 0;
@@ -328,8 +309,8 @@ HyzProtocol::HyzProtocol(int num_sites, const HyzOptions& options)
   network_.AttachCoordinator(coordinator_.get());
   sites_.reserve(static_cast<size_t>(num_sites));
   for (int s = 0; s < num_sites; ++s) {
-    sites_.push_back(std::make_unique<Site>(s, options.mode, options.sampler,
-                                            &network_, seeder.Fork()));
+    sites_.push_back(
+        std::make_unique<Site>(s, options.mode, &network_, seeder.Fork()));
     network_.AttachSite(s, sites_.back().get());
   }
   coordinator_->StartRound();

@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/geometric_skip.h"
-#include "common/rng.h"
 #include "sim/channel.h"
 #include "sim/network.h"
 #include "sim/protocol.h"
@@ -38,13 +36,6 @@ struct HyzOptions {
   double delta = 1e-6;
   /// Multiplier on the theoretical sampling rate (tuning constant).
   double rate_constant = 1.0;
-  /// How kSampled realizes its per-increment Bernoulli trials. The rate
-  /// is frozen between round broadcasts, so kGeometricSkip (default)
-  /// consumes a whole inter-report run per gap draw — same distribution,
-  /// different RNG consumption pattern. kLegacyCoins is bit-identical to
-  /// the pre-skip-sampler implementation (one coin per increment).
-  /// kDeterministic mode needs no coins and fast-forwards either way.
-  common::SamplerMode sampler = common::SamplerMode::kGeometricSkip;
 
   /// Offset added to the tracked count: Estimate() returns
   /// initial_total + (count of increments seen). Used when HYZ is started

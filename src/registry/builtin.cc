@@ -6,7 +6,6 @@
 #include "baselines/periodic_sync.h"
 #include "baselines/two_monotonic.h"
 #include "common/check.h"
-#include "common/geometric_skip.h"
 #include "core/horizon_free.h"
 #include "core/nonmonotonic_counter.h"
 #include "hyz/hyz_counter.h"
@@ -16,16 +15,10 @@ namespace nmc::registry {
 
 namespace {
 
-common::SamplerMode SamplerFor(const sim::ProtocolParams& params) {
-  return params.legacy_coins ? common::SamplerMode::kLegacyCoins
-                             : common::SamplerMode::kGeometricSkip;
-}
-
 core::CounterOptions CounterOptionsFor(const sim::ProtocolParams& params) {
   core::CounterOptions options;
   options.epsilon = params.epsilon;
   options.horizon_n = params.horizon_n;
-  options.sampler = SamplerFor(params);
   options.channel = params.channel;
   options.seed = params.seed;
   return options;
@@ -35,7 +28,6 @@ hyz::HyzOptions HyzOptionsFor(const sim::ProtocolParams& params) {
   hyz::HyzOptions options;
   options.epsilon = params.epsilon;
   options.delta = params.delta;
-  options.sampler = SamplerFor(params);
   options.channel = params.channel;
   options.seed = params.seed;
   return options;

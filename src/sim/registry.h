@@ -26,9 +26,6 @@ struct ProtocolParams {
   double delta = 1e-6;
   /// Reporting period (periodic_sync).
   int64_t period = 8;
-  /// Replay the legacy one-coin-per-update RNG pattern instead of
-  /// geometric skip-sampling.
-  bool legacy_coins = false;
   /// Fault model of the protocol's network(s); kPerfect by default.
   ChannelConfig channel;
   uint64_t seed = 1;

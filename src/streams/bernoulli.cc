@@ -4,15 +4,14 @@
 
 namespace nmc::streams {
 
-std::vector<double> BernoulliStream(int64_t n, double mu, uint64_t seed,
-                                    GenMode mode) {
-  BernoulliSource source(n, mu, seed, mode);
+std::vector<double> BernoulliStream(int64_t n, double mu, uint64_t seed) {
+  BernoulliSource source(n, mu, seed);
   return Materialize(&source);
 }
 
 std::vector<double> FractionalIidStream(int64_t n, double mu, double amplitude,
-                                        uint64_t seed, GenMode mode) {
-  FractionalIidSource source(n, mu, amplitude, seed, mode);
+                                        uint64_t seed) {
+  FractionalIidSource source(n, mu, amplitude, seed);
   return Materialize(&source);
 }
 

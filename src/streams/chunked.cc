@@ -16,9 +16,8 @@ size_t ChunkCount(std::span<double> out, int64_t n, int64_t produced) {
 
 }  // namespace
 
-BernoulliSource::BernoulliSource(int64_t n, double mu, uint64_t seed,
-                                 GenMode mode)
-    : n_(n), p_plus_((1.0 + mu) / 2.0), mode_(mode), rng_(seed), batch_(seed) {
+BernoulliSource::BernoulliSource(int64_t n, double mu, uint64_t seed)
+    : n_(n), p_plus_((1.0 + mu) / 2.0), batch_(seed) {
   NMC_CHECK_GE(n, 0);
   NMC_CHECK_GE(mu, -1.0);
   NMC_CHECK_LE(mu, 1.0);
@@ -26,22 +25,15 @@ BernoulliSource::BernoulliSource(int64_t n, double mu, uint64_t seed,
 
 int64_t BernoulliSource::FillChunk(std::span<double> out) {
   const size_t count = ChunkCount(out, n_, produced_);
-  if (mode_ == GenMode::kBatch) {
-    batch_.FillSigns(out.first(count), p_plus_);
-  } else {
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = rng_.Bernoulli(p_plus_) ? 1.0 : -1.0;
-    }
-  }
+  batch_.FillSigns(out.first(count), p_plus_);
   produced_ += static_cast<int64_t>(count);
   return static_cast<int64_t>(count);
 }
 
 FractionalIidSource::FractionalIidSource(int64_t n, double mu,
-                                         double amplitude, uint64_t seed,
-                                         GenMode mode)
+                                         double amplitude, uint64_t seed)
     : n_(n), mu_(mu), a_(std::min(1.0 - std::fabs(mu), amplitude)),
-      mode_(mode), rng_(seed), batch_(seed) {
+      batch_(seed) {
   NMC_CHECK_GE(n, 0);
   NMC_CHECK_GE(mu, -1.0);
   NMC_CHECK_LE(mu, 1.0);
@@ -50,17 +42,11 @@ FractionalIidSource::FractionalIidSource(int64_t n, double mu,
 
 int64_t FractionalIidSource::FillChunk(std::span<double> out) {
   const size_t count = ChunkCount(out, n_, produced_);
-  if (mode_ == GenMode::kBatch) {
-    // Bulk uniforms into the caller's buffer, then an in-place affine map
-    // (elementwise, so order-independent and auto-vectorizable).
-    batch_.FillUniform(out.first(count));
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = mu_ + a_ * (2.0 * out[i] - 1.0);
-    }
-  } else {
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = mu_ + a_ * (2.0 * rng_.UniformDouble() - 1.0);
-    }
+  // Bulk uniforms into the caller's buffer, then an in-place affine map
+  // (elementwise, so order-independent and auto-vectorizable).
+  batch_.FillUniform(out.first(count));
+  for (size_t i = 0; i < count; ++i) {
+    out[i] = mu_ + a_ * (2.0 * out[i] - 1.0);
   }
   produced_ += static_cast<int64_t>(count);
   return static_cast<int64_t>(count);

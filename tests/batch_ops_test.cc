@@ -8,13 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
-#include "common/batch_ops_kernels.h"
 #include "common/rng.h"
-#include "common/simd_dispatch.h"
 #include "gtest/gtest.h"
 
 namespace nmc::common {
@@ -145,45 +142,6 @@ TEST(BatchOpsTest, ShortCircuitFiresOnSettledTracking) {
   const RefState ref =
       ReferenceLoop(values, sum0, estimate, 0.25, 1e-9, 1.0, current);
   EXPECT_EQ(std::max(current, prefix.max_rel_error), ref.max_rel);
-}
-
-TEST(BatchOpsTest, BoundsKernelsMatchScalarOracle) {
-  // The dispatched bounds sweep must be bit-identical to the scalar
-  // kernel — same final sum, same min/max — for every bulk/tail split.
-  for (const size_t n : {4u, 8u, 36u, 128u}) {
-    const auto values = UnitWalk(500 + n, n, 0.5);
-    for (const double sum0 : {0.0, -3.0, 1000.0}) {
-      batch_ops_detail::BoundsState scalar{
-          sum0, std::numeric_limits<double>::infinity(),
-          -std::numeric_limits<double>::infinity(), true};
-      batch_ops_detail::UnitRunBoundsScalar(values.data(), n, &scalar);
-      ASSERT_TRUE(scalar.all_unit);
-#if NMC_SIMD_AVX2
-      if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-        batch_ops_detail::BoundsState simd{
-            sum0, std::numeric_limits<double>::infinity(),
-            -std::numeric_limits<double>::infinity(), true};
-        batch_ops_detail::UnitRunBoundsAvx2(values.data(), n, &simd);
-        ASSERT_TRUE(simd.all_unit);
-        EXPECT_EQ(simd.sum, scalar.sum);
-        EXPECT_EQ(simd.min_sum, scalar.min_sum);
-        EXPECT_EQ(simd.max_sum, scalar.max_sum);
-      }
-#endif
-      // Oracle check of the oracle: brute-force min/max.
-      double s = sum0;
-      double mn = std::numeric_limits<double>::infinity();
-      double mx = -mn;
-      for (double v : values) {
-        s += v;
-        mn = std::min(mn, s);
-        mx = std::max(mx, s);
-      }
-      EXPECT_EQ(scalar.sum, s);
-      EXPECT_EQ(scalar.min_sum, mn);
-      EXPECT_EQ(scalar.max_sum, mx);
-    }
-  }
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // The ProcessBatch contract in one suite: for any stream slicing the
 // batched pump must reproduce the per-update pump bit for bit — same
-// messages, same violations, same curve — in both sampler modes, and the
-// chunked stream sources must emit exactly the value sequences of their
+// messages, same violations, same curve — and the chunked stream sources must emit exactly the value sequences of their
 // vector counterparts.
 
 #include <cstdint>
@@ -61,19 +60,14 @@ sim::TrackingResult RunCounterBatched(const std::vector<double>& stream,
 TEST(BatchedPumpTest, CounterBitIdenticalAcrossBatchSizes) {
   const int64_t n = 1 << 13;
   for (int num_sites : {1, 4}) {
-    for (const auto sampler :
-         {common::SamplerMode::kGeometricSkip, common::SamplerMode::kLegacyCoins}) {
-      core::CounterOptions options = testing::DefaultOptions(n, 0.2, 404);
-      options.sampler = sampler;
-      const auto stream = streams::BernoulliStream(n, 0.5, 91);
-      const auto reference = RunCounterBatched(stream, num_sites, options, 1);
-      for (int batch : {7, 256, 1 << 14}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "sites=" << num_sites << " batch=" << batch
-                     << " sampler=" << static_cast<int>(sampler));
-        ExpectSameResult(reference,
-                         RunCounterBatched(stream, num_sites, options, batch));
-      }
+    const core::CounterOptions options = testing::DefaultOptions(n, 0.2, 404);
+    const auto stream = streams::BernoulliStream(n, 0.5, 91);
+    const auto reference = RunCounterBatched(stream, num_sites, options, 1);
+    for (int batch : {7, 256, 1 << 14}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "sites=" << num_sites << " batch=" << batch);
+      ExpectSameResult(reference,
+                       RunCounterBatched(stream, num_sites, options, batch));
     }
   }
 }
@@ -104,34 +98,23 @@ TEST(BatchedPumpTest, CounterPhase2BatchMatchesPerUpdate) {
 TEST(BatchedPumpTest, CounterBitIdenticalAcrossSimdLevels) {
   // The vector kernels are bit-identical to the scalar oracle, so a full
   // tracking run — stream generation, sampler feed, pump fast paths — must
-  // produce identical TrackingResults whichever level dispatch picks, in
-  // both sampler modes and both stream generation modes.
+  // produce identical TrackingResults whichever level dispatch picks.
   const int64_t n = 1 << 13;
-  for (const auto sampler : {common::SamplerMode::kGeometricSkip,
-                             common::SamplerMode::kLegacyCoins}) {
-    for (const auto gen_mode :
-         {streams::GenMode::kBatch, streams::GenMode::kLegacyScalar}) {
-      core::CounterOptions options = testing::DefaultOptions(n, 0.2, 909);
-      options.sampler = sampler;
-      ASSERT_TRUE(common::ForceSimdLevel(common::SimdLevel::kScalar));
-      const auto stream = streams::BernoulliStream(n, 0.5, 92, gen_mode);
-      const auto reference = RunCounterBatched(stream, 4, options, 64);
-      common::ResetSimdLevel();
-      for (const auto level :
-           {common::SimdLevel::kAvx2, common::SimdLevel::kNeon}) {
-        if (!common::SimdLevelAvailable(level)) continue;
-        SCOPED_TRACE(::testing::Message()
-                     << "level=" << common::SimdLevelName(level)
-                     << " sampler=" << static_cast<int>(sampler)
-                     << " gen_mode=" << static_cast<int>(gen_mode));
-        ASSERT_TRUE(common::ForceSimdLevel(level));
-        const auto vec_stream = streams::BernoulliStream(n, 0.5, 92, gen_mode);
-        EXPECT_EQ(vec_stream, stream);  // generator itself is level-blind
-        ExpectSameResult(reference,
-                         RunCounterBatched(vec_stream, 4, options, 64));
-        common::ResetSimdLevel();
-      }
-    }
+  const core::CounterOptions options = testing::DefaultOptions(n, 0.2, 909);
+  ASSERT_TRUE(common::ForceSimdLevel(common::SimdLevel::kScalar));
+  const auto stream = streams::BernoulliStream(n, 0.5, 92);
+  const auto reference = RunCounterBatched(stream, 4, options, 64);
+  common::ResetSimdLevel();
+  for (const auto level :
+       {common::SimdLevel::kAvx2, common::SimdLevel::kNeon}) {
+    if (!common::SimdLevelAvailable(level)) continue;
+    SCOPED_TRACE(::testing::Message()
+                 << "level=" << common::SimdLevelName(level));
+    ASSERT_TRUE(common::ForceSimdLevel(level));
+    const auto vec_stream = streams::BernoulliStream(n, 0.5, 92);
+    EXPECT_EQ(vec_stream, stream);  // generator itself is level-blind
+    ExpectSameResult(reference, RunCounterBatched(vec_stream, 4, options, 64));
+    common::ResetSimdLevel();
   }
 }
 
@@ -141,28 +124,22 @@ TEST(BatchedPumpTest, HyzBitIdenticalAcrossBatchSizes) {
   const int64_t n = 1 << 13;
   const std::vector<double> stream(static_cast<size_t>(n), 1.0);
   for (const auto mode : {hyz::HyzMode::kSampled, hyz::HyzMode::kDeterministic}) {
-    for (const auto sampler :
-         {common::SamplerMode::kGeometricSkip, common::SamplerMode::kLegacyCoins}) {
-      hyz::HyzOptions options;
-      options.mode = mode;
-      options.epsilon = 0.1;
-      options.delta = 1e-6;
-      options.seed = 606;
-      options.sampler = sampler;
-      sim::TrackingOptions tracking;
-      tracking.epsilon = 1.0;  // HYZ promises eps only per round; be lax
-      sim::RoundRobinAssignment psi1(3), psi2(3);
-      hyz::HyzProtocol per_update(3, options);
-      hyz::HyzProtocol batched(3, options);
-      tracking.batch_size = 1;
-      const auto a = sim::RunTracking(stream, &psi1, &per_update, tracking);
-      tracking.batch_size = 97;
-      const auto b = sim::RunTracking(stream, &psi2, &batched, tracking);
-      SCOPED_TRACE(::testing::Message()
-                   << "mode=" << static_cast<int>(mode)
-                   << " sampler=" << static_cast<int>(sampler));
-      ExpectSameResult(a, b);
-    }
+    hyz::HyzOptions options;
+    options.mode = mode;
+    options.epsilon = 0.1;
+    options.delta = 1e-6;
+    options.seed = 606;
+    sim::TrackingOptions tracking;
+    tracking.epsilon = 1.0;  // HYZ promises eps only per round; be lax
+    sim::RoundRobinAssignment psi1(3), psi2(3);
+    hyz::HyzProtocol per_update(3, options);
+    hyz::HyzProtocol batched(3, options);
+    tracking.batch_size = 1;
+    const auto a = sim::RunTracking(stream, &psi1, &per_update, tracking);
+    tracking.batch_size = 97;
+    const auto b = sim::RunTracking(stream, &psi2, &batched, tracking);
+    SCOPED_TRACE(::testing::Message() << "mode=" << static_cast<int>(mode));
+    ExpectSameResult(a, b);
   }
 }
 

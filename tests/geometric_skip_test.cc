@@ -1,11 +1,13 @@
 #include "common/geometric_skip.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/batch_rng.h"
 #include "common/rng.h"
 
 namespace nmc::common {
@@ -16,37 +18,31 @@ namespace {
 /// statistical flake is then fixed by varying one literal at the call.
 common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
 
-// ---- Legacy mode: bit-exact coin replay ----------------------------------
-
-TEST(GeometricSkipTest, LegacyStepMatchesBernoulliBitwise) {
-  GeometricSkip skip(SamplerMode::kLegacyCoins);
-  common::Rng rng_skip = MakeRng(123);
-  common::Rng rng_ref = MakeRng(123);
-  // Varying rates, including the no-draw clamps, must consume the RNG
-  // identically to a direct Bernoulli sequence.
-  const double rates[] = {0.3, 0.0, 1.0, 0.99, 0.01, 0.5, 1.5, -0.5};
-  for (int i = 0; i < 4000; ++i) {
-    const double rate = rates[i % 8];
-    EXPECT_EQ(skip.Step(&rng_skip, rate), rng_ref.Bernoulli(rate));
-  }
-  // Same RNG position afterwards: the replay consumed exactly the same
-  // draws.
-  EXPECT_EQ(rng_skip.NextU64(), rng_ref.NextU64());
+/// Draws one gap at `rate` and consumes it, as a site does between two
+/// candidates.
+int64_t DrawOne(GeometricSkip* skip, double rate) {
+  skip->EnsureGap(rate);
+  const int64_t gap = skip->gap();
+  skip->Invalidate();
+  return gap;
 }
 
-// ---- Skip mode: distribution ---------------------------------------------
+// ---- Distribution --------------------------------------------------------
 
-// One-sample chi-square of DrawGap against the Geometric(p) pmf
-// P[gap = g] = (1-p)^g * p. Fixed seed, so this is deterministic — the
-// generous critical value guards against seed-hunting, not flakiness.
+// One-sample chi-square of the drawn gaps against the Geometric(p) pmf
+// P[gap = g] = (1-p)^g * p. The rate is frozen, so after the first draw
+// every gap comes from pre-drawn feed blocks. Fixed seed, so this is
+// deterministic — the generous critical value guards against
+// seed-hunting, not flakiness.
 TEST(GeometricSkipTest, GapHistogramMatchesGeometricPmf) {
   const double p = 0.2;
   const int kDraws = 200000;
   const int kBins = 16;  // gaps 0..14 plus pooled tail
-  common::Rng rng = MakeRng(2024);
+  BatchRng batch(2024);
+  GeometricSkip skip(&batch);
   std::vector<int64_t> counts(kBins, 0);
   for (int i = 0; i < kDraws; ++i) {
-    const int64_t gap = GeometricSkip::DrawGap(&rng, p);
+    const int64_t gap = DrawOne(&skip, p);
     counts[static_cast<size_t>(std::min<int64_t>(gap, kBins - 1))] += 1;
   }
   double chi2 = 0.0;
@@ -68,10 +64,11 @@ TEST(GeometricSkipTest, GapHistogramMatchesGeometricPmf) {
 TEST(GeometricSkipTest, GapMeanMatchesGeometricMean) {
   const double p = 0.01;
   const int kDraws = 100000;
-  common::Rng rng = MakeRng(7);
+  BatchRng batch(7);
+  GeometricSkip skip(&batch);
   double sum = 0.0;
   for (int i = 0; i < kDraws; ++i) {
-    sum += static_cast<double>(GeometricSkip::DrawGap(&rng, p));
+    sum += static_cast<double>(DrawOne(&skip, p));
   }
   const double mean = sum / kDraws;
   // E[gap] = (1-p)/p = 99; stderr ~ sqrt((1-p))/p/sqrt(N) ~ 0.31.
@@ -81,60 +78,49 @@ TEST(GeometricSkipTest, GapMeanMatchesGeometricMean) {
 // ---- Boundary cases ------------------------------------------------------
 
 TEST(GeometricSkipTest, CertainRateDrawsNoRandomness) {
-  common::Rng rng = MakeRng(5);
-  common::Rng untouched = MakeRng(5);
-  EXPECT_EQ(GeometricSkip::DrawGap(&rng, 1.0), 0);
-  EXPECT_EQ(GeometricSkip::DrawGap(&rng, 2.0), 0);
-  EXPECT_EQ(rng.NextU64(), untouched.NextU64());  // no draw consumed
+  BatchRng batch(5);
+  BatchRng untouched(5);
+  GeometricSkip skip(&batch);
+  EXPECT_EQ(DrawOne(&skip, 1.0), 0);
+  EXPECT_EQ(DrawOne(&skip, 2.0), 0);
+  EXPECT_EQ(batch.NextU64(), untouched.NextU64());  // no draw consumed
 }
 
 TEST(GeometricSkipTest, ZeroRateIsInfiniteWithoutRandomness) {
-  common::Rng rng = MakeRng(5);
-  common::Rng untouched = MakeRng(5);
-  EXPECT_EQ(GeometricSkip::DrawGap(&rng, 0.0), GeometricSkip::kInfiniteGap);
-  EXPECT_EQ(GeometricSkip::DrawGap(&rng, -1.0), GeometricSkip::kInfiniteGap);
-  EXPECT_EQ(rng.NextU64(), untouched.NextU64());
+  BatchRng batch(5);
+  BatchRng untouched(5);
+  GeometricSkip skip(&batch);
+  EXPECT_EQ(DrawOne(&skip, 0.0), GeometricSkip::kInfiniteGap);
+  EXPECT_EQ(DrawOne(&skip, -1.0), GeometricSkip::kInfiniteGap);
+  EXPECT_EQ(batch.NextU64(), untouched.NextU64());
 }
 
 TEST(GeometricSkipTest, TinyRateClampsInsteadOfOverflowing) {
   // log(u)/log1p(-p) for p = 1e-300 overflows any int64; the clamp must
   // return the sentinel instead of invoking UB on the cast.
-  common::Rng rng = MakeRng(11);
+  BatchRng batch(11);
+  GeometricSkip skip(&batch);
   for (int i = 0; i < 100; ++i) {
-    const int64_t gap = GeometricSkip::DrawGap(&rng, 1e-300);
-    EXPECT_EQ(gap, GeometricSkip::kInfiniteGap);
+    EXPECT_EQ(DrawOne(&skip, 1e-300), GeometricSkip::kInfiniteGap);
   }
   // A small-but-sane rate stays finite and non-negative.
   for (int i = 0; i < 1000; ++i) {
-    const int64_t gap = GeometricSkip::DrawGap(&rng, 1e-6);
+    const int64_t gap = DrawOne(&skip, 1e-6);
     EXPECT_GE(gap, 0);
     EXPECT_LT(gap, GeometricSkip::kInfiniteGap);
-  }
-}
-
-TEST(GeometricSkipTest, EnsureGapMemoMatchesDrawGapBitwise) {
-  // EnsureGap memoizes log1p(-rate) across draws; the values must still
-  // be bit-identical to the un-memoized DrawGap at every rate change.
-  GeometricSkip skip(SamplerMode::kGeometricSkip);
-  common::Rng rng_a = MakeRng(31);
-  common::Rng rng_b = MakeRng(31);
-  const double rates[] = {0.25, 0.25, 0.03, 0.25, 0.9, 0.03};
-  for (int i = 0; i < 6000; ++i) {
-    const double rate = rates[i % 6];
-    skip.EnsureGap(&rng_a, rate);
-    EXPECT_EQ(skip.gap(), GeometricSkip::DrawGap(&rng_b, rate));
-    skip.Invalidate();
   }
 }
 
 // ---- State machine -------------------------------------------------------
 
 TEST(GeometricSkipTest, AdvanceAndTakeCandidateWalkTheGap) {
-  GeometricSkip skip;
-  common::Rng rng = MakeRng(13);
+  BatchRng batch(13);
+  GeometricSkip skip(&batch);
   for (int run = 0; run < 100; ++run) {
-    skip.EnsureGap(&rng, 0.1);
+    skip.EnsureGap(0.1);
     const int64_t gap = skip.gap();
+    skip.EnsureGap(0.1);  // a cached gap is kept, not redrawn
+    EXPECT_EQ(skip.gap(), gap);
     const int64_t half = gap / 2;
     skip.Advance(half);
     EXPECT_EQ(skip.gap(), gap - half);
@@ -145,109 +131,39 @@ TEST(GeometricSkipTest, AdvanceAndTakeCandidateWalkTheGap) {
   }
 }
 
-TEST(GeometricSkipTest, StepSkipModeHeadFrequency) {
-  GeometricSkip skip;
-  common::Rng rng = MakeRng(17);
-  const double p = 0.05;
-  const int kSteps = 200000;
-  int heads = 0;
-  for (int i = 0; i < kSteps; ++i) {
-    if (skip.Step(&rng, p)) ++heads;
-  }
-  // Binomial(200000, 0.05): mean 10000, stddev ~ 97.
-  EXPECT_NEAR(static_cast<double>(heads), p * kSteps, 500.0);
-}
+// ---- Gap-stream independence between sites -------------------------------
 
-// ---- RNG-stream independence between sites -------------------------------
-
-TEST(GeometricSkipTest, ForkedSiteStreamsAreIndependent) {
-  // Sites draw gaps from forked RNGs; interleaving one site's draws must
-  // not perturb another's sequence (each site owns its stream).
-  common::Rng seeder_a = MakeRng(99);
-  common::Rng seeder_b = MakeRng(99);
-  common::Rng site1_solo = seeder_a.Fork();
-  common::Rng ignored = seeder_a.Fork();
-  (void)ignored;
-  common::Rng site1 = seeder_b.Fork();
-  common::Rng site2 = seeder_b.Fork();
-
-  std::vector<int64_t> solo, interleaved;
-  for (int i = 0; i < 1000; ++i) {
-    solo.push_back(GeometricSkip::DrawGap(&site1_solo, 0.1));
-  }
-  for (int i = 0; i < 1000; ++i) {
-    interleaved.push_back(GeometricSkip::DrawGap(&site1, 0.1));
-    (void)GeometricSkip::DrawGap(&site2, 0.1);  // interleaved other-site draw
-  }
-  EXPECT_EQ(solo, interleaved);
-
-  // And the two sites' gap sequences are not correlated copies.
-  common::Rng seeder_c = MakeRng(99);
-  common::Rng s1 = seeder_c.Fork();
-  common::Rng s2 = seeder_c.Fork();
+TEST(GeometricSkipTest, ForkedSiteFeedsAreIndependent) {
+  // Protocol sites seed their feeds from forked RNGs. Two sites' gap
+  // sequences must not be correlated copies of each other.
+  common::Rng seeder = MakeRng(99);
+  common::Rng site1 = seeder.Fork();
+  common::Rng site2 = seeder.Fork();
+  BatchRng batch1(site1.NextU64());
+  BatchRng batch2(site2.NextU64());
+  GeometricSkip skip1(&batch1);
+  GeometricSkip skip2(&batch2);
   int equal = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (GeometricSkip::DrawGap(&s1, 0.1) == GeometricSkip::DrawGap(&s2, 0.1)) {
-      ++equal;
-    }
+    if (DrawOne(&skip1, 0.1) == DrawOne(&skip2, 0.1)) ++equal;
   }
   // P[equal] = sum p_g^2 = p/(2-p) ~ 0.053 per index; 1000 trials.
   EXPECT_LT(equal, 150);
 }
 
-// ---- Bulk gap feed (AttachBatchRng) ---------------------------------------
-
-TEST(GeometricSkipTest, FeedGapHistogramMatchesGeometricPmf) {
-  // Gaps drawn through the vectorized bulk feed at a frozen rate must be
-  // Geometric(p) exactly like the scalar path (the feed changes the RNG
-  // consumption order, never the distribution). Same chi-square as
-  // GapHistogramMatchesGeometricPmf, routed through EnsureGapFromFeed.
-  const double p = 0.2;
-  const int kDraws = 200000;
-  const int kBins = 16;
-  GeometricSkip skip(SamplerMode::kGeometricSkip);
-  BatchRng batch(2024);
-  skip.AttachBatchRng(&batch);
-  common::Rng unused = MakeRng(1);  // feed-backed EnsureGap never touches it
-  std::vector<int64_t> counts(kBins, 0);
-  for (int i = 0; i < kDraws; ++i) {
-    skip.EnsureGap(&unused, p);
-    const int64_t gap = skip.gap();
-    counts[static_cast<size_t>(std::min<int64_t>(gap, kBins - 1))] += 1;
-    skip.Invalidate();
-  }
-  double chi2 = 0.0;
-  double tail_prob = 1.0;
-  for (int b = 0; b < kBins; ++b) {
-    const double prob = b < kBins - 1 ? tail_prob * p : tail_prob;
-    tail_prob *= (1.0 - p);
-    const double expected = prob * kDraws;
-    ASSERT_GT(expected, 5.0);
-    const double diff = static_cast<double>(counts[static_cast<size_t>(b)]) -
-                        expected;
-    chi2 += diff * diff / expected;
-  }
-  // df = 15; the 0.999 quantile is 37.7.
-  EXPECT_LT(chi2, 37.7);
-  // The scalar RNG really was never consumed.
-  common::Rng check = MakeRng(1);
-  EXPECT_EQ(unused.NextU64(), check.NextU64());
-}
+// ---- Feed schedule --------------------------------------------------------
 
 TEST(GeometricSkipTest, FeedRateLadderCostsOneDrawPerFreshRate) {
   // A fresh rate must cost exactly one stream element (no speculative
   // block), and only the second consecutive same-rate request may buy a
   // block. Verified through the BatchRng stream position: a ladder of n
   // distinct rates consumes exactly n elements.
-  GeometricSkip skip(SamplerMode::kGeometricSkip);
   BatchRng batch(7);
   BatchRng shadow(7);  // tracks the expected stream position
-  skip.AttachBatchRng(&batch);
-  common::Rng unused = MakeRng(1);
+  GeometricSkip skip(&batch);
   const double rates[] = {0.5, 0.25, 0.125, 0.0625, 0.03125};
   for (const double rate : rates) {
-    skip.EnsureGap(&unused, rate);
-    skip.Invalidate();
+    DrawOne(&skip, rate);
     (void)shadow.NextU64();  // one element per fresh rate
   }
   EXPECT_EQ(batch.NextU64(), shadow.NextU64());
@@ -260,14 +176,11 @@ TEST(GeometricSkipTest, FeedBlockRefillServesRepeatRateFromBlock) {
   // further stream traffic. The shadow generator replays the same fills,
   // so matching stream positions prove both the schedule and the served
   // values' provenance.
-  GeometricSkip skip(SamplerMode::kGeometricSkip);
   BatchRng batch(13);
   BatchRng shadow(13);
-  skip.AttachBatchRng(&batch);
-  common::Rng unused = MakeRng(1);
+  GeometricSkip skip(&batch);
   const double rate = 0.1;
-  skip.EnsureGap(&unused, rate);  // fresh rate: single draw
-  skip.Invalidate();
+  DrawOne(&skip, rate);  // fresh rate: single draw
   (void)shadow.NextU64();
   int fill = GeometricSkip::kFeedFirstBlockGaps;
   int served = 0;
@@ -278,32 +191,14 @@ TEST(GeometricSkipTest, FeedBlockRefillServesRepeatRateFromBlock) {
     block.resize(static_cast<size_t>(fill));
     shadow.FillGeometricGaps(std::span<int64_t>(block), rate);
     for (int i = 0; i < fill; ++i) {
-      skip.EnsureGap(&unused, rate);  // i == 0 buys the block
-      EXPECT_EQ(skip.gap(), block[static_cast<size_t>(i)]);
-      skip.Invalidate();
+      // i == 0 buys the block
+      EXPECT_EQ(DrawOne(&skip, rate), block[static_cast<size_t>(i)]);
     }
     served += fill;
     fill = std::min(fill * GeometricSkip::kFeedBlockGrowth,
                     GeometricSkip::kFeedBlockGaps);
   }
   EXPECT_EQ(batch.NextU64(), shadow.NextU64());
-}
-
-TEST(GeometricSkipTest, LegacyModeIgnoresAttachedFeed) {
-  // kLegacyCoins keeps the bit-exact per-coin replay even with a feed
-  // attached (sites attach unconditionally on construction in skip mode;
-  // the mode decides).
-  GeometricSkip skip(SamplerMode::kLegacyCoins);
-  BatchRng batch(5);
-  skip.AttachBatchRng(&batch);
-  common::Rng rng_skip = MakeRng(123);
-  common::Rng rng_ref = MakeRng(123);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(skip.Step(&rng_skip, 0.3), rng_ref.Bernoulli(0.3));
-  }
-  EXPECT_EQ(rng_skip.NextU64(), rng_ref.NextU64());
-  BatchRng untouched(5);
-  EXPECT_EQ(batch.NextU64(), untouched.NextU64());
 }
 
 }  // namespace

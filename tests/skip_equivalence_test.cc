@@ -1,10 +1,11 @@
-// Skip-vs-coins equivalence: the geometric fast-forward must be
-// indistinguishable from the per-coin reference in distribution. Three
-// angles: (1) the inter-report gap histogram of a frozen-rate HYZ round,
-// compared by a two-sample chi-square; (2) the coin-free deterministic
-// HYZ variant, whose transcript must be bit-identical in both sampler
-// modes; (3) pooled end-to-end message counts on E2/E8/E11-style
-// configurations, which must agree within sampling-noise bands.
+// The geometric fast-forward must be indistinguishable in distribution
+// from one Bernoulli coin per update. Three angles: (1) the inter-report
+// gap histogram of a frozen-rate HYZ round against the exact geometric
+// law, by a one-sample chi-square; (2) the coin-free deterministic HYZ
+// variant, whose transcript must not depend on the seed at all; (3)
+// pooled end-to-end message counts on E2/E8/E11-style configurations,
+// which must agree within sampling-noise bands with reference means
+// measured on the per-coin implementation the skip sampler replaced.
 
 #include <cmath>
 #include <cstdint>
@@ -37,7 +38,7 @@ struct GapSample {
 // Runs single-site kSampled HYZ trials sized to stay inside the first
 // round (initial_total dominates, so the estimate never doubles and the
 // rate stays frozen) and pools the distances between consecutive reports.
-GapSample CollectHyzGaps(common::SamplerMode sampler, uint64_t seed_base) {
+GapSample CollectHyzGaps(uint64_t seed_base) {
   const int64_t kBase = 20000;
   const int64_t kPerTrial = 15000;  // < kBase: no collect can trigger
   const int kTrials = 80;
@@ -48,7 +49,6 @@ GapSample CollectHyzGaps(common::SamplerMode sampler, uint64_t seed_base) {
     options.epsilon = 0.5;
     options.delta = 1e-6;
     options.initial_total = kBase;
-    options.sampler = sampler;
     options.seed = seed_base + static_cast<uint64_t>(trial);
     hyz::HyzProtocol protocol(1, options);
     out.rate = protocol.current_rate();
@@ -77,60 +77,52 @@ GapSample CollectHyzGaps(common::SamplerMode sampler, uint64_t seed_base) {
   return out;
 }
 
-TEST(SkipEquivalenceTest, HyzFrozenRateGapHistogramsAgree) {
-  const GapSample legacy = CollectHyzGaps(common::SamplerMode::kLegacyCoins, 900);
-  const GapSample skip = CollectHyzGaps(common::SamplerMode::kGeometricSkip, 900);
-  ASSERT_EQ(legacy.rate, skip.rate);  // same options => same frozen rate
-  ASSERT_GT(legacy.gaps.size(), 1000u);
+TEST(SkipEquivalenceTest, HyzFrozenRateGapHistogramMatchesGeometricLaw) {
+  const GapSample skip = CollectHyzGaps(900);
   ASSERT_GT(skip.gaps.size(), 1000u);
+  const double p = skip.rate;
 
-  // Bin edges at fractions of the geometric mean 1/rate; the tail bin
-  // (>= 3 means) still expects ~5% of the mass.
-  const double mean = 1.0 / legacy.rate;
+  // Bin edges at fractions of the geometric mean 1/p; the tail bin
+  // (>= 3 means) still expects ~5% of the mass. A distance d >= 1 has
+  // P[d <= x] = 1 - (1-p)^floor(x) per coin-per-update sampling.
+  const double mean = 1.0 / p;
   const double edges[] = {0.125 * mean, 0.25 * mean, 0.5 * mean, 0.75 * mean,
                           mean,         1.5 * mean,  2.0 * mean, 3.0 * mean};
   const int kBins = 9;
-  auto histogram = [&](const std::vector<int64_t>& gaps) {
-    std::vector<double> counts(kBins, 0.0);
-    for (const int64_t gap : gaps) {
-      int bin = 0;
-      while (bin < kBins - 1 && static_cast<double>(gap) > edges[bin]) ++bin;
-      counts[static_cast<size_t>(bin)] += 1.0;
-    }
-    return counts;
+  const auto cdf = [&](double x) {
+    return 1.0 - std::pow(1.0 - p, std::floor(x));
   };
-  const auto a = histogram(legacy.gaps);
-  const auto b = histogram(skip.gaps);
-  const double na = static_cast<double>(legacy.gaps.size());
-  const double nb = static_cast<double>(skip.gaps.size());
-  const double k_ab = std::sqrt(nb / na);
+  std::vector<double> counts(kBins, 0.0);
+  for (const int64_t gap : skip.gaps) {
+    int bin = 0;
+    while (bin < kBins - 1 && static_cast<double>(gap) > edges[bin]) ++bin;
+    counts[static_cast<size_t>(bin)] += 1.0;
+  }
+  const double n = static_cast<double>(skip.gaps.size());
   double chi2 = 0.0;
+  double below = 0.0;
   for (int bin = 0; bin < kBins; ++bin) {
-    const size_t i = static_cast<size_t>(bin);
-    if (a[i] + b[i] == 0.0) continue;
-    const double diff = k_ab * a[i] - b[i] / k_ab;
-    chi2 += diff * diff / (a[i] + b[i]);
+    const double upto = bin < kBins - 1 ? cdf(edges[bin]) : 1.0;
+    const double expected = (upto - below) * n;
+    below = upto;
+    ASSERT_GT(expected, 5.0);
+    const double diff = counts[static_cast<size_t>(bin)] - expected;
+    chi2 += diff * diff / expected;
   }
   // df = 8; the 0.999 quantile is 26.1. Fixed seeds, so this is a
   // deterministic regression check, not a flaky statistical one.
-  EXPECT_LT(chi2, 30.0);
+  EXPECT_LT(chi2, 26.1);
 
-  // The pooled means must agree too (a location shift could in principle
-  // slip past a coarse histogram).
-  auto mean_of = [](const std::vector<int64_t>& gaps) {
-    double sum = 0.0;
-    for (const int64_t gap : gaps) sum += static_cast<double>(gap);
-    return sum / static_cast<double>(gaps.size());
-  };
-  const double ma = mean_of(legacy.gaps);
-  const double mb = mean_of(skip.gaps);
-  // stderr of a geometric mean ~ mean/sqrt(n) ~ 546/sqrt(2000) ~ 12.
-  EXPECT_NEAR(ma, mb, 4.0 * mean / std::sqrt(std::min(na, nb)));
+  // The pooled mean must match too (a location shift could in principle
+  // slip past a coarse histogram): sd of Geometric(p) + 1 is sqrt(1-p)/p.
+  double sum = 0.0;
+  for (const int64_t gap : skip.gaps) sum += static_cast<double>(gap);
+  EXPECT_NEAR(sum / n, mean, 4.0 * std::sqrt(1.0 - p) * mean / std::sqrt(n));
 }
 
-// ---- (2) Deterministic HYZ: coin-free, so bit-exact either way ------------
+// ---- (2) Deterministic HYZ: coin-free, so the seed is unobservable --------
 
-TEST(SkipEquivalenceTest, DeterministicHyzTranscriptIdenticalAcrossSamplers) {
+TEST(SkipEquivalenceTest, DeterministicHyzTranscriptIndependentOfSeed) {
   struct Sent {
     bool to_coordinator;
     int site_id;
@@ -138,13 +130,12 @@ TEST(SkipEquivalenceTest, DeterministicHyzTranscriptIdenticalAcrossSamplers) {
     int64_t u;
     bool operator==(const Sent&) const = default;
   };
-  auto run = [](common::SamplerMode sampler) {
+  auto run = [](uint64_t seed) {
     hyz::HyzOptions options;
     options.mode = hyz::HyzMode::kDeterministic;
     options.epsilon = 0.1;
     options.delta = 1e-6;
-    options.seed = 42;
-    options.sampler = sampler;
+    options.seed = seed;
     hyz::HyzProtocol protocol(3, options);
     std::vector<Sent> transcript;
     protocol.SetMessageObserver([&](const sim::Network::SentMessage& sent) {
@@ -156,10 +147,9 @@ TEST(SkipEquivalenceTest, DeterministicHyzTranscriptIdenticalAcrossSamplers) {
     }
     return transcript;
   };
-  const auto legacy = run(common::SamplerMode::kLegacyCoins);
-  const auto skip = run(common::SamplerMode::kGeometricSkip);
-  ASSERT_FALSE(legacy.empty());
-  EXPECT_EQ(legacy, skip);
+  const auto first = run(42);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, run(43));
 }
 
 // ---- (3) Pooled message counts on bench-style configurations --------------
@@ -181,17 +171,20 @@ Pooled Summarize(const std::vector<double>& samples) {
   return out;
 }
 
-void ExpectWithinBand(const Pooled& a, const Pooled& b) {
-  const double band = 4.0 * std::sqrt(a.stderr_mean * a.stderr_mean +
-                                      b.stderr_mean * b.stderr_mean);
-  const double slack = 0.02 * std::max(a.mean, b.mean);
-  EXPECT_NEAR(a.mean, b.mean, std::max(band, slack))
-      << "legacy mean " << a.mean << " +- " << a.stderr_mean << ", skip mean "
-      << b.mean << " +- " << b.stderr_mean;
+// `coins` is the pooled mean and standard error of 12 trials of the same
+// configuration under one Bernoulli coin per update, measured before the
+// per-coin samplers were retired. The skip sampler's pooled mean must fall
+// inside the combined noise band around it.
+void ExpectWithinBand(const Pooled& coins, const Pooled& skip) {
+  const double band = 4.0 * std::sqrt(coins.stderr_mean * coins.stderr_mean +
+                                      skip.stderr_mean * skip.stderr_mean);
+  const double slack = 0.02 * std::max(coins.mean, skip.mean);
+  EXPECT_NEAR(coins.mean, skip.mean, std::max(band, slack))
+      << "per-coin mean " << coins.mean << " +- " << coins.stderr_mean
+      << ", skip mean " << skip.mean << " +- " << skip.stderr_mean;
 }
 
-Pooled RunCounterTrials(common::SamplerMode sampler, int num_sites,
-                        double epsilon,
+Pooled RunCounterTrials(int num_sites, double epsilon,
                         const std::function<std::vector<double>(int)>& stream,
                         int trials) {
   std::vector<double> messages;
@@ -201,7 +194,6 @@ Pooled RunCounterTrials(common::SamplerMode sampler, int num_sites,
         0, epsilon, 1000 + static_cast<uint64_t>(trial) * 7919);
     const auto values = stream(trial);
     options.horizon_n = static_cast<int64_t>(values.size());
-    options.sampler = sampler;
     const auto result = testing::RunCounter(values, num_sites, options);
     messages.push_back(static_cast<double>(result.messages));
     out.violations += result.violation_steps;
@@ -218,47 +210,37 @@ TEST(SkipEquivalenceTest, MultisiteDriftMessageMeansAgree) {
     return streams::BernoulliStream(1 << 14, 0.5,
                                     200 + static_cast<uint64_t>(trial));
   };
-  const auto legacy =
-      RunCounterTrials(common::SamplerMode::kLegacyCoins, 8, 0.2, stream, 12);
-  const auto skip =
-      RunCounterTrials(common::SamplerMode::kGeometricSkip, 8, 0.2, stream, 12);
-  ExpectWithinBand(legacy, skip);
+  ExpectWithinBand(Pooled{9884.4166666666661, 138.46246938897534},
+                   RunCounterTrials(8, 0.2, stream, 12));
 }
 
 TEST(SkipEquivalenceTest, AdversarialSawtoothMessageMeansAgree) {
   // E8-style: deterministic zero-crossing sawtooth; the only randomness is
-  // the protocol's own coins.
+  // the protocol's own coins. Every per-coin trial stayed in StraightSync
+  // (2 messages per update).
   const auto stream = [](int) { return streams::SawtoothStream(1 << 13, 64); };
-  const auto legacy =
-      RunCounterTrials(common::SamplerMode::kLegacyCoins, 4, 0.25, stream, 12);
-  const auto skip =
-      RunCounterTrials(common::SamplerMode::kGeometricSkip, 4, 0.25, stream, 12);
-  ExpectWithinBand(legacy, skip);
+  ExpectWithinBand(Pooled{16384.0, 0.0}, RunCounterTrials(4, 0.25, stream, 12));
 }
 
 TEST(SkipEquivalenceTest, MonotonicHyzMessageMeansAgree) {
   // E11-style: native HYZ (kSampled) on an all-ones stream.
   const int64_t n = 1 << 14;
   const std::vector<double> stream(static_cast<size_t>(n), 1.0);
-  auto run = [&](common::SamplerMode sampler) {
-    std::vector<double> messages;
-    for (int trial = 0; trial < 12; ++trial) {
-      hyz::HyzOptions options;
-      options.epsilon = 0.1;
-      options.delta = 1e-6;
-      options.seed = 4500 + static_cast<uint64_t>(trial);
-      options.sampler = sampler;
-      hyz::HyzProtocol protocol(8, options);
-      sim::RoundRobinAssignment psi(8);
-      sim::TrackingOptions tracking;
-      tracking.epsilon = 1.0;  // per-round guarantee only; don't gate here
-      const auto result = sim::RunTracking(stream, &psi, &protocol, tracking);
-      messages.push_back(static_cast<double>(result.messages));
-    }
-    return Summarize(messages);
-  };
-  ExpectWithinBand(run(common::SamplerMode::kLegacyCoins),
-                   run(common::SamplerMode::kGeometricSkip));
+  std::vector<double> messages;
+  for (int trial = 0; trial < 12; ++trial) {
+    hyz::HyzOptions options;
+    options.epsilon = 0.1;
+    options.delta = 1e-6;
+    options.seed = 4500 + static_cast<uint64_t>(trial);
+    hyz::HyzProtocol protocol(8, options);
+    sim::RoundRobinAssignment psi(8);
+    sim::TrackingOptions tracking;
+    tracking.epsilon = 1.0;  // per-round guarantee only; don't gate here
+    const auto result = sim::RunTracking(stream, &psi, &protocol, tracking);
+    messages.push_back(static_cast<double>(result.messages));
+  }
+  ExpectWithinBand(Pooled{2100.9166666666665, 8.2933510547408833},
+                   Summarize(messages));
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ std::vector<std::string> SplitQualified(const std::string& name) {
 }
 
 /// `quals` must be a suffix of the node's namespace::class path for a
-/// qualified call to resolve to it (`GeometricSkip::DrawGap` matches
+/// qualified call to resolve to it (`GeometricSkip::EnsureGap` matches
 /// nmc::common + GeometricSkip).
 bool QualSuffixMatches(const FunctionSymbol& node,
                        const std::vector<std::string>& quals) {
