@@ -154,6 +154,30 @@ void BM_TrackingPumpLongGap(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackingPumpLongGap)->Arg(1)->Arg(8);
 
+// The sim_drift_block shape: small positive drift with a bursty adversary
+// sending 64-update blocks to each site in turn. Runs are long, so the pump's
+// per-update costs (site assignment, run detection) sit next to a protocol
+// that mostly skips.
+void BM_TrackingPumpBlock(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const int64_t n = 1 << 15;
+  const auto stream = nmc::streams::BernoulliStream(n, 0.02, 21);
+  int64_t updates = 0;
+  for (auto _ : state) {
+    nmc::core::CounterOptions options;
+    options.epsilon = 0.25;
+    options.horizon_n = n;
+    options.seed = 11;
+    nmc::core::NonMonotonicCounter counter(k, options);
+    nmc::sim::BlockCyclicAssignment psi(k, 64);
+    const auto result = PumpRun(stream, &counter, &psi, PumpTracking(0.25));
+    benchmark::DoNotOptimize(result.messages);
+    updates += result.n;
+  }
+  state.SetItemsProcessed(updates);
+}
+BENCHMARK(BM_TrackingPumpBlock)->Arg(8);
+
 // Harness batch-size sweep over the long-gap config: quantifies how much
 // of the fast-forward win needs the batched pump on top of the skip
 // sampler (batch = 1 still pays one virtual call + invariant check per

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/rng.h"
@@ -13,31 +14,49 @@ namespace nmc::sim {
 /// so far (update values and previous assignments), but not to the sites'
 /// private coin flips; implementations therefore see (t, value, previous
 /// choice) and nothing protocol-internal.
+///
+/// Policies place a whole chunk per call: Assign is the one virtual, and the
+/// pump (sim::RunTracking) calls it once per stream chunk. Policies may be
+/// stateful (an RNG, per-sign counters, a prefix sum), so every update must
+/// be assigned exactly once, in order: consecutive calls cover consecutive
+/// ranges of t. Any split of the stream into such chunks — one-element
+/// chunks via NextSite included — yields the same site sequence.
 class AssignmentPolicy {
  public:
   virtual ~AssignmentPolicy() = default;
 
-  /// Returns the site (in [0, k)) that receives the t-th update (t is
-  /// 0-based). `value` is the update's content, which an adaptive adversary
-  /// is allowed to inspect.
-  virtual int NextSite(int64_t t, double value) = 0;
+  /// Assigns updates t0, t0 + 1, ..., t0 + sites.size() - 1 (0-based):
+  /// sites[i] (in [0, k)) receives the update whose content is values[i],
+  /// which an adaptive adversary is allowed to inspect. `values` and
+  /// `sites` have the same length.
+  virtual void Assign(int64_t t0, std::span<const double> values,
+                      std::span<int> sites) = 0;
+
+  /// The one-update form of Assign: the site that receives the t-th update.
+  int NextSite(int64_t t, double value) {
+    int site = 0;
+    Assign(t, std::span<const double>(&value, 1), std::span<int>(&site, 1));
+    return site;
+  }
 };
 
 /// Cycles 0, 1, ..., k-1, 0, ... — an even load-balancer.
-class RoundRobinAssignment : public AssignmentPolicy {
+class RoundRobinAssignment final : public AssignmentPolicy {
  public:
   explicit RoundRobinAssignment(int num_sites);
-  int NextSite(int64_t t, double value) override;
+  void Assign(int64_t t0, std::span<const double> values,
+              std::span<int> sites) override;
 
  private:
   int num_sites_;
 };
 
 /// Each update goes to an independently uniform site.
-class UniformRandomAssignment : public AssignmentPolicy {
+class UniformRandomAssignment final : public AssignmentPolicy {
  public:
   UniformRandomAssignment(int num_sites, uint64_t seed);
-  int NextSite(int64_t t, double value) override;
+  void Assign(int64_t t0, std::span<const double> values,
+              std::span<int> sites) override;
 
  private:
   int num_sites_;
@@ -45,10 +64,11 @@ class UniformRandomAssignment : public AssignmentPolicy {
 };
 
 /// All updates go to one fixed site — the maximally skewed partition.
-class SingleSiteAssignment : public AssignmentPolicy {
+class SingleSiteAssignment final : public AssignmentPolicy {
  public:
   SingleSiteAssignment(int num_sites, int target_site);
-  int NextSite(int64_t t, double value) override;
+  void Assign(int64_t t0, std::span<const double> values,
+              std::span<int> sites) override;
 
  private:
   int target_site_;
@@ -56,10 +76,11 @@ class SingleSiteAssignment : public AssignmentPolicy {
 
 /// Blocks of `block_size` consecutive updates per site, cycling over sites:
 /// a bursty adversary that concentrates load then moves on.
-class BlockCyclicAssignment : public AssignmentPolicy {
+class BlockCyclicAssignment final : public AssignmentPolicy {
  public:
   BlockCyclicAssignment(int num_sites, int64_t block_size);
-  int NextSite(int64_t t, double value) override;
+  void Assign(int64_t t0, std::span<const double> values,
+              std::span<int> sites) override;
 
  private:
   int num_sites_;
@@ -70,10 +91,11 @@ class BlockCyclicAssignment : public AssignmentPolicy {
 /// the sites and negative updates to the other half (round-robin within a
 /// half). This exercises the model's allowance that psi may depend on the
 /// update content.
-class SignSplitAssignment : public AssignmentPolicy {
+class SignSplitAssignment final : public AssignmentPolicy {
  public:
   explicit SignSplitAssignment(int num_sites);
-  int NextSite(int64_t t, double value) override;
+  void Assign(int64_t t0, std::span<const double> values,
+              std::span<int> sites) override;
 
  private:
   int num_sites_;
@@ -86,10 +108,11 @@ class SignSplitAssignment : public AssignmentPolicy {
 /// one site for as long as the prefix sum keeps its sign, hopping to the
 /// next site at every zero crossing. Near-zero regions — where the
 /// protocol is most fragile — thus arrive maximally scattered.
-class ZeroCrossingAssignment : public AssignmentPolicy {
+class ZeroCrossingAssignment final : public AssignmentPolicy {
  public:
   explicit ZeroCrossingAssignment(int num_sites);
-  int NextSite(int64_t t, double value) override;
+  void Assign(int64_t t0, std::span<const double> values,
+              std::span<int> sites) override;
 
  private:
   int num_sites_;

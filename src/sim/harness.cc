@@ -18,6 +18,7 @@ struct PumpState {
   int64_t t = 0;               // items consumed so far
   int64_t curve_stride = 0;    // 0 = no curve
   double estimate = 0.0;       // protocol estimate after the last update
+  std::vector<int> sites;      // psi's assignments for the current chunk
 };
 
 /// Pumps one contiguous chunk of the stream. Same-site runs go through
@@ -28,34 +29,35 @@ struct PumpState {
 /// `num_sites` is protocol->num_sites(), hoisted by the callers: the
 /// virtual call is loop-invariant but the compiler cannot prove it, and
 /// PumpChunk runs once per batch.
+///
+/// psi places the whole chunk with one Assign call into state->sites; runs
+/// are the maximal same-site stretches of that buffer. With one site every
+/// policy maps to 0 and none observes protocol state, so psi is not asked
+/// and the whole chunk is one run.
 void PumpChunk(std::span<const double> chunk, AssignmentPolicy* psi,
                Protocol* protocol, int num_sites,
                const TrackingOptions& options, PumpState* state) {
   const int64_t len = static_cast<int64_t>(chunk.size());
   const bool record_curve = state->curve_stride > 0;
 
-  // The assignment policies are stateful (and may consume their own RNG),
-  // so NextSite must be called exactly once per t, in order. Run detection
-  // uses a one-step lookahead rather than buffering the chunk's
-  // assignments: the site that terminates a run is carried over as the
-  // next run's site.
-  const auto fetch_site = [&](int64_t idx) {
-    const int s =
-        psi->NextSite(state->t + idx, chunk[static_cast<size_t>(idx)]);
-    NMC_CHECK_GE(s, 0);
-    NMC_CHECK_LT(s, num_sites);
-    return s;
-  };
+  const std::span<int> sites =
+      std::span<int>(state->sites).first(chunk.size());
+  if (num_sites > 1) psi->Assign(state->t, chunk, sites);
 
+  // The site that ends a run's scan is carried over as the next run's
+  // site. Every update of a run went to `site`, so one range check per run
+  // covers every assignment.
   int64_t i = 0;
-  int site = num_sites > 1 ? fetch_site(0) : 0;
+  int site = num_sites > 1 ? sites[0] : 0;
   while (i < len) {
     int64_t run = len - i;
     int next_site = site;
     if (num_sites > 1) {
+      NMC_CHECK_GE(site, 0);
+      NMC_CHECK_LT(site, num_sites);
       run = 1;
       while (i + run < len) {
-        next_site = fetch_site(i + run);
+        next_site = sites[static_cast<size_t>(i + run)];
         if (next_site != site) break;
         ++run;
       }
@@ -184,6 +186,7 @@ PumpState InitPumpState(int64_t n, Protocol* protocol,
 
   PumpState state;
   state.result.n = n;
+  state.sites.resize(static_cast<size_t>(options.batch_size));
   state.estimate = protocol->Estimate();
   state.curve_stride =
       options.curve_points > 0 ? std::max<int64_t>(1, n / options.curve_points)

@@ -67,13 +67,13 @@ struct TrackingResult {
 /// sim-layer unit tests that exercise the checker itself may still call it
 /// directly.
 ///
-/// Drives `stream` through `protocol`, assigning the t-th update to site
-/// psi->NextSite(t, value), and checks the coordinator's estimate against
-/// the exact running sum after every update. Updates are pumped in
-/// contiguous same-site runs of up to options.batch_size items via
-/// Protocol::ProcessBatch; for a single-site protocol the assignment
-/// policy is short-circuited to site 0 (every policy maps to 0 when
-/// k == 1, and none observes protocol state).
+/// Drives `stream` through `protocol` and checks the coordinator's estimate
+/// against the exact running sum after every update. The stream is taken
+/// in chunks of up to options.batch_size items; psi->Assign places each
+/// chunk with one call, and the chunk's maximal same-site runs go to
+/// Protocol::ProcessBatch. For a single-site protocol psi is never called
+/// and every update goes to site 0 (every policy maps to 0 when k == 1,
+/// and none observes protocol state).
 TrackingResult RunTracking(const std::vector<double>& stream,
                            AssignmentPolicy* psi, Protocol* protocol,
                            const TrackingOptions& options);

@@ -1,8 +1,14 @@
 #include "sim/assignment.h"
 
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace nmc::sim {
 namespace {
@@ -86,9 +92,12 @@ TEST(ZeroCrossingTest, NoCrossingNoHop) {
   for (int t = 0; t < 50; ++t) EXPECT_EQ(psi.NextSite(t, 1.0), 0);
 }
 
+constexpr const char* kPolicyNames[] = {"round_robin", "random",
+                                        "single",      "block",
+                                        "sign_split",  "zero_crossing"};
+
 TEST(MakeAssignmentTest, KnownNames) {
-  for (const char* name : {"round_robin", "random", "single", "block",
-                           "sign_split", "zero_crossing"}) {
+  for (const char* name : kPolicyNames) {
     auto psi = MakeAssignment(name, 4, 7);
     ASSERT_NE(psi, nullptr) << name;
     const int s = psi->NextSite(0, 1.0);
@@ -99,6 +108,93 @@ TEST(MakeAssignmentTest, KnownNames) {
 
 TEST(MakeAssignmentTest, UnknownNameIsNull) {
   EXPECT_EQ(MakeAssignment("nope", 4, 7), nullptr);
+}
+
+// ---- Assign over chunks == NextSite per update ---------------------------
+
+/// `name`'s policy, except that "block" takes an explicit block size
+/// (MakeAssignment fixes it at 64).
+std::unique_ptr<AssignmentPolicy> MakePolicy(const std::string& name, int k,
+                                             int64_t block_size) {
+  if (name == "block") {
+    return std::make_unique<BlockCyclicAssignment>(k, block_size);
+  }
+  return MakeAssignment(name, k, /*seed=*/31);
+}
+
+/// Values from {-2, -1, -0.5, 0, 0.5, 1, 2} with a small bias, so the
+/// prefix sum wanders across zero (zero_crossing hops) and both signs and
+/// exact zeros reach sign_split.
+std::vector<double> MixedSignStream(int64_t n, uint64_t seed) {
+  static constexpr double kValues[] = {-2, -1, -0.5, 0, 0.5, 1, 2, 1};
+  common::Rng rng(seed);
+  std::vector<double> values(static_cast<size_t>(n));
+  for (double& v : values) v = kValues[rng.UniformInt(0, 7)];
+  return values;
+}
+
+/// Random chunk lengths in [1, 300] that add up to n.
+std::vector<int64_t> ChunkLengths(int64_t n, uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<int64_t> lengths;
+  for (int64_t covered = 0; covered < n;) {
+    lengths.push_back(std::min<int64_t>(rng.UniformInt(1, 300), n - covered));
+    covered += lengths.back();
+  }
+  return lengths;
+}
+
+TEST(AssignChunkTest, MatchesNextSiteOverRandomChunkSplits) {
+  const int64_t n = 6000;
+  const std::vector<double> values = MixedSignStream(n, 5);
+  uint64_t split_seed = 77;
+  for (const char* name : kPolicyNames) {
+    const std::vector<int64_t> block_sizes =
+        std::string(name) == "block" ? std::vector<int64_t>{1, 3, 64, 100}
+                                     : std::vector<int64_t>{64};
+    for (int k : {1, 2, 3, 8}) {
+      for (int64_t block : block_sizes) {
+        SCOPED_TRACE(::testing::Message()
+                     << name << " k=" << k << " block=" << block);
+        auto per_update = MakePolicy(name, k, block);
+        auto chunked = MakePolicy(name, k, block);
+        ASSERT_NE(per_update, nullptr);
+        std::vector<int> expected(static_cast<size_t>(n));
+        for (int64_t t = 0; t < n; ++t) {
+          expected[static_cast<size_t>(t)] =
+              per_update->NextSite(t, values[static_cast<size_t>(t)]);
+        }
+        std::vector<int> got(static_cast<size_t>(n), -1);
+        int64_t t0 = 0;
+        for (const int64_t len : ChunkLengths(n, split_seed++)) {
+          chunked->Assign(
+              t0,
+              std::span<const double>(values).subspan(
+                  static_cast<size_t>(t0), static_cast<size_t>(len)),
+              std::span<int>(got).subspan(static_cast<size_t>(t0),
+                                          static_cast<size_t>(len)));
+          t0 += len;
+        }
+        ASSERT_EQ(t0, n);
+        ASSERT_EQ(got, expected);
+        for (int s : got) {
+          ASSERT_GE(s, 0);
+          ASSERT_LT(s, k);
+        }
+      }
+    }
+  }
+}
+
+TEST(AssignChunkTest, BlockCyclicChunkStraddlesBlocks) {
+  // A chunk that starts mid-block, spans several whole blocks and wraps
+  // past site k - 1.
+  BlockCyclicAssignment psi(3, 4);
+  const std::vector<double> values(14, 1.0);
+  std::vector<int> sites(values.size());
+  psi.Assign(6, values, sites);
+  EXPECT_EQ(sites, (std::vector<int>{1, 1, 2, 2, 2, 2, 0, 0, 0, 0, 1, 1, 1,
+                                     1}));
 }
 
 }  // namespace

@@ -42,32 +42,44 @@ void ExpectSameResult(const sim::TrackingResult& a,
   }
 }
 
+// Every assignment policy. Under round_robin every run has length 1; the
+// others also produce multi-update same-site runs (block: 64 long, so batch
+// sizes 7, 97 and 256 cut runs at chunk edges; single: the whole chunk),
+// which the pump must split into chunk-local runs without observable effect.
+constexpr const char* kPolicyNames[] = {"round_robin", "random",
+                                        "single",      "block",
+                                        "sign_split",  "zero_crossing"};
+
 sim::TrackingResult RunCounterBatched(const std::vector<double>& stream,
                                       int num_sites,
                                       const core::CounterOptions& options,
-                                      int batch_size) {
+                                      int batch_size,
+                                      const char* policy = "round_robin") {
   core::NonMonotonicCounter counter(num_sites, options);
-  sim::RoundRobinAssignment psi(num_sites);
+  auto psi = sim::MakeAssignment(policy, num_sites, /*seed=*/13);
   sim::TrackingOptions tracking;
   tracking.epsilon = options.epsilon;
   tracking.curve_points = 16;
   tracking.batch_size = batch_size;
-  return sim::RunTracking(stream, &psi, &counter, tracking);
+  return sim::RunTracking(stream, psi.get(), &counter, tracking);
 }
 
 // ---- Counter: batch size is unobservable ---------------------------------
 
 TEST(BatchedPumpTest, CounterBitIdenticalAcrossBatchSizes) {
   const int64_t n = 1 << 13;
+  const core::CounterOptions options = testing::DefaultOptions(n, 0.2, 404);
+  const auto stream = streams::BernoulliStream(n, 0.5, 91);
   for (int num_sites : {1, 4}) {
-    const core::CounterOptions options = testing::DefaultOptions(n, 0.2, 404);
-    const auto stream = streams::BernoulliStream(n, 0.5, 91);
-    const auto reference = RunCounterBatched(stream, num_sites, options, 1);
-    for (int batch : {7, 256, 1 << 14}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "sites=" << num_sites << " batch=" << batch);
-      ExpectSameResult(reference,
-                       RunCounterBatched(stream, num_sites, options, batch));
+    for (const char* policy : kPolicyNames) {
+      const auto reference =
+          RunCounterBatched(stream, num_sites, options, 1, policy);
+      for (int batch : {7, 64, 97, 256, 1 << 14}) {
+        SCOPED_TRACE(::testing::Message() << "sites=" << num_sites << " "
+                                          << policy << " batch=" << batch);
+        ExpectSameResult(reference, RunCounterBatched(stream, num_sites,
+                                                      options, batch, policy));
+      }
     }
   }
 }
@@ -131,15 +143,22 @@ TEST(BatchedPumpTest, HyzBitIdenticalAcrossBatchSizes) {
     options.seed = 606;
     sim::TrackingOptions tracking;
     tracking.epsilon = 1.0;  // HYZ promises eps only per round; be lax
-    sim::RoundRobinAssignment psi1(3), psi2(3);
-    hyz::HyzProtocol per_update(3, options);
-    hyz::HyzProtocol batched(3, options);
-    tracking.batch_size = 1;
-    const auto a = sim::RunTracking(stream, &psi1, &per_update, tracking);
-    tracking.batch_size = 97;
-    const auto b = sim::RunTracking(stream, &psi2, &batched, tracking);
-    SCOPED_TRACE(::testing::Message() << "mode=" << static_cast<int>(mode));
-    ExpectSameResult(a, b);
+    tracking.curve_points = 16;
+    const auto run = [&](const char* policy, int batch) {
+      hyz::HyzProtocol protocol(3, options);
+      auto psi = sim::MakeAssignment(policy, 3, /*seed=*/13);
+      tracking.batch_size = batch;
+      return sim::RunTracking(stream, psi.get(), &protocol, tracking);
+    };
+    for (const char* policy : kPolicyNames) {
+      const auto reference = run(policy, 1);
+      for (int batch : {7, 64, 97, 256}) {
+        SCOPED_TRACE(::testing::Message() << "mode=" << static_cast<int>(mode)
+                                          << " " << policy
+                                          << " batch=" << batch);
+        ExpectSameResult(reference, run(policy, batch));
+      }
+    }
   }
 }
 
@@ -167,17 +186,25 @@ TEST(BatchedPumpTest, SourceOverloadMatchesVectorOverload) {
   core::CounterOptions options = testing::DefaultOptions(n, 0.2, 808);
   const auto stream = streams::BernoulliStream(n, 0.5, 33);
 
-  core::NonMonotonicCounter vec_counter(2, options);
-  core::NonMonotonicCounter src_counter(2, options);
-  sim::RoundRobinAssignment psi1(2), psi2(2);
   sim::TrackingOptions tracking;
   tracking.epsilon = options.epsilon;
   tracking.curve_points = 16;
   tracking.batch_size = 50;  // n not divisible by 50: ragged final chunk
-  const auto a = sim::RunTracking(stream, &psi1, &vec_counter, tracking);
-  streams::BernoulliSource source(n, 0.5, 33);
-  const auto b = sim::RunTracking(&source, &psi2, &src_counter, tracking);
-  ExpectSameResult(a, b);
+  // Under block, 64-update blocks against 50-item chunks: most chunks start
+  // and end mid-block.
+  for (const char* policy : {"round_robin", "block"}) {
+    SCOPED_TRACE(policy);
+    core::NonMonotonicCounter vec_counter(2, options);
+    core::NonMonotonicCounter src_counter(2, options);
+    auto psi1 = sim::MakeAssignment(policy, 2, /*seed=*/13);
+    auto psi2 = sim::MakeAssignment(policy, 2, /*seed=*/13);
+    const auto a =
+        sim::RunTracking(stream, psi1.get(), &vec_counter, tracking);
+    streams::BernoulliSource source(n, 0.5, 33);
+    const auto b =
+        sim::RunTracking(&source, psi2.get(), &src_counter, tracking);
+    ExpectSameResult(a, b);
+  }
 }
 
 // ---- Chunked sources ≡ vector generators ---------------------------------

@@ -132,6 +132,32 @@ TEST(NmcLintInterprocTest, FlagsStaticLocalsReachableFromAuditClasses) {
   EXPECT_FALSE(findings[0].flow.empty());
 }
 
+// ---- pump/: the sim pump and psi's chunk call are hot-path roots -------
+
+TEST(NmcLintInterprocTest, FlagsHazardsBelowThePumpAndAssign) {
+  const std::vector<Finding> findings = LintTree("pump");
+  EXPECT_EQ(Keys(findings),
+            (std::vector<std::string>{
+                "src/sim/harness.cc:17:NO_HEAP_IN_HOT_PATH",
+                "src/sim/harness.cc:25:NO_STATIC_LOCAL_IN_REENTRANT",
+            }));
+  const Finding* growth =
+      FindByKey(findings, "src/sim/harness.cc:17:NO_HEAP_IN_HOT_PATH");
+  ASSERT_NE(growth, nullptr);
+  EXPECT_NE(growth->message.find("'runs.push_back'"), std::string::npos)
+      << growth->message;
+  EXPECT_NE(growth->message.find("[call chain: PumpChunk "
+                                 "(src/sim/harness.cc:41) -> "
+                                 "RecordRun (src/sim/harness.cc:16)]"),
+            std::string::npos)
+      << growth->message;
+  const Finding* local = FindByKey(
+      findings, "src/sim/harness.cc:25:NO_STATIC_LOCAL_IN_REENTRANT");
+  ASSERT_NE(local, nullptr);
+  EXPECT_NE(local->message.find("Policy::Assign"), std::string::npos)
+      << local->message;
+}
+
 // ---- thread_compat/: contract edges and annotation grammar -------------
 
 TEST(NmcLintInterprocTest, EnforcesReentrantContractsAndGrammar) {

@@ -90,16 +90,17 @@ inline constexpr const char* kPerUpdateEntryPoints[] = {
     "ConsumeRun"};
 
 /// The per-update entry points plus the network delivery machinery they
-/// drive — everything executed once (or more) per stream update. These are
-/// the roots of the transitive hot-path propagation: a heap allocation or
-/// transcendental anywhere in a call chain starting here is paid O(n)
-/// times per trial.
+/// drive and the sim pump with its assignment policy (PumpChunk, psi's
+/// Assign) — everything executed once (or more) per stream update or
+/// chunk. These are the roots of the transitive hot-path propagation: a
+/// heap allocation or transcendental anywhere in a call chain starting
+/// here is paid O(n) times per trial.
 inline constexpr const char* kHotPathEntryPoints[] = {
     "OnLocalUpdate", "ProcessUpdate",        "ProcessBatch",
     "ProcessRun",    "ConsumeRun",           "DeliverAll",
     "Route",         "BeginTickSlow",        "SendToCoordinator",
     "SendToSite",    "Broadcast",            "OnSiteMessage",
-    "OnCoordinatorMessage"};
+    "OnCoordinatorMessage", "PumpChunk", "Assign"};
 
 /// Classes whose member functions root the reentrancy audit
 /// (NO_STATIC_LOCAL_IN_REENTRANT): the seams the threaded runtime calls
