@@ -51,6 +51,40 @@ bool ShortCircuitPasses(double min_sum, double max_sum, double estimate,
           a_max / std::max(b_min, rel_floor) <= current_max_rel);
 }
 
+// Items per short-circuit test. The interval a ±1 walk can reach widens
+// with its length, so one test over a long prefix fails far more often
+// than tests over its blocks, each restarted from the block's exact
+// running sum.
+constexpr size_t kPrefixBlock = 64;
+
+// Per-item check of one ±1 block, continuing `state` (the scalar loop's
+// running sum, max and violation count).
+void CheckBlock(std::span<const double> block, double estimate, double epsilon,
+                double slack, double rel_floor, detail::PrefixState* state) {
+  const double* data = block.data();
+  size_t n = block.size();
+  switch (ActiveSimdLevel()) {
+#if NMC_SIMD_AVX2
+    case SimdLevel::kAvx2: {
+      const size_t bulk = n & ~static_cast<size_t>(3);
+      if (bulk != 0) {
+        detail::CheckUnitPrefixAvx2(data, bulk, estimate, epsilon, slack,
+                                    rel_floor, state);
+      }
+      data += bulk;
+      n -= bulk;
+      break;
+    }
+#endif
+    default:
+      break;
+  }
+  if (n != 0) {
+    detail::CheckUnitPrefixScalar(data, n, estimate, epsilon, slack, rel_floor,
+                                  state);
+  }
+}
+
 }  // namespace
 
 SignTally TallySigns(std::span<const double> values) {
@@ -71,25 +105,20 @@ bool CheckUnitPrefix(std::span<const double> values, double sum0,
   if (!(rel_floor > 0.0)) return false;
   if (!(epsilon >= 0.0)) return false;
   if (!IsSmallInteger(sum0, static_cast<double>(values.size()))) return false;
-  if (values.empty()) {
-    result->violations = 0;
-    result->max_rel_error = 0.0;
-    result->final_sum = sum0;
-    return true;
-  }
 
-  // Run-level short-circuit, no extra data scan: a ±1 walk of n steps
-  // keeps every prefix sum inside [sum0 - n, sum0 + n] (both exact: the
-  // IsSmallInteger margin covers them), so the tests of ShortCircuitPasses
-  // over that interval bound every item. The only per-item work left is
-  // the sign tally: the all-unit gate plus the exact final sum. In a
-  // settled tracker the estimate sits deep inside the envelope and the
-  // +-n slop is negligible against |sum0|, so this is the common case.
+  // Span-level short-circuit, no extra data scan: a ±1 walk of n steps
+  // keeps every prefix sum inside [s - n, s + n] around its start s (both
+  // exact: the IsSmallInteger margin covers them), so the tests of
+  // ShortCircuitPasses over that interval bound every item. The only
+  // per-item work left is the sign tally: the all-unit gate plus the exact
+  // final sum. In a settled tracker the estimate sits deep inside the
+  // envelope and the ±n slop is negligible against |s|, so this is the
+  // common case.
   const SignTally tally = TallySigns(values);
   if (!tally.all_unit) return false;
-  if (ShortCircuitPasses(sum0 - static_cast<double>(values.size()),
-                         sum0 + static_cast<double>(values.size()), estimate,
-                         epsilon, slack, rel_floor, current_max_rel)) {
+  const double total = static_cast<double>(values.size());
+  if (ShortCircuitPasses(sum0 - total, sum0 + total, estimate, epsilon, slack,
+                         rel_floor, current_max_rel)) {
     result->violations = 0;
     // Every item's relative error is provably <= current_max_rel, so 0.0
     // is exact under the documented max-fold contract.
@@ -98,29 +127,22 @@ bool CheckUnitPrefix(std::span<const double> values, double sum0,
     return true;
   }
 
-  // Per-item kernels: reproduce the scalar loop bit for bit.
+  // The slop grows with the span, so a long span that fails may still
+  // pass block by block: retry the test per kPrefixBlock items from each
+  // block's exact starting sum, and run the per-item kernels, which
+  // reproduce the scalar loop bit for bit, only on blocks that fail.
   detail::PrefixState state{sum0, 0.0, 0};
-  const double* data = values.data();
-  size_t n = values.size();
-  switch (ActiveSimdLevel()) {
-#if NMC_SIMD_AVX2
-    case SimdLevel::kAvx2: {
-      const size_t bulk = n & ~static_cast<size_t>(3);
-      if (bulk != 0) {
-        detail::CheckUnitPrefixAvx2(data, bulk, estimate, epsilon, slack,
-                                    rel_floor, &state);
-      }
-      data += bulk;
-      n -= bulk;
-      break;
+  for (size_t begin = 0; begin < values.size(); begin += kPrefixBlock) {
+    const std::span<const double> block =
+        values.subspan(begin, std::min(kPrefixBlock, values.size() - begin));
+    const double n = static_cast<double>(block.size());
+    if (ShortCircuitPasses(state.sum - n, state.sum + n, estimate, epsilon,
+                           slack, rel_floor, current_max_rel)) {
+      const SignTally block_tally = TallySigns(block);
+      state.sum += static_cast<double>(block_tally.plus - block_tally.minus);
+    } else {
+      CheckBlock(block, estimate, epsilon, slack, rel_floor, &state);
     }
-#endif
-    default:
-      break;
-  }
-  if (n != 0) {
-    detail::CheckUnitPrefixScalar(data, n, estimate, epsilon, slack, rel_floor,
-                                  &state);
   }
   result->violations = state.violations;
   result->max_rel_error = state.max_rel_error;

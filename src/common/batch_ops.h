@@ -39,12 +39,15 @@ struct PrefixCheckResult {
 /// (and the scalar kernel is the dispatch oracle, as in BatchRng).
 ///
 /// `current_max_rel` is the caller's running max-relative-error fold
-/// value. It enables a run-level short-circuit: a ±1 walk of n steps stays
-/// within n of sum0, and when that interval proves that no item violates
-/// its envelope *and* no item's relative error can exceed current_max_rel,
-/// the per-item kernels are skipped and the result reports
-/// violations == 0 with max_rel_error == 0.0. That report is only exact
-/// for callers that fold the field with
+/// value. It enables a short-circuit: a ±1 walk of n steps stays within n
+/// of its starting sum s, and when that interval proves that no item
+/// violates its envelope *and* no item's relative error can exceed
+/// current_max_rel, the per-item kernels are skipped and the items add
+/// nothing to the result. The test is tried over the whole span and, when
+/// that fails, again per 64-item block from the block's exact starting
+/// sum, so only failing blocks run the kernels (a span that passes
+/// reports violations == 0 with max_rel_error == 0.0). That report is
+/// only exact for callers that fold the field with
 /// std::max(current_max_rel, result.max_rel_error) — which is the
 /// harness's (and the per-item loop's) semantics. Pass 0.0 to force the
 /// exact per-item maximum.

@@ -140,6 +140,19 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
     return ConsumeSbc(values);
   }
 
+  bool in_sbc_stage() const { return in_sbc_stage_; }
+
+  /// Absorbs one update in place when it provably sends nothing: the site
+  /// is in SBC with a cached gap above 0. That is exactly what ConsumeSbc
+  /// does with a one-update span in this state, minus the span plumbing.
+  /// Returns false, touching nothing, otherwise.
+  bool TryAbsorbSilent(double value) {
+    if (!in_sbc_stage_ || !skip_.valid() || skip_.gap() == 0) return false;
+    Absorb(value);
+    skip_.Advance(1);
+    return true;
+  }
+
   void OnCoordinatorMessage(const sim::Message& message) override {
     switch (message.type) {
       case kCollect:
@@ -732,6 +745,44 @@ int64_t NonMonotonicCounter::ProcessBatch(int site_id,
     ActivatePhase2();
   }
   return consumed;
+}
+
+int64_t NonMonotonicCounter::ProcessChunk(std::span<const int> sites,
+                                          std::span<const double> values) {
+  const int num_sites = network_.num_sites();
+  if (positive_counter_ != nullptr || network_.channeled() || num_sites == 1) {
+    return Protocol::ProcessChunk(sites, values);
+  }
+  NMC_CHECK(!values.empty());
+  NMC_CHECK_EQ(sites.size(), values.size());
+  // Until the first message nothing is delivered, so the coordinator's
+  // estimate stays frozen over every update consumed before it.
+  const int64_t messages_before = network_.total_messages();
+  const size_t len = values.size();
+  size_t pos = 0;
+  while (pos < len) {
+    const int site_id = sites[pos];
+    NMC_CHECK_GE(site_id, 0);
+    NMC_CHECK_LT(site_id, num_sites);
+    Site* site = sites_[static_cast<size_t>(site_id)].get();
+    // In StraightSync the run's first update messages, so its length is
+    // not scanned: a rescan after every report would cost O(run) each.
+    size_t run = 1;
+    if (site->in_sbc_stage()) {
+      run = sim::LeadingRunLength(sites.subspan(pos));
+      if (run == 1 && site->TryAbsorbSilent(values[pos])) {
+        ++pos;
+        continue;
+      }
+    }
+    pos += static_cast<size_t>(site->ConsumeRun(values.subspan(pos, run)));
+    if (network_.total_messages() != messages_before) break;
+  }
+  network_.DeliverAll();
+  if (coordinator_->phase2_pending() && positive_counter_ == nullptr) {
+    ActivatePhase2();
+  }
+  return static_cast<int64_t>(pos);
 }
 
 bool NonMonotonicCounter::Resync() {

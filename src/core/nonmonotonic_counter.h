@@ -190,6 +190,16 @@ class NonMonotonicCounter : public sim::Protocol {
   /// update.
   int64_t ProcessBatch(int site_id, std::span<const double> values) override;
 
+  /// Feeds an interleaved chunk in one call (see the
+  /// Protocol::ProcessChunk contract). In Phase 1 on the perfect channel
+  /// with k > 1 it walks the chunk's same-site runs: a single-update run at
+  /// a site whose cached SBC gap has not run out is absorbed in place, and
+  /// any other run goes through the site's ConsumeRun, exactly as in
+  /// ProcessBatch. It returns after the first run that sends a message.
+  /// Phase 2, faulty channels and k = 1 take the default.
+  int64_t ProcessChunk(std::span<const int> sites,
+                       std::span<const double> values) override;
+
   double Estimate() const override;
 
   const sim::MessageStats& stats() const override;

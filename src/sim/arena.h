@@ -88,9 +88,10 @@ class Arena {
   size_t next_block_bytes_;
 };
 
-/// Minimal vector whose storage comes from an Arena: push_back is a bump
-/// cursor away, growth abandons the old storage to the arena (reclaimed
-/// wholesale at the next Reset), and nothing is ever freed per element.
+/// Minimal vector whose storage comes from an Arena: push_back (or an
+/// in-place emplace_back) is a bump cursor away, growth abandons the old
+/// storage to the arena (reclaimed wholesale at the next Reset), and
+/// nothing is ever freed per element.
 /// Restricted to trivially copyable T — the arena runs no destructors and
 /// growth relocates with memcpy semantics.
 ///
@@ -133,6 +134,14 @@ class ArenaVector {
   void push_back(const T& value) {
     if (size_ == capacity_) Grow(size_ + 1);
     data_[size_++] = value;
+  }
+
+  /// Appends one element and returns its slot for the caller to fill in
+  /// place. The slot holds whatever bytes the storage held: write every
+  /// field. The reference is invalidated by the next growth.
+  T& emplace_back() {
+    if (size_ == capacity_) Grow(size_ + 1);
+    return data_[size_++];
   }
 
   void reserve(size_t capacity) {

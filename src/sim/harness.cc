@@ -21,161 +21,116 @@ struct PumpState {
   std::vector<int> sites;      // psi's assignments for the current chunk
 };
 
-/// Pumps one contiguous chunk of the stream. Same-site runs go through
-/// Protocol::ProcessBatch; the tracking invariant for a run's silent
-/// prefix is checked against the cached estimate (the ProcessBatch
-/// contract guarantees it cannot have changed), so the virtual Estimate()
-/// call is paid once per run, not once per item.
+/// True when step `done` (1-based) gets a curve point: every stride-th
+/// step and the run's final step. Only meaningful when a curve is recorded.
+bool CurvePointDue(int64_t done, const PumpState& state) {
+  return done % state.curve_stride == 0 || done == state.result.n;
+}
+
+/// Checks the tracking invariant at one step: `sum` is the exact running
+/// sum after the step and `estimate` the protocol's estimate at it.
+void CheckStep(double estimate, double sum, const TrackingOptions& options,
+               TrackingResult* result) {
+  const double abs_error = std::fabs(estimate - sum);
+  const double abs_sum = std::fabs(sum);
+  if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
+    result->violation_steps += 1;
+  }
+  if (abs_sum >= options.rel_error_floor) {
+    result->max_rel_error =
+        std::max(result->max_rel_error, abs_error / abs_sum);
+  }
+}
+
+/// Pumps one contiguous chunk of the stream. Each protocol call consumes a
+/// prefix of what is left of the chunk and stops right after its first
+/// communicating update; the ProcessChunk/ProcessBatch contract freezes
+/// the estimate over the silent part, so the tracking invariant there is
+/// checked against the cached estimate and the virtual Estimate() call is
+/// paid once per protocol call, not once per item.
 /// `num_sites` is protocol->num_sites(), hoisted by the callers: the
 /// virtual call is loop-invariant but the compiler cannot prove it, and
 /// PumpChunk runs once per batch.
 ///
-/// psi places the whole chunk with one Assign call into state->sites; runs
-/// are the maximal same-site stretches of that buffer. With one site every
-/// policy maps to 0 and none observes protocol state, so psi is not asked
-/// and the whole chunk is one run.
+/// psi places the whole chunk with one Assign call into state->sites, and
+/// Protocol::ProcessChunk takes the rest of the chunk with its sites.
+/// With one site every policy maps to 0 and none observes protocol state,
+/// so psi is not asked and the rest of the chunk is one ProcessBatch run
+/// (ProcessUpdate when a single item is left).
 void PumpChunk(std::span<const double> chunk, AssignmentPolicy* psi,
                Protocol* protocol, int num_sites,
                const TrackingOptions& options, PumpState* state) {
-  const int64_t len = static_cast<int64_t>(chunk.size());
+  const size_t len = chunk.size();
   const bool record_curve = state->curve_stride > 0;
 
-  const std::span<int> sites =
-      std::span<int>(state->sites).first(chunk.size());
+  const std::span<int> sites = std::span<int>(state->sites).first(len);
   if (num_sites > 1) psi->Assign(state->t, chunk, sites);
 
-  // The site that ends a run's scan is carried over as the next run's
-  // site. Every update of a run went to `site`, so one range check per run
-  // covers every assignment.
-  int64_t i = 0;
-  int site = num_sites > 1 ? sites[0] : 0;
-  while (i < len) {
-    int64_t run = len - i;
-    int next_site = site;
+  size_t pos = 0;
+  while (pos < len) {
+    const std::span<const double> rest = chunk.subspan(pos);
+    // Messages before the call: a curve point landing in the call's silent
+    // prefix must not count the message its final update sends (the
+    // per-update pump would not have sent it yet at that step). Probed
+    // only when a curve is recorded — it is the sole consumer, and the
+    // stats() call is not free for protocols that aggregate.
+    const int64_t messages_before =
+        record_curve ? protocol->stats().total() : 0;
+    int64_t consumed = 1;
     if (num_sites > 1) {
-      NMC_CHECK_GE(site, 0);
-      NMC_CHECK_LT(site, num_sites);
-      run = 1;
-      while (i + run < len) {
-        next_site = sites[static_cast<size_t>(i + run)];
-        if (next_site != site) break;
-        ++run;
-      }
+      consumed = protocol->ProcessChunk(sites.subspan(pos), rest);
+    } else if (rest.size() == 1) {
+      protocol->ProcessUpdate(0, rest[0]);
+    } else {
+      consumed = protocol->ProcessBatch(0, rest);
     }
+    NMC_CHECK_GE(consumed, 1);
+    NMC_CHECK_LE(consumed, static_cast<int64_t>(rest.size()));
+    const size_t silent = static_cast<size_t>(consumed - 1);
 
-    if (run == 1) {
-      // Single-update run (k > 1 under an alternating assignment): the
-      // batch wrapper buys nothing here, and its bookkeeping is
-      // comparable to a cheap protocol's own per-update cost — call the
-      // per-update entry point directly. Semantically identical to
-      // ProcessBatch on a one-element span by the Protocol contract.
-      const double value = chunk[static_cast<size_t>(i)];
-      protocol->ProcessUpdate(site, value);
-      state->sum += value;
-      state->estimate = protocol->Estimate();
-      const double abs_error = std::fabs(state->estimate - state->sum);
-      const double abs_sum = std::fabs(state->sum);
-      if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
-        state->result.violation_steps += 1;
-      }
-      if (abs_sum >= options.rel_error_floor) {
-        state->result.max_rel_error =
-            std::max(state->result.max_rel_error, abs_error / abs_sum);
-      }
-      if (record_curve) {
-        const int64_t done = state->t + i + 1;
-        if (done % state->curve_stride == 0 || done == state->result.n) {
+    // Vectorized invariant check over the silent prefix: the estimate is
+    // frozen there, so the per-item loop below degenerates to a prefix-sum
+    // scan against a constant — exactly CheckUnitPrefix. The kernel only
+    // accepts ±1 runs with an integer running sum (where its regrouped
+    // additions are bit-exact), and mirrors the loop's violation /
+    // max-rel-error updates operation for operation, so TrackingResult is
+    // bit-identical whether or not this path fires.
+    common::PrefixCheckResult prefix;
+    if (!record_curve && silent >= 7 &&
+        common::CheckUnitPrefix(rest.first(silent), state->sum,
+                                state->estimate, options.epsilon,
+                                options.absolute_slack,
+                                options.rel_error_floor,
+                                state->result.max_rel_error, &prefix)) {
+      state->sum = prefix.final_sum;
+      state->result.violation_steps += prefix.violations;
+      state->result.max_rel_error =
+          std::max(state->result.max_rel_error, prefix.max_rel_error);
+    } else {
+      for (size_t j = 0; j < silent; ++j) {
+        state->sum += rest[j];
+        CheckStep(state->estimate, state->sum, options, &state->result);
+        const int64_t done = state->t + static_cast<int64_t>(pos + j) + 1;
+        if (record_curve && CurvePointDue(done, *state)) {
           state->result.curve.push_back(
-              CurvePoint{done, protocol->stats().total(), state->sum,
-                         state->estimate});
+              CurvePoint{done, messages_before, state->sum, state->estimate});
         }
       }
-      ++i;
-      site = next_site;
-      continue;
     }
 
-    int64_t pos = i;
-    while (pos < i + run) {
-      // Messages before the run: a curve point landing in the run's silent
-      // prefix must not count the message its final update sends (the
-      // per-update pump would not have sent it yet at that step). Probed
-      // only when a curve is recorded — it is the sole consumer, and the
-      // stats() call is not free for protocols that aggregate.
-      const int64_t messages_before =
-          record_curve ? protocol->stats().total() : 0;
-      const int64_t consumed =
-          protocol->ProcessBatch(site, chunk.subspan(static_cast<size_t>(pos),
-                                                     static_cast<size_t>(
-                                                         i + run - pos)));
-      NMC_CHECK_GE(consumed, 1);
-      NMC_CHECK_LE(consumed, i + run - pos);
-      if (!record_curve && consumed >= 8) {
-        // Vectorized invariant check over the run's silent prefix: the
-        // estimate is frozen there (ProcessBatch contract), so the j-loop
-        // below degenerates to a prefix-sum scan against a constant —
-        // exactly CheckUnitPrefix. The kernel only accepts ±1 runs with
-        // an integer running sum (where its regrouped additions are
-        // bit-exact), and mirrors the loop's violation / max-rel-error
-        // updates operation for operation, so TrackingResult is
-        // bit-identical whether or not this path fires.
-        common::PrefixCheckResult prefix;
-        if (common::CheckUnitPrefix(
-                chunk.subspan(static_cast<size_t>(pos),
-                              static_cast<size_t>(consumed - 1)),
-                state->sum, state->estimate, options.epsilon,
-                options.absolute_slack, options.rel_error_floor,
-                state->result.max_rel_error, &prefix)) {
-          state->sum = prefix.final_sum;
-          state->result.violation_steps += prefix.violations;
-          state->result.max_rel_error =
-              std::max(state->result.max_rel_error, prefix.max_rel_error);
-          // The run's final update is the one that may have messaged:
-          // refresh the estimate and check it the scalar way.
-          state->sum += chunk[static_cast<size_t>(pos + consumed - 1)];
-          state->estimate = protocol->Estimate();
-          const double abs_error = std::fabs(state->estimate - state->sum);
-          const double abs_sum = std::fabs(state->sum);
-          if (abs_error >
-              options.epsilon * abs_sum + options.absolute_slack) {
-            state->result.violation_steps += 1;
-          }
-          if (abs_sum >= options.rel_error_floor) {
-            state->result.max_rel_error =
-                std::max(state->result.max_rel_error, abs_error / abs_sum);
-          }
-          pos += consumed;
-          continue;
-        }
-      }
-      for (int64_t j = 0; j < consumed; ++j) {
-        state->sum += chunk[static_cast<size_t>(pos + j)];
-        if (j == consumed - 1) state->estimate = protocol->Estimate();
-        const double abs_error = std::fabs(state->estimate - state->sum);
-        const double abs_sum = std::fabs(state->sum);
-        if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
-          state->result.violation_steps += 1;
-        }
-        if (abs_sum >= options.rel_error_floor) {
-          state->result.max_rel_error =
-              std::max(state->result.max_rel_error, abs_error / abs_sum);
-        }
-        if (state->curve_stride > 0) {
-          const int64_t done = state->t + pos + j + 1;
-          if (done % state->curve_stride == 0 || done == state->result.n) {
-            state->result.curve.push_back(CurvePoint{
-                done,
-                j == consumed - 1 ? protocol->stats().total() : messages_before,
-                state->sum, state->estimate});
-          }
-        }
-      }
-      pos += consumed;
+    // The call's final update is the one that may have messaged: refresh
+    // the estimate and check it the scalar way.
+    state->sum += rest[silent];
+    state->estimate = protocol->Estimate();
+    CheckStep(state->estimate, state->sum, options, &state->result);
+    pos += static_cast<size_t>(consumed);
+    const int64_t done = state->t + static_cast<int64_t>(pos);
+    if (record_curve && CurvePointDue(done, *state)) {
+      state->result.curve.push_back(CurvePoint{
+          done, protocol->stats().total(), state->sum, state->estimate});
     }
-    i += run;
-    site = next_site;
   }
-  state->t += len;
+  state->t += static_cast<int64_t>(len);
 }
 
 PumpState InitPumpState(int64_t n, Protocol* protocol,

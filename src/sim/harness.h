@@ -29,12 +29,14 @@ struct TrackingOptions {
   /// roughly evenly spaced steps — the raw series behind "figures".
   int curve_points = 0;
 
-  /// Stream items offered per Protocol::ProcessBatch run (>= 1). Larger
-  /// batches let protocols with a fast-forward path consume whole
-  /// inter-report runs per virtual call; 1 reproduces the per-update pump.
-  /// Every field of TrackingResult is bit-identical across batch sizes
-  /// (the ProcessBatch contract keeps the estimate constant over a run's
-  /// silent prefix, and skip-sampler gap state persists across calls).
+  /// Stream items per pump chunk (>= 1), offered to one
+  /// Protocol::ProcessChunk call at a time. Larger batches let protocols
+  /// with a fast-forward path consume whole inter-report stretches per
+  /// virtual call; 1 reproduces the per-update pump. Every field of
+  /// TrackingResult is bit-identical across batch sizes (the
+  /// ProcessChunk/ProcessBatch contract keeps the estimate constant over a
+  /// call's silent prefix, and skip-sampler gap state persists across
+  /// calls).
   int batch_size = 256;
 };
 
@@ -70,10 +72,12 @@ struct TrackingResult {
 /// Drives `stream` through `protocol` and checks the coordinator's estimate
 /// against the exact running sum after every update. The stream is taken
 /// in chunks of up to options.batch_size items; psi->Assign places each
-/// chunk with one call, and the chunk's maximal same-site runs go to
-/// Protocol::ProcessBatch. For a single-site protocol psi is never called
-/// and every update goes to site 0 (every policy maps to 0 when k == 1,
-/// and none observes protocol state).
+/// chunk with one call, and Protocol::ProcessChunk consumes the chunk with
+/// its sites, one call per message-ending prefix. For a single-site
+/// protocol psi is never called and every update goes to site 0 (every
+/// policy maps to 0 when k == 1, and none observes protocol state): the
+/// rest of the chunk goes to ProcessBatch, or to ProcessUpdate when one
+/// item is left.
 TrackingResult RunTracking(const std::vector<double>& stream,
                            AssignmentPolicy* psi, Protocol* protocol,
                            const TrackingOptions& options);

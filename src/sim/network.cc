@@ -46,6 +46,18 @@ void Network::GrowBreakdown(size_t index) {
   breakdown_by_type_.resize(std::max(index + 1, breakdown_by_type_.size() * 2));
 }
 
+void Network::Enqueue(bool to_coordinator, int site_id,
+                      const Message& message) {
+  if (channel_ == nullptr) {
+    Envelope& slot = queue_.emplace_back();
+    slot.to_coordinator = to_coordinator;
+    slot.site_id = site_id;
+    slot.message = message;
+  } else {
+    Route(Envelope{to_coordinator, site_id, message});
+  }
+}
+
 void Network::Route(const Envelope& envelope) {
   const ChannelVerdict verdict = channel_->Adjudicate(
       Hop{envelope.to_coordinator, envelope.site_id, tick_, envelope.message});
@@ -96,12 +108,7 @@ void Network::SendToCoordinator(int from_site, const Message& message) {
   stats_.site_to_coordinator += 1;
   BreakdownSlot(message.type).to_coordinator += 1;
   if (has_observer_) observer_(SentMessage{true, from_site, message});
-  const Envelope envelope{/*to_coordinator=*/true, from_site, message};
-  if (channel_ == nullptr) {
-    queue_.push_back(envelope);
-  } else {
-    Route(envelope);
-  }
+  Enqueue(/*to_coordinator=*/true, from_site, message);
 }
 
 void Network::SendToSite(int site_id, const Message& message) {
@@ -111,12 +118,7 @@ void Network::SendToSite(int site_id, const Message& message) {
   stats_.coordinator_to_site += 1;
   BreakdownSlot(message.type).to_sites += 1;
   if (has_observer_) observer_(SentMessage{false, site_id, message});
-  const Envelope envelope{/*to_coordinator=*/false, site_id, message};
-  if (channel_ == nullptr) {
-    queue_.push_back(envelope);
-  } else {
-    Route(envelope);
-  }
+  Enqueue(/*to_coordinator=*/false, site_id, message);
 }
 
 void Network::Broadcast(const Message& message) {
@@ -126,30 +128,29 @@ void Network::Broadcast(const Message& message) {
   BreakdownSlot(message.type).to_sites += num_sites_;
   for (int s = 0; s < num_sites_; ++s) {
     if (has_observer_) observer_(SentMessage{false, s, message});
-    const Envelope envelope{/*to_coordinator=*/false, s, message};
-    if (channel_ == nullptr) {
-      queue_.push_back(envelope);
-    } else {
-      Route(envelope);
-    }
+    Enqueue(/*to_coordinator=*/false, s, message);
   }
 }
 
 void Network::DeliverQueued() {
   delivering_ = true;
   // Handlers may send while we deliver, growing queue_ (and possibly
-  // reallocating it), so index — never hold an iterator — and copy the
-  // envelope out before dispatching.
+  // reallocating it), so index — never hold an iterator or a reference —
+  // and read the slot into locals before dispatching. Reading it field by
+  // field, as Enqueue wrote it, lets each load forward from its store.
   while (head_ < queue_.size()) {
-    const Envelope env = queue_[head_];
+    const Envelope& slot = queue_[head_];
+    const bool to_coordinator = slot.to_coordinator;
+    const int site_id = slot.site_id;
+    const Message message = slot.message;
     ++head_;
-    if (env.to_coordinator) {
+    if (to_coordinator) {
       NMC_CHECK(coordinator_ != nullptr);
-      coordinator_->OnSiteMessage(env.site_id, env.message);
+      coordinator_->OnSiteMessage(site_id, message);
     } else {
-      SiteNode* site = sites_[static_cast<size_t>(env.site_id)];
+      SiteNode* site = sites_[static_cast<size_t>(site_id)];
       NMC_CHECK(site != nullptr);
-      site->OnCoordinatorMessage(env.message);
+      site->OnCoordinatorMessage(message);
     }
   }
   // Quiescent: reset to reuse the storage on the next pump.

@@ -173,6 +173,12 @@ class Network {
 
   void GrowBreakdown(size_t index);
 
+  /// Queues one hop. On the perfect channel the envelope is written field
+  /// by field straight into its queue slot: building it on the stack and
+  /// copying it in stalls store forwarding on every send. Under a channel
+  /// the hop goes to Route.
+  void Enqueue(bool to_coordinator, int site_id, const Message& message);
+
   /// Channel adjudication path for one hop (only reached when a channel is
   /// installed).
   void Route(const Envelope& envelope);

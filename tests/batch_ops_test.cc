@@ -1,5 +1,5 @@
 // Tests for the batch_ops kernels (TallySigns / CheckUnitPrefix), with
-// emphasis on the run-level short-circuit: whatever path CheckUnitPrefix
+// emphasis on the per-block short-circuit: whatever path CheckUnitPrefix
 // takes, a caller folding max_rel_error with std::max must land on
 // exactly the same state the scalar per-item loop produces.
 
@@ -141,6 +141,36 @@ TEST(BatchOpsTest, ShortCircuitFiresOnSettledTracking) {
   EXPECT_EQ(prefix.final_sum, final_sum);
   const RefState ref =
       ReferenceLoop(values, sum0, estimate, 0.25, 1e-9, 1.0, current);
+  EXPECT_EQ(std::max(current, prefix.max_rel_error), ref.max_rel);
+}
+
+TEST(BatchOpsTest, ShortCircuitRestartsEvery64Items) {
+  // A 255-item prefix of a drifting walk, as when one call's silent
+  // prefix spans many same-site runs. The interval a 255-step walk can
+  // reach, [sum0 - 255, sum0 + 255], is too wide for the envelope at
+  // epsilon = 0.1, but each 64-item block's interval, taken from the
+  // block's exact starting sum, is not. So every block short-circuits:
+  // the result adds no relative error and matches the scalar loop under
+  // the max-fold.
+  const auto values = UnitWalk(13, 255, 0.75);
+  const double sum0 = 2000.0;
+  double final_sum = sum0;
+  for (double v : values) final_sum += v;
+  const double estimate = sum0 + 0.5 * (final_sum - sum0);
+  const double current = 0.5;
+  const double n = static_cast<double>(values.size());
+  ASSERT_GT(std::max(estimate - (sum0 - n), (sum0 + n) - estimate),
+            0.1 * (sum0 - n))
+      << "the whole-span interval must fail the envelope test";
+  PrefixCheckResult prefix;
+  ASSERT_TRUE(CheckUnitPrefix(values, sum0, estimate, 0.1, 1e-9, 1.0,
+                              current, &prefix));
+  EXPECT_EQ(prefix.violations, 0);
+  EXPECT_EQ(prefix.max_rel_error, 0.0);
+  EXPECT_EQ(prefix.final_sum, final_sum);
+  const RefState ref =
+      ReferenceLoop(values, sum0, estimate, 0.1, 1e-9, 1.0, current);
+  EXPECT_EQ(ref.violations, 0);
   EXPECT_EQ(std::max(current, prefix.max_rel_error), ref.max_rel);
 }
 

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "core/nonmonotonic_counter.h"
 #include "hyz/hyz_counter.h"
 #include "sim/assignment.h"
+#include "sim/channel.h"
 #include "sim/harness.h"
 #include "sim/stream_source.h"
 #include "streams/adversarial.h"
@@ -50,38 +52,112 @@ constexpr const char* kPolicyNames[] = {"round_robin", "random",
                                         "single",      "block",
                                         "sign_split",  "zero_crossing"};
 
-sim::TrackingResult RunCounterBatched(const std::vector<double>& stream,
-                                      int num_sites,
-                                      const core::CounterOptions& options,
-                                      int batch_size,
-                                      const char* policy = "round_robin") {
+sim::TrackingResult RunCounterBatched(
+    const std::vector<double>& stream, int num_sites,
+    const core::CounterOptions& options, int batch_size,
+    const char* policy = "round_robin",
+    core::CounterDiagnostics* diagnostics = nullptr) {
   core::NonMonotonicCounter counter(num_sites, options);
   auto psi = sim::MakeAssignment(policy, num_sites, /*seed=*/13);
   sim::TrackingOptions tracking;
   tracking.epsilon = options.epsilon;
   tracking.curve_points = 16;
   tracking.batch_size = batch_size;
-  return sim::RunTracking(stream, psi.get(), &counter, tracking);
+  sim::TrackingResult result =
+      sim::RunTracking(stream, psi.get(), &counter, tracking);
+  if (diagnostics != nullptr) *diagnostics = counter.diagnostics();
+  return result;
 }
 
 // ---- Counter: batch size is unobservable ---------------------------------
 
+// k > 1 in Phase 1 on the perfect channel runs the counter's ProcessChunk
+// override; k = 1 runs the pump's single-site path; Phase 2 (counter_drift
+// past its switch) and a lossy channel fall back to the default
+// ProcessChunk.
 TEST(BatchedPumpTest, CounterBitIdenticalAcrossBatchSizes) {
   const int64_t n = 1 << 13;
-  const core::CounterOptions options = testing::DefaultOptions(n, 0.2, 404);
   const auto stream = streams::BernoulliStream(n, 0.5, 91);
-  for (int num_sites : {1, 4}) {
+  // GPSearch resolves a 0.9 drift at its first checkpoint (t ~ 2k).
+  const auto steep = streams::BernoulliStream(n, 0.9, 91);
+  const core::CounterOptions plain = testing::DefaultOptions(n, 0.2, 404);
+  core::CounterOptions drift = plain;
+  drift.drift_mode = core::DriftMode::kUnknownUnitDrift;
+  core::CounterOptions lossy = plain;
+  lossy.channel.kind = sim::ChannelConfig::Kind::kLoss;
+  lossy.channel.loss = 0.05;
+  lossy.channel.duplicate = 0.02;
+  lossy.channel.seed = 7;
+  struct Case {
+    const char* name;
+    int num_sites;
+    const core::CounterOptions* options;
+    const std::vector<double>* stream;
+  };
+  for (const Case& c :
+       {Case{"plain", 1, &plain, &stream}, Case{"plain", 4, &plain, &stream},
+        Case{"plain", 8, &plain, &stream}, Case{"drift", 4, &drift, &steep},
+        Case{"lossy", 4, &lossy, &stream}}) {
     for (const char* policy : kPolicyNames) {
-      const auto reference =
-          RunCounterBatched(stream, num_sites, options, 1, policy);
+      core::CounterDiagnostics diagnostics;
+      const auto reference = RunCounterBatched(
+          *c.stream, c.num_sites, *c.options, 1, policy, &diagnostics);
+      if (c.options == &drift) {
+        // Most of the run must be in Phase 2 for the sweep to cover it.
+        ASSERT_TRUE(diagnostics.phase2_active) << policy;
+        ASSERT_LT(diagnostics.phase2_switch_time, n / 2) << policy;
+      }
       for (int batch : {7, 64, 97, 256, 1 << 14}) {
-        SCOPED_TRACE(::testing::Message() << "sites=" << num_sites << " "
-                                          << policy << " batch=" << batch);
-        ExpectSameResult(reference, RunCounterBatched(stream, num_sites,
-                                                      options, batch, policy));
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << " sites=" << c.num_sites << " " << policy
+                     << " batch=" << batch);
+        ExpectSameResult(reference,
+                         RunCounterBatched(*c.stream, c.num_sites, *c.options,
+                                           batch, policy));
       }
     }
   }
+}
+
+// ---- Out-of-range sites abort on every path ------------------------------
+
+// Round-robin, except update 37 goes to the nonexistent site k.
+class OutOfRangeAssignment final : public sim::AssignmentPolicy {
+ public:
+  explicit OutOfRangeAssignment(int num_sites) : num_sites_(num_sites) {}
+  void Assign(int64_t t0, std::span<const double> /*values*/,
+              std::span<int> sites) override {
+    for (size_t i = 0; i < sites.size(); ++i) {
+      const int64_t t = t0 + static_cast<int64_t>(i);
+      sites[i] = t == 37 ? num_sites_ : static_cast<int>(t % num_sites_);
+    }
+  }
+
+ private:
+  int num_sites_;
+};
+
+TEST(BatchedPumpDeathTest, PsiReturningSiteKAborts) {
+  const auto stream = streams::BernoulliStream(256, 0.5, 5);
+  sim::TrackingOptions tracking;
+  tracking.epsilon = 0.2;
+  // The counter's ProcessChunk override (Phase 1, perfect channel, k > 1).
+  EXPECT_DEATH(
+      {
+        core::NonMonotonicCounter counter(
+            4, testing::DefaultOptions(256, 0.2, 3));
+        OutOfRangeAssignment psi(4);
+        sim::RunTracking(stream, &psi, &counter, tracking);
+      },
+      "nonmonotonic_counter\\.cc:[0-9]+: site_id < num_sites");
+  // The default ProcessChunk.
+  EXPECT_DEATH(
+      {
+        baselines::ExactSyncProtocol protocol(4);
+        OutOfRangeAssignment psi(4);
+        sim::RunTracking(stream, &psi, &protocol, tracking);
+      },
+      "protocol\\.h:[0-9]+: site < num_sites\\(\\)");
 }
 
 TEST(BatchedPumpTest, CounterBitIdenticalOnAdversarialStream) {

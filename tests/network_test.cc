@@ -1,5 +1,7 @@
 #include "sim/network.h"
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -264,6 +266,84 @@ TEST_F(NetworkTest, DeepNestedChainsDrainInFifoOrder) {
   EXPECT_EQ(coordinator_.received().size(), 150u);
   EXPECT_EQ(network_->stats().site_to_coordinator, 150);
   EXPECT_EQ(network_->stats().coordinator_to_site, 150);
+}
+
+TEST(NetworkGrowthTest, HandlerGrowingTheQueueKeepsItsMessageAndFifoOrder) {
+  // A handler that sends enough during its own delivery to make the arena
+  // queue reallocate (it starts at 64 slots) must still see the message it
+  // was handed intact, and every delivery after it must keep send order:
+  // first what was queued before the handler ran, then its own sends.
+  constexpr int kFlood = 300;
+  // Delivery order: u for coordinator deliveries, 1000 + u for sites.
+  std::vector<int64_t> log;
+
+  class LoggingSite : public SiteNode {
+   public:
+    explicit LoggingSite(std::vector<int64_t>* log) : log_(log) {}
+    void OnLocalUpdate(double) override {}
+    void OnCoordinatorMessage(const Message& message) override {
+      log_->push_back(1000 + message.u);
+    }
+
+   private:
+    std::vector<int64_t>* log_;
+  };
+
+  class FloodingCoordinator : public CoordinatorNode {
+   public:
+    FloodingCoordinator(Network* network, std::vector<int64_t>* log)
+        : network_(network), log_(log) {}
+    void OnSiteMessage(int site_id, const Message& message) override {
+      log_->push_back(message.u);
+      if (message.u != 1) return;
+      Message flood;
+      flood.type = 2;
+      for (int i = 0; i < kFlood; ++i) {
+        flood.u = i;
+        network_->SendToSite(i % 3, flood);
+      }
+      EXPECT_EQ(site_id, 2);
+      EXPECT_EQ(message.type, 1);
+      EXPECT_EQ(message.u, 1);
+      EXPECT_EQ(message.v, -7);
+      EXPECT_EQ(message.a, 0.5);
+      EXPECT_EQ(message.b, -2.25);
+    }
+
+   private:
+    Network* network_;
+    std::vector<int64_t>* log_;
+  };
+
+  Network network(3);
+  FloodingCoordinator coordinator(&network, &log);
+  std::vector<std::unique_ptr<LoggingSite>> sites;
+  network.AttachCoordinator(&coordinator);
+  for (int s = 0; s < 3; ++s) {
+    sites.push_back(std::make_unique<LoggingSite>(&log));
+    network.AttachSite(s, sites.back().get());
+  }
+  const int64_t high_water_before = network.stats().arena_high_water_bytes;
+
+  Message first;
+  first.type = 1;
+  first.u = 1;
+  first.v = -7;
+  first.a = 0.5;
+  first.b = -2.25;
+  network.SendToCoordinator(2, first);
+  Message second;
+  second.type = 1;
+  second.u = 2;
+  network.SendToCoordinator(0, second);
+  network.DeliverAll();
+
+  // The queue really grew past its reserved storage.
+  EXPECT_GT(network.stats().arena_high_water_bytes, high_water_before);
+  std::vector<int64_t> expected = {1, 2};
+  for (int i = 0; i < kFlood; ++i) expected.push_back(1000 + i);
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(network.total_messages(), 2 + kFlood);
 }
 
 TEST(MessageStatsTest, PlusEqualsAggregates) {

@@ -158,6 +158,30 @@ TEST(NmcLintInterprocTest, FlagsHazardsBelowThePumpAndAssign) {
       << local->message;
 }
 
+// ---- chunk/: a ProcessChunk override is a hot-path root ----------------
+
+TEST(NmcLintInterprocTest, FlagsGrowthBelowAProcessChunkOverride) {
+  const std::vector<Finding> findings = LintTree("chunk");
+  EXPECT_EQ(Keys(findings),
+            (std::vector<std::string>{
+                "src/core/counter.cc:33:NO_HEAP_IN_HOT_PATH",
+                "src/core/counter.cc:35:NO_HEAP_IN_HOT_PATH",
+            }));
+  const Finding* push =
+      FindByKey(findings, "src/core/counter.cc:33:NO_HEAP_IN_HOT_PATH");
+  ASSERT_NE(push, nullptr);
+  EXPECT_NE(push->message.find("'runs_.push_back'"), std::string::npos)
+      << push->message;
+  EXPECT_NE(push->message.find("[call chain: Counter::ProcessChunk"),
+            std::string::npos)
+      << push->message;
+  const Finding* emplace =
+      FindByKey(findings, "src/core/counter.cc:35:NO_HEAP_IN_HOT_PATH");
+  ASSERT_NE(emplace, nullptr);
+  EXPECT_NE(emplace->message.find("'staged_.emplace_back'"), std::string::npos)
+      << emplace->message;
+}
+
 // ---- thread_compat/: contract edges and annotation grammar -------------
 
 TEST(NmcLintInterprocTest, EnforcesReentrantContractsAndGrammar) {

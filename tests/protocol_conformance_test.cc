@@ -4,7 +4,10 @@
 // protocols interchangeably — and that anything newly registered is held
 // to the same contracts automatically.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -13,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "registry/builtin.h"
 #include "sim/assignment.h"
 #include "sim/channel.h"
@@ -67,6 +71,31 @@ std::vector<double> StreamFor(const ProtocolSpec& spec, int64_t n,
     return streams::BernoulliStream(n, 0.3, seed);  // ±1 only
   }
   return streams::FractionalIidStream(n, 0.1, 0.9, seed);
+}
+
+/// Sites in [0, k) for n updates: runs of 1 to max_run updates, each at a
+/// uniformly random site.
+std::vector<int> RandomRuns(int64_t n, int k, int64_t max_run, uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<int> sites;
+  while (static_cast<int64_t>(sites.size()) < n) {
+    const int site = static_cast<int>(rng.UniformInt(0, k - 1));
+    const int64_t run = std::min<int64_t>(
+        rng.UniformInt(1, max_run), n - static_cast<int64_t>(sites.size()));
+    sites.insert(sites.end(), static_cast<size_t>(run), site);
+  }
+  return sites;
+}
+
+/// Random chunk lengths in [1, 300] that add up to n.
+std::vector<int64_t> ChunkLengths(int64_t n, uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<int64_t> lengths;
+  for (int64_t covered = 0; covered < n;) {
+    lengths.push_back(std::min<int64_t>(rng.UniformInt(1, 300), n - covered));
+    covered += lengths.back();
+  }
+  return lengths;
 }
 
 class ConformanceTest : public ::testing::TestWithParam<size_t> {
@@ -183,6 +212,80 @@ TEST_P(ConformanceTest, ProcessBatchMatchesPerUpdateExecution) {
         << s.name << " after run ending at " << base + kRun;
   }
   EXPECT_EQ(per_update->stats().total(), batched->stats().total()) << s.name;
+}
+
+/// The ProcessChunk contract: feeding interleaved chunks through
+/// ProcessChunk (honoring its consume-a-prefix return) must be
+/// bit-identical to feeding the same updates one at a time. After every
+/// call the estimate and the message counts equal a per-update twin's at
+/// the same step, and the twin sent nothing and kept its estimate over the
+/// call's silent prefix (every consumed update but the last).
+TEST_P(ConformanceTest, ProcessChunkMatchesPerUpdateExecution) {
+  const auto s = spec();
+  constexpr int kSites = 4;
+  constexpr int64_t kN = 3072;
+  struct Step {
+    double estimate;
+    int64_t to_coordinator;
+    int64_t to_sites;
+    int64_t broadcasts;
+  };
+  const auto snapshot = [](const sim::Protocol& protocol) {
+    const sim::MessageStats& stats = protocol.stats();
+    return Step{protocol.Estimate(), stats.site_to_coordinator,
+                stats.coordinator_to_site, stats.broadcasts};
+  };
+  const auto stream = StreamFor(s, kN, 23);
+  // Uniform-random sites (every run of length 1 but for repeats) and
+  // block runs of 1-80 updates.
+  for (const int64_t max_run : {1, 80}) {
+    SCOPED_TRACE(::testing::Message() << "max_run=" << max_run);
+    const std::vector<int> sites = RandomRuns(kN, kSites, max_run, 41);
+    const std::vector<int64_t> chunks = ChunkLengths(kN, 43);
+
+    auto twin = Make(s, kSites, 35);
+    std::vector<Step> steps = {snapshot(*twin)};  // steps[t]: after t updates
+    for (int64_t t = 0; t < kN; ++t) {
+      twin->ProcessUpdate(sites[static_cast<size_t>(t)],
+                          stream[static_cast<size_t>(t)]);
+      steps.push_back(snapshot(*twin));
+    }
+
+    auto chunked = Make(s, kSites, 35);
+    int64_t pos = 0;
+    for (const int64_t chunk : chunks) {
+      const int64_t end = pos + chunk;
+      while (pos < end) {
+        const size_t len = static_cast<size_t>(end - pos);
+        const int64_t consumed = chunked->ProcessChunk(
+            std::span<const int>(sites.data() + pos, len),
+            std::span<const double>(stream.data() + pos, len));
+        ASSERT_GE(consumed, 1) << s.name;
+        ASSERT_LE(consumed, end - pos) << s.name;
+        const Step& before = steps[static_cast<size_t>(pos)];
+        for (int64_t t = pos + 1; t < pos + consumed; ++t) {
+          const Step& silent = steps[static_cast<size_t>(t)];
+          ASSERT_EQ(silent.to_coordinator + silent.to_sites,
+                    before.to_coordinator + before.to_sites)
+              << s.name << ": message before the prefix's last update, t="
+              << t;
+          ASSERT_EQ(std::bit_cast<uint64_t>(silent.estimate),
+                    std::bit_cast<uint64_t>(before.estimate))
+              << s.name << ": estimate moved in the silent prefix, t=" << t;
+        }
+        pos += consumed;
+        const Step& want = steps[static_cast<size_t>(pos)];
+        const Step got = snapshot(*chunked);
+        ASSERT_EQ(std::bit_cast<uint64_t>(got.estimate),
+                  std::bit_cast<uint64_t>(want.estimate))
+            << s.name << " t=" << pos;
+        ASSERT_EQ(got.to_coordinator, want.to_coordinator)
+            << s.name << " t=" << pos;
+        ASSERT_EQ(got.to_sites, want.to_sites) << s.name << " t=" << pos;
+        ASSERT_EQ(got.broadcasts, want.broadcasts) << s.name << " t=" << pos;
+      }
+    }
+  }
 }
 
 /// Fault-machinery neutrality: a registered protocol built with an

@@ -86,8 +86,8 @@ inline bool InModeledConcurrencyScope(const std::string& path) {
 /// Per-update protocol entry points (the transcendental rule's direct
 /// scope).
 inline constexpr const char* kPerUpdateEntryPoints[] = {
-    "OnLocalUpdate", "ProcessUpdate", "ProcessBatch", "ProcessRun",
-    "ConsumeRun"};
+    "OnLocalUpdate", "ProcessUpdate", "ProcessBatch", "ProcessChunk",
+    "ProcessRun",    "ConsumeRun"};
 
 /// The per-update entry points plus the network delivery machinery they
 /// drive and the sim pump with its assignment policy (PumpChunk, psi's
@@ -97,10 +97,11 @@ inline constexpr const char* kPerUpdateEntryPoints[] = {
 /// here is paid O(n) times per trial.
 inline constexpr const char* kHotPathEntryPoints[] = {
     "OnLocalUpdate", "ProcessUpdate",        "ProcessBatch",
-    "ProcessRun",    "ConsumeRun",           "DeliverAll",
-    "Route",         "BeginTickSlow",        "SendToCoordinator",
-    "SendToSite",    "Broadcast",            "OnSiteMessage",
-    "OnCoordinatorMessage", "PumpChunk", "Assign"};
+    "ProcessChunk",  "ProcessRun",           "ConsumeRun",
+    "DeliverAll",    "Route",                "BeginTickSlow",
+    "SendToCoordinator", "SendToSite",       "Broadcast",
+    "OnSiteMessage", "OnCoordinatorMessage", "PumpChunk",
+    "Assign"};
 
 /// Classes whose member functions root the reentrancy audit
 /// (NO_STATIC_LOCAL_IN_REENTRANT): the seams the threaded runtime calls
