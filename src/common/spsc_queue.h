@@ -77,7 +77,6 @@ class SpscQueue {
   size_t TryPushSpan(std::span<const T> items) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     size_t free = capacity() - static_cast<size_t>(tail - cached_head_);
-    // nmc-lint: allow(THREAD_COMPAT) span::size() is a const accessor; the call graph misresolves it to an unrelated repo class's size()
     if (free < items.size()) {
       // Refresh the consumer's progress only when the cache says "full-ish"
       // — this is the line transfer the cache exists to amortize.
@@ -99,7 +98,6 @@ class SpscQueue {
   // nmc: reentrant
   bool TryPop(T* out) {
     const std::span<const T> view = PeekContiguous(1);
-    // nmc-lint: allow(THREAD_COMPAT) span::empty() is a const accessor; the call graph misresolves it to an unrelated repo class's empty()
     if (view.empty()) return false;
     *out = view.front();
     Advance(1);

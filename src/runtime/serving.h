@@ -63,7 +63,11 @@ inline void ReaderLoop(const common::Seqlock<PublishedEstimate>& slot,
     stats->samples.resize(static_cast<size_t>(sample_capacity));
   }
   int64_t last_generation = 0;
-  while (!run_done.value.load(std::memory_order_acquire)) {
+  // Read before testing the stop flag, and keep going until one read has
+  // landed: a reader the scheduler starts only after Finish() still takes
+  // a snapshot. Once the flag is visible the coordinator has stopped
+  // publishing, so that retry cannot tear.
+  do {
     PublishedEstimate snapshot;
     if (!slot.TryRead(&snapshot)) {
       ++stats->torn;
@@ -82,7 +86,8 @@ inline void ReaderLoop(const common::Seqlock<PublishedEstimate>& slot,
       ++stats->sampled;
     }
     if (stats->reads % kReaderYieldEvery == 0) std::this_thread::yield();
-  }
+  } while (stats->reads == 0 ||
+           !run_done.value.load(std::memory_order_acquire));
 }
 
 /// One run's serving state: the seqlock slot, the readers' stop flag, the

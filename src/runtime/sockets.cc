@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 
 #include <poll.h>
 #include <signal.h>
@@ -12,6 +11,7 @@
 #include "common/check.h"
 #include "runtime/serving.h"
 #include "runtime/wire.h"
+#include "sim/harness.h"
 #include "sim/protocol.h"
 
 namespace nmc::runtime {
@@ -230,6 +230,14 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     }
   };
 
+  // The tracking check is the sim harness's own, run against the generated
+  // world; its tallies land in SocketStats at teardown.
+  sim::TrackingOptions tracking;
+  tracking.epsilon = options.epsilon;
+  tracking.rel_error_floor = options.rel_error_floor;
+  tracking.absolute_slack = options.absolute_slack;
+  sim::TrackingResult checked;
+
   // Feeds `values`, consecutive updates of site s, to the protocol through
   // ProcessBatch and checks every one against the generated world. Over a
   // call's silent prefix the estimate is frozen (the ProcessBatch
@@ -260,15 +268,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
         const double value = batch[static_cast<size_t>(j)];
         if (in_order) world_sum += value;
         if (j == consumed - 1) estimate = protocol->Estimate();
-        const double abs_error = std::fabs(estimate - world_sum);
-        const double abs_sum = std::fabs(world_sum);
-        if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
-          ++stats.violation_steps;
-        }
-        if (abs_sum >= options.rel_error_floor) {
-          stats.max_rel_error =
-              std::max(stats.max_rel_error, abs_error / abs_sum);
-        }
+        sim::CheckStep(estimate, world_sum, tracking, &checked);
         if (options.capture) {
           result.transcript.push_back(TranscriptEntry{s, value});
         }
@@ -284,7 +284,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
       }
       consumed_total += consumed;
       st.consumed_from += consumed;
-      stats.checked_steps += consumed;
       serving.Publish(consumed_total, estimate);
       maybe_kill(st);
       pos += static_cast<size_t>(consumed);
@@ -576,6 +575,8 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   }
   if (listener >= 0) close(listener);
   stats.updates_lost = stats.generated_updates - consumed_total;
+  stats.violation_steps = checked.violation_steps;
+  stats.max_rel_error = checked.max_rel_error;
 
   result.updates = consumed_total;
   result.final_published = PublishedEstimate{consumed_total, estimate};

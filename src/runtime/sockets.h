@@ -59,7 +59,8 @@ struct SocketRunOptions {
   bool reliable = true;
   SocketFaultOptions faults;
   /// Tracking-guarantee check against the generated world (see
-  /// SocketStats::violation_steps). Matches sim::TrackingOptions.
+  /// SocketStats::violation_steps), judged by sim::CheckStep with these
+  /// fields as its sim::TrackingOptions.
   double epsilon = 0.1;
   double rel_error_floor = 1.0;
   double absolute_slack = 1e-9;
@@ -104,7 +105,6 @@ struct SocketStats {
   /// consumed out of order on the raw link pulls the skipped updates into
   /// the world — the site generated them, the protocol never saw them).
   int64_t violation_steps = 0;
-  int64_t checked_steps = 0;
   double max_rel_error = 0.0;
   /// Children that died without a scheduled kill (nonzero means a site
   /// crashed or hit a framing error — always a bug worth looking at).

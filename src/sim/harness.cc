@@ -1,7 +1,6 @@
 #include "sim/harness.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/batch_ops.h"
 #include "common/check.h"
@@ -25,21 +24,6 @@ struct PumpState {
 /// step and the run's final step. Only meaningful when a curve is recorded.
 bool CurvePointDue(int64_t done, const PumpState& state) {
   return done % state.curve_stride == 0 || done == state.result.n;
-}
-
-/// Checks the tracking invariant at one step: `sum` is the exact running
-/// sum after the step and `estimate` the protocol's estimate at it.
-void CheckStep(double estimate, double sum, const TrackingOptions& options,
-               TrackingResult* result) {
-  const double abs_error = std::fabs(estimate - sum);
-  const double abs_sum = std::fabs(sum);
-  if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
-    result->violation_steps += 1;
-  }
-  if (abs_sum >= options.rel_error_floor) {
-    result->max_rel_error =
-        std::max(result->max_rel_error, abs_error / abs_sum);
-  }
 }
 
 /// Pumps one contiguous chunk of the stream. Each protocol call consumes a

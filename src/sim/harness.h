@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -63,6 +65,24 @@ struct TrackingResult {
 
   bool any_violation() const { return violation_steps > 0; }
 };
+
+/// Checks the tracking guarantee at one step: `sum` is the exact running
+/// sum after the step and `estimate` the protocol's estimate at it. Counts
+/// a violation into result->violation_steps and folds the step's relative
+/// error into result->max_rel_error. The sim harness and the sockets
+/// coordinator both judge every step with this one function.
+inline void CheckStep(double estimate, double sum,
+                      const TrackingOptions& options, TrackingResult* result) {
+  const double abs_error = std::fabs(estimate - sum);
+  const double abs_sum = std::fabs(sum);
+  if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
+    result->violation_steps += 1;
+  }
+  if (abs_sum >= options.rel_error_floor) {
+    result->max_rel_error =
+        std::max(result->max_rel_error, abs_error / abs_sum);
+  }
+}
 
 /// Internal building block of runtime::RunWithTransport (runtime/run.h,
 /// TransportKind::kSim), which is the public per-transport entry point;

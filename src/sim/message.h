@@ -35,13 +35,14 @@ struct MessageStats {
   int64_t dropped = 0;
   int64_t delayed = 0;
   int64_t duplicated = 0;
-  /// Peak bytes of in-flight message state held by the network's bump
-  /// arena (see sim::Arena), and the block bytes the arena reserved from
-  /// the system. Max-merged rather than summed in operator+= — footprint
-  /// peaks of independent networks do not coincide in time, so the max is
-  /// the honest aggregate.
+  /// Bytes of queue storage the network holds: the capacity of its
+  /// delivery and delayed-delivery queues, which only grows, so it is the
+  /// peak footprint. The name predates the plain-vector queues and is kept
+  /// because benchmark output reports it as core.arena_high_water_bytes.
+  /// Max-merged rather than summed in operator+= — footprint peaks of
+  /// independent networks do not coincide in time, so the max is the
+  /// honest aggregate.
   int64_t arena_high_water_bytes = 0;
-  int64_t arena_reserved_bytes = 0;
 
   int64_t total() const { return site_to_coordinator + coordinator_to_site; }
 
@@ -54,8 +55,6 @@ struct MessageStats {
     duplicated += other.duplicated;
     arena_high_water_bytes =
         std::max(arena_high_water_bytes, other.arena_high_water_bytes);
-    arena_reserved_bytes =
-        std::max(arena_reserved_bytes, other.arena_reserved_bytes);
     return *this;
   }
 };

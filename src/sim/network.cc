@@ -1,6 +1,5 @@
 #include "sim/network.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -8,19 +7,11 @@
 
 namespace nmc::sim {
 
-namespace {
-/// Typical protocols use single-digit type discriminators; pre-sizing the
-/// dense counter array to this floor makes the grow path effectively cold.
-constexpr size_t kInitialTypeSlots = 16;
-}  // namespace
-
-Network::Network(int num_sites)
-    : num_sites_(num_sites), queue_(&arena_), delayed_(&arena_) {
+Network::Network(int num_sites) : num_sites_(num_sites) {
   NMC_CHECK_GE(num_sites, 1);
   sites_.assign(static_cast<size_t>(num_sites), nullptr);
   queue_.reserve(64);
   delayed_.reserve(16);
-  breakdown_by_type_.resize(kInitialTypeSlots);
 }
 
 Network::~Network() = default;
@@ -42,17 +33,10 @@ void Network::SetChannel(std::unique_ptr<ChannelModel> channel) {
   channel_ = std::move(channel);
 }
 
-void Network::GrowBreakdown(size_t index) {
-  breakdown_by_type_.resize(std::max(index + 1, breakdown_by_type_.size() * 2));
-}
-
 void Network::Enqueue(bool to_coordinator, int site_id,
                       const Message& message) {
   if (channel_ == nullptr) {
-    Envelope& slot = queue_.emplace_back();
-    slot.to_coordinator = to_coordinator;
-    slot.site_id = site_id;
-    slot.message = message;
+    queue_.emplace_back(to_coordinator, site_id, message);
   } else {
     Route(Envelope{to_coordinator, site_id, message});
   }
@@ -96,7 +80,7 @@ void Network::BeginTickSlow() {
         delayed_[kept++] = delayed;
       }
     }
-    delayed_.resize_down(kept);
+    delayed_.resize(kept);
     if (head_ < queue_.size()) DeliverAll();
   }
 }
@@ -106,7 +90,6 @@ void Network::SendToCoordinator(int from_site, const Message& message) {
   NMC_CHECK_LT(from_site, num_sites_);
   NMC_CHECK_GE(message.type, 0);
   stats_.site_to_coordinator += 1;
-  BreakdownSlot(message.type).to_coordinator += 1;
   if (has_observer_) observer_(SentMessage{true, from_site, message});
   Enqueue(/*to_coordinator=*/true, from_site, message);
 }
@@ -116,7 +99,6 @@ void Network::SendToSite(int site_id, const Message& message) {
   NMC_CHECK_LT(site_id, num_sites_);
   NMC_CHECK_GE(message.type, 0);
   stats_.coordinator_to_site += 1;
-  BreakdownSlot(message.type).to_sites += 1;
   if (has_observer_) observer_(SentMessage{false, site_id, message});
   Enqueue(/*to_coordinator=*/false, site_id, message);
 }
@@ -125,7 +107,6 @@ void Network::Broadcast(const Message& message) {
   NMC_CHECK_GE(message.type, 0);
   stats_.coordinator_to_site += num_sites_;
   stats_.broadcasts += 1;
-  BreakdownSlot(message.type).to_sites += num_sites_;
   for (int s = 0; s < num_sites_; ++s) {
     if (has_observer_) observer_(SentMessage{false, s, message});
     Enqueue(/*to_coordinator=*/false, s, message);
@@ -136,8 +117,7 @@ void Network::DeliverQueued() {
   delivering_ = true;
   // Handlers may send while we deliver, growing queue_ (and possibly
   // reallocating it), so index — never hold an iterator or a reference —
-  // and read the slot into locals before dispatching. Reading it field by
-  // field, as Enqueue wrote it, lets each load forward from its store.
+  // and read the slot into locals before dispatching.
   while (head_ < queue_.size()) {
     const Envelope& slot = queue_[head_];
     const bool to_coordinator = slot.to_coordinator;
@@ -156,40 +136,7 @@ void Network::DeliverQueued() {
   // Quiescent: reset to reuse the storage on the next pump.
   queue_.clear();
   head_ = 0;
-  MaybeResetArena();
   delivering_ = false;
-}
-
-void Network::MaybeResetArena() {
-  // Only worth doing (and only safe) when nothing is in flight and vector
-  // growth has abandoned old storage to the arena. In the steady state the
-  // vectors sit at their peak capacity, live covers everything the arena
-  // holds, and this returns after one compare — no allocation, no rewind.
-  if (!delayed_.empty()) return;
-  const size_t live = queue_.capacity() * sizeof(Envelope) +
-                      delayed_.capacity() * sizeof(DelayedEnvelope);
-  if (arena_.bytes_in_use() <= live) return;
-  const size_t queue_cap = queue_.capacity();
-  const size_t delayed_cap = delayed_.capacity();
-  queue_.ReleaseStorage();
-  delayed_.ReleaseStorage();
-  arena_.Reset();
-  // Re-reserve the old capacities from the rewound blocks so the arena's
-  // retained memory is reused instead of re-minted.
-  if (queue_cap > 0) queue_.reserve(queue_cap);
-  if (delayed_cap > 0) delayed_.reserve(delayed_cap);
-}
-
-std::vector<Network::TypeCount> Network::type_breakdown() const {
-  std::vector<TypeCount> breakdown;
-  for (size_t type = 0; type < breakdown_by_type_.size(); ++type) {
-    const DirectionCount& counts = breakdown_by_type_[type];
-    if (counts.to_coordinator != 0 || counts.to_sites != 0) {
-      breakdown.push_back(TypeCount{static_cast<int>(type),
-                                    counts.to_coordinator, counts.to_sites});
-    }
-  }
-  return breakdown;
 }
 
 }  // namespace nmc::sim

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/arena.h"
 #include "sim/message.h"
 #include "sim/node.h"
 
@@ -39,14 +38,10 @@ class ChannelModel;
 /// them before use.
 ///
 /// Per-message work is allocation-free in the steady state: the delivery
-/// queue and the delayed-delivery queue live in a per-network bump arena
-/// (see sim::Arena) whose blocks are retained forever — the arena is
-/// rewound at quiescence boundaries whenever growth abandoned storage and
-/// nothing is in flight, so after warm-up no send or delivery touches the
-/// heap (MessageStats reports the arena's high-water footprint). The
-/// per-type accounting is a dense array indexed by message type (protocol
-/// type discriminators are small non-negative enums), and the observer
-/// hook costs one branch on a plain bool when no observer is installed.
+/// queue and the delayed-delivery queue are std::vectors reserved at
+/// construction whose capacity never shrinks, so once they reach their
+/// peak no send or delivery touches the heap. The observer hook costs one
+/// branch on a plain bool when none is installed.
 class Network {
  public:
   explicit Network(int num_sites);
@@ -107,28 +102,14 @@ class Network {
   }
 
   const MessageStats& stats() const {
-    stats_.arena_high_water_bytes =
-        static_cast<int64_t>(arena_.high_water_bytes());
-    stats_.arena_reserved_bytes = static_cast<int64_t>(arena_.reserved_bytes());
+    stats_.arena_high_water_bytes = static_cast<int64_t>(
+        queue_.capacity() * sizeof(Envelope) +
+        delayed_.capacity() * sizeof(DelayedEnvelope));
     return stats_;
   }
 
   /// Total messages transmitted so far.
   int64_t total_messages() const { return stats_.total(); }
-
-  /// Per-direction message counts for one protocol message type — a
-  /// debugging/analysis view (e.g. how much of a counter's cost is collect
-  /// traffic vs state broadcasts).
-  struct TypeCount {
-    int type = 0;
-    int64_t to_coordinator = 0;
-    int64_t to_sites = 0;
-  };
-
-  /// Snapshot of the per-type counts in ascending type order, with
-  /// untouched types omitted. Built on demand from the internal dense
-  /// array — call off the hot path (the accounting itself is always on).
-  std::vector<TypeCount> type_breakdown() const;
 
   /// One transmitted message, as seen by the observer below.
   struct SentMessage {
@@ -160,23 +141,9 @@ class Network {
     Envelope envelope;
   };
 
-  struct DirectionCount {
-    int64_t to_coordinator = 0;
-    int64_t to_sites = 0;
-  };
-
-  DirectionCount& BreakdownSlot(int type) {
-    const size_t index = static_cast<size_t>(type);
-    if (index >= breakdown_by_type_.size()) GrowBreakdown(index);
-    return breakdown_by_type_[index];
-  }
-
-  void GrowBreakdown(size_t index);
-
-  /// Queues one hop. On the perfect channel the envelope is written field
-  /// by field straight into its queue slot: building it on the stack and
-  /// copying it in stalls store forwarding on every send. Under a channel
-  /// the hop goes to Route.
+  /// Queues one hop. On the perfect channel the envelope is constructed in
+  /// its queue slot: building it on the stack and copying it in stalls
+  /// store forwarding on every send. Under a channel the hop goes to Route.
   void Enqueue(bool to_coordinator, int site_id, const Message& message);
 
   /// Channel adjudication path for one hop (only reached when a channel is
@@ -188,31 +155,21 @@ class Network {
   /// Out-of-line body of DeliverAll for a non-empty queue.
   void DeliverQueued();
 
-  /// Rewinds the arena when nothing is in flight and vector growth has
-  /// abandoned storage to it; a no-op (one compare) in the steady state.
-  void MaybeResetArena();
-
   int num_sites_;
   CoordinatorNode* coordinator_ = nullptr;
   std::vector<SiteNode*> sites_;
-  /// Backing store for the message queues below; declared first so the
-  /// vectors can borrow it at construction.
-  Arena arena_;
-  /// FIFO queue as (vector, head index): push_back to enqueue, advance
-  /// head_ to dequeue; storage is kept across DeliverAll() calls so the
+  /// FIFO queue as (vector, head index): emplace_back to enqueue, advance
+  /// head_ to dequeue; cleared at quiescence, keeping its capacity, so the
   /// steady state never reallocates.
-  ArenaVector<Envelope> queue_;
+  std::vector<Envelope> queue_;
   size_t head_ = 0;
   /// Messages a channel delayed, in send order; flushed (stably, in place)
   /// into queue_ as their due ticks arrive.
-  ArenaVector<DelayedEnvelope> delayed_;
+  std::vector<DelayedEnvelope> delayed_;
   std::unique_ptr<ChannelModel> channel_;
   int64_t tick_ = 0;
-  /// mutable: stats() stamps the arena footprint fields on read.
+  /// mutable: stats() stamps the queue footprint on read.
   mutable MessageStats stats_;
-  /// Dense per-type counters; index = message type. Types are expected to
-  /// be small non-negative ints (protocol enums); negative types abort.
-  std::vector<DirectionCount> breakdown_by_type_;
   std::function<void(const SentMessage&)> observer_;
   bool has_observer_ = false;
   bool delivering_ = false;

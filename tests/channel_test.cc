@@ -5,6 +5,7 @@
 
 #include "sim/channel.h"
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -236,6 +237,55 @@ TEST_F(ChannelNetworkTest, DelayedDeliveryPreservesSendOrder) {
   ASSERT_EQ(coordinator_.received().size(), 3u);
   EXPECT_EQ(coordinator_.received()[1].u, 0);
   EXPECT_EQ(coordinator_.received()[2].u, 2);
+}
+
+TEST_F(ChannelNetworkTest, QueuesGrowPastReservationsKeepingSendOrder) {
+  // The network reserves 64 delivery and 16 delayed slots. 150 sends cycle
+  // Duplicate, Delay(1), Delay(2): the delayed queue grows to 100 entries,
+  // and the 100 duplicated hops sit in the delivery queue (grown to 128
+  // slots) when the tick-1 flush adds 50 more, so it grows again inside
+  // BeginTick.
+  constexpr int kSends = 150;
+  std::vector<ChannelVerdict> script;
+  for (int i = 0; i < kSends; ++i) {
+    script.push_back(i % 3 == 0   ? ChannelVerdict::Duplicate()
+                     : i % 3 == 1 ? ChannelVerdict::Delay(1)
+                                  : ChannelVerdict::Delay(2));
+  }
+  Install(std::move(script));
+  Message m;
+  m.type = 1;
+  for (int i = 0; i < kSends; ++i) {
+    m.u = i;
+    network_->SendToCoordinator(i % 3, m);
+  }
+  EXPECT_EQ(network_->pending_delayed(), 100);
+  EXPECT_EQ(network_->stats().site_to_coordinator, kSends);
+  EXPECT_EQ(network_->stats().duplicated, 50);
+  EXPECT_EQ(network_->stats().delayed, 100);
+  EXPECT_EQ(network_->stats().dropped, 0);
+
+  // Tick 1: the queued duplicates in send order, then the Delay(1) hops.
+  std::vector<int64_t> expected;
+  for (int i = 0; i < kSends; i += 3) {
+    expected.push_back(i);
+    expected.push_back(i);
+  }
+  for (int i = 1; i < kSends; i += 3) expected.push_back(i);
+  network_->BeginTick();
+  EXPECT_EQ(network_->pending_delayed(), 50);
+  ASSERT_EQ(coordinator_.received().size(), 150u);
+
+  // Tick 2: the Delay(2) hops, in send order.
+  for (int i = 2; i < kSends; i += 3) expected.push_back(i);
+  network_->BeginTick();
+  EXPECT_EQ(network_->pending_delayed(), 0);
+  ASSERT_EQ(coordinator_.received().size(), 200u);
+  for (size_t j = 0; j < expected.size(); ++j) {
+    EXPECT_EQ(coordinator_.received()[j].u, expected[j]) << j;
+    EXPECT_EQ(coordinator_.from()[j], expected[j] % 3) << j;
+  }
+  EXPECT_EQ(network_->stats().site_to_coordinator, kSends);
 }
 
 TEST_F(ChannelNetworkTest, BroadcastAdjudicatedPerRecipient) {

@@ -146,45 +146,6 @@ TEST_F(NetworkTest, StatsAccumulateAcrossOperations) {
   EXPECT_EQ(network_->total_messages(), 5);
 }
 
-TEST_F(NetworkTest, TypeBreakdownTracksDirections) {
-  Message report;
-  report.type = 5;
-  Message state;
-  state.type = 9;
-  network_->SendToCoordinator(0, report);
-  network_->SendToCoordinator(1, report);
-  network_->SendToSite(2, state);
-  network_->Broadcast(state);
-  network_->DeliverAll();
-  const std::vector<Network::TypeCount> breakdown =
-      network_->type_breakdown();
-  ASSERT_EQ(breakdown.size(), 2u);
-  // The view is sorted by type, so the rows are addressable by position.
-  EXPECT_EQ(breakdown[0].type, 5);
-  EXPECT_EQ(breakdown[0].to_coordinator, 2);
-  EXPECT_EQ(breakdown[0].to_sites, 0);
-  EXPECT_EQ(breakdown[1].type, 9);
-  EXPECT_EQ(breakdown[1].to_coordinator, 0);
-  EXPECT_EQ(breakdown[1].to_sites, 1 + 3);  // unicast + broadcast(k=3)
-}
-
-TEST_F(NetworkTest, TypeBreakdownSumMatchesStats) {
-  Message m;
-  for (int i = 0; i < 5; ++i) {
-    m.type = i % 2;
-    network_->SendToCoordinator(i % 3, m);
-    network_->Broadcast(m);
-  }
-  network_->DeliverAll();
-  int64_t up = 0, down = 0;
-  for (const Network::TypeCount& row : network_->type_breakdown()) {
-    up += row.to_coordinator;
-    down += row.to_sites;
-  }
-  EXPECT_EQ(up, network_->stats().site_to_coordinator);
-  EXPECT_EQ(down, network_->stats().coordinator_to_site);
-}
-
 TEST_F(NetworkTest, NestedSendsDuringDeliveryCountedAndDeliveredOnce) {
   // Regression: a handler that sends from *within* delivery (the reply is
   // enqueued while DeliverAll is pumping) must have its message charged
@@ -269,7 +230,7 @@ TEST_F(NetworkTest, DeepNestedChainsDrainInFifoOrder) {
 }
 
 TEST(NetworkGrowthTest, HandlerGrowingTheQueueKeepsItsMessageAndFifoOrder) {
-  // A handler that sends enough during its own delivery to make the arena
+  // A handler that sends enough during its own delivery to make the
   // queue reallocate (it starts at 64 slots) must still see the message it
   // was handed intact, and every delivery after it must keep send order:
   // first what was queued before the handler ran, then its own sends.

@@ -1,5 +1,5 @@
 // Counting-allocator proof of the zero-allocation steady state: after a
-// warm-up prefix (vector growth, arena block minting, Phase 2 activation),
+// warm-up prefix (message-queue growth, Phase 2 activation),
 // pumping updates through the counter must perform NO heap allocations at
 // all. This is the runtime check backing the NO_HEAP_IN_HOT_PATH lint rule
 // — the lint rule polices the entry points' text, this test counts actual
@@ -62,8 +62,7 @@ TEST(SteadyStateAllocTest, CounterPumpIsAllocationFreeAfterWarmup) {
   options.seed = 11;
   core::NonMonotonicCounter counter(1, options);
 
-  // Warm-up: arena blocks minted, queues at peak capacity, sampler feeds
-  // primed, message-type breakdown grown.
+  // Warm-up: message queues at peak capacity, sampler feeds primed.
   for (int64_t t = 0; t < (1 << 14); ++t) Pump(&counter, stream, t);
 
   const int64_t before = g_allocations;
