@@ -25,8 +25,13 @@ namespace {
 /// Child-side outbound batch: whole frames only, so a kNack rewind never
 /// has to retract a half-written frame (the receiver's framing stays in
 /// sync; stale update frames are simply discarded by sequence number).
-constexpr size_t kChildOutFrames = 64;
-constexpr size_t kChildOutBytes = kChildOutFrames * wire::kFrameBytes;
+/// One batch fills one socket window, so a site pays one send per window.
+constexpr size_t kSiteBatchBytes =
+    kSocketWindowBytes / wire::kFrameBytes * wire::kFrameBytes;
+static_assert(kSiteBatchBytes % wire::kFrameBytes == 0,
+              "the child batch must hold whole frames");
+static_assert(kSiteBatchBytes <= kSocketWindowBytes,
+              "the child batch must fit in one socket window");
 constexpr size_t kChildInBytes = 4096;
 
 /// Everything below runs post-fork in the child. No heap allocation, no
@@ -39,7 +44,7 @@ constexpr size_t kChildInBytes = 4096;
   (void)SetNonBlocking(fd);
   uint8_t inbuf[kChildInBytes];
   size_t inlen = 0;
-  uint8_t outbuf[kChildOutBytes];
+  uint8_t outbuf[kSiteBatchBytes];
   size_t outlen = 0;
   size_t outpos = 0;
   const int64_t shard_n = static_cast<int64_t>(options.shard.size());
@@ -53,7 +58,7 @@ constexpr size_t kChildInBytes = 4096;
       outpos = 0;
       outlen = 0;
       while (cursor < shard_n &&
-             outlen + wire::kFrameBytes <= kChildOutBytes) {
+             outlen + wire::kFrameBytes <= kSiteBatchBytes) {
         sim::Message m;
         m.type = static_cast<int>(FrameType::kUpdate);
         m.a = options.shard[static_cast<size_t>(cursor)];
@@ -63,7 +68,7 @@ constexpr size_t kChildInBytes = 4096;
         ++cursor;
       }
       if (cursor >= shard_n && !fin_sent &&
-          outlen + wire::kFrameBytes <= kChildOutBytes) {
+          outlen + wire::kFrameBytes <= kSiteBatchBytes) {
         sim::Message m;
         m.type = static_cast<int>(FrameType::kFin);
         m.u = shard_n;
@@ -236,15 +241,43 @@ int ReapSiteProcess(SiteProcess* site, bool kill_first) {
 }
 
 void BoundSocketBuffers(int fd) {
-  // Small kernel buffers bound the in-flight window to a few hundred
-  // frames per direction. Without this a fast child streams its entire
-  // shard into the socket before the coordinator consumes a thing, which
-  // makes crash injection meaningless (the SIGKILL lands after the data
-  // already left) and resync distances unbounded. Best effort: the kernel
-  // clamps to its floor, and doubles what we ask for bookkeeping.
-  const int bytes = 16 * 1024;
+  // Small kernel buffers bound the in-flight window to about 744 frames
+  // per direction. Without this a fast child streams its entire shard into
+  // the socket before the coordinator consumes a thing, which makes crash
+  // injection meaningless (the SIGKILL lands after the data already left)
+  // and resync distances unbounded. Best effort: the kernel clamps to its
+  // floor, and doubles what we ask for bookkeeping.
+  const int bytes = static_cast<int>(kSocketWindowBytes);
   (void)setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
   (void)setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+}
+
+bool SendControl(int fd, const sim::Message& message, int max_attempts) {
+  if (fd < 0) return false;
+  uint8_t frame[wire::kFrameBytes];
+  wire::EncodeFrame(message, frame);
+  size_t off = 0;
+  int attempts = 0;
+  while (off < wire::kFrameBytes) {
+    const ssize_t sent =
+        send(fd, frame + off, wire::kFrameBytes - off, MSG_NOSIGNAL);
+    if (sent > 0) {
+      off += static_cast<size_t>(sent);
+      continue;
+    }
+    if (sent < 0 && errno == EINTR) continue;
+    if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (off == 0 && ++attempts >= max_attempts) return false;
+      struct pollfd pfd;
+      pfd.fd = fd;
+      pfd.events = POLLOUT;
+      pfd.revents = 0;
+      (void)poll(&pfd, 1, 1);
+      continue;
+    }
+    return false;
+  }
+  return true;
 }
 
 bool SetNonBlocking(int fd) {

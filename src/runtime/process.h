@@ -1,11 +1,21 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
 #include <sys/types.h>
 
+#include "sim/message.h"
+
 namespace nmc::runtime {
+
+/// The sockets transport's one window size. It sets the kernel buffer
+/// request on every data socket (BoundSocketBuffers), the child's outbound
+/// batch (the whole frames that fit in one window: 372 frames, one send
+/// per window) and, doubled, the coordinator's per-recv size (Linux
+/// doubles an SO_RCVBUF request, so one socket can hold up to 2× this).
+inline constexpr size_t kSocketWindowBytes = 16 * 1024;
 
 /// Transport-level frame vocabulary of the sockets backend, carried in
 /// sim::Message::type. Distinct from any protocol's own message enum: these
@@ -74,12 +84,22 @@ int ReapSiteProcess(SiteProcess* site, bool kill_first);
 /// O_NONBLOCK on an fd; returns false on fcntl failure.
 bool SetNonBlocking(int fd);
 
-/// Shrinks SO_SNDBUF/SO_RCVBUF so only a few hundred frames fit in flight
-/// per direction. Applied to every data socket (both socketpair ends, TCP
-/// connections): a fast child must not outrun the coordinator by a whole
-/// shard, or crash injection degenerates (the kill lands after the data
-/// already left the site) and resync distances stop meaning anything.
+/// Requests kSocketWindowBytes for SO_SNDBUF and SO_RCVBUF. Linux doubles
+/// the request, so about 2 × 16 KiB (744 frames) sit in one socket's
+/// kernel buffer per direction. Applied to every data socket (both
+/// socketpair ends, TCP connections): a fast child must not outrun the
+/// coordinator by a whole shard, or crash injection degenerates (the kill
+/// lands after the data already left the site) and resync distances stop
+/// meaning anything.
 void BoundSocketBuffers(int fd);
+
+/// Sends one frame on a nonblocking fd. Each EAGAIN before the frame's
+/// first byte is out uses one of `max_attempts` tries; between tries the
+/// call waits up to 1 ms for POLLOUT, and after the last try it gives up
+/// at once with nothing written. Once any byte is out the call finishes
+/// the frame: a torn frame would desynchronize the peer's decoder. Returns
+/// false when the tries ran out or the peer is gone (EPIPE/reset).
+bool SendControl(int fd, const sim::Message& message, int max_attempts);
 
 /// Creates a localhost TCP listener on an ephemeral port (nonblocking,
 /// SO_REUSEADDR). Returns the listening fd and writes the bound port.

@@ -65,8 +65,10 @@ inline void ReaderLoop(const common::Seqlock<PublishedEstimate>& slot,
   int64_t last_generation = 0;
   // Read before testing the stop flag, and keep going until one read has
   // landed: a reader the scheduler starts only after Finish() still takes
-  // a snapshot. Once the flag is visible the coordinator has stopped
-  // publishing, so that retry cannot tear.
+  // a snapshot, and the stride keeps the first read, so that snapshot is
+  // sampled even when the run ends within 17 reads. Once the flag is
+  // visible the coordinator has stopped publishing, so that retry cannot
+  // tear.
   do {
     PublishedEstimate snapshot;
     if (!slot.TryRead(&snapshot)) {
@@ -80,7 +82,7 @@ inline void ReaderLoop(const common::Seqlock<PublishedEstimate>& slot,
     } else {
       last_generation = snapshot.generation;
     }
-    if (sample_capacity > 0 && stats->reads % kSampleStride == 0) {
+    if (sample_capacity > 0 && (stats->reads - 1) % kSampleStride == 0) {
       stats->samples[static_cast<size_t>(stats->sampled % sample_capacity)] =
           ReadSample{snapshot.generation, snapshot.estimate};
       ++stats->sampled;

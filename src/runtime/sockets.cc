@@ -33,37 +33,6 @@ double FaultUniform(uint64_t seed, uint64_t site, uint64_t index) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
-/// Sends one control frame on a nonblocking fd, polling through EAGAIN up
-/// to `max_attempts` millisecond waits. Returns false when the peer is
-/// gone (EPIPE/reset) or the socket never drained — callers treat both as
-/// "the EOF path will clean up".
-bool SendControl(int fd, const sim::Message& message, int max_attempts) {
-  if (fd < 0) return false;
-  uint8_t frame[wire::kFrameBytes];
-  wire::EncodeFrame(message, frame);
-  size_t off = 0;
-  for (int attempt = 0; attempt < max_attempts && off < wire::kFrameBytes;
-       ++attempt) {
-    const ssize_t sent =
-        send(fd, frame + off, wire::kFrameBytes - off, MSG_NOSIGNAL);
-    if (sent > 0) {
-      off += static_cast<size_t>(sent);
-      continue;
-    }
-    if (sent < 0 && errno == EINTR) continue;
-    if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      struct pollfd pfd;
-      pfd.fd = fd;
-      pfd.events = POLLOUT;
-      pfd.revents = 0;
-      (void)poll(&pfd, 1, 1);
-      continue;
-    }
-    return false;
-  }
-  return off == wire::kFrameBytes;
-}
-
 /// Accepts one pending TCP connection and reads its kHello frame (bounded
 /// wait). Returns the connection fd and writes the announced site id, or
 /// -1 when the connection is malformed or dies mid-handshake.
@@ -158,18 +127,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   SocketRunResult run;
   ThreadedRunResult& result = run.serving;
   SocketStats& stats = run.stats;
-
-  // Per-site prefix sums of the shard: prefix[s][i] = sum of the first i
-  // values. The violation checker charges a raw-link gap to the world in
-  // one subtraction instead of replaying the lost updates.
-  std::vector<std::vector<double>> prefix(static_cast<size_t>(num_sites));
-  for (int s = 0; s < num_sites; ++s) {
-    const std::vector<double>& shard = shards[static_cast<size_t>(s)];
-    std::vector<double>& p = prefix[static_cast<size_t>(s)];
-    p.resize(shard.size() + 1);
-    p[0] = 0.0;
-    for (size_t i = 0; i < shard.size(); ++i) p[i + 1] = p[i] + shard[i];
-  }
 
   // Serving layer: identical to the threads backend.
   double estimate = protocol->Estimate();
@@ -320,10 +277,12 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
           // Raw-link gap: the skipped updates were generated (the site
           // sent them before this one) — they enter the world here, unseen
           // by the protocol. This is precisely where the raw counter's
-          // estimate detaches from the truth.
-          const std::vector<double>& p = prefix[static_cast<size_t>(s)];
-          world_sum += p[static_cast<size_t>(seq + 1)] -
-                       p[static_cast<size_t>(st.next_seq)];
+          // estimate detaches from the truth. They are added one by one,
+          // the same additions in-order consumption would have made.
+          const std::vector<double>& shard = shards[static_cast<size_t>(s)];
+          for (int64_t i = st.next_seq; i <= seq; ++i) {
+            world_sum += shard[static_cast<size_t>(i)];
+          }
           st.next_seq = seq + 1;
         }
         drive(s, std::span<const double>(&m.a, 1), /*in_order=*/false);
@@ -384,9 +343,11 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   // drop is discarded on the spot: it touches nothing the run depends on,
   // and the frame after it is off the sequence anyway. run_values holds
   // the frames one round's reads can bring in; a fuller run flushes early.
+  // Each recv asks for 2 × the window: a socket can hold that much, since
+  // Linux doubles the buffer request.
   constexpr int kReadsPerRound = 8;
-  uint8_t rbuf[16384];
-  std::vector<double> run_values(kReadsPerRound * sizeof(rbuf) /
+  constexpr size_t kRecvBytes = 2 * kSocketWindowBytes;
+  std::vector<double> run_values(kReadsPerRound * kRecvBytes /
                                  wire::kFrameBytes);
   bool progressed_this_round = false;
   const auto drain = [&](int s) {
@@ -505,11 +466,11 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       // Bounded reads per site per round keep the loop fair across sites.
       for (int reads = 0; reads < kReadsPerRound; ++reads) {
-        const ssize_t got = recv(st.proc.fd, rbuf, sizeof(rbuf), 0);
+        const ssize_t got = recv(
+            st.proc.fd, st.reassembler.Reserve(kRecvBytes), kRecvBytes, 0);
         if (got > 0) {
-          st.reassembler.Feed(std::span<const uint8_t>(
-              rbuf, static_cast<size_t>(got)));
-          if (got < static_cast<ssize_t>(sizeof(rbuf))) break;
+          st.reassembler.Commit(static_cast<size_t>(got));
+          if (got < static_cast<ssize_t>(kRecvBytes)) break;
           continue;
         }
         if (got == 0) {

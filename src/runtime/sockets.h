@@ -101,9 +101,10 @@ struct SocketStats {
   int64_t updates_lost = 0;
   int64_t generated_updates = 0;
   /// Tracking-guarantee check of every consumed step against the exact
-  /// sum of the *generated* world prefix (per-site prefix sums; a gap
-  /// consumed out of order on the raw link pulls the skipped updates into
-  /// the world — the site generated them, the protocol never saw them).
+  /// sum of the *generated* world prefix (each site's shard up to its
+  /// world cursor; a gap consumed out of order on the raw link pulls the
+  /// skipped updates into the world — the site generated them, the
+  /// protocol never saw them).
   int64_t violation_steps = 0;
   double max_rel_error = 0.0;
   /// Children that died without a scheduled kill (nonzero means a site

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/check.h"
+
 namespace nmc::runtime::wire {
 
 const char* DecodeStatusName(DecodeStatus status) {
@@ -21,11 +23,7 @@ const char* DecodeStatusName(DecodeStatus status) {
 }
 
 void EncodeFrame(const sim::Message& message, uint8_t* out) {
-  sim::wire_detail::PutLe32(kMagic, out);
-  sim::wire_detail::PutLe32(
-      static_cast<uint32_t>(kVersion) |
-          (static_cast<uint32_t>(sim::kMessageWireBytes) << 16),
-      out + 4);
+  sim::wire_detail::PutLe64(kHeaderWord, out);
   sim::PackMessage(message, out + kHeaderBytes);
 }
 
@@ -77,21 +75,31 @@ Decoded DecodeFrame(std::span<const uint8_t> bytes) {
 }
 
 void FrameReassembler::Feed(std::span<const uint8_t> bytes) {
-  if (corrupt()) return;  // the stream is already dead; don't grow the buffer
-  // Compact before growing: the consumed prefix is reclaimed whenever it
-  // dominates the buffer, keeping footprint ~ one burst.
-  if (pos_ > 0 && pos_ >= buffer_.size() - pos_) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+  if (corrupt() || bytes.empty()) return;
+  std::memcpy(Reserve(bytes.size()), bytes.data(), bytes.size());
+  Commit(bytes.size());
 }
 
-DecodeStatus FrameReassembler::Next(sim::Message* out) {
+uint8_t* FrameReassembler::Reserve(size_t n) {
+  if (pos_ > 0 && pos_ >= end_ - pos_) {
+    std::memmove(buffer_.data(), buffer_.data() + pos_, end_ - pos_);
+    end_ -= pos_;
+    pos_ = 0;
+  }
+  if (buffer_.size() - end_ < n) buffer_.resize(end_ + n);
+  return buffer_.data() + end_;
+}
+
+void FrameReassembler::Commit(size_t n) {
+  NMC_CHECK_LE(n, buffer_.size() - end_);  // within the last Reserve
+  if (corrupt()) return;  // the stream is already dead; don't grow it
+  end_ += n;
+}
+
+DecodeStatus FrameReassembler::NextSlow(sim::Message* out) {
   if (corrupt()) return corrupt_;
   const Decoded decoded = DecodeFrame(
-      std::span<const uint8_t>(buffer_.data() + pos_, buffer_.size() - pos_));
+      std::span<const uint8_t>(buffer_.data() + pos_, end_ - pos_));
   if (decoded.status == DecodeStatus::kOk) {
     pos_ += decoded.consumed;
     *out = decoded.message;

@@ -28,6 +28,11 @@ inline constexpr uint32_t kMagic = 0x314D434Eu;
 inline constexpr uint16_t kVersion = 1;
 inline constexpr size_t kHeaderBytes = 8;
 inline constexpr size_t kFrameBytes = kHeaderBytes + sim::kMessageWireBytes;
+/// The 8 header bytes of every valid frame, read as one little-endian word
+/// (magic | version << 32 | length << 48).
+inline constexpr uint64_t kHeaderWord =
+    uint64_t{kMagic} | (uint64_t{kVersion} << 32) |
+    (uint64_t{sim::kMessageWireBytes} << 48);
 
 enum class DecodeStatus {
   kOk = 0,
@@ -69,22 +74,46 @@ class FrameReassembler {
   /// Appends raw stream bytes (chunks may split frames anywhere).
   void Feed(std::span<const uint8_t> bytes);
 
+  /// Returns room for `n` more stream bytes, to be filled in place (a
+  /// `recv` straight into the reassembler) and then published by Commit.
+  /// The pointer is valid until the next Feed/Reserve.
+  uint8_t* Reserve(size_t n);
+
+  /// Appends the first `n` bytes of the last Reserve's room.
+  void Commit(size_t n);
+
   /// Pops the next complete frame into *out. Returns kOk with *out filled,
   /// kNeedMore when the buffer holds no complete frame (*out untouched),
-  /// or the sticky framing error.
-  DecodeStatus Next(sim::Message* out);
+  /// or the sticky framing error. A whole frame whose header matches
+  /// kHeaderWord decodes inline; anything else (a partial frame, a bad
+  /// header, a dead stream) takes DecodeFrame's path, statuses included.
+  DecodeStatus Next(sim::Message* out) {
+    if (end_ - pos_ >= kFrameBytes && corrupt_ == DecodeStatus::kOk) {
+      const uint8_t* frame = buffer_.data() + pos_;
+      if (sim::wire_detail::GetLe64(frame) == kHeaderWord) {
+        *out = sim::UnpackMessage(frame + kHeaderBytes);
+        pos_ += kFrameBytes;
+        return DecodeStatus::kOk;
+      }
+    }
+    return NextSlow(out);
+  }
 
   /// Bytes buffered but not yet decoded (a partial trailing frame).
-  size_t buffered_bytes() const { return buffer_.size() - pos_; }
+  size_t buffered_bytes() const { return end_ - pos_; }
 
   /// True after any framing error; the stream cannot be re-synchronized.
   bool corrupt() const { return corrupt_ != DecodeStatus::kOk; }
 
  private:
+  DecodeStatus NextSlow(sim::Message* out);
+
+  /// buffer_[pos_, end_) holds the undecoded bytes; the rest of buffer_ is
+  /// room for Reserve. The consumed prefix is reclaimed when it grows past
+  /// the live bytes, so the footprint stays bounded by the burst size.
   std::vector<uint8_t> buffer_;
-  /// Consumed prefix of buffer_; compacted when it grows past the live
-  /// bytes so the buffer's footprint stays bounded by the burst size.
   size_t pos_ = 0;
+  size_t end_ = 0;
   DecodeStatus corrupt_ = DecodeStatus::kOk;
 };
 

@@ -6,16 +6,20 @@
 
 #include "runtime/sockets.h"
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "baselines/exact_sync.h"
 #include "registry/builtin.h"
 #include "runtime/run.h"
 #include "runtime/threaded.h"
+#include "runtime/wire.h"
 #include "sim/registry.h"
 #include "streams/bernoulli.h"
 
@@ -52,6 +56,58 @@ std::unique_ptr<sim::Protocol> MakeCounter(int num_sites, int64_t n) {
 std::vector<std::vector<double>> TestShards(int64_t n, int num_sites,
                                             uint64_t seed) {
   return ShardRoundRobin(streams::BernoulliStream(n, 0.2, seed), num_sites);
+}
+
+// The echo path sends with one attempt. On a socket whose buffer is full
+// that attempt must fail at once with nothing written (no 1 ms wait, no
+// torn frame), so the peer only ever reads whole frames.
+TEST(SocketsRuntimeTest, OneAttemptSendControlOnFullSocketWritesNothing) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  BoundSocketBuffers(fds[0]);
+  BoundSocketBuffers(fds[1]);
+  ASSERT_TRUE(SetNonBlocking(fds[0]));
+  ASSERT_TRUE(SetNonBlocking(fds[1]));
+
+  sim::Message echo;
+  echo.type = static_cast<int>(FrameType::kEcho);
+  int64_t accepted = 0;
+  for (;;) {
+    echo.u = accepted;
+    if (!SendControl(fds[0], echo, 1)) break;
+    ++accepted;
+    ASSERT_LT(accepted, int64_t{1} << 20) << "the buffer never filled";
+  }
+  EXPECT_GT(accepted, 0);
+
+  constexpr int kRefused = 500;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRefused; ++i) {
+    echo.u = accepted + i;
+    EXPECT_FALSE(SendControl(fds[0], echo, 1));
+  }
+  const auto waited = std::chrono::steady_clock::now() - start;
+  // A 1 ms wait per refused try would take at least 500 ms.
+  EXPECT_LT(waited, std::chrono::milliseconds(kRefused / 2));
+
+  wire::FrameReassembler reassembler;
+  for (;;) {
+    const ssize_t got = recv(fds[1], reassembler.Reserve(4096), 4096, 0);
+    if (got <= 0) break;
+    reassembler.Commit(static_cast<size_t>(got));
+  }
+  int64_t frames = 0;
+  sim::Message out;
+  while (reassembler.Next(&out) == wire::DecodeStatus::kOk) {
+    EXPECT_EQ(out.type, static_cast<int>(FrameType::kEcho));
+    EXPECT_EQ(out.u, frames);
+    ++frames;
+  }
+  EXPECT_EQ(frames, accepted);
+  EXPECT_FALSE(reassembler.corrupt());
+  EXPECT_EQ(reassembler.buffered_bytes(), 0u);
+  close(fds[0]);
+  close(fds[1]);
 }
 
 TEST(SocketsRuntimeTest, ConsumesEveryUpdateAndTearsDownCleanly) {
@@ -187,6 +243,27 @@ TEST(SocketsRuntimeTest, TcpLoopbackCarriesTheSameRun) {
 
 #if !NMC_TSAN
 
+// The most a site can have sent or framed beyond what the coordinator has
+// consumed: the socket's kernel buffer (2 × window, since Linux doubles the
+// request) plus the child's one framed batch, which process.cc asserts
+// fits in a window.
+constexpr int64_t kInFlightFrames =
+    static_cast<int64_t>(3 * kSocketWindowBytes / wire::kFrameBytes);
+
+// A kill test means something only if the victim is still streaming when
+// the kill lands: its shard tail past the kill point must exceed the
+// in-flight bound, or the whole shard could have left before the SIGKILL.
+void ExpectKillsLandMidShard(const std::vector<std::vector<double>>& shards,
+                             const SocketFaultOptions& faults) {
+  for (const SiteKillSpec& kill : faults.kills) {
+    const int64_t tail =
+        static_cast<int64_t>(shards[static_cast<size_t>(kill.site)].size()) -
+        kill.after_consumed;
+    EXPECT_GT(tail, kInFlightFrames)
+        << "site " << kill.site << " could finish before its kill lands";
+  }
+}
+
 TEST(SocketsRuntimeTest, SigkilledSiteRespawnsAndFinishesExactly) {
   const int64_t n = 8192;
   const int k = 4;
@@ -197,6 +274,7 @@ TEST(SocketsRuntimeTest, SigkilledSiteRespawnsAndFinishesExactly) {
   options.epsilon = 0.002;
   options.resync_deadline_updates = n;
   options.faults.kills.push_back(SiteKillSpec{1, 512});
+  ExpectKillsLandMidShard(shards, options.faults);
   const SocketRunResult result = RunSockets(&protocol, shards, options);
   EXPECT_EQ(result.stats.kills_delivered, 1);
   EXPECT_EQ(result.stats.respawns, 1);
@@ -225,6 +303,7 @@ TEST(SocketsRuntimeTest, SigkillMidBatchRespawnsAndReplays) {
   options.resync_deadline_updates = n;
   options.faults.kills.push_back(SiteKillSpec{0, 777});
   options.faults.kills.push_back(SiteKillSpec{1, 5000});
+  ExpectKillsLandMidShard(shards, options.faults);
   const SocketRunResult result = RunSockets(protocol.get(), shards, options);
   EXPECT_EQ(result.stats.kills_delivered, 2);
   EXPECT_EQ(result.stats.respawns, 2);
@@ -247,6 +326,7 @@ TEST(SocketsRuntimeTest, SigkillOnRawLinkStaysDeadAndTearsDown) {
   options.reliable = false;
   options.epsilon = 0.002;
   options.faults.kills.push_back(SiteKillSpec{2, 256});
+  ExpectKillsLandMidShard(shards, options.faults);
   const SocketRunResult result = RunSockets(&protocol, shards, options);
   EXPECT_EQ(result.stats.kills_delivered, 1);
   EXPECT_EQ(result.stats.respawns, 0);

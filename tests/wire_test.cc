@@ -5,6 +5,7 @@
 
 #include "runtime/wire.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -282,6 +283,92 @@ TEST(WireTest, WordCodecMatchesByteLoopOracle) {
     ASSERT_TRUE(sim::MessageBitsEqual(out, m));
   }
   EXPECT_EQ(reassembler.Next(&out), DecodeStatus::kNeedMore);
+}
+
+// Next's inline whole-frame path must be invisible: for every value of
+// every header byte and every truncation length, behind a good frame (so
+// the read position is not 0), Next returns exactly what DecodeFrame does,
+// and any error stays sticky.
+TEST(WireTest, InlineNextMatchesDecodeFrameOnEveryHeaderCorruption) {
+  uint8_t good[kFrameBytes];
+  EncodeFrame(TestMessage(), good);
+  for (size_t byte = 0; byte < kHeaderBytes; ++byte) {
+    for (int flip = 0; flip < 256; ++flip) {
+      uint8_t bad[kFrameBytes];
+      std::copy(good, good + kFrameBytes, bad);
+      bad[byte] = static_cast<uint8_t>(bad[byte] ^ flip);
+      for (size_t len = 0; len <= kFrameBytes; ++len) {
+        const Decoded want = DecodeFrame(std::span<const uint8_t>(bad, len));
+        FrameReassembler reassembler;
+        reassembler.Feed(std::span<const uint8_t>(good, kFrameBytes));
+        reassembler.Feed(std::span<const uint8_t>(bad, len));
+        sim::Message out;
+        ASSERT_EQ(reassembler.Next(&out), DecodeStatus::kOk);
+        ASSERT_EQ(reassembler.Next(&out), want.status)
+            << "byte=" << byte << " flip=" << flip << " len=" << len;
+        if (want.status == DecodeStatus::kOk) {
+          ASSERT_TRUE(sim::MessageBitsEqual(out, want.message));
+          continue;
+        }
+        if (want.status == DecodeStatus::kNeedMore) {
+          ASSERT_FALSE(reassembler.corrupt());
+          ASSERT_EQ(reassembler.buffered_bytes(), len);
+          continue;
+        }
+        ASSERT_TRUE(reassembler.corrupt());
+        reassembler.Feed(std::span<const uint8_t>(good, kFrameBytes));
+        ASSERT_EQ(reassembler.Next(&out), want.status) << "not sticky";
+      }
+    }
+  }
+}
+
+// Reserve/Commit (a recv straight into the reassembler) and Feed are the
+// same stream: 10k seeded frames cut at random boundaries, drained at
+// random points, decode bit-identically both ways.
+void CheckReserveCommitMatchesFeed(uint64_t seed) {
+  const std::vector<sim::Message> messages = OracleMessages(10000, seed);
+  std::vector<uint8_t> stream;
+  for (const sim::Message& m : messages) AppendFrame(m, &stream);
+
+  std::mt19937_64 rng(seed ^ 0x5EEDu);
+  FrameReassembler fed;
+  FrameReassembler reserved;
+  std::vector<sim::Message> from_feed;
+  std::vector<sim::Message> from_reserve;
+  const auto drain = [](FrameReassembler* r, std::vector<sim::Message>* got) {
+    sim::Message out;
+    while (r->Next(&out) == DecodeStatus::kOk) got->push_back(out);
+  };
+  for (size_t pos = 0; pos < stream.size();) {
+    const size_t len =
+        std::min<size_t>(rng() % (3 * kFrameBytes), stream.size() - pos);
+    fed.Feed(std::span<const uint8_t>(stream.data() + pos, len));
+    // Reserve more than arrives, as a recv of a short read does.
+    uint8_t* room = reserved.Reserve(len + rng() % 64);
+    std::memcpy(room, stream.data() + pos, len);
+    reserved.Commit(len);
+    pos += len;
+    if (rng() % 4 == 0) {
+      drain(&fed, &from_feed);
+      drain(&reserved, &from_reserve);
+    }
+  }
+  drain(&fed, &from_feed);
+  drain(&reserved, &from_reserve);
+
+  ASSERT_EQ(from_feed.size(), messages.size());
+  ASSERT_EQ(from_reserve.size(), messages.size());
+  for (size_t i = 0; i < messages.size(); ++i) {
+    ASSERT_TRUE(sim::MessageBitsEqual(from_feed[i], messages[i])) << i;
+    ASSERT_TRUE(sim::MessageBitsEqual(from_reserve[i], messages[i])) << i;
+  }
+  EXPECT_FALSE(reserved.corrupt());
+  EXPECT_EQ(reserved.buffered_bytes(), 0u);
+}
+
+TEST(WireTest, ReserveCommitMatchesFeedAtRandomChunkBoundaries) {
+  CheckReserveCommitMatchesFeed(20261017);
 }
 
 TEST(WireTest, DecodeStatusNamesAreStable) {
