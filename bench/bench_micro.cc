@@ -15,11 +15,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "baselines/exact_sync.h"
 #include "bench/bench_json.h"
 #include "common/batch_rng.h"
 #include "common/geometric_skip.h"
@@ -177,6 +179,46 @@ void BM_TrackingPumpBlock(benchmark::State& state) {
   state.SetItemsProcessed(updates);
 }
 BENCHMARK(BM_TrackingPumpBlock)->Arg(8);
+
+// Protocols that keep the default ProcessChunk, at k = 4: each call takes
+// psi's leading run (or what a message left of it) to ProcessUpdate or
+// ProcessBatch. HYZ under round-robin sees runs of one; exact_sync, which
+// messages on every update, sees 64-update blocks and one chunk-long run
+// per chunk, so each of its calls ends after one update of a long run.
+void BM_TrackingPumpDefault(benchmark::State& state, const char* protocol,
+                            const char* policy) {
+  const int64_t n = 1 << 16;
+  const bool hyz = std::strcmp(protocol, "hyz") == 0;
+  // HYZ counts unit increments; exact_sync tracks a zero-drift walk.
+  const std::vector<double> stream =
+      hyz ? std::vector<double>(static_cast<size_t>(n), 1.0)
+          : nmc::streams::BernoulliStream(n, 0.0, 21);
+  int64_t updates = 0;
+  for (auto _ : state) {
+    std::unique_ptr<nmc::sim::Protocol> tracked;
+    if (hyz) {
+      nmc::hyz::HyzOptions options;
+      options.epsilon = 0.1;
+      options.delta = 1e-6;
+      options.seed = 3;
+      tracked = std::make_unique<nmc::hyz::HyzProtocol>(4, options);
+    } else {
+      tracked = std::make_unique<nmc::baselines::ExactSyncProtocol>(4);
+    }
+    auto psi = nmc::sim::MakeAssignment(policy, 4, /*seed=*/7);
+    const auto result =
+        PumpRun(stream, tracked.get(), psi.get(), PumpTracking(1.0));
+    benchmark::DoNotOptimize(result.messages);
+    updates += result.n;
+  }
+  state.SetItemsProcessed(updates);
+}
+BENCHMARK_CAPTURE(BM_TrackingPumpDefault, hyz_round_robin, "hyz",
+                  "round_robin");
+BENCHMARK_CAPTURE(BM_TrackingPumpDefault, exact_sync_block, "exact_sync",
+                  "block");
+BENCHMARK_CAPTURE(BM_TrackingPumpDefault, exact_sync_single, "exact_sync",
+                  "single");
 
 // Harness batch-size sweep over the long-gap config: quantifies how much
 // of the fast-forward win needs the batched pump on top of the skip

@@ -747,42 +747,54 @@ int64_t NonMonotonicCounter::ProcessBatch(int site_id,
   return consumed;
 }
 
-int64_t NonMonotonicCounter::ProcessChunk(std::span<const int> sites,
-                                          std::span<const double> values) {
+sim::ChunkStop NonMonotonicCounter::ProcessChunk(
+    std::span<const sim::SiteRun> runs, std::span<const double> values) {
   const int num_sites = network_.num_sites();
   if (positive_counter_ != nullptr || network_.channeled() || num_sites == 1) {
-    return Protocol::ProcessChunk(sites, values);
+    return Protocol::ProcessChunk(runs, values);
   }
-  NMC_CHECK(!values.empty());
-  NMC_CHECK_EQ(sites.size(), values.size());
+  NMC_CHECK(!runs.empty());
   // Until the first message nothing is delivered, so the coordinator's
   // estimate stays frozen over every update consumed before it.
   const int64_t messages_before = network_.total_messages();
-  const size_t len = values.size();
-  size_t pos = 0;
-  while (pos < len) {
-    const int site_id = sites[pos];
+  const int64_t len = static_cast<int64_t>(values.size());
+  size_t r = 0;
+  int64_t offset = 0;
+  int64_t pos = 0;
+  for (; r < runs.size(); ++r) {
+    const sim::SiteRun& run = runs[r];
+    const int site_id = run.site;
     NMC_CHECK_GE(site_id, 0);
     NMC_CHECK_LT(site_id, num_sites);
+    NMC_CHECK_GE(run.length, 1);
+    NMC_CHECK_LE(run.length, len - pos);
     Site* site = sites_[static_cast<size_t>(site_id)].get();
-    // In StraightSync the run's first update messages, so its length is
-    // not scanned: a rescan after every report would cost O(run) each.
-    size_t run = 1;
-    if (site->in_sbc_stage()) {
-      run = sim::LeadingRunLength(sites.subspan(pos));
-      if (run == 1 && site->TryAbsorbSilent(values[pos])) {
-        ++pos;
-        continue;
-      }
+    if (run.length == 1 &&
+        site->TryAbsorbSilent(values[static_cast<size_t>(pos)])) {
+      ++pos;
+      continue;
     }
-    pos += static_cast<size_t>(site->ConsumeRun(values.subspan(pos, run)));
-    if (network_.total_messages() != messages_before) break;
+    const int64_t used = site->ConsumeRun(values.subspan(
+        static_cast<size_t>(pos), static_cast<size_t>(run.length)));
+    pos += used;
+    if (network_.total_messages() != messages_before) {
+      if (used < run.length) {
+        offset = used;
+      } else {
+        ++r;
+      }
+      break;
+    }
+    // ConsumeRun stops early only right after a message (in StraightSync
+    // that is the run's first update), so a silent call took the whole run.
+    NMC_CHECK_EQ(used, run.length);
   }
   network_.DeliverAll();
   if (coordinator_->phase2_pending() && positive_counter_ == nullptr) {
     ActivatePhase2();
   }
-  return static_cast<int64_t>(pos);
+  return sim::ChunkStop{pos, static_cast<uint32_t>(r),
+                        static_cast<uint32_t>(offset)};
 }
 
 bool NonMonotonicCounter::Resync() {

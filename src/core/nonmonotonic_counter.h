@@ -172,7 +172,7 @@ struct CounterDiagnostics {
 /// drift resolves to mu_hat the coordinator snapshots the exact positive /
 /// negative update counts and Phase 2 serves the difference of two HYZ
 /// monotonic counters with accuracy Theta(eps |mu_hat|).
-class NonMonotonicCounter : public sim::Protocol {
+class NonMonotonicCounter final : public sim::Protocol {
  public:
   NonMonotonicCounter(int num_sites, const CounterOptions& options);
   ~NonMonotonicCounter() override;
@@ -192,13 +192,13 @@ class NonMonotonicCounter : public sim::Protocol {
 
   /// Feeds an interleaved chunk in one call (see the
   /// Protocol::ProcessChunk contract). In Phase 1 on the perfect channel
-  /// with k > 1 it walks the chunk's same-site runs: a single-update run at
-  /// a site whose cached SBC gap has not run out is absorbed in place, and
-  /// any other run goes through the site's ConsumeRun, exactly as in
-  /// ProcessBatch. It returns after the first run that sends a message.
-  /// Phase 2, faulty channels and k = 1 take the default.
-  int64_t ProcessChunk(std::span<const int> sites,
-                       std::span<const double> values) override;
+  /// with k > 1 it walks psi's runs without scanning them: a single-update
+  /// run at a site in SBC whose cached gap has not run out is absorbed in
+  /// place, and any other run goes through the site's ConsumeRun, exactly
+  /// as in ProcessBatch. It returns after the first run that sends a
+  /// message. Phase 2, faulty channels and k = 1 take the default.
+  sim::ChunkStop ProcessChunk(std::span<const sim::SiteRun> runs,
+                              std::span<const double> values) override;
 
   double Estimate() const override;
 

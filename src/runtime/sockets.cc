@@ -198,11 +198,12 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   // Feeds `values`, consecutive updates of site s, to the protocol through
   // ProcessBatch and checks every one against the generated world. Over a
   // call's silent prefix the estimate is frozen (the ProcessBatch
-  // contract; the same argument as sim::PumpChunk), so only the call's
-  // last update reads a fresh Estimate(), and the serving layer publishes
-  // once per call. In-order values are the site's next shard entries and
-  // enter the world here; a raw-link gap or duplicate arrives with its
-  // world accounting already settled.
+  // contract), so only the call's last update reads a fresh Estimate(),
+  // in-order calls are checked by the sim pump's own sim::CheckCall, and
+  // the serving layer publishes once per call. In-order values are the
+  // site's next shard entries and enter the world here; a raw-link gap or
+  // duplicate arrives with its world accounting already settled, so it is
+  // checked per update against the unchanged world sum.
   const auto drive = [&](int s, std::span<const double> values,
                          bool in_order) {
     SiteState& st = sites[static_cast<size_t>(s)];
@@ -221,12 +222,21 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
       const int64_t consumed = protocol->ProcessBatch(s, batch);
       NMC_CHECK_GE(consumed, 1);
       NMC_CHECK_LE(consumed, static_cast<int64_t>(batch.size()));
-      for (int64_t j = 0; j < consumed; ++j) {
-        const double value = batch[static_cast<size_t>(j)];
-        if (in_order) world_sum += value;
-        if (j == consumed - 1) estimate = protocol->Estimate();
-        sim::CheckStep(estimate, world_sum, tracking, &checked);
-        if (options.capture) {
+      const std::span<const double> call =
+          batch.first(static_cast<size_t>(consumed));
+      const double frozen = estimate;
+      estimate = protocol->Estimate();
+      if (in_order) {
+        sim::CheckCall(call, frozen, estimate, tracking, &world_sum,
+                       &checked);
+      } else {
+        for (size_t j = 0; j < call.size(); ++j) {
+          sim::CheckStep(j + 1 == call.size() ? estimate : frozen, world_sum,
+                         tracking, &checked);
+        }
+      }
+      if (options.capture) {
+        for (const double value : call) {
           result.transcript.push_back(TranscriptEntry{s, value});
         }
       }

@@ -6,20 +6,58 @@
 
 namespace nmc::sim {
 
+namespace {
+
+/// Writes Assign's output: the run-length encoding of the chunk's sites,
+/// built one stretch at a time into the caller's buffer. The open run is
+/// held in locals and stored when it closes, so extending it touches no
+/// memory.
+class RunWriter {
+ public:
+  RunWriter(size_t updates, std::span<SiteRun> runs) : runs_(runs) {
+    NMC_CHECK_GE(runs.size(), updates);
+  }
+
+  /// Appends `length` updates at `site` (an empty stretch writes nothing).
+  void Add(int site, int64_t length) {
+    if (open_.length > 0 && open_.site == site) {
+      open_.length += length;
+      return;
+    }
+    if (open_.length > 0) runs_[count_++] = open_;
+    open_ = SiteRun{site, length};
+  }
+
+  /// Stores the open run; returns the number of runs written.
+  size_t Finish() {
+    if (open_.length > 0) runs_[count_++] = open_;
+    return count_;
+  }
+
+ private:
+  std::span<SiteRun> runs_;
+  SiteRun open_;
+  size_t count_ = 0;
+};
+
+}  // namespace
+
 RoundRobinAssignment::RoundRobinAssignment(int num_sites)
     : num_sites_(num_sites) {
   NMC_CHECK_GE(num_sites, 1);
 }
 
-void RoundRobinAssignment::Assign(int64_t t0,
-                                  std::span<const double> /*values*/,
-                                  std::span<int> sites) {
-  const int k = num_sites_;  // a local: stores through `sites` may alias it
+size_t RoundRobinAssignment::Assign(int64_t t0,
+                                    std::span<const double> values,
+                                    std::span<SiteRun> runs) {
+  const int k = num_sites_;  // a local: stores through `runs` may alias it
+  RunWriter out(values.size(), runs);
   int site = static_cast<int>(t0 % k);
-  for (int& s : sites) {
-    s = site;
+  for (size_t i = 0; i < values.size(); ++i) {
+    out.Add(site, 1);
     if (++site == k) site = 0;
   }
+  return out.Finish();
 }
 
 UniformRandomAssignment::UniformRandomAssignment(int num_sites, uint64_t seed)
@@ -27,12 +65,14 @@ UniformRandomAssignment::UniformRandomAssignment(int num_sites, uint64_t seed)
   NMC_CHECK_GE(num_sites, 1);
 }
 
-void UniformRandomAssignment::Assign(int64_t /*t0*/,
-                                     std::span<const double> /*values*/,
-                                     std::span<int> sites) {
-  for (int& s : sites) {
-    s = static_cast<int>(rng_.UniformInt(0, num_sites_ - 1));
+size_t UniformRandomAssignment::Assign(int64_t /*t0*/,
+                                       std::span<const double> values,
+                                       std::span<SiteRun> runs) {
+  RunWriter out(values.size(), runs);
+  for (size_t i = 0; i < values.size(); ++i) {
+    out.Add(static_cast<int>(rng_.UniformInt(0, num_sites_ - 1)), 1);
   }
+  return out.Finish();
 }
 
 SingleSiteAssignment::SingleSiteAssignment(int num_sites, int target_site)
@@ -41,10 +81,12 @@ SingleSiteAssignment::SingleSiteAssignment(int num_sites, int target_site)
   NMC_CHECK_LT(target_site, num_sites);
 }
 
-void SingleSiteAssignment::Assign(int64_t /*t0*/,
-                                  std::span<const double> /*values*/,
-                                  std::span<int> sites) {
-  std::fill(sites.begin(), sites.end(), target_site_);
+size_t SingleSiteAssignment::Assign(int64_t /*t0*/,
+                                    std::span<const double> values,
+                                    std::span<SiteRun> runs) {
+  RunWriter out(values.size(), runs);
+  out.Add(target_site_, static_cast<int64_t>(values.size()));
+  return out.Finish();
 }
 
 BlockCyclicAssignment::BlockCyclicAssignment(int num_sites, int64_t block_size)
@@ -53,20 +95,24 @@ BlockCyclicAssignment::BlockCyclicAssignment(int num_sites, int64_t block_size)
   NMC_CHECK_GE(block_size, 1);
 }
 
-void BlockCyclicAssignment::Assign(int64_t t0,
-                                   std::span<const double> /*values*/,
-                                   std::span<int> sites) {
+size_t BlockCyclicAssignment::Assign(int64_t t0,
+                                     std::span<const double> values,
+                                     std::span<SiteRun> runs) {
   // The two divisions locate t0 once; the rest of the chunk is whole or
-  // partial blocks filled in turn.
-  int site = static_cast<int>((t0 / block_size_) % num_sites_);
-  int64_t left_in_block = block_size_ - t0 % block_size_;
-  auto out = sites.begin();
-  while (out != sites.end()) {
-    const int64_t fill = std::min<int64_t>(left_in_block, sites.end() - out);
-    out = std::fill_n(out, fill, site);
-    left_in_block = block_size_;
-    if (++site == num_sites_) site = 0;
+  // partial blocks, one run each (one run in all at k = 1).
+  const int k = num_sites_;
+  const int64_t block = block_size_;
+  RunWriter out(values.size(), runs);
+  int site = static_cast<int>((t0 / block) % k);
+  int64_t left_in_block = block - t0 % block;
+  for (int64_t left = static_cast<int64_t>(values.size()); left > 0;) {
+    const int64_t length = std::min(left_in_block, left);
+    out.Add(site, length);
+    left -= length;
+    left_in_block = block;
+    if (++site == k) site = 0;
   }
+  return out.Finish();
 }
 
 SignSplitAssignment::SignSplitAssignment(int num_sites)
@@ -74,20 +120,22 @@ SignSplitAssignment::SignSplitAssignment(int num_sites)
   NMC_CHECK_GE(num_sites, 1);
 }
 
-void SignSplitAssignment::Assign(int64_t /*t0*/,
-                                 std::span<const double> values,
-                                 std::span<int> sites) {
+size_t SignSplitAssignment::Assign(int64_t /*t0*/,
+                                   std::span<const double> values,
+                                   std::span<SiteRun> runs) {
+  RunWriter out(values.size(), runs);
   if (num_sites_ == 1) {
-    std::fill(sites.begin(), sites.end(), 0);
-    return;
+    out.Add(0, static_cast<int64_t>(values.size()));
+    return out.Finish();
   }
   const int half = num_sites_ / 2;
-  for (size_t i = 0; i < sites.size(); ++i) {
-    sites[i] =
-        values[i] >= 0
-            ? static_cast<int>(positive_count_++ % half)
-            : half + static_cast<int>(negative_count_++ % (num_sites_ - half));
+  for (const double value : values) {
+    out.Add(value >= 0 ? static_cast<int>(positive_count_++ % half)
+                       : half + static_cast<int>(negative_count_++ %
+                                                 (num_sites_ - half)),
+            1);
   }
+  return out.Finish();
 }
 
 ZeroCrossingAssignment::ZeroCrossingAssignment(int num_sites)
@@ -95,17 +143,19 @@ ZeroCrossingAssignment::ZeroCrossingAssignment(int num_sites)
   NMC_CHECK_GE(num_sites, 1);
 }
 
-void ZeroCrossingAssignment::Assign(int64_t /*t0*/,
-                                    std::span<const double> values,
-                                    std::span<int> sites) {
-  for (size_t i = 0; i < sites.size(); ++i) {
+size_t ZeroCrossingAssignment::Assign(int64_t /*t0*/,
+                                      std::span<const double> values,
+                                      std::span<SiteRun> runs) {
+  RunWriter out(values.size(), runs);
+  for (const double value : values) {
     const double previous = prefix_sum_;
-    prefix_sum_ += values[i];
+    prefix_sum_ += value;
     const bool crossed = (previous > 0.0 && prefix_sum_ <= 0.0) ||
                          (previous < 0.0 && prefix_sum_ >= 0.0);
     if (crossed) current_site_ = (current_site_ + 1) % num_sites_;
-    sites[i] = current_site_;
+    out.Add(current_site_, 1);
   }
+  return out.Finish();
 }
 
 std::unique_ptr<AssignmentPolicy> MakeAssignment(const std::string& name,

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
 
 #include "common/rng.h"
+#include "sim/site_run.h"
 
 namespace nmc::sim {
 
@@ -25,18 +27,21 @@ class AssignmentPolicy {
  public:
   virtual ~AssignmentPolicy() = default;
 
-  /// Assigns updates t0, t0 + 1, ..., t0 + sites.size() - 1 (0-based):
-  /// sites[i] (in [0, k)) receives the update whose content is values[i],
-  /// which an adaptive adversary is allowed to inspect. `values` and
-  /// `sites` have the same length.
-  virtual void Assign(int64_t t0, std::span<const double> values,
-                      std::span<int> sites) = 0;
+  /// Assigns updates t0, t0 + 1, ..., t0 + values.size() - 1 (0-based) as
+  /// the run-length encoding of their sites: writes runs[0, m) and returns
+  /// m. The runs cover the updates in order (their lengths add up to
+  /// values.size()), each is non-empty with its site in [0, k), and
+  /// neighbours have different sites. values[i] is the content of update
+  /// t0 + i, which an adaptive adversary is allowed to inspect. `runs`
+  /// must have room for values.size() runs, the most a chunk can need.
+  virtual size_t Assign(int64_t t0, std::span<const double> values,
+                        std::span<SiteRun> runs) = 0;
 
   /// The one-update form of Assign: the site that receives the t-th update.
   int NextSite(int64_t t, double value) {
-    int site = 0;
-    Assign(t, std::span<const double>(&value, 1), std::span<int>(&site, 1));
-    return site;
+    SiteRun run;
+    Assign(t, std::span<const double>(&value, 1), std::span<SiteRun>(&run, 1));
+    return run.site;
   }
 };
 
@@ -44,8 +49,8 @@ class AssignmentPolicy {
 class RoundRobinAssignment final : public AssignmentPolicy {
  public:
   explicit RoundRobinAssignment(int num_sites);
-  void Assign(int64_t t0, std::span<const double> values,
-              std::span<int> sites) override;
+  size_t Assign(int64_t t0, std::span<const double> values,
+                std::span<SiteRun> runs) override;
 
  private:
   int num_sites_;
@@ -55,8 +60,8 @@ class RoundRobinAssignment final : public AssignmentPolicy {
 class UniformRandomAssignment final : public AssignmentPolicy {
  public:
   UniformRandomAssignment(int num_sites, uint64_t seed);
-  void Assign(int64_t t0, std::span<const double> values,
-              std::span<int> sites) override;
+  size_t Assign(int64_t t0, std::span<const double> values,
+                std::span<SiteRun> runs) override;
 
  private:
   int num_sites_;
@@ -67,8 +72,8 @@ class UniformRandomAssignment final : public AssignmentPolicy {
 class SingleSiteAssignment final : public AssignmentPolicy {
  public:
   SingleSiteAssignment(int num_sites, int target_site);
-  void Assign(int64_t t0, std::span<const double> values,
-              std::span<int> sites) override;
+  size_t Assign(int64_t t0, std::span<const double> values,
+                std::span<SiteRun> runs) override;
 
  private:
   int target_site_;
@@ -79,8 +84,8 @@ class SingleSiteAssignment final : public AssignmentPolicy {
 class BlockCyclicAssignment final : public AssignmentPolicy {
  public:
   BlockCyclicAssignment(int num_sites, int64_t block_size);
-  void Assign(int64_t t0, std::span<const double> values,
-              std::span<int> sites) override;
+  size_t Assign(int64_t t0, std::span<const double> values,
+                std::span<SiteRun> runs) override;
 
  private:
   int num_sites_;
@@ -94,8 +99,8 @@ class BlockCyclicAssignment final : public AssignmentPolicy {
 class SignSplitAssignment final : public AssignmentPolicy {
  public:
   explicit SignSplitAssignment(int num_sites);
-  void Assign(int64_t t0, std::span<const double> values,
-              std::span<int> sites) override;
+  size_t Assign(int64_t t0, std::span<const double> values,
+                std::span<SiteRun> runs) override;
 
  private:
   int num_sites_;
@@ -111,8 +116,8 @@ class SignSplitAssignment final : public AssignmentPolicy {
 class ZeroCrossingAssignment final : public AssignmentPolicy {
  public:
   explicit ZeroCrossingAssignment(int num_sites);
-  void Assign(int64_t t0, std::span<const double> values,
-              std::span<int> sites) override;
+  size_t Assign(int64_t t0, std::span<const double> values,
+                std::span<SiteRun> runs) override;
 
  private:
   int num_sites_;

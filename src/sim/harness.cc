@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/batch_ops.h"
 #include "common/check.h"
 
 namespace nmc::sim {
@@ -17,7 +16,7 @@ struct PumpState {
   int64_t t = 0;               // items consumed so far
   int64_t curve_stride = 0;    // 0 = no curve
   double estimate = 0.0;       // protocol estimate after the last update
-  std::vector<int> sites;      // psi's assignments for the current chunk
+  std::vector<SiteRun> runs;   // psi's runs for the current chunk
 };
 
 /// True when step `done` (1-based) gets a curve point: every stride-th
@@ -26,30 +25,25 @@ bool CurvePointDue(int64_t done, const PumpState& state) {
   return done % state.curve_stride == 0 || done == state.result.n;
 }
 
-/// Pumps one contiguous chunk of the stream. Each protocol call consumes a
-/// prefix of what is left of the chunk and stops right after its first
-/// communicating update; the ProcessChunk/ProcessBatch contract freezes
-/// the estimate over the silent part, so the tracking invariant there is
-/// checked against the cached estimate and the virtual Estimate() call is
-/// paid once per protocol call, not once per item.
-/// `num_sites` is protocol->num_sites(), hoisted by the callers: the
-/// virtual call is loop-invariant but the compiler cannot prove it, and
-/// PumpChunk runs once per batch.
-///
-/// psi places the whole chunk with one Assign call into state->sites, and
-/// Protocol::ProcessChunk takes the rest of the chunk with its sites.
-/// With one site every policy maps to 0 and none observes protocol state,
-/// so psi is not asked and the rest of the chunk is one ProcessBatch run
-/// (ProcessUpdate when a single item is left).
+/// Pumps one contiguous chunk of the stream. psi places the chunk with one
+/// Assign call into state->runs, and each Protocol::ProcessChunk call
+/// consumes a prefix of what is left, stopping right after its first
+/// communicating update. The call reports where it stopped, so the run
+/// cursor moves in O(1): the runs it finished are skipped and the one it
+/// stopped inside is trimmed in place. The ProcessChunk contract freezes
+/// the estimate over the call's silent part, so the tracking invariant
+/// there is checked against the cached estimate (CheckCall) and the
+/// virtual Estimate() call is paid once per protocol call, not once per
+/// item.
 void PumpChunk(std::span<const double> chunk, AssignmentPolicy* psi,
-               Protocol* protocol, int num_sites,
-               const TrackingOptions& options, PumpState* state) {
+               Protocol* protocol, const TrackingOptions& options,
+               PumpState* state) {
   const size_t len = chunk.size();
   const bool record_curve = state->curve_stride > 0;
+  const std::span<SiteRun> runs = std::span<SiteRun>(state->runs).first(
+      psi->Assign(state->t, chunk, state->runs));
 
-  const std::span<int> sites = std::span<int>(state->sites).first(len);
-  if (num_sites > 1) psi->Assign(state->t, chunk, sites);
-
+  size_t run = 0;
   size_t pos = 0;
   while (pos < len) {
     const std::span<const double> rest = chunk.subspan(pos);
@@ -60,60 +54,47 @@ void PumpChunk(std::span<const double> chunk, AssignmentPolicy* psi,
     // stats() call is not free for protocols that aggregate.
     const int64_t messages_before =
         record_curve ? protocol->stats().total() : 0;
-    int64_t consumed = 1;
-    if (num_sites > 1) {
-      consumed = protocol->ProcessChunk(sites.subspan(pos), rest);
-    } else if (rest.size() == 1) {
-      protocol->ProcessUpdate(0, rest[0]);
-    } else {
-      consumed = protocol->ProcessBatch(0, rest);
-    }
+    NMC_CHECK_LT(run, runs.size());
+    const ChunkStop stop = protocol->ProcessChunk(runs.subspan(run), rest);
+    const int64_t consumed = stop.consumed;
     NMC_CHECK_GE(consumed, 1);
     NMC_CHECK_LE(consumed, static_cast<int64_t>(rest.size()));
-    const size_t silent = static_cast<size_t>(consumed - 1);
+    run += stop.run;
+    if (stop.offset > 0) {
+      NMC_CHECK_LT(run, runs.size());
+      NMC_CHECK_LT(stop.offset, runs[run].length);
+      runs[run].length -= stop.offset;
+    }
 
-    // Vectorized invariant check over the silent prefix: the estimate is
-    // frozen there, so the per-item loop below degenerates to a prefix-sum
-    // scan against a constant — exactly CheckUnitPrefix. The kernel only
-    // accepts ±1 runs with an integer running sum (where its regrouped
-    // additions are bit-exact), and mirrors the loop's violation /
-    // max-rel-error updates operation for operation, so TrackingResult is
-    // bit-identical whether or not this path fires.
-    common::PrefixCheckResult prefix;
-    if (!record_curve && silent >= 7 &&
-        common::CheckUnitPrefix(rest.first(silent), state->sum,
-                                state->estimate, options.epsilon,
-                                options.absolute_slack,
-                                options.rel_error_floor,
-                                state->result.max_rel_error, &prefix)) {
-      state->sum = prefix.final_sum;
-      state->result.violation_steps += prefix.violations;
-      state->result.max_rel_error =
-          std::max(state->result.max_rel_error, prefix.max_rel_error);
+    const double frozen = state->estimate;
+    state->estimate = protocol->Estimate();
+    const std::span<const double> call =
+        rest.first(static_cast<size_t>(consumed));
+    if (!record_curve) {
+      CheckCall(call, frozen, state->estimate, options, &state->sum,
+                &state->result);
     } else {
-      for (size_t j = 0; j < silent; ++j) {
-        state->sum += rest[j];
-        CheckStep(state->estimate, state->sum, options, &state->result);
+      // The call's last update is the one that may have messaged: it is
+      // judged against the fresh estimate and its curve point counts the
+      // messages after the call.
+      for (size_t j = 0; j < call.size(); ++j) {
+        const bool last = j + 1 == call.size();
+        const double estimate = last ? state->estimate : frozen;
+        state->sum += call[j];
+        CheckStep(estimate, state->sum, options, &state->result);
         const int64_t done = state->t + static_cast<int64_t>(pos + j) + 1;
-        if (record_curve && CurvePointDue(done, *state)) {
-          state->result.curve.push_back(
-              CurvePoint{done, messages_before, state->sum, state->estimate});
+        if (CurvePointDue(done, *state)) {
+          state->result.curve.push_back(CurvePoint{
+              done, last ? protocol->stats().total() : messages_before,
+              state->sum, estimate});
         }
       }
     }
-
-    // The call's final update is the one that may have messaged: refresh
-    // the estimate and check it the scalar way.
-    state->sum += rest[silent];
-    state->estimate = protocol->Estimate();
-    CheckStep(state->estimate, state->sum, options, &state->result);
-    pos += static_cast<size_t>(consumed);
-    const int64_t done = state->t + static_cast<int64_t>(pos);
-    if (record_curve && CurvePointDue(done, *state)) {
-      state->result.curve.push_back(CurvePoint{
-          done, protocol->stats().total(), state->sum, state->estimate});
-    }
+    pos += call.size();
   }
+  // The calls' reports must agree with their counts: a chunk's last call
+  // ends exactly at the end of its last run.
+  NMC_CHECK_EQ(run, runs.size());
   state->t += static_cast<int64_t>(len);
 }
 
@@ -125,7 +106,7 @@ PumpState InitPumpState(int64_t n, Protocol* protocol,
 
   PumpState state;
   state.result.n = n;
-  state.sites.resize(static_cast<size_t>(options.batch_size));
+  state.runs.resize(static_cast<size_t>(options.batch_size));
   state.estimate = protocol->Estimate();
   state.curve_stride =
       options.curve_points > 0 ? std::max<int64_t>(1, n / options.curve_points)
@@ -158,10 +139,9 @@ TrackingResult RunTracking(const std::vector<double>& stream,
       InitPumpState(static_cast<int64_t>(stream.size()), protocol, options);
   const std::span<const double> all(stream);
   const size_t batch = static_cast<size_t>(options.batch_size);
-  const int num_sites = protocol->num_sites();
   for (size_t offset = 0; offset < all.size(); offset += batch) {
     PumpChunk(all.subspan(offset, std::min(batch, all.size() - offset)), psi,
-              protocol, num_sites, options, &state);
+              protocol, options, &state);
   }
   return FinishPump(protocol, &state);
 }
@@ -172,12 +152,11 @@ TrackingResult RunTracking(StreamSource* source, AssignmentPolicy* psi,
   NMC_CHECK(psi != nullptr);
   PumpState state = InitPumpState(source->length(), protocol, options);
   std::vector<double> buffer(static_cast<size_t>(options.batch_size));
-  const int num_sites = protocol->num_sites();
   int64_t filled;
   while ((filled = source->FillChunk(buffer)) > 0) {
     PumpChunk(std::span<const double>(buffer.data(),
                                       static_cast<size_t>(filled)),
-              psi, protocol, num_sites, options, &state);
+              psi, protocol, options, &state);
   }
   return FinishPump(protocol, &state);
 }

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/batch_ops.h"
+#include "common/check.h"
 #include "sim/assignment.h"
 #include "sim/protocol.h"
 #include "sim/stream_source.h"
@@ -70,7 +73,8 @@ struct TrackingResult {
 /// sum after the step and `estimate` the protocol's estimate at it. Counts
 /// a violation into result->violation_steps and folds the step's relative
 /// error into result->max_rel_error. The sim harness and the sockets
-/// coordinator both judge every step with this one function.
+/// coordinator both judge every step with this one function (through
+/// CheckCall).
 inline void CheckStep(double estimate, double sum,
                       const TrackingOptions& options, TrackingResult* result) {
   const double abs_error = std::fabs(estimate - sum);
@@ -84,6 +88,45 @@ inline void CheckStep(double estimate, double sum,
   }
 }
 
+/// Checks the updates `call` (non-empty) that one protocol call consumed,
+/// in order, advancing *sum past them. By the ProcessBatch/ProcessChunk
+/// contract the estimate stayed at `frozen` over all but the last update,
+/// which is judged against `fresh`, the estimate after the call. The silent
+/// prefix goes through common::CheckUnitPrefix when it applies (±1 values)
+/// and is otherwise a CheckStep per update; either way the result is
+/// bit-identical to a CheckStep per update. The sim pump and the sockets
+/// coordinator check every call with this one function.
+inline void CheckCall(std::span<const double> call, double frozen,
+                      double fresh, const TrackingOptions& options,
+                      double* sum, TrackingResult* result) {
+  NMC_CHECK(!call.empty());
+  const std::span<const double> silent = call.first(call.size() - 1);
+  // The estimate is frozen over the silent prefix, so the per-item loop
+  // degenerates to a prefix-sum scan against a constant — exactly
+  // CheckUnitPrefix. The kernel only accepts ±1 runs with an integer
+  // running sum (where its regrouped additions are bit-exact), and mirrors
+  // the loop's violation / max-rel-error updates operation for operation,
+  // so the result is bit-identical whether or not this path fires.
+  common::PrefixCheckResult prefix;
+  if (silent.size() >= 7 &&
+      common::CheckUnitPrefix(silent, *sum, frozen, options.epsilon,
+                              options.absolute_slack,
+                              options.rel_error_floor, result->max_rel_error,
+                              &prefix)) {
+    *sum = prefix.final_sum;
+    result->violation_steps += prefix.violations;
+    result->max_rel_error = std::max(result->max_rel_error,
+                                     prefix.max_rel_error);
+  } else {
+    for (const double value : silent) {
+      *sum += value;
+      CheckStep(frozen, *sum, options, result);
+    }
+  }
+  *sum += call.back();
+  CheckStep(fresh, *sum, options, result);
+}
+
 /// Internal building block of runtime::RunWithTransport (runtime/run.h,
 /// TransportKind::kSim), which is the public per-transport entry point;
 /// sim-layer unit tests that exercise the checker itself may still call it
@@ -91,13 +134,10 @@ inline void CheckStep(double estimate, double sum,
 ///
 /// Drives `stream` through `protocol` and checks the coordinator's estimate
 /// against the exact running sum after every update. The stream is taken
-/// in chunks of up to options.batch_size items; psi->Assign places each
-/// chunk with one call, and Protocol::ProcessChunk consumes the chunk with
-/// its sites, one call per message-ending prefix. For a single-site
-/// protocol psi is never called and every update goes to site 0 (every
-/// policy maps to 0 when k == 1, and none observes protocol state): the
-/// rest of the chunk goes to ProcessBatch, or to ProcessUpdate when one
-/// item is left.
+/// in chunks of up to options.batch_size items; psi->Assign turns each
+/// chunk into same-site runs with one call, and Protocol::ProcessChunk
+/// consumes those runs, one call per message-ending prefix. psi's sites
+/// must lie in [0, protocol->num_sites()).
 TrackingResult RunTracking(const std::vector<double>& stream,
                            AssignmentPolicy* psi, Protocol* protocol,
                            const TrackingOptions& options);

@@ -6,29 +6,22 @@
 
 #include "common/check.h"
 #include "sim/message.h"
+#include "sim/site_run.h"
 
 namespace nmc::sim {
 
-/// Length of the leading run of equal sites in a non-empty span. A
-/// ProcessChunk stops after each message, so the next call scans what is
-/// left of the run again. Past its first two items this compares eight at
-/// a time with no branch inside a block, which the compiler vectorizes;
-/// a rescan then costs about a cycle per eight items, not a branch each.
-inline size_t LeadingRunLength(std::span<const int> sites) {
-  const int site = sites[0];
-  const size_t n = sites.size();
-  if (n == 1 || sites[1] != site) return 1;
-  size_t run = 2;
-  for (; run + 8 <= n; run += 8) {
-    unsigned differ = 0;
-    for (size_t j = 0; j < 8; ++j) {
-      differ |= static_cast<unsigned>(sites[run + j] ^ site);
-    }
-    if (differ != 0) break;
-  }
-  while (run < n && sites[run] == site) ++run;
-  return run;
-}
+/// Where a Protocol::ProcessChunk call stopped in the runs it was handed:
+/// it consumed `consumed` updates, namely runs[0, run) whole and the first
+/// `offset` updates of runs[run] (0 <= offset < runs[run].length; run ==
+/// runs.size() with offset 0 when it consumed them all). The pump resumes
+/// from here without walking the runs again. A chunk holds fewer than 2^31
+/// updates (TrackingOptions::batch_size is an int), so `run` and `offset`
+/// fit 32 bits, and the struct comes back in two registers.
+struct ChunkStop {
+  int64_t consumed = 0;
+  uint32_t run = 0;
+  uint32_t offset = 0;
+};
 
 /// A continuous distributed tracking protocol: the unit the harness drives
 /// and the benches compare. Implementations own their Network and node
@@ -47,12 +40,11 @@ class Protocol {
   /// Feeds a run of consecutive updates all addressed to `site_id`.
   /// Consumes at least one update, stops no later than immediately after
   /// the first update that triggers communication, and returns the count
-  /// consumed. The contract the batched harness (directly at k = 1, and
-  /// through ProcessChunk's default) and the concurrent coordinators rely
-  /// on: for every consumed update except possibly the last, no messages
-  /// were sent and Estimate() is unchanged, so the tracking invariant can
-  /// be checked against a cached estimate instead of a virtual call per
-  /// item.
+  /// consumed. The contract the batched harness (through ProcessChunk's
+  /// default) and the concurrent coordinators rely on: for every consumed
+  /// update except possibly the last, no messages were sent and Estimate()
+  /// is unchanged, so the tracking invariant can be checked against a
+  /// cached estimate instead of a virtual call per item.
   /// Equivalence: in any protocol, a ProcessBatch-driven run must be
   /// bit-identical to the same updates fed through ProcessUpdate one at a
   /// time (the default forwards exactly one update, so protocols without
@@ -64,32 +56,38 @@ class Protocol {
   }
 
   /// ProcessBatch's contract extended across sites, and the sim pump's
-  /// entry point for k > 1: update i goes to sites[i] (the two spans have
-  /// equal, non-zero length). Consumes at least one update, stops no later
-  /// than right after the first update that triggers communication, and
-  /// returns the count consumed; over the consumed updates except possibly
-  /// the last no message was sent and Estimate() is unchanged. A
-  /// chunk-driven run must be bit-identical to the same updates fed one at
-  /// a time. Every consumed update's site is range-checked (an
-  /// out-of-range site aborts).
+  /// entry point: `runs` (non-empty, as psi's Assign emits them, though
+  /// neighbours may share a site) give the sites of `values` in order, and
+  /// their lengths add up to values.size(). Consumes at least one update,
+  /// stops no later than right after the first update that triggers
+  /// communication, and reports where it stopped; over the consumed
+  /// updates except possibly the last no message was sent and Estimate()
+  /// is unchanged. A chunk-driven run must be bit-identical to the same
+  /// updates fed one at a time. Every run it starts is range-checked: an
+  /// out-of-range site aborts.
   ///
-  /// The default handles the leading same-site run only: ProcessUpdate
-  /// for a run of one, ProcessBatch over a longer run. Protocols whose
-  /// silent updates are cheap override it to walk the whole chunk in one
-  /// virtual call.
-  virtual int64_t ProcessChunk(std::span<const int> sites,
-                               std::span<const double> values) {
-    NMC_CHECK(!values.empty());
-    NMC_CHECK_EQ(sites.size(), values.size());
-    const int site = sites[0];
+  /// The default handles the leading run only: ProcessUpdate for a run of
+  /// one, ProcessBatch over a longer run. Protocols whose silent updates
+  /// are cheap override it to walk the runs in one virtual call.
+  virtual ChunkStop ProcessChunk(std::span<const SiteRun> runs,
+                                 std::span<const double> values) {
+    NMC_CHECK(!runs.empty());
+    const SiteRun& run = runs[0];
+    const int site = run.site;
     NMC_CHECK_GE(site, 0);
     NMC_CHECK_LT(site, num_sites());
-    const size_t run = LeadingRunLength(sites);
-    if (run == 1) {
+    NMC_CHECK_GE(run.length, 1);
+    NMC_CHECK_LE(run.length, static_cast<int64_t>(values.size()));
+    int64_t consumed = 1;
+    if (run.length == 1) {
       ProcessUpdate(site, values[0]);
-      return 1;
+    } else {
+      consumed = ProcessBatch(
+          site, values.first(static_cast<size_t>(run.length)));
+      NMC_CHECK_LE(consumed, run.length);
     }
-    return ProcessBatch(site, values.first(run));
+    if (consumed == run.length) return ChunkStop{consumed, 1, 0};
+    return ChunkStop{consumed, 0, static_cast<uint32_t>(consumed)};
   }
 
   /// The coordinator's current estimate of the tracked sum. Must be valid

@@ -4,6 +4,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,12 +134,14 @@ std::vector<double> MixedSignStream(int64_t n, uint64_t seed) {
   return values;
 }
 
-/// Random chunk lengths in [1, 300] that add up to n.
+/// Random chunk lengths that add up to n: a quarter of them one item long,
+/// the rest in [1, 300], so chunks cut runs at arbitrary points.
 std::vector<int64_t> ChunkLengths(int64_t n, uint64_t seed) {
   common::Rng rng(seed);
   std::vector<int64_t> lengths;
   for (int64_t covered = 0; covered < n;) {
-    lengths.push_back(std::min<int64_t>(rng.UniformInt(1, 300), n - covered));
+    const int64_t want = rng.UniformInt(0, 3) == 0 ? 1 : rng.UniformInt(1, 300);
+    lengths.push_back(std::min<int64_t>(want, n - covered));
     covered += lengths.back();
   }
   return lengths;
@@ -164,23 +167,37 @@ TEST(AssignChunkTest, MatchesNextSiteOverRandomChunkSplits) {
           expected[static_cast<size_t>(t)] =
               per_update->NextSite(t, values[static_cast<size_t>(t)]);
         }
-        std::vector<int> got(static_cast<size_t>(n), -1);
+        std::vector<int> got;
         int64_t t0 = 0;
         for (const int64_t len : ChunkLengths(n, split_seed++)) {
-          chunked->Assign(
+          // One slot more than the chunk needs: Assign must not touch it.
+          std::vector<SiteRun> runs(static_cast<size_t>(len) + 1,
+                                    SiteRun{-7, -7});
+          const size_t count = chunked->Assign(
               t0,
               std::span<const double>(values).subspan(
                   static_cast<size_t>(t0), static_cast<size_t>(len)),
-              std::span<int>(got).subspan(static_cast<size_t>(t0),
-                                          static_cast<size_t>(len)));
+              std::span<SiteRun>(runs).first(static_cast<size_t>(len)));
+          ASSERT_GE(count, 1u);
+          ASSERT_LE(count, static_cast<size_t>(len));
+          EXPECT_EQ(runs.back().site, -7);
+          int64_t covered = 0;
+          for (size_t r = 0; r < count; ++r) {
+            const SiteRun& run = runs[r];
+            ASSERT_GE(run.length, 1) << "run " << r;
+            ASSERT_GE(run.site, 0) << "run " << r;
+            ASSERT_LT(run.site, k) << "run " << r;
+            if (r > 0) {
+              ASSERT_NE(run.site, runs[r - 1].site) << "run " << r;
+            }
+            covered += run.length;
+            got.insert(got.end(), static_cast<size_t>(run.length), run.site);
+          }
+          ASSERT_EQ(covered, len);
           t0 += len;
         }
         ASSERT_EQ(t0, n);
         ASSERT_EQ(got, expected);
-        for (int s : got) {
-          ASSERT_GE(s, 0);
-          ASSERT_LT(s, k);
-        }
       }
     }
   }
@@ -188,13 +205,39 @@ TEST(AssignChunkTest, MatchesNextSiteOverRandomChunkSplits) {
 
 TEST(AssignChunkTest, BlockCyclicChunkStraddlesBlocks) {
   // A chunk that starts mid-block, spans several whole blocks and wraps
-  // past site k - 1.
+  // past site k - 1: one run per (partial) block.
   BlockCyclicAssignment psi(3, 4);
   const std::vector<double> values(14, 1.0);
-  std::vector<int> sites(values.size());
-  psi.Assign(6, values, sites);
-  EXPECT_EQ(sites, (std::vector<int>{1, 1, 2, 2, 2, 2, 0, 0, 0, 0, 1, 1, 1,
-                                     1}));
+  std::vector<SiteRun> runs(values.size());
+  const size_t count = psi.Assign(6, values, runs);
+  ASSERT_EQ(count, 4u);
+  const std::vector<std::pair<int, int64_t>> want = {
+      {1, 2}, {2, 4}, {0, 4}, {1, 4}};
+  for (size_t r = 0; r < count; ++r) {
+    EXPECT_EQ(runs[r].site, want[r].first) << "run " << r;
+    EXPECT_EQ(runs[r].length, want[r].second) << "run " << r;
+  }
+}
+
+TEST(AssignChunkTest, OneSiteIsOneRun) {
+  // At k = 1 every policy sends the whole chunk to site 0 as one run.
+  const std::vector<double> values = MixedSignStream(300, 9);
+  for (const char* name : kPolicyNames) {
+    auto psi = MakeAssignment(name, 1, 3);
+    std::vector<SiteRun> runs(values.size());
+    ASSERT_EQ(psi->Assign(17, values, runs), 1u) << name;
+    EXPECT_EQ(runs[0].site, 0) << name;
+    EXPECT_EQ(runs[0].length, 300) << name;
+  }
+}
+
+TEST(AssignChunkTest, EmptyChunkIsNoRuns) {
+  for (const char* name : kPolicyNames) {
+    for (int k : {1, 3}) {
+      auto psi = MakeAssignment(name, k, 3);
+      EXPECT_EQ(psi->Assign(5, {}, {}), 0u) << name << " k=" << k;
+    }
+  }
 }
 
 }  // namespace

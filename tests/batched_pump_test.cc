@@ -14,9 +14,11 @@
 #include "common/simd_dispatch.h"
 #include "core/nonmonotonic_counter.h"
 #include "hyz/hyz_counter.h"
+#include "registry/builtin.h"
 #include "sim/assignment.h"
 #include "sim/channel.h"
 #include "sim/harness.h"
+#include "sim/registry.h"
 #include "sim/stream_source.h"
 #include "streams/adversarial.h"
 #include "streams/bernoulli.h"
@@ -72,9 +74,8 @@ sim::TrackingResult RunCounterBatched(
 // ---- Counter: batch size is unobservable ---------------------------------
 
 // k > 1 in Phase 1 on the perfect channel runs the counter's ProcessChunk
-// override; k = 1 runs the pump's single-site path; Phase 2 (counter_drift
-// past its switch) and a lossy channel fall back to the default
-// ProcessChunk.
+// override; k = 1 (one run per chunk), Phase 2 (counter_drift past its
+// switch) and a lossy channel fall back to the default ProcessChunk.
 TEST(BatchedPumpTest, CounterBitIdenticalAcrossBatchSizes) {
   const int64_t n = 1 << 13;
   const auto stream = streams::BernoulliStream(n, 0.5, 91);
@@ -125,12 +126,14 @@ TEST(BatchedPumpTest, CounterBitIdenticalAcrossBatchSizes) {
 class OutOfRangeAssignment final : public sim::AssignmentPolicy {
  public:
   explicit OutOfRangeAssignment(int num_sites) : num_sites_(num_sites) {}
-  void Assign(int64_t t0, std::span<const double> /*values*/,
-              std::span<int> sites) override {
-    for (size_t i = 0; i < sites.size(); ++i) {
+  size_t Assign(int64_t t0, std::span<const double> values,
+                std::span<sim::SiteRun> runs) override {
+    for (size_t i = 0; i < values.size(); ++i) {
       const int64_t t = t0 + static_cast<int64_t>(i);
-      sites[i] = t == 37 ? num_sites_ : static_cast<int>(t % num_sites_);
+      runs[i] = sim::SiteRun{
+          t == 37 ? num_sites_ : static_cast<int>(t % num_sites_), 1};
     }
+    return values.size();
   }
 
  private:
@@ -158,6 +161,69 @@ TEST(BatchedPumpDeathTest, PsiReturningSiteKAborts) {
         sim::RunTracking(stream, &psi, &protocol, tracking);
       },
       "protocol\\.h:[0-9]+: site < num_sites\\(\\)");
+}
+
+TEST(BatchedPumpDeathTest, NegativeRunSiteAborts) {
+  // ProcessChunk called directly, with a leading run at site -1.
+  const std::vector<double> values(8, 1.0);
+  const sim::SiteRun runs[] = {{-1, 3}, {0, 5}};
+  EXPECT_DEATH(
+      {
+        core::NonMonotonicCounter counter(
+            4, testing::DefaultOptions(256, 0.2, 3));
+        counter.ProcessChunk(runs, values);
+      },
+      "nonmonotonic_counter\\.cc:[0-9]+: site_id >= 0");
+  EXPECT_DEATH(
+      {
+        baselines::ExactSyncProtocol protocol(4);
+        protocol.ProcessChunk(runs, values);
+      },
+      "protocol\\.h:[0-9]+: site >= 0");
+}
+
+// ---- Every pump-driven protocol: batch size is unobservable --------------
+
+TEST(BatchedPumpTest, RegisteredProtocolsBitIdenticalAcrossBatchSizes) {
+  // The counter walks psi's runs in its own ProcessChunk; HYZ and the
+  // baselines take the default, one run (or what is left of it) per call.
+  registry::RegisterBuiltinProtocols();
+  const sim::ProtocolRegistry& registry = sim::ProtocolRegistry::Global();
+  const int64_t n = 1 << 12;
+  sim::ProtocolParams params;
+  params.epsilon = 0.2;
+  params.horizon_n = n;
+  params.seed = 71;
+  sim::TrackingOptions tracking;
+  tracking.epsilon = 1.0;  // HYZ and the baselines promise less; be lax
+  for (const char* name :
+       {"counter", "hyz", "exact_sync", "periodic_sync", "two_monotonic"}) {
+    const sim::ProtocolTraits traits = *registry.Traits(name);
+    const std::vector<double> stream =
+        traits.monotonic_only ? std::vector<double>(static_cast<size_t>(n), 1.0)
+                              : streams::BernoulliStream(n, 0.1, 72);
+    for (const char* policy :
+         {"round_robin", "block", "random", "sign_split", "zero_crossing"}) {
+      for (const bool curve : {false, true}) {
+        tracking.curve_points = curve ? 16 : 0;
+        const auto run = [&](int batch) {
+          std::unique_ptr<sim::Protocol> protocol =
+              registry.Create(name, 4, params);
+          auto psi = sim::MakeAssignment(policy, 4, /*seed=*/13);
+          tracking.batch_size = batch;
+          return sim::RunTracking(stream, psi.get(), protocol.get(), tracking);
+        };
+        const sim::TrackingResult reference = run(1);
+        EXPECT_GT(reference.messages, 0) << name << " " << policy;
+        for (int batch : {7, 64, 256, 1000}) {
+          SCOPED_TRACE(::testing::Message() << name << " " << policy
+                                            << " curve=" << curve
+                                            << " batch=" << batch);
+          ExpectSameResult(reference, run(batch));
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchedPumpTest, CounterBitIdenticalOnAdversarialStream) {

@@ -1,10 +1,14 @@
 #include "sim/harness.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sim/protocol.h"
 
 namespace nmc::sim {
@@ -131,6 +135,75 @@ TEST(HarnessTest, CurveDisabledByDefault) {
   TrackingOptions options;
   const TrackingResult result = RunTracking(stream, &psi, &protocol, options);
   EXPECT_TRUE(result.curve.empty());
+}
+
+// ---- CheckCall == one CheckStep per update ------------------------------
+
+/// Checks `stream` in calls of random length (1 to 300), the way the pump
+/// and the sockets coordinator do: the estimate over a call's silent prefix
+/// is the stale one from the previous call's end, and its last update is
+/// judged against the fresh sum. `per_update` picks CheckStep per update
+/// instead of CheckCall. Returns the tally and the final running sum.
+TrackingResult CheckInCalls(const std::vector<double>& stream, bool per_update,
+                            uint64_t seed, double* final_sum) {
+  common::Rng rng(seed);
+  TrackingOptions options;
+  options.epsilon = 0.1;
+  TrackingResult result;
+  double sum = 0.0;
+  double estimate = 0.0;
+  for (size_t pos = 0; pos < stream.size();) {
+    const size_t len = std::min<size_t>(
+        static_cast<size_t>(rng.UniformInt(1, 300)), stream.size() - pos);
+    const std::span<const double> call =
+        std::span<const double>(stream).subspan(pos, len);
+    double call_sum = sum;
+    for (const double v : call) call_sum += v;
+    const double fresh = call_sum;  // the protocol caught up at the message
+    if (per_update) {
+      for (size_t j = 0; j < len; ++j) {
+        sum += call[j];
+        CheckStep(j + 1 == len ? fresh : estimate, sum, options, &result);
+      }
+    } else {
+      CheckCall(call, estimate, fresh, options, &sum, &result);
+    }
+    estimate = fresh;
+    pos += len;
+  }
+  *final_sum = sum;
+  return result;
+}
+
+/// 20000 drifting updates: ±1 when `unit`, else fractional.
+std::vector<double> DriftingStream(bool unit, uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<double> values(20000);
+  for (double& v : values) {
+    v = unit ? (rng.UniformInt(0, 9) < 6 ? 1.0 : -1.0)
+             : rng.UniformDouble() - 0.4;
+  }
+  return values;
+}
+
+TEST(CheckCallTest, MatchesCheckStepPerUpdate) {
+  // ±1 streams take CheckUnitPrefix on prefixes of 7 or more; fractional
+  // values always take the scalar loop. Both must tally bit for bit what
+  // one CheckStep per update does, violations included.
+  const std::vector<double> unit = DriftingStream(true, 5);
+  const std::vector<double> fractional = DriftingStream(false, 6);
+  for (const std::vector<double>* stream : {&unit, &fractional}) {
+    for (const uint64_t seed : {11u, 12u, 13u}) {
+      double sum_ref = 0.0;
+      double sum_got = 0.0;
+      const TrackingResult want = CheckInCalls(*stream, true, seed, &sum_ref);
+      const TrackingResult got = CheckInCalls(*stream, false, seed, &sum_got);
+      EXPECT_GT(want.violation_steps, 0);  // the stale estimate must show
+      EXPECT_EQ(got.violation_steps, want.violation_steps);
+      EXPECT_EQ(got.max_rel_error, want.max_rel_error);  // bitwise
+      EXPECT_EQ(sum_got, sum_ref);
+    }
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "registry/builtin.h"
 #include "sim/assignment.h"
 #include "sim/channel.h"
+#include "sim/protocol.h"
 #include "sim/registry.h"
 #include "streams/bernoulli.h"
 
@@ -96,6 +97,23 @@ std::vector<int64_t> ChunkLengths(int64_t n, uint64_t seed) {
     covered += lengths.back();
   }
   return lengths;
+}
+
+/// sites[begin, end) as ProcessChunk runs: each same-site stretch, also
+/// cut at random points so that neighbours sometimes share a site.
+std::vector<sim::SiteRun> RunsOf(const std::vector<int>& sites, int64_t begin,
+                                 int64_t end, uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<sim::SiteRun> runs;
+  for (int64_t t = begin; t < end; ++t) {
+    const int site = sites[static_cast<size_t>(t)];
+    if (runs.empty() || runs.back().site != site ||
+        rng.UniformInt(0, 7) == 0) {
+      runs.push_back(sim::SiteRun{site, 0});
+    }
+    ++runs.back().length;
+  }
+  return runs;
 }
 
 class ConformanceTest : public ::testing::TestWithParam<size_t> {
@@ -215,8 +233,9 @@ TEST_P(ConformanceTest, ProcessBatchMatchesPerUpdateExecution) {
 }
 
 /// The ProcessChunk contract: feeding interleaved chunks through
-/// ProcessChunk (honoring its consume-a-prefix return) must be
-/// bit-identical to feeding the same updates one at a time. After every
+/// ProcessChunk as same-site runs (honoring its consume-a-prefix report,
+/// which must agree with the runs it was handed) must be bit-identical to
+/// feeding the same updates one at a time. After every
 /// call the estimate and the message counts equal a per-update twin's at
 /// the same step, and the twin sent nothing and kept its estimate over the
 /// call's silent prefix (every consumed update but the last).
@@ -255,13 +274,30 @@ TEST_P(ConformanceTest, ProcessChunkMatchesPerUpdateExecution) {
     int64_t pos = 0;
     for (const int64_t chunk : chunks) {
       const int64_t end = pos + chunk;
+      std::vector<sim::SiteRun> runs =
+          RunsOf(sites, pos, end, /*seed=*/static_cast<uint64_t>(47 + pos));
+      size_t run = 0;  // the pump's cursor: runs[run] starts at pos
       while (pos < end) {
-        const size_t len = static_cast<size_t>(end - pos);
-        const int64_t consumed = chunked->ProcessChunk(
-            std::span<const int>(sites.data() + pos, len),
-            std::span<const double>(stream.data() + pos, len));
+        const sim::ChunkStop stop = chunked->ProcessChunk(
+            std::span<const sim::SiteRun>(runs).subspan(run),
+            std::span<const double>(stream.data() + pos,
+                                    static_cast<size_t>(end - pos)));
+        const int64_t consumed = stop.consumed;
         ASSERT_GE(consumed, 1) << s.name;
         ASSERT_LE(consumed, end - pos) << s.name;
+        // The reported stop agrees with the count consumed.
+        ASSERT_LE(run + stop.run, runs.size()) << s.name;
+        int64_t reported = stop.offset;
+        for (size_t r = run; r < run + stop.run; ++r) {
+          reported += runs[r].length;
+        }
+        ASSERT_EQ(reported, consumed) << s.name << " t=" << pos;
+        run += stop.run;
+        if (stop.offset > 0) {
+          ASSERT_LT(run, runs.size()) << s.name;
+          ASSERT_LT(stop.offset, runs[run].length) << s.name;
+          runs[run].length -= stop.offset;
+        }
         const Step& before = steps[static_cast<size_t>(pos)];
         for (int64_t t = pos + 1; t < pos + consumed; ++t) {
           const Step& silent = steps[static_cast<size_t>(t)];
@@ -284,6 +320,7 @@ TEST_P(ConformanceTest, ProcessChunkMatchesPerUpdateExecution) {
         ASSERT_EQ(got.to_sites, want.to_sites) << s.name << " t=" << pos;
         ASSERT_EQ(got.broadcasts, want.broadcasts) << s.name << " t=" << pos;
       }
+      ASSERT_EQ(run, runs.size()) << s.name;
     }
   }
 }

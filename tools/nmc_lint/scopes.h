@@ -83,15 +83,17 @@ inline bool InModeledConcurrencyScope(const std::string& path) {
          path == "src/common/spsc_queue.h" || path == "src/common/seqlock.h";
 }
 
-/// Per-update protocol entry points (the transcendental rule's direct
-/// scope).
+/// Per-update entry points (the transcendental rule's direct scope): the
+/// protocol calls, ProcessChunk taking psi's same-site runs, and
+/// CheckCall, the tracking check over one protocol call's updates.
 inline constexpr const char* kPerUpdateEntryPoints[] = {
     "OnLocalUpdate", "ProcessUpdate", "ProcessBatch", "ProcessChunk",
-    "ProcessRun",    "ConsumeRun"};
+    "ProcessRun",    "ConsumeRun",    "CheckCall"};
 
 /// The per-update entry points plus the network delivery machinery they
-/// drive and the sim pump with its assignment policy (PumpChunk, psi's
-/// Assign) — everything executed once (or more) per stream update or
+/// drive and the sim pump with its assignment policy (PumpChunk, and psi's
+/// Assign, which writes a chunk's same-site runs into the pump's run
+/// buffer) — everything executed once (or more) per stream update or
 /// chunk. These are the roots of the transitive hot-path propagation: a
 /// heap allocation or transcendental anywhere in a call chain starting
 /// here is paid O(n) times per trial.
@@ -101,7 +103,7 @@ inline constexpr const char* kHotPathEntryPoints[] = {
     "DeliverAll",    "Route",                "BeginTickSlow",
     "SendToCoordinator", "SendToSite",       "Broadcast",
     "OnSiteMessage", "OnCoordinatorMessage", "PumpChunk",
-    "Assign"};
+    "Assign",        "CheckCall"};
 
 /// Classes whose member functions root the reentrancy audit
 /// (NO_STATIC_LOCAL_IN_REENTRANT): the seams the threaded runtime calls

@@ -1,25 +1,38 @@
-// Chunk fixture: a protocol's ProcessChunk override is a hot-path root.
-// NoteRun's push_back grows a vector the file never reserves, one call
-// below the override, and StageSlot's emplace_back does the same. The
-// override's own emplace_back appends to a queue the file reserves, which
-// is the sanctioned pattern and not a finding.
+// Chunk fixture: a protocol's ProcessChunk override, which walks psi's
+// same-site runs, is a hot-path root. NoteRun's push_back grows a vector
+// the file never reserves, one call below the override, and StageSlot's
+// emplace_back does the same. The override's own emplace_back appends to a
+// queue the file reserves, which is the sanctioned pattern and not a
+// finding.
+#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace fix {
 
+struct SiteRun {
+  int site;
+  long length;
+};
+
+struct ChunkStop {
+  long consumed;
+  std::size_t run;
+  long offset;
+};
+
 class Protocol {
  public:
   virtual ~Protocol() = default;
-  virtual long ProcessChunk(std::span<const int> sites,
-                            std::span<const double> values) = 0;
+  virtual ChunkStop ProcessChunk(std::span<const SiteRun> runs,
+                                 std::span<const double> values) = 0;
 };
 
 class Counter final : public Protocol {
  public:
   Counter() { queue_.reserve(64); }
-  long ProcessChunk(std::span<const int> sites,
-                    std::span<const double> values) override;
+  ChunkStop ProcessChunk(std::span<const SiteRun> runs,
+                         std::span<const double> values) override;
 
  private:
   void NoteRun(long length);
@@ -34,12 +47,12 @@ void Counter::NoteRun(long length) { runs_.push_back(length); }
 
 void Counter::StageSlot() { staged_.emplace_back(); }
 
-long Counter::ProcessChunk(std::span<const int> sites,
-                           std::span<const double> values) {
-  NoteRun(static_cast<long>(sites.size()));
+ChunkStop Counter::ProcessChunk(std::span<const SiteRun> runs,
+                                std::span<const double> values) {
+  for (const SiteRun& run : runs) NoteRun(run.length);
   StageSlot();
   queue_.emplace_back();
-  return static_cast<long>(values.size());
+  return ChunkStop{static_cast<long>(values.size()), runs.size(), 0};
 }
 
 }  // namespace fix
