@@ -299,7 +299,6 @@ void BM_NetworkPump(benchmark::State& state) {
   };
   class NullSite : public nmc::sim::SiteNode {
    public:
-    void OnLocalUpdate(double) override {}
     void OnCoordinatorMessage(const nmc::sim::Message&) override {}
   };
   const int k = 8;

@@ -13,7 +13,7 @@ class ExactSyncProtocol::Site : public sim::SiteNode {
   Site(int site_id, sim::Network* network)
       : site_id_(site_id), network_(network) {}
 
-  void OnLocalUpdate(double value) override {
+  void OnLocalUpdate(double value) {
     sim::Message m;
     m.type = kValue;
     m.a = value;

@@ -16,7 +16,7 @@ class PeriodicSyncProtocol::Site : public sim::SiteNode {
   Site(int site_id, int64_t period, sim::Network* network)
       : site_id_(site_id), period_(period), network_(network) {}
 
-  void OnLocalUpdate(double value) override {
+  void OnLocalUpdate(double value) {
     ++local_updates_;
     local_sum_ += value;
     if (local_updates_ % period_ == 0) PushTotals();

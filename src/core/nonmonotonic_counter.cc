@@ -115,10 +115,6 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
     }
   }
 
-  void OnLocalUpdate(double value) override {
-    ConsumeRun(std::span<const double>(&value, 1));
-  }
-
   /// Consumes a prefix of `values` (>= 1 update), stopping immediately
   /// after the first update that emits a message; returns the count
   /// consumed. ProcessUpdate is the count == 1 special case, so batched

@@ -35,11 +35,6 @@ class HyzProtocol::Site : public sim::SiteNode {
         batch_rng_(rng.NextU64()),
         skip_(&batch_rng_) {}
 
-  void OnLocalUpdate(double value) override {
-    NMC_CHECK_EQ(value, 1.0);
-    ConsumeRun(1);
-  }
-
   /// Consumes a prefix of `count` unit increments (>= 1), stopping right
   /// after the first one that emits a report; returns the count consumed.
   /// Both modes fast-forward the silent prefix: kDeterministic knows the

@@ -4,15 +4,11 @@
 #include <cstdint>
 #include <cstring>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include "common/check.h"
@@ -145,65 +141,12 @@ constexpr size_t kChildInBytes = 4096;
   }
 }
 
-/// TCP child bootstrap: connect to the coordinator's loopback listener
-/// (with retries — the parent listens before forking, but a slow accept
-/// loop is normal) and introduce this site with a kHello frame before the
-/// generic site loop takes over.
-[[noreturn]] void ChildTcpMain(const SiteSpawnOptions& options) {
-  int fd = -1;
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) _exit(4);
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options.tcp_port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) == 0) {
-      break;
-    }
-    close(fd);
-    fd = -1;
-    struct timespec backoff = {0, 10 * 1000 * 1000};  // 10ms
-    nanosleep(&backoff, nullptr);
-  }
-  if (fd < 0) _exit(4);
-  const int one = 1;
-  (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  BoundSocketBuffers(fd);
-
-  sim::Message hello;
-  hello.type = static_cast<int>(FrameType::kHello);
-  hello.u = options.site_id;
-  uint8_t frame[wire::kFrameBytes];
-  wire::EncodeFrame(hello, frame);
-  size_t off = 0;
-  while (off < wire::kFrameBytes) {  // fd still blocking here
-    const ssize_t sent =
-        send(fd, frame + off, wire::kFrameBytes - off, MSG_NOSIGNAL);
-    if (sent < 0 && errno == EINTR) continue;
-    if (sent <= 0) _exit(4);
-    off += static_cast<size_t>(sent);
-  }
-  ChildSiteMain(fd, options);
-}
-
 }  // namespace
 
 SiteProcess SpawnSiteProcess(const SiteSpawnOptions& options) {
   SiteProcess site;
   site.site_id = options.site_id;
   site.resume_seq = options.resume_seq;
-
-  if (options.use_tcp) {
-    const pid_t pid = fork();
-    NMC_CHECK_GE(pid, 0);
-    if (pid == 0) ChildTcpMain(options);
-    site.pid = pid;
-    site.fd = -1;  // arrives later via accept + kHello
-    return site;
-  }
 
   int fds[2];
   NMC_CHECK_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -284,27 +227,6 @@ bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;
   return fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-int OpenTcpListener(uint16_t* port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  NMC_CHECK_GE(fd, 0);
-  const int one = 1;
-  (void)setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = 0;  // ephemeral
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  NMC_CHECK_EQ(
-      bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)), 0);
-  NMC_CHECK_EQ(listen(fd, SOMAXCONN), 0);
-  socklen_t len = sizeof(addr);
-  NMC_CHECK_EQ(
-      getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len), 0);
-  *port = ntohs(addr.sin_port);
-  NMC_CHECK(SetNonBlocking(fd));
-  return fd;
 }
 
 }  // namespace nmc::runtime

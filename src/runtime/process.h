@@ -24,14 +24,15 @@ inline constexpr size_t kSocketWindowBytes = 16 * 1024;
 /// as on the threads backend.
 ///
 /// Field usage per type (unused fields are zero):
-///   kHello   u = site_id                      (TCP only: maps a connection)
 ///   kUpdate  a = value, u = per-site sequence number (0-based)
 ///   kFin     u = shard length, v = echoes the child had received
 ///   kFinAck  (none) — coordinator release; the child exits on receipt
 ///   kNack    u = first sequence number to resend (go-back-N rewind)
 ///   kEcho    a = estimate, u = generation     (advisory, may be dropped)
+///
+/// The numbers are wire format (the transport goldens pin them); 1 is
+/// unused.
 enum class FrameType : int {
-  kHello = 1,
   kUpdate = 2,
   kFin = 3,
   kFinAck = 4,
@@ -56,22 +57,19 @@ struct SiteSpawnOptions {
   /// each update with its absolute sequence number.
   std::span<const double> shard;
   int64_t resume_seq = 0;
-  /// Connect over TCP to 127.0.0.1:tcp_port and introduce itself with a
-  /// kHello frame, instead of inheriting one end of a Unix socketpair.
-  bool use_tcp = false;
-  uint16_t tcp_port = 0;
 };
 
-/// Forks one site child. The child never returns: it streams its shard as
-/// kUpdate frames, honors kNack rewinds (go-back-N), announces completion
-/// with kFin, and _exit()s once the coordinator acknowledges with kFinAck
-/// (or the socket reports EOF/error — an orphaned child must die, not
-/// linger). The post-fork child path allocates nothing on the heap: the
-/// parent may already be running reader threads when a replacement site is
-/// forked, and a child touching malloc could inherit a locked allocator.
-/// Returns the parent-side endpoint (nonblocking fd). Aborts via NMC_CHECK
-/// on syscall failure — a transport that cannot even fork has no graceful
-/// degradation story.
+/// Forks one site child connected to the coordinator by a Unix socketpair.
+/// The child never returns: it streams its shard as kUpdate frames, honors
+/// kNack rewinds (go-back-N), announces completion with kFin, and _exit()s
+/// once the coordinator acknowledges with kFinAck (or the socket reports
+/// EOF/error — an orphaned child must die, not linger). The post-fork
+/// child path allocates nothing on the heap: the parent may already be
+/// running reader threads when a replacement site is forked, and a child
+/// touching malloc could inherit a locked allocator. Returns the
+/// parent-side endpoint (nonblocking fd), ready to poll. Aborts via
+/// NMC_CHECK on syscall failure — a transport that cannot even fork has no
+/// graceful degradation story.
 SiteProcess SpawnSiteProcess(const SiteSpawnOptions& options);
 
 /// Parent-side teardown of one incarnation: closes the fd (if still open),
@@ -86,11 +84,10 @@ bool SetNonBlocking(int fd);
 
 /// Requests kSocketWindowBytes for SO_SNDBUF and SO_RCVBUF. Linux doubles
 /// the request, so about 2 × 16 KiB (744 frames) sit in one socket's
-/// kernel buffer per direction. Applied to every data socket (both
-/// socketpair ends, TCP connections): a fast child must not outrun the
-/// coordinator by a whole shard, or crash injection degenerates (the kill
-/// lands after the data already left the site) and resync distances stop
-/// meaning anything.
+/// kernel buffer per direction. Applied to both socketpair ends: a fast
+/// child must not outrun the coordinator by a whole shard, or crash
+/// injection degenerates (the kill lands after the data already left the
+/// site) and resync distances stop meaning anything.
 void BoundSocketBuffers(int fd);
 
 /// Sends one frame on a nonblocking fd. Each EAGAIN before the frame's
@@ -100,9 +97,5 @@ void BoundSocketBuffers(int fd);
 /// the frame: a torn frame would desynchronize the peer's decoder. Returns
 /// false when the tries ran out or the peer is gone (EPIPE/reset).
 bool SendControl(int fd, const sim::Message& message, int max_attempts);
-
-/// Creates a localhost TCP listener on an ephemeral port (nonblocking,
-/// SO_REUSEADDR). Returns the listening fd and writes the bound port.
-int OpenTcpListener(uint16_t* port);
 
 }  // namespace nmc::runtime

@@ -38,6 +38,10 @@ struct ReaderStats {
 /// the coordinator's publish cadence instead of aliasing it.
 inline constexpr int64_t kSampleStride = 17;
 
+/// Snapshots each reader retains (ring-replaced, so the tail of the run
+/// stays covered).
+inline constexpr int64_t kReaderSampleCapacity = 256;
+
 /// Yield cadence for the spin paths. On an oversubscribed machine (more
 /// threads than cores — CI runners, small VMs) an unyielding spin
 /// loop starves the very thread it waits on.
@@ -57,11 +61,8 @@ static_assert(alignof(StopFlag) == kCacheLineBytes &&
               "the readers' stop flag must fill exactly one cache line");
 
 inline void ReaderLoop(const common::Seqlock<PublishedEstimate>& slot,
-                       const StopFlag& run_done, int64_t sample_capacity,
-                       ReaderStats* stats) {
-  if (sample_capacity > 0) {
-    stats->samples.resize(static_cast<size_t>(sample_capacity));
-  }
+                       const StopFlag& run_done, ReaderStats* stats) {
+  stats->samples.resize(static_cast<size_t>(kReaderSampleCapacity));
   int64_t last_generation = 0;
   // Read before testing the stop flag, and keep going until one read has
   // landed: a reader the scheduler starts only after Finish() still takes
@@ -82,8 +83,9 @@ inline void ReaderLoop(const common::Seqlock<PublishedEstimate>& slot,
     } else {
       last_generation = snapshot.generation;
     }
-    if (sample_capacity > 0 && (stats->reads - 1) % kSampleStride == 0) {
-      stats->samples[static_cast<size_t>(stats->sampled % sample_capacity)] =
+    if ((stats->reads - 1) % kSampleStride == 0) {
+      stats->samples[static_cast<size_t>(stats->sampled %
+                                         kReaderSampleCapacity)] =
           ReadSample{snapshot.generation, snapshot.estimate};
       ++stats->sampled;
     }
@@ -104,8 +106,7 @@ class ServingState {
   /// several updates except in the chattiest regimes (the log grows past
   /// the reservation when it must).
   ServingState(ThreadedRunResult* result, bool capture, int num_readers,
-               int64_t reader_sample_capacity, int64_t expected_updates,
-               double initial_estimate)
+               int64_t expected_updates, double initial_estimate)
       : result_(result),
         capture_(capture),
         reader_stats_(static_cast<size_t>(num_readers)) {
@@ -120,9 +121,8 @@ class ServingState {
     joins_.reserve(static_cast<size_t>(num_readers));
     for (ReaderStats& stats : reader_stats_) {
       ReaderStats* rs = &stats;
-      joins_.push_back(pool_->Submit([this, rs, reader_sample_capacity]() {
-        ReaderLoop(slot_, run_done_, reader_sample_capacity, rs);
-      }));
+      joins_.push_back(pool_->Submit(
+          [this, rs]() { ReaderLoop(slot_, run_done_, rs); }));
     }
   }
 

@@ -6,7 +6,6 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include "common/check.h"
 #include "runtime/serving.h"
@@ -33,52 +32,14 @@ double FaultUniform(uint64_t seed, uint64_t site, uint64_t index) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
-/// Accepts one pending TCP connection and reads its kHello frame (bounded
-/// wait). Returns the connection fd and writes the announced site id, or
-/// -1 when the connection is malformed or dies mid-handshake.
-int AcceptHello(int listener, int* site_id) {
-  const int conn = accept(listener, nullptr, nullptr);
-  if (conn < 0) return -1;
-  BoundSocketBuffers(conn);
-  if (!SetNonBlocking(conn)) {
-    close(conn);
-    return -1;
-  }
-  uint8_t buf[wire::kFrameBytes];
-  size_t got = 0;
-  for (int attempt = 0; attempt < 2000 && got < wire::kFrameBytes;
-       ++attempt) {
-    const ssize_t r = recv(conn, buf + got, wire::kFrameBytes - got, 0);
-    if (r > 0) {
-      got += static_cast<size_t>(r);
-      continue;
-    }
-    if (r == 0) break;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      struct pollfd pfd;
-      pfd.fd = conn;
-      pfd.events = POLLIN;
-      pfd.revents = 0;
-      (void)poll(&pfd, 1, 1);
-      continue;
-    }
-    break;
-  }
-  if (got < wire::kFrameBytes) {
-    close(conn);
-    return -1;
-  }
-  const wire::Decoded decoded =
-      wire::DecodeFrame(std::span<const uint8_t>(buf, wire::kFrameBytes));
-  if (decoded.status != wire::DecodeStatus::kOk ||
-      decoded.message.type != static_cast<int>(FrameType::kHello)) {
-    close(conn);
-    return -1;
-  }
-  *site_id = static_cast<int>(decoded.message.u);
-  return conn;
-}
+/// Poll rounds one injected head-of-line stall keeps a site unread.
+constexpr int64_t kStallPolls = 8;
+
+/// Safety stop: consecutive poll rounds with no frame consumed before the
+/// coordinator declares the run wedged, SIGKILLs everything and returns
+/// with timed_out set (a hung CI job is worse than a failed one). Each
+/// idle round blocks ~1ms in poll.
+constexpr int64_t kMaxIdlePolls = 20000;
 
 /// Coordinator-side view of one site across its incarnations.
 struct SiteState {
@@ -131,24 +92,16 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   // Serving layer: identical to the threads backend.
   double estimate = protocol->Estimate();
   internal::ServingState serving(&result, options.capture,
-                                 options.num_readers,
-                                 options.reader_sample_capacity,
-                                 total_updates, estimate);
+                                 options.num_readers, total_updates, estimate);
 
-  // Transport bring-up: listener first (TCP children connect-retry against
-  // it), then one child per site.
-  int listener = -1;
-  uint16_t port = 0;
-  if (options.use_tcp) listener = OpenTcpListener(&port);
-
+  // Transport bring-up: one child per site, each polled from the moment it
+  // is spawned.
   std::vector<SiteState> sites(static_cast<size_t>(num_sites));
   const auto spawn = [&](int s, int64_t resume_seq) {
     SiteSpawnOptions spawn_options;
     spawn_options.site_id = s;
     spawn_options.shard = shards[static_cast<size_t>(s)];
     spawn_options.resume_seq = resume_seq;
-    spawn_options.use_tcp = options.use_tcp;
-    spawn_options.tcp_port = port;
     sites[static_cast<size_t>(s)].proc = SpawnSiteProcess(spawn_options);
     sites[static_cast<size_t>(s)].reassembler = wire::FrameReassembler();
     sites[static_cast<size_t>(s)].saw_eof = false;
@@ -192,7 +145,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   sim::TrackingOptions tracking;
   tracking.epsilon = options.epsilon;
   tracking.rel_error_floor = options.rel_error_floor;
-  tracking.absolute_slack = options.absolute_slack;
   sim::TrackingResult checked;
 
   // Feeds `values`, consecutive updates of site s, to the protocol through
@@ -316,8 +268,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
         ++stats.children_reaped;
         return;
       }
-      case FrameType::kHello:
-        return;  // Unix-socketpair children never send one; ignore.
       default:
         return;  // site->coordinator control we don't know; ignore.
     }
@@ -393,25 +343,21 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     flush();
   };
 
-  // The event loop: poll the live sockets (plus the TCP listener while any
-  // site lacks a connection), reassemble frames, feed the confined
-  // protocol, publish. 1ms poll timeout keeps the fault schedule and the
-  // idle watchdog ticking even when no site is talking.
+  // The event loop: poll the live sockets, reassemble frames, feed the
+  // confined protocol, publish. 1ms poll timeout keeps the fault schedule
+  // and the idle watchdog ticking even when no site is talking.
   std::vector<struct pollfd> pfds;
   std::vector<int> pfd_site;
-  pfds.reserve(static_cast<size_t>(num_sites) + 1);
-  pfd_site.reserve(static_cast<size_t>(num_sites) + 1);
+  pfds.reserve(static_cast<size_t>(num_sites));
+  pfd_site.reserve(static_cast<size_t>(num_sites));
   int64_t last_echo = 0;
   int64_t idle_rounds = 0;
 
   while (true) {
-    bool all_done = true;
-    bool tcp_pending = false;
-    for (const SiteState& st : sites) {
-      if (!st.done()) all_done = false;
-      if (!st.done() && st.proc.fd < 0) tcp_pending = true;
+    if (std::all_of(sites.begin(), sites.end(),
+                    [](const SiteState& st) { return st.done(); })) {
+      break;
     }
-    if (all_done) break;
 
     ++stats.poll_rounds;
     progressed_this_round = false;
@@ -431,7 +377,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
                        static_cast<uint64_t>(s),
                        static_cast<uint64_t>(stats.poll_rounds)) <
               options.faults.delay_probability) {
-        st.stall_rounds = options.faults.delay_polls;
+        st.stall_rounds = kStallPolls;
         ++stats.delays_injected;
         continue;
       }
@@ -442,35 +388,12 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
       pfds.push_back(pfd);
       pfd_site.push_back(s);
     }
-    if (listener >= 0 && tcp_pending) {
-      struct pollfd pfd;
-      pfd.fd = listener;
-      pfd.events = POLLIN;
-      pfd.revents = 0;
-      pfds.push_back(pfd);
-      pfd_site.push_back(-1);
-    }
 
     if (!pfds.empty()) {
       (void)poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 1);
     }
 
     for (size_t i = 0; i < pfds.size(); ++i) {
-      if (pfd_site[i] < 0) {
-        // TCP accepts: map each kHello to the site waiting for an fd.
-        if ((pfds[i].revents & POLLIN) == 0) continue;
-        int hello_site = -1;
-        const int conn = AcceptHello(listener, &hello_site);
-        if (conn < 0) continue;
-        if (hello_site < 0 || hello_site >= num_sites ||
-            sites[static_cast<size_t>(hello_site)].proc.fd >= 0) {
-          close(conn);  // stray or duplicate connection
-          continue;
-        }
-        sites[static_cast<size_t>(hello_site)].proc.fd = conn;
-        progressed_this_round = true;
-        continue;
-      }
       const int s = pfd_site[i];
       SiteState& st = sites[static_cast<size_t>(s)];
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
@@ -526,7 +449,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
 
     if (progressed_this_round) {
       idle_rounds = 0;
-    } else if (++idle_rounds > options.max_idle_polls) {
+    } else if (++idle_rounds > kMaxIdlePolls) {
       stats.timed_out = true;
       break;
     }
@@ -544,7 +467,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     if (st.kill_pending_eof) stats.all_kills_recovered = false;
     stats.generated_updates += st.next_seq;
   }
-  if (listener >= 0) close(listener);
   stats.updates_lost = stats.generated_updates - consumed_total;
   stats.violation_steps = checked.violation_steps;
   stats.max_rel_error = checked.max_rel_error;

@@ -25,15 +25,14 @@ struct SiteKillSpec {
 /// CrashScheduleChannel, which perturb sim::Message objects in memory).
 struct SocketFaultOptions {
   /// Probability of dropping a kUpdate frame at ingress. Control frames
-  /// (kHello/kFin/kNack/kEcho/kFinAck) ride a reliable control plane and
+  /// (kFin/kNack/kEcho/kFinAck) ride a reliable control plane and
   /// are never dropped — loss models a flaky data path, not a broken link.
   double loss = 0.0;
   /// Probability (per site per poll round) of a head-of-line stall: the
-  /// coordinator stops reading that site's socket for `delay_polls`
-  /// rounds, so frames back up in the kernel buffer and arrive late but
-  /// in order — the socket-level shape of a delay channel.
+  /// coordinator stops reading that site's socket for 8 rounds, so frames
+  /// back up in the kernel buffer and arrive late but in order — the
+  /// socket-level shape of a delay channel.
   double delay_probability = 0.0;
-  int64_t delay_polls = 8;
   /// Seed of the deterministic fault stream. Drops hash (seed, site,
   /// arrival index); the same plan replays the same faults.
   uint64_t seed = 1;
@@ -45,12 +44,8 @@ struct SocketRunOptions {
   /// the seqlock-published estimate while the run progresses.
   int num_readers = 0;
   bool capture = false;
-  int64_t reader_sample_capacity = 256;
   /// Coordinator->site kEcho cadence in consumed updates; 0 = off.
   int64_t echo_period = 1024;
-  /// Sites connect over TCP to a loopback listener instead of inheriting
-  /// a Unix socketpair end. Same framing either way.
-  bool use_tcp = false;
   /// Reliable link discipline: strictly in-order consumption, gaps NACKed
   /// (go-back-N), killed sites respawned at the consumption cursor. When
   /// false the link is raw — dropped frames are lost forever and killed
@@ -60,19 +55,13 @@ struct SocketRunOptions {
   SocketFaultOptions faults;
   /// Tracking-guarantee check against the generated world (see
   /// SocketStats::violation_steps), judged by sim::CheckStep with these
-  /// fields as its sim::TrackingOptions.
+  /// fields in its sim::TrackingOptions (the rest keep their defaults).
   double epsilon = 0.1;
   double rel_error_floor = 1.0;
-  double absolute_slack = 1e-9;
   /// A respawned site must deliver its first resumed update within this
   /// many coordinator-consumed updates (across all sites) of the kill;
   /// otherwise the run reports all_kills_recovered = false.
   int64_t resync_deadline_updates = 1 << 20;
-  /// Safety stop: consecutive poll rounds with no frame consumed before
-  /// the coordinator declares the run wedged, SIGKILLs everything and
-  /// returns with timed_out set (a hung CI job is worse than a failed
-  /// one). Each idle round blocks ~1ms in poll.
-  int64_t max_idle_polls = 20000;
 };
 
 /// Link- and fault-level counters of one sockets run. The serving-side
@@ -113,6 +102,7 @@ struct SocketStats {
   /// Echo receipts the sites reported back in their kFin frames.
   int64_t echoes_acked = 0;
   int64_t poll_rounds = 0;
+  /// The idle watchdog stopped a wedged run (see RunSockets).
   bool timed_out = false;
   int children_reaped = 0;
 };
@@ -125,14 +115,16 @@ struct SocketRunResult {
 };
 
 /// Runs `protocol` on the sockets transport backend: shards[i] streams
-/// from a forked child process over a Unix-domain socketpair (or loopback
-/// TCP) in the versioned wire framing, a nonblocking poll event loop on
-/// the coordinator reassembles frames, feeds each site's consecutive
-/// in-order updates to the confined protocol through ProcessBatch, as the
-/// sim drive loop does, and publishes the estimate after every
-/// ProcessBatch return through the same seqlock serving layer as the
-/// threads backend. Returns once every site has FIN/FinAck'd (or died per the
-/// fault plan) and every child is reaped — no zombies, no open fds.
+/// from a forked child process over a Unix-domain socketpair in the
+/// versioned wire framing, a nonblocking poll event loop on the
+/// coordinator reassembles frames, feeds each site's consecutive in-order
+/// updates to the confined protocol through ProcessBatch, as the sim drive
+/// loop does, and publishes the estimate after every ProcessBatch return
+/// through the same seqlock serving layer as the threads backend. Returns
+/// once every site has FIN/FinAck'd (or died per the fault plan) and every
+/// child is reaped — no zombies, no open fds. A run that consumes no frame
+/// for 20000 poll rounds (about 20 s) is wedged: the watchdog SIGKILLs
+/// everything and returns with stats.timed_out set.
 ///
 /// The protocol object is only ever touched by the calling thread;
 /// processes own streaming, not protocol state.

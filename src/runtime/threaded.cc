@@ -93,9 +93,8 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   }
   ThreadedRunResult result;
   internal::ServingState serving(&result, options.capture,
-                                 options.num_readers,
-                                 options.reader_sample_capacity,
-                                 total_updates, protocol->Estimate());
+                                 options.num_readers, total_updates,
+                                 protocol->Estimate());
 
   // Coordinator: round-robin over the mailboxes, feeding contiguous spans
   // straight from the ring storage into ProcessBatch (zero copies), and

@@ -58,9 +58,6 @@ struct ThreadedRunOptions {
   /// Record the transcript and the publish log for the linearizability
   /// check. Costs O(n) memory — meant for tests and verification runs.
   bool capture = false;
-  /// Per-reader retained snapshot count (ring-replaced, so the tail of the
-  /// run stays covered); 0 disables sampling.
-  int64_t reader_sample_capacity = 256;
 };
 
 struct ThreadedRunResult {

@@ -18,9 +18,9 @@ namespace nmc::runtime {
 ///     wait-free by query-client threads.
 ///   * kSockets: the multi-process runtime (runtime::RunSockets): sites are
 ///     forked child processes speaking the versioned wire framing of
-///     sim::Message (runtime/wire.h) over Unix domain sockets (TCP via an
-///     option), a nonblocking poll loop on the coordinator feeding the same
-///     confined protocol drive loop and the same seqlock serving layer.
+///     sim::Message (runtime/wire.h) over one Unix socketpair per site, a
+///     nonblocking poll loop on the coordinator feeding the same confined
+///     protocol drive loop and the same seqlock serving layer.
 ///     Channel faults become *real* transport faults here: frame-level
 ///     drop/delay shims and SIGKILLed children.
 enum class TransportKind {

@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "sim/assignment.h"
 #include "sim/protocol.h"
-#include "sim/stream_source.h"
 
 namespace nmc::sim {
 
@@ -141,12 +140,5 @@ inline void CheckCall(std::span<const double> call, double frozen,
 TrackingResult RunTracking(const std::vector<double>& stream,
                            AssignmentPolicy* psi, Protocol* protocol,
                            const TrackingOptions& options);
-
-/// Same checker over a chunked source: pulls options.batch_size items at a
-/// time into one reusable buffer, so tracking an n-item stream allocates
-/// O(batch_size) instead of O(n). Produces the same TrackingResult as the
-/// vector overload fed the materialized stream.
-TrackingResult RunTracking(StreamSource* source, AssignmentPolicy* psi,
-                           Protocol* protocol, const TrackingOptions& options);
 
 }  // namespace nmc::sim

@@ -7,14 +7,13 @@ namespace nmc::sim {
 /// A site in the star topology. Sites never talk to each other directly
 /// (the model forbids it); their only I/O is updates arriving locally and
 /// messages to/from the coordinator, so a correct implementation cannot
-/// accidentally read global state.
+/// accidentally read global state. Local updates reach a site through its
+/// owning protocol's ProcessUpdate/ProcessChunk, which calls the site
+/// directly; the Network delivers only coordinator messages, and any
+/// communication an update triggers goes through it.
 class SiteNode {
  public:
   virtual ~SiteNode() = default;
-
-  /// A stream update of the given value arrived at this site. Any
-  /// communication it triggers must go through Network.
-  virtual void OnLocalUpdate(double value) = 0;
 
   /// A message (unicast or broadcast) arrived from the coordinator.
   virtual void OnCoordinatorMessage(const Message& message) = 0;

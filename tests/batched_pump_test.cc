@@ -1,7 +1,6 @@
 // The ProcessBatch contract in one suite: for any stream slicing the
 // batched pump must reproduce the per-update pump bit for bit — same
-// messages, same violations, same curve — and the chunked stream sources must emit exactly the value sequences of their
-// vector counterparts.
+// messages, same violations, same curve.
 
 #include <cstdint>
 #include <memory>
@@ -19,10 +18,8 @@
 #include "sim/channel.h"
 #include "sim/harness.h"
 #include "sim/registry.h"
-#include "sim/stream_source.h"
 #include "streams/adversarial.h"
 #include "streams/bernoulli.h"
-#include "streams/chunked.h"
 #include "test_util.h"
 
 namespace nmc {
@@ -319,80 +316,6 @@ TEST(BatchedPumpTest, DefaultProcessBatchConsumesOneUpdate) {
   const auto b = sim::RunTracking(stream, &psi2, &batched, tracking);
   ExpectSameResult(a, b);
   EXPECT_EQ(a.messages, a.n);  // ExactSync really saw every update
-}
-
-// ---- StreamSource overload ----------------------------------------------
-
-TEST(BatchedPumpTest, SourceOverloadMatchesVectorOverload) {
-  const int64_t n = 1 << 13;
-  core::CounterOptions options = testing::DefaultOptions(n, 0.2, 808);
-  const auto stream = streams::BernoulliStream(n, 0.5, 33);
-
-  sim::TrackingOptions tracking;
-  tracking.epsilon = options.epsilon;
-  tracking.curve_points = 16;
-  tracking.batch_size = 50;  // n not divisible by 50: ragged final chunk
-  // Under block, 64-update blocks against 50-item chunks: most chunks start
-  // and end mid-block.
-  for (const char* policy : {"round_robin", "block"}) {
-    SCOPED_TRACE(policy);
-    core::NonMonotonicCounter vec_counter(2, options);
-    core::NonMonotonicCounter src_counter(2, options);
-    auto psi1 = sim::MakeAssignment(policy, 2, /*seed=*/13);
-    auto psi2 = sim::MakeAssignment(policy, 2, /*seed=*/13);
-    const auto a =
-        sim::RunTracking(stream, psi1.get(), &vec_counter, tracking);
-    streams::BernoulliSource source(n, 0.5, 33);
-    const auto b =
-        sim::RunTracking(&source, psi2.get(), &src_counter, tracking);
-    ExpectSameResult(a, b);
-  }
-}
-
-// ---- Chunked sources ≡ vector generators ---------------------------------
-
-TEST(BatchedPumpTest, ChunkedSourcesMatchVectorGenerators) {
-  const int64_t n = 4097;  // odd length: ragged last chunk everywhere
-  {
-    streams::BernoulliSource source(n, 0.3, 55);
-    EXPECT_EQ(streams::Materialize(&source), streams::BernoulliStream(n, 0.3, 55));
-  }
-  {
-    streams::FractionalIidSource source(n, 0.1, 0.5, 56);
-    EXPECT_EQ(streams::Materialize(&source),
-              streams::FractionalIidStream(n, 0.1, 0.5, 56));
-  }
-  {
-    streams::AlternatingSource source(n);
-    EXPECT_EQ(streams::Materialize(&source), streams::AlternatingStream(n));
-  }
-  {
-    streams::SawtoothSource source(n, 37);
-    EXPECT_EQ(streams::Materialize(&source), streams::SawtoothStream(n, 37));
-  }
-}
-
-TEST(BatchedPumpTest, ChunkedSourcesSurviveOddChunkBoundaries) {
-  // Chunk size 7 forces every source to carry generator state (RNG,
-  // sawtooth level/direction, parity) across FillChunk calls.
-  const int64_t n = 1000;
-  const auto reference = streams::SawtoothStream(n, 13);
-  streams::SawtoothSource source(n, 13);
-  std::vector<double> buffer(7);
-  std::vector<double> collected;
-  int64_t filled;
-  while ((filled = source.FillChunk(buffer)) > 0) {
-    collected.insert(collected.end(), buffer.begin(), buffer.begin() + filled);
-  }
-  EXPECT_EQ(collected, reference);
-  EXPECT_EQ(source.FillChunk(buffer), 0);  // stays exhausted
-}
-
-TEST(BatchedPumpTest, MaterializedSourceRoundTrips) {
-  const auto stream = streams::BernoulliStream(513, 0.0, 3);
-  streams::MaterializedSource source(stream);
-  EXPECT_EQ(source.length(), 513);
-  EXPECT_EQ(streams::Materialize(&source), stream);
 }
 
 }  // namespace

@@ -133,7 +133,6 @@ class ScriptedChannel : public ChannelModel {
 
 class SilentSite : public SiteNode {
  public:
-  void OnLocalUpdate(double /*value*/) override {}
   void OnCoordinatorMessage(const Message& message) override {
     received_.push_back(message);
   }

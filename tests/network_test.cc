@@ -17,8 +17,6 @@ class RecordingSite : public SiteNode {
  public:
   RecordingSite(int id, Network* network) : id_(id), network_(network) {}
 
-  void OnLocalUpdate(double value) override { updates_.push_back(value); }
-
   void OnCoordinatorMessage(const Message& message) override {
     received_.push_back(message);
     if (reply_on_receive_) {
@@ -36,7 +34,6 @@ class RecordingSite : public SiteNode {
   int id_;
   Network* network_;
   bool reply_on_receive_ = false;
-  std::vector<double> updates_;
   std::vector<Message> received_;
 };
 
@@ -241,7 +238,6 @@ TEST(NetworkGrowthTest, HandlerGrowingTheQueueKeepsItsMessageAndFifoOrder) {
   class LoggingSite : public SiteNode {
    public:
     explicit LoggingSite(std::vector<int64_t>* log) : log_(log) {}
-    void OnLocalUpdate(double) override {}
     void OnCoordinatorMessage(const Message& message) override {
       log_->push_back(1000 + message.u);
     }

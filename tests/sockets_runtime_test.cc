@@ -227,20 +227,6 @@ TEST(SocketsRuntimeTest, ReliableLinkUnderLossIsExact) {
   EXPECT_FALSE(result.stats.timed_out);
 }
 
-TEST(SocketsRuntimeTest, TcpLoopbackCarriesTheSameRun) {
-  const int64_t n = 4096;
-  const int k = 3;
-  const auto shards = TestShards(n, k, 94);
-  const auto protocol = MakeCounter(k, n);
-  SocketRunOptions options;
-  options.use_tcp = true;
-  const SocketRunResult result = RunSockets(protocol.get(), shards, options);
-  EXPECT_EQ(result.serving.updates, n);
-  EXPECT_EQ(result.stats.unexpected_exits, 0);
-  EXPECT_EQ(result.stats.children_reaped, k);
-  EXPECT_FALSE(result.stats.timed_out);
-}
-
 #if !NMC_TSAN
 
 // The most a site can have sent or framed beyond what the coordinator has
