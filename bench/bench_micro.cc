@@ -248,13 +248,15 @@ void BM_BatchedPump(benchmark::State& state) {
 BENCHMARK(BM_BatchedPump)->Arg(1)->Arg(32)->Arg(256)->Arg(2048);
 
 // Raw sampler cost per inter-report run at rate p = 1/range(0): one
-// geometric-skip draw from the vectorized bulk feed per run, consumed the
-// way HYZ sites consume it. items/s counts stream updates consumed, so it
-// is the per-update fast-forward rate with everything else stripped away.
+// geometric-skip draw from the vectorized log-tail feed per run, consumed
+// the way HYZ sites consume it. items/s counts stream updates consumed, so
+// it is the per-update fast-forward rate with everything else stripped
+// away.
 void BM_SkipSampler(benchmark::State& state) {
   const double p = 1.0 / static_cast<double>(state.range(0));
   nmc::common::BatchRng batch(17);
-  nmc::common::GeometricSkip skip(&batch);
+  nmc::common::InvLogQMemo inv_log_q;
+  nmc::common::GeometricSkip skip(&batch, &inv_log_q);
   int64_t items = 0;
   for (auto _ : state) {
     skip.EnsureGap(p);
@@ -267,31 +269,30 @@ void BM_SkipSampler(benchmark::State& state) {
 BENCHMARK(BM_SkipSampler)->ArgNames({"inv_p"})->Arg(16)->Arg(1024);
 
 // Bulk RNG throughput on the active SIMD dispatch target: uniforms and
-// geometric gaps per second. The gap fill is the skip sampler's feed; the
+// log-tails per second. The tail fill is the skip sampler's feed; the
 // uniform fill is the stream generators'.
 void BM_BatchRngFill(benchmark::State& state) {
-  const bool gaps = state.range(0) != 0;
+  const bool tails = state.range(0) != 0;
   nmc::common::BatchRng rng(17);
-  std::vector<double> uniforms(4096);
-  std::vector<int64_t> gap_out(4096);
+  std::vector<double> out(4096);
   int64_t items = 0;
   for (auto _ : state) {
-    if (gaps) {
-      rng.FillGeometricGaps(std::span<int64_t>(gap_out), 1.0 / 16.0);
-      benchmark::DoNotOptimize(gap_out.data());
+    if (tails) {
+      rng.FillLogTails(std::span<double>(out));
     } else {
-      rng.FillUniform(std::span<double>(uniforms));
-      benchmark::DoNotOptimize(uniforms.data());
+      rng.FillUniform(std::span<double>(out));
     }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
     items += 4096;
   }
   state.SetItemsProcessed(items);
 }
-BENCHMARK(BM_BatchRngFill)->ArgNames({"gaps"})->Arg(0)->Arg(1);
+BENCHMARK(BM_BatchRngFill)->ArgNames({"tails"})->Arg(0)->Arg(1);
 
 // Raw network send+deliver cycle with a trivial echo protocol: isolates
-// the per-message Network overhead (queue churn + accounting) from the
-// counter logic above.
+// the per-message Network overhead (accounting and send-time dispatch on
+// the perfect channel) from the counter logic above.
 void BM_NetworkPump(benchmark::State& state) {
   class NullCoordinator : public nmc::sim::CoordinatorNode {
    public:

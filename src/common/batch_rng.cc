@@ -1,6 +1,5 @@
 #include "common/batch_rng.h"
 
-#include <cmath>
 #include <cstddef>
 
 #include "common/batch_rng_kernels.h"
@@ -11,7 +10,6 @@ namespace nmc::common {
 namespace detail = batch_rng_detail;
 
 static_assert(kBatchRngLanes == detail::kLanes);
-static_assert(kBatchRngInfiniteGap == detail::kInfiniteGap);
 
 namespace {
 
@@ -70,21 +68,21 @@ void DispatchSigns(uint64_t state[4][detail::kLanes], double* out, size_t n,
   }
 }
 
-void DispatchGaps(uint64_t state[4][detail::kLanes], int64_t* out, size_t n,
-                  double inv_log_q) {
+void DispatchLogTails(uint64_t state[4][detail::kLanes], double* out,
+                      size_t n) {
   switch (ActiveSimdLevel()) {
 #if NMC_SIMD_AVX2
     case SimdLevel::kAvx2:
-      detail::FillGapsAvx2(state, out, n, inv_log_q);
+      detail::FillLogTailsAvx2(state, out, n);
       return;
 #endif
 #if NMC_SIMD_NEON
     case SimdLevel::kNeon:
-      detail::FillGapsNeon(state, out, n, inv_log_q);
+      detail::FillLogTailsNeon(state, out, n);
       return;
 #endif
     default:
-      detail::FillGapsScalar(state, out, n, inv_log_q);
+      detail::FillLogTailsScalar(state, out, n);
       return;
   }
 }
@@ -165,39 +163,20 @@ void BatchRng::FillSigns(std::span<double> out, double p_plus) {
   }
 }
 
-void BatchRng::FillGeometricGaps(std::span<int64_t> out, double p) {
-  // Clamp conventions match Rng::Bernoulli: degenerate rates consume no
-  // randomness at all.
-  if (p <= 0.0) {
-    for (int64_t& g : out) g = kBatchRngInfiniteGap;
-    return;
-  }
-  if (p >= 1.0) {
-    for (int64_t& g : out) g = 0;
-    return;
-  }
-  // One divide per rate change (memoized); every element then multiplies
-  // by the reciprocal (see GapFromU64), and all SIMD levels use the same
-  // reciprocal value.
-  if (p != gap_memo_p_) {
-    gap_memo_p_ = p;
-    // nmc-lint: allow(NO_PER_UPDATE_TRANSCENDENTALS) memoized: one log1p per rate *change*, not per update; every lane then multiplies by the cached reciprocal
-    gap_memo_inv_log_q_ = 1.0 / std::log1p(-p);
-  }
-  const double inv_log_q = gap_memo_inv_log_q_;
+void BatchRng::FillLogTails(std::span<double> out) {
   size_t i = 0;
   while (carry_pos_ < kBatchRngLanes && i < out.size()) {
-    out[i++] = detail::GapFromU64(carry_[carry_pos_++], inv_log_q);
+    out[i++] = detail::LogTailFromU64(carry_[carry_pos_++]);
   }
   const size_t bulk = (out.size() - i) & ~static_cast<size_t>(3);
   if (bulk != 0) {
-    DispatchGaps(state_, out.data() + i, bulk, inv_log_q);
+    DispatchLogTails(state_, out.data() + i, bulk);
     i += bulk;
   }
   if (i < out.size()) {
     Refill();
     while (i < out.size()) {
-      out[i++] = detail::GapFromU64(carry_[carry_pos_++], inv_log_q);
+      out[i++] = detail::LogTailFromU64(carry_[carry_pos_++]);
     }
   }
 }
@@ -237,12 +216,11 @@ void FillSignsScalar(uint64_t state[4][kLanes], double* out, size_t n,
   }
 }
 
-void FillGapsScalar(uint64_t state[4][kLanes], int64_t* out, size_t n,
-                    double inv_log_q) {
+void FillLogTailsScalar(uint64_t state[4][kLanes], double* out, size_t n) {
   for (size_t i = 0; i < n; i += kLanes) {
     for (int lane = 0; lane < kLanes; ++lane) {
       out[i + static_cast<size_t>(lane)] =
-          GapFromU64(StepLane(state, lane), inv_log_q);
+          LogTailFromU64(StepLane(state, lane));
     }
   }
 }

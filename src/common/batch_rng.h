@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 
 namespace nmc::common {
@@ -13,15 +12,11 @@ namespace nmc::common {
 /// tuning knob.
 inline constexpr int kBatchRngLanes = 4;
 
-/// Gap value returned by FillGeometricGaps when p <= 0 or the sampled gap
-/// exceeds 2^51. Equal to GeometricSkip::kInfiniteGap.
-inline constexpr int64_t kBatchRngInfiniteGap =
-    std::numeric_limits<int64_t>::max() / 2;
-
 /// Multi-lane xoshiro256++ that fills spans of raw u64s, uniforms, ±1
-/// signs, and geometric gaps in bulk, dispatching to AVX2/NEON kernels at
-/// runtime (see simd_dispatch.h) with a scalar fallback that is the
-/// correctness oracle — vector kernels are bit-identical to it.
+/// signs, and log-tails (the skip sampler's feed) in bulk, dispatching to
+/// AVX2/NEON kernels at runtime (see simd_dispatch.h) with a scalar
+/// fallback that is the correctness oracle — vector kernels are
+/// bit-identical to it.
 ///
 /// Output contract: the generator defines ONE logical u64 stream,
 /// round-robin interleaved over the lanes (element i of the stream comes
@@ -54,14 +49,13 @@ class BatchRng {
   /// element per output.
   void FillSigns(std::span<double> out, double p_plus);
 
-  /// Geometric gaps (failures before the first success at rate p), the
-  /// bulk analogue of Rng::Geometric. One stream element per gap for
-  /// p in (0, 1); p <= 0 fills kBatchRngInfiniteGap and p >= 1 fills 0,
-  /// consuming no randomness (Rng::Bernoulli's clamp convention). Uses a
-  /// portable polynomial log shared by all kernels, so gaps are
-  /// bit-identical across SIMD levels but deliberately NOT the same
-  /// sequence as scalar Rng::Geometric (see batch_rng_kernels.h).
-  void FillGeometricGaps(std::span<int64_t> out, double p);
+  /// log(u) for the uniform (0, 1] tail u of each stream element: the
+  /// rate-free half of a geometric gap. GeometricSkip turns one into a
+  /// Geometric(p) gap as floor(log(u) / log1p(-p)), so a block of tails
+  /// serves any mix of rates. Uses a portable polynomial log shared by all
+  /// kernels, so tails are bit-identical across SIMD levels but
+  /// deliberately NOT std::log (see batch_rng_kernels.h).
+  void FillLogTails(std::span<double> out);
 
   /// One element of the logical stream.
   uint64_t NextU64();
@@ -78,12 +72,6 @@ class BatchRng {
   // Partially consumed lane quadruple; entries carry_pos_..kLanes-1 valid.
   uint64_t carry_[kBatchRngLanes];
   int carry_pos_ = kBatchRngLanes;
-  // Memoized 1/log1p(-p) for FillGeometricGaps: frozen-rate consumers
-  // (GeometricSkip feed blocks) call with the same p every refill, so the
-  // log1p runs once per rate change instead of once per fill. The memo is
-  // pure (depends only on p), so it never affects the output stream.
-  double gap_memo_p_ = -1.0;
-  double gap_memo_inv_log_q_ = 0.0;
 };
 
 }  // namespace nmc::common

@@ -106,24 +106,14 @@ inline __m256d PolyLog4(__m256d u) {
   return _mm256_fmadd_pd(z, p, _mm256_mul_pd(ed, _mm256_set1_pd(kLn2)));
 }
 
-/// Four-wide twin of GapFromU64 (bit-overlay tail, reciprocal multiply —
-/// one vector divide per four gaps left, the structural one in PolyLog4).
-inline __m256i Gaps4(__m256i x, __m256d inv_log_q) {
+/// Four-wide twin of LogTailFromU64 (bit-overlay tail, then PolyLog4).
+inline __m256d LogTails4(__m256i x) {
   const __m256d tail = _mm256_sub_pd(
       _mm256_set1_pd(2.0),
       _mm256_castsi256_pd(_mm256_or_si256(
           _mm256_srli_epi64(x, 12),
           _mm256_set1_epi64x(0x3FF0000000000000LL))));
-  const __m256d t = _mm256_mul_pd(PolyLog4(tail), inv_log_q);
-  const __m256d g = _mm256_floor_pd(t);
-  // Integer g in [0, 2^51) converts exactly through the mantissa overlay;
-  // anything >= 2^51 (or inf) is clamped to kInfiniteGap, matching scalar.
-  const __m256i conv = _mm256_and_si256(
-      _mm256_castpd_si256(_mm256_add_pd(g, _mm256_set1_pd(0x1.0p52))),
-      _mm256_set1_epi64x(0xFFFFFFFFFFFFFLL));
-  const __m256d huge = _mm256_cmp_pd(g, _mm256_set1_pd(kTwo51), _CMP_GE_OQ);
-  return _mm256_blendv_epi8(conv, _mm256_set1_epi64x(kInfiniteGap),
-                            _mm256_castpd_si256(huge));
+  return PolyLog4(tail);
 }
 
 }  // namespace
@@ -158,25 +148,19 @@ void FillSignsAvx2(uint64_t state[4][kLanes], double* out, size_t n,
   StoreState(state, r);
 }
 
-void FillGapsAvx2(uint64_t state[4][kLanes], int64_t* out, size_t n,
-                  double inv_log_q) {
+void FillLogTailsAvx2(uint64_t state[4][kLanes], double* out, size_t n) {
   Regs r = LoadState(state);
-  const __m256d lq = _mm256_set1_pd(inv_log_q);
   // Two blocks per iteration: the state recurrence between the Step calls
-  // is only a few xors deep, while each Gaps4 tree is long — interleaving
-  // two independent trees keeps the divider and FP ports busy.
+  // is only a few xors deep, while each PolyLog4 tree is long —
+  // interleaving two independent trees keeps the divider and FP ports busy.
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256i x0 = Step(&r);
     const __m256i x1 = Step(&r);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), Gaps4(x0, lq));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 4),
-                        Gaps4(x1, lq));
+    _mm256_storeu_pd(out + i, LogTails4(x0));
+    _mm256_storeu_pd(out + i + 4, LogTails4(x1));
   }
-  for (; i < n; i += 4) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        Gaps4(Step(&r), lq));
-  }
+  for (; i < n; i += 4) _mm256_storeu_pd(out + i, LogTails4(Step(&r)));
   StoreState(state, r);
 }
 

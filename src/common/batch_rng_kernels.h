@@ -56,7 +56,7 @@ inline double U64ToUnit(uint64_t x) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
-// --- Portable log for bulk geometric sampling -------------------------------
+// --- Portable log for the skip sampler's tail feed ---------------------------
 //
 // Vector ISAs have no correctly-rounded log, and mixing std::log (scalar)
 // with a vendor vector log would break scalar/SIMD bit-identity. Instead all
@@ -70,18 +70,15 @@ inline double U64ToUnit(uint64_t x) {
 // error below 7e-10 in the log, which perturbs a geometric gap's floor()
 // boundary with probability < 1e-6 per draw even at p ~ 2^-10 — utterly
 // invisible to sampling, but NOT bit-identical to std::log, which is why
-// batch-mode gap draws are a different (still geometric) sequence than
+// skip-sampler gaps are a different (still geometric) sequence than
 // scalar Rng::Geometric. Estrin evaluation keeps the dependency chain
-// short enough for out-of-order cores to overlap adjacent gap blocks —
+// short enough for out-of-order cores to overlap adjacent tail blocks —
 // with the old 9-term Horner the fill was latency-bound, not port-bound.
 
 inline constexpr double kLogCoeff[5] = {2.0, 2.0 / 3.0, 2.0 / 5.0, 2.0 / 7.0,
                                         2.0 / 9.0};
 inline constexpr double kSqrtHalf = 0.70710678118654752440;
 inline constexpr double kLn2 = 0.69314718055994530942;
-inline constexpr double kTwo51 = 0x1.0p51;
-inline constexpr double kTwo52 = 0x1.0p52;
-inline constexpr int64_t kInfiniteGap = 0x3FFFFFFFFFFFFFFF;  // int64 max / 2
 
 /// log(u) for normal u in (0, 1]; the scalar oracle for the vector twins.
 inline double PolyLog(double u) {
@@ -96,7 +93,7 @@ inline double PolyLog(double u) {
   const double z = (m - 1.0) / (m + 1.0);
   const double w = z * z;
   // Estrin with explicit fma: a fixed op tree shared with the vector
-  // twins, and a short dependency chain so adjacent gap blocks overlap.
+  // twins, and a short dependency chain so adjacent tail blocks overlap.
   const double w2 = w * w;
   const double a = std::fma(kLogCoeff[1], w, kLogCoeff[0]);
   const double b = std::fma(kLogCoeff[3], w, kLogCoeff[2]);
@@ -106,24 +103,16 @@ inline double PolyLog(double u) {
 
 /// Uniform (0, 1] tail straight from 52 random bits: overlay them onto
 /// [1, 2) and reflect around 2. Skips the exact u64->double conversion the
-/// uniform/sign fills need — a gap draw only cares about the tail's
+/// uniform/sign fills need — a gap only cares about the tail's
 /// distribution, and 2^-52 granularity is far below anything the
 /// geometric floor() can resolve. Never 0, never denormal.
 inline double TailFromU64(uint64_t x) {
   return 2.0 - std::bit_cast<double>((x >> 12) | 0x3FF0000000000000ULL);
 }
 
-/// Geometric gap from one raw xoshiro output. Takes the *reciprocal*
-/// inv_log_q = 1 / log1p(-p) < 0, computed once per fill: a multiply here
-/// replaces a divide, which halves the vector kernels' division-port
-/// pressure (the other divide, inside PolyLog, is structural). Gaps at or
-/// above 2^51 (possible only for astronomically small p) clamp to
-/// kInfiniteGap so the int64 conversion below stays exact.
-inline int64_t GapFromU64(uint64_t x, double inv_log_q) {
-  const double t = PolyLog(TailFromU64(x)) * inv_log_q;
-  const double g = std::floor(t);
-  return g >= kTwo51 ? kInfiniteGap : static_cast<int64_t>(g);
-}
+/// log of the (0, 1] tail of one raw xoshiro output: the rate-free half
+/// of a geometric gap (GeometricSkip scales it by 1/log1p(-p) and floors).
+inline double LogTailFromU64(uint64_t x) { return PolyLog(TailFromU64(x)); }
 
 // --- Bulk kernels (n must be a multiple of kLanes) --------------------------
 // Element i of `out` comes from lane i % kLanes; each kernel advances every
@@ -133,16 +122,14 @@ void FillU64Scalar(uint64_t state[4][kLanes], uint64_t* out, size_t n);
 void FillUniformScalar(uint64_t state[4][kLanes], double* out, size_t n);
 void FillSignsScalar(uint64_t state[4][kLanes], double* out, size_t n,
                      double p_plus);
-void FillGapsScalar(uint64_t state[4][kLanes], int64_t* out, size_t n,
-                    double inv_log_q);
+void FillLogTailsScalar(uint64_t state[4][kLanes], double* out, size_t n);
 
 #if NMC_SIMD_AVX2
 void FillU64Avx2(uint64_t state[4][kLanes], uint64_t* out, size_t n);
 void FillUniformAvx2(uint64_t state[4][kLanes], double* out, size_t n);
 void FillSignsAvx2(uint64_t state[4][kLanes], double* out, size_t n,
                    double p_plus);
-void FillGapsAvx2(uint64_t state[4][kLanes], int64_t* out, size_t n,
-                  double inv_log_q);
+void FillLogTailsAvx2(uint64_t state[4][kLanes], double* out, size_t n);
 #endif
 
 #if NMC_SIMD_NEON
@@ -150,8 +137,7 @@ void FillU64Neon(uint64_t state[4][kLanes], uint64_t* out, size_t n);
 void FillUniformNeon(uint64_t state[4][kLanes], double* out, size_t n);
 void FillSignsNeon(uint64_t state[4][kLanes], double* out, size_t n,
                    double p_plus);
-void FillGapsNeon(uint64_t state[4][kLanes], int64_t* out, size_t n,
-                  double inv_log_q);
+void FillLogTailsNeon(uint64_t state[4][kLanes], double* out, size_t n);
 #endif
 
 }  // namespace nmc::common::batch_rng_detail

@@ -79,18 +79,13 @@ inline float64x2_t PolyLog2(float64x2_t u) {
   return vfmaq_f64(vmulq_f64(ed, vdupq_n_f64(kLn2)), z, p);
 }
 
-inline int64x2_t Gaps2(uint64x2_t x, float64x2_t inv_log_q) {
+/// Two-wide twin of LogTailFromU64 (bit-overlay tail, then PolyLog2).
+inline float64x2_t LogTails2(uint64x2_t x) {
   const float64x2_t tail = vsubq_f64(
       vdupq_n_f64(2.0),
       vreinterpretq_f64_u64(vorrq_u64(vshrq_n_u64(x, 12),
                                       vdupq_n_u64(0x3FF0000000000000ULL))));
-  const float64x2_t t = vmulq_f64(PolyLog2(tail), inv_log_q);
-  const float64x2_t g = vrndmq_f64(t);  // floor
-  const uint64x2_t huge = vcgeq_f64(g, vdupq_n_f64(kTwo51));
-  // vcvtq_s64_f64 truncates; g is a non-negative integer < 2^51 on the
-  // non-clamped lanes, so the conversion is exact (== scalar static_cast).
-  const int64x2_t conv = vcvtq_s64_f64(vbslq_f64(huge, vdupq_n_f64(0.0), g));
-  return vbslq_s64(huge, vdupq_n_s64(kInfiniteGap), conv);
+  return PolyLog2(tail);
 }
 
 }  // namespace
@@ -134,14 +129,12 @@ void FillSignsNeon(uint64_t state[4][kLanes], double* out, size_t n,
   StorePair(state, 2, b);
 }
 
-void FillGapsNeon(uint64_t state[4][kLanes], int64_t* out, size_t n,
-                  double inv_log_q) {
+void FillLogTailsNeon(uint64_t state[4][kLanes], double* out, size_t n) {
   Pair a = LoadPair(state, 0);
   Pair b = LoadPair(state, 2);
-  const float64x2_t lq = vdupq_n_f64(inv_log_q);
   for (size_t i = 0; i < n; i += 4) {
-    vst1q_s64(out + i, Gaps2(Step(&a), lq));
-    vst1q_s64(out + i + 2, Gaps2(Step(&b), lq));
+    vst1q_f64(out + i, LogTails2(Step(&a)));
+    vst1q_f64(out + i + 2, LogTails2(Step(&b)));
   }
   StorePair(state, 0, a);
   StorePair(state, 2, b);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -11,6 +12,28 @@
 #include "common/check.h"
 
 namespace nmc::common {
+
+/// Single-entry memo of 1/log1p(-p), the factor that turns a log-tail into
+/// a Geometric(p) gap. One memo serves all of a protocol's skip samplers:
+/// after a broadcast every site draws at the same rate, so the log1p runs
+/// once per distinct rate per protocol instead of once per site. Pure in
+/// p, so sharing it never changes a gap.
+class InvLogQMemo {
+ public:
+  /// 1 / log1p(-p) for p in (0, 1).
+  double Get(double p) {
+    if (p != p_) {
+      p_ = p;
+      // nmc-lint: allow(NO_PER_UPDATE_TRANSCENDENTALS) memoized: once per distinct rate per protocol (the memo is shared by every site's skip sampler), not per update
+      inv_log_q_ = 1.0 / std::log1p(-p);
+    }
+    return inv_log_q_;
+  }
+
+ private:
+  double p_ = -1.0;
+  double inv_log_q_ = 0.0;
+};
 
 /// Vitter-style skip sampler: for a Bernoulli(p) coin sequence with a
 /// frozen rate p, the number of tails before the next head is
@@ -30,36 +53,37 @@ namespace nmc::common {
 /// realized (a chunk-span expiry or an incoming broadcast).
 class GeometricSkip {
  public:
-  /// Sentinel for "no report will ever fire at this rate" (p <= 0). Half
-  /// of the int64 range so Advance() arithmetic cannot overflow.
+  /// Sentinel for "no report will ever fire at this rate" (p <= 0), and
+  /// the clamp for gaps at or above 2^51. Half of the int64 range so
+  /// Advance() arithmetic cannot overflow.
   static constexpr int64_t kInfiniteGap =
       std::numeric_limits<int64_t>::max() / 2;
 
-  /// Gaps come from `batch`, a vectorized bulk feed, instead of one scalar
-  /// transcendental per run. The feed only pre-draws a block once the
-  /// same rate is requested twice in a row, so rate ladders (the
-  /// single-site chunk walk, where every draw is at a fresh rate) never
-  /// waste bulk draws, while frozen-rate consumers (HYZ rounds, SBC
-  /// stages) amortize one log1p over kFeedBlockGaps draws. Pre-drawn gaps
-  /// are discarded on any rate change — exact by memorylessness, since
-  /// the discard decision never looks at the unexamined values. The
-  /// pointer is non-owning and must outlive the sampler. Construction
-  /// allocates the block storage once — a setup-time allocation; the
-  /// serve path itself never allocates.
-  explicit GeometricSkip(common::BatchRng* batch)
-      : batch_(batch), feed_store_(std::make_unique<FeedBlock>()) {
+  /// Gaps come from `batch` as rate-free log-tails, pre-drawn in blocks of
+  /// kTailBlock by the vectorized BatchRng::FillLogTails; a draw at rate p
+  /// is then one multiply by `memo`'s 1/log1p(-p) and a floor. Both
+  /// pointers are non-owning and must outlive the sampler; the sampler
+  /// must be `batch`'s only consumer, since it reads the stream ahead.
+  /// Construction allocates the block storage once — a setup-time
+  /// allocation; it is refilled in place and the serve path never
+  /// allocates.
+  GeometricSkip(common::BatchRng* batch, InvLogQMemo* memo)
+      : batch_(batch), memo_(memo), tails_(std::make_unique<TailBlock>()) {
     NMC_CHECK(batch != nullptr);
+    NMC_CHECK(memo != nullptr);
   }
 
-  /// Cap on gaps pre-drawn per block. Blocks start at kFeedFirstBlockGaps
-  /// on the first repeat of a rate and grow by kFeedBlockGrowth per refill
-  /// up to this cap: truly frozen-rate consumers reach full amortization
-  /// (a small fraction of a nanosecond of fill fixed costs per gap) within
-  /// three refills, while consumers whose rate drifts every few dozen
-  /// draws (the single-site chunk walk between restarts) never pre-draw —
-  /// and so never discard — more than they plausibly use. Discards are
-  /// free in distribution by memorylessness; the growth schedule only
-  /// bounds the wasted fill work.
+  /// Which stream element a gap comes from. A fresh rate takes the next
+  /// element. Once the same rate is requested twice in a row, the sampler
+  /// reserves elements for it in runs of kFirstReserve, growing by
+  /// kReserveGrowth per run up to kTailBlock (8, 32, 128, 256, 256, ...),
+  /// and serves them in order; a rate change skips the unserved rest of
+  /// the run. Skipping is exact by memorylessness (the decision never
+  /// looks at the skipped values), and the schedule keeps rate ladders
+  /// (the single-site chunk walk, where every draw is at a fresh rate)
+  /// from skipping more than they plausibly use. It fixes the mapping from
+  /// elements to gaps, and so every seeded result; the read-ahead block
+  /// is only a cache of the stream.
   ///
   /// The block lives behind a pointer (one setup-time allocation at
   /// construction) rather than inline, deliberately: the refill hands a
@@ -67,11 +91,10 @@ class GeometricSkip {
   /// derived from `this` the compiler would have to assume the call can
   /// touch every member, forcing the serve cursor through memory on each
   /// draw. With the storage external, a sampler that lives in a tight
-  /// local loop keeps its cursor in registers between refills — worth
-  /// about 2 ns/draw on the serve fast path.
-  static constexpr int kFeedBlockGaps = 256;
-  static constexpr int kFeedFirstBlockGaps = 8;
-  static constexpr int kFeedBlockGrowth = 4;
+  /// local loop keeps its cursor in registers between refills.
+  static constexpr int kTailBlock = 256;
+  static constexpr int kFirstReserve = 8;
+  static constexpr int kReserveGrowth = 4;
 
   bool valid() const { return valid_; }
 
@@ -88,7 +111,7 @@ class GeometricSkip {
       // Hottest path — a frozen-rate consumer. feed_rate_ is only ever
       // set by a feed draw, so a match implies a non-degenerate rate; the
       // degenerate checks below are skipped without being weakened.
-      ServeFromFeedBlock();
+      ServeReserved();
     } else if (rate >= 1.0) {
       gap_ = 0;
     } else if (rate <= 0.0) {
@@ -122,46 +145,76 @@ class GeometricSkip {
     valid_ = false;
   }
 
- private:
-  /// Repeat-rate draw: serve the next pre-drawn gap, refilling a block
-  /// (at the current rung of the growth schedule) when the previous one
-  /// is spent.
-  void ServeFromFeedBlock() {
-    if (feed_pos_ == feed_len_) {
-      batch_->FillGeometricGaps(
-          std::span<int64_t>(feed_store_->data(),
-                             static_cast<size_t>(feed_fill_)),
-          feed_rate_);
-      feed_len_ = feed_fill_;
-      feed_pos_ = 0;
-      feed_fill_ = std::min(feed_fill_ * kFeedBlockGrowth, kFeedBlockGaps);
-    }
-    gap_ = (*feed_store_)[static_cast<size_t>(feed_pos_++)];
+  /// floor(log_tail / log1p(-p)) given inv_log_q = 1 / log1p(-p), clamped
+  /// to kInfiniteGap at 2^51 (reachable only for astronomically small p)
+  /// so the int64 conversion stays exact. log_tail <= 0 and inv_log_q < 0,
+  /// so the product is never negative and the truncating conversion is
+  /// the floor — without the rounding fix-ups std::floor costs on a
+  /// baseline x86-64 target.
+  static int64_t GapFromLogTail(double log_tail, double inv_log_q) {
+    const double t = log_tail * inv_log_q;
+    return t >= 0x1.0p51 ? kInfiniteGap : static_cast<int64_t>(t);
   }
 
-  /// First draw at a non-degenerate rate: one single-gap draw, and the
-  /// block schedule restarts so only a repeat of this rate buys a block.
+ private:
+  /// Repeat-rate draw: the next element of the current reservation,
+  /// opening the next run of the schedule when it is spent.
+  void ServeReserved() {
+    if (reserved_ == 0) {
+      reserved_ = reserve_next_;
+      reserve_next_ = std::min(reserve_next_ * kReserveGrowth, kTailBlock);
+    }
+    --reserved_;
+    gap_ = GapFromLogTail(NextTail(), inv_log_q_);
+  }
+
+  /// First draw at a non-degenerate rate: skip what is left of the old
+  /// rate's reservation, take one element, and restart the schedule so
+  /// only a repeat of this rate reserves more.
   void DrawAtFreshRate(double rate) {
+    Skip(reserved_);
+    reserved_ = 0;
+    reserve_next_ = kFirstReserve;
     feed_rate_ = rate;
-    feed_pos_ = 0;
-    feed_len_ = 0;
-    feed_fill_ = kFeedFirstBlockGaps;
-    int64_t single = 0;
-    batch_->FillGeometricGaps(std::span<int64_t>(&single, 1), rate);
-    gap_ = single;
+    inv_log_q_ = memo_->Get(rate);
+    gap_ = GapFromLogTail(NextTail(), inv_log_q_);
+  }
+
+  double NextTail() {
+    if (pos_ == kTailBlock) Refill();
+    return (*tails_)[static_cast<size_t>(pos_++)];
+  }
+
+  /// Drops the next `count` (<= kTailBlock) stream elements.
+  void Skip(int count) {
+    pos_ += count;
+    if (pos_ > kTailBlock) {
+      const int into_next = pos_ - kTailBlock;
+      Refill();
+      pos_ = into_next;
+    }
+  }
+
+  void Refill() {
+    batch_->FillLogTails(std::span<double>(tails_->data(), tails_->size()));
+    pos_ = 0;
   }
 
   bool valid_ = false;
   int64_t gap_ = 0;
-  /// Feed state. *feed_store_ holds pre-drawn gaps at feed_rate_; entries
-  /// feed_pos_..feed_len_-1 are still unconsumed.
-  using FeedBlock = std::array<int64_t, kFeedBlockGaps>;
+  using TailBlock = std::array<double, kTailBlock>;
   common::BatchRng* batch_;
-  double feed_rate_ = -1.0;
-  int feed_pos_ = 0;
-  int feed_len_ = 0;
-  int feed_fill_ = kFeedFirstBlockGaps;  // next refill size (growth rung)
-  std::unique_ptr<FeedBlock> feed_store_;
+  InvLogQMemo* memo_;
+  /// Rate of the last feed draw and its 1/log1p(-p). NaN until the first
+  /// one, so that no rate — not even a degenerate one — matches it.
+  double feed_rate_ = std::numeric_limits<double>::quiet_NaN();
+  double inv_log_q_ = 0.0;
+  /// Elements left in the current reservation, and the next one's size.
+  int reserved_ = 0;
+  int reserve_next_ = kFirstReserve;
+  /// (*tails_)[pos_..kTailBlock) are drawn but not yet used.
+  int pos_ = kTailBlock;
+  std::unique_ptr<TailBlock> tails_;
 };
 
 }  // namespace nmc::common

@@ -96,16 +96,20 @@ double Phase1Rate(const CounterOptions& options, double estimate,
 /// Site-side state machine of Phase 1.
 class NonMonotonicCounter::Site : public sim::SiteNode {
  public:
+  /// `walk_cache` and `inv_log_q` are the protocol's, shared by all its
+  /// sites: after a kState every site prices the same sampling law.
   Site(int site_id, int num_sites, const CounterOptions& options,
-       sim::Network* network, common::Rng rng)
+       sim::Network* network, common::Rng rng, RateCache* walk_cache,
+       common::InvLogQMemo* inv_log_q)
       : site_id_(site_id),
         num_sites_(num_sites),
         options_(options),
         network_(network),
         rng_(rng),
-        // Bulk gap feed for the skip sampler, seeded from one u64 of rng_.
+        // Log-tail feed for the skip sampler, seeded from one u64 of rng_.
         batch_rng_(rng_.NextU64()),
-        skip_(&batch_rng_) {
+        skip_(&batch_rng_, inv_log_q),
+        walk_cache_(walk_cache) {
     if (num_sites_ == 1) {
       // The single site holds the entire history, including any carried
       // state from a previous horizon epoch.
@@ -351,7 +355,7 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
       if (!skip_.valid()) {
         sbc_dom_ = Phase1Rate(options_, global_estimate_,
                               global_time_ + updates_since_state_ + 1,
-                              rate_scale_, &walk_cache_);
+                              rate_scale_, walk_cache_);
         skip_.EnsureGap(sbc_dom_);
       }
       const int64_t m = std::min(skip_.gap(), count - consumed);
@@ -368,7 +372,7 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
       const double rate =
           Phase1Rate(options_, global_estimate_,
                      global_time_ + updates_since_state_, rate_scale_,
-                     &walk_cache_);
+                     walk_cache_);
       const bool accept =
           rate >= sbc_dom_ || rng_.UniformDouble() * sbc_dom_ < rate;
       if (accept) {
@@ -390,7 +394,7 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
   // (see the comment there for why these modes are excluded).
   const bool fast_forward_ =
       options_.fbm_delta == 0.0 && !options_.variance_adaptive;
-  RateCache walk_cache_;
+  RateCache* walk_cache_;
 
   // Fast-forward state: the dominating rates the cached gap was drawn at.
   double chunk_dom_ = 0.0;    // single-site chunk (valid while chunk_left_ > 0)
@@ -684,7 +688,8 @@ NonMonotonicCounter::NonMonotonicCounter(int num_sites,
   sites_.reserve(static_cast<size_t>(num_sites));
   for (int s = 0; s < num_sites; ++s) {
     sites_.push_back(std::make_unique<Site>(s, num_sites, options, &network_,
-                                            seeder.Fork()));
+                                            seeder.Fork(), &walk_cache_,
+                                            &inv_log_q_));
     network_.AttachSite(s, sites_.back().get());
   }
 }

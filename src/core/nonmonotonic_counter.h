@@ -5,7 +5,9 @@
 #include <span>
 #include <vector>
 
+#include "common/geometric_skip.h"
 #include "core/gp_search.h"
+#include "core/sampling.h"
 #include "hyz/hyz_counter.h"
 #include "sim/channel.h"
 #include "sim/network.h"
@@ -242,6 +244,11 @@ class NonMonotonicCounter final : public sim::Protocol {
 
   CounterOptions options_;
   sim::Network network_;
+  // The sites' SBC walk term and 1/log1p(-p), shared: after a kState all
+  // k sites evaluate the same law at the same rate, so one site computes
+  // it and the others hit the memo.
+  RateCache walk_cache_;
+  common::InvLogQMemo inv_log_q_;
   std::unique_ptr<Coordinator> coordinator_;
   std::vector<std::unique_ptr<Site>> sites_;
 

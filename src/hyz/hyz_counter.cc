@@ -26,14 +26,16 @@ enum MessageType {
 class HyzProtocol::Site : public sim::SiteNode {
  public:
   /// The gap feed is seeded from one u64 of the site's forked `rng`. The
-  /// round rate is frozen between broadcasts, so consecutive draws share a
-  /// rate and amortize one log1p over a block; kDeterministic never draws.
-  Site(int site_id, HyzMode mode, sim::Network* network, common::Rng rng)
+  /// round rate is frozen between broadcasts and kNewRound gives every
+  /// site the same one, so the protocol's shared `inv_log_q` memo runs one
+  /// log1p per round; kDeterministic never draws.
+  Site(int site_id, HyzMode mode, sim::Network* network, common::Rng rng,
+       common::InvLogQMemo* inv_log_q)
       : site_id_(site_id),
         mode_(mode),
         network_(network),
         batch_rng_(rng.NextU64()),
-        skip_(&batch_rng_) {}
+        skip_(&batch_rng_, inv_log_q) {}
 
   /// Consumes a prefix of `count` unit increments (>= 1), stopping right
   /// after the first one that emits a report; returns the count consumed.
@@ -305,7 +307,8 @@ HyzProtocol::HyzProtocol(int num_sites, const HyzOptions& options)
   sites_.reserve(static_cast<size_t>(num_sites));
   for (int s = 0; s < num_sites; ++s) {
     sites_.push_back(
-        std::make_unique<Site>(s, options.mode, &network_, seeder.Fork()));
+        std::make_unique<Site>(s, options.mode, &network_, seeder.Fork(),
+                               &inv_log_q_));
     network_.AttachSite(s, sites_.back().get());
   }
   coordinator_->StartRound();

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/geometric_skip.h"
 #include "sim/channel.h"
 #include "sim/network.h"
 #include "sim/protocol.h"
@@ -123,6 +124,8 @@ class HyzProtocol : public sim::Protocol {
   class Coordinator;
 
   sim::Network network_;
+  // The sites' shared 1/log1p(-p) memo: one log1p per round rate.
+  common::InvLogQMemo inv_log_q_;
   std::unique_ptr<Coordinator> coordinator_;
   std::vector<std::unique_ptr<Site>> sites_;
 };

@@ -33,15 +33,6 @@ void Network::SetChannel(std::unique_ptr<ChannelModel> channel) {
   channel_ = std::move(channel);
 }
 
-void Network::Enqueue(bool to_coordinator, int site_id,
-                      const Message& message) {
-  if (channel_ == nullptr) {
-    queue_.emplace_back(to_coordinator, site_id, message);
-  } else {
-    Route(Envelope{to_coordinator, site_id, message});
-  }
-}
-
 void Network::Route(const Envelope& envelope) {
   const ChannelVerdict verdict = channel_->Adjudicate(
       Hop{envelope.to_coordinator, envelope.site_id, tick_, envelope.message});
@@ -91,7 +82,12 @@ void Network::SendToCoordinator(int from_site, const Message& message) {
   NMC_CHECK_GE(message.type, 0);
   stats_.site_to_coordinator += 1;
   if (has_observer_) observer_(SentMessage{true, from_site, message});
-  Enqueue(/*to_coordinator=*/true, from_site, message);
+  if (channel_ == nullptr) {
+    NMC_CHECK(coordinator_ != nullptr);
+    coordinator_->OnSiteMessage(from_site, message);
+  } else {
+    Route(Envelope{true, from_site, message});
+  }
 }
 
 void Network::SendToSite(int site_id, const Message& message) {
@@ -100,16 +96,33 @@ void Network::SendToSite(int site_id, const Message& message) {
   NMC_CHECK_GE(message.type, 0);
   stats_.coordinator_to_site += 1;
   if (has_observer_) observer_(SentMessage{false, site_id, message});
-  Enqueue(/*to_coordinator=*/false, site_id, message);
+  if (channel_ == nullptr) {
+    SiteNode* site = sites_[static_cast<size_t>(site_id)];
+    NMC_CHECK(site != nullptr);
+    site->OnCoordinatorMessage(message);
+  } else {
+    Route(Envelope{false, site_id, message});
+  }
 }
 
 void Network::Broadcast(const Message& message) {
   NMC_CHECK_GE(message.type, 0);
   stats_.coordinator_to_site += num_sites_;
   stats_.broadcasts += 1;
-  for (int s = 0; s < num_sites_; ++s) {
-    if (has_observer_) observer_(SentMessage{false, s, message});
-    Enqueue(/*to_coordinator=*/false, s, message);
+  if (has_observer_) {
+    for (int s = 0; s < num_sites_; ++s) {
+      observer_(SentMessage{false, s, message});
+    }
+  }
+  if (channel_ == nullptr) {
+    for (SiteNode* site : sites_) {
+      NMC_CHECK(site != nullptr);
+      site->OnCoordinatorMessage(message);
+    }
+  } else {
+    for (int s = 0; s < num_sites_; ++s) {
+      Route(Envelope{false, s, message});
+    }
   }
 }
 

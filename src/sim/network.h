@@ -19,20 +19,30 @@ class ChannelModel;
 /// channel protocols may use, and it charges every transmission to
 /// MessageStats: one unit per unicast, k units per broadcast.
 ///
-/// Delivery is synchronous-in-order: sends enqueue, and DeliverAll() pumps
-/// the queue to quiescence. This models the paper's setting, where message
-/// exchange triggered by one update completes before the adversary injects
-/// the next update (communication is only initiated by a site receiving an
-/// update, and arrival times are under adversary control).
+/// Delivery rule. On the perfect channel (no ChannelModel installed, the
+/// default) a send delivers at send time: it charges MessageStats, shows
+/// the hop to the observer (all k copies of a broadcast first), checks
+/// that the destination node is attached, and runs the receiver's handler
+/// before returning; a broadcast fans out to sites 0..k-1 in order. Nested
+/// sends therefore run depth-first. This models the paper's setting, where
+/// message exchange triggered by one update completes before the adversary
+/// injects the next update (communication is only initiated by a site
+/// receiving an update, and arrival times are under adversary control).
+/// Depth-first delivery gives the same results as first-in-first-out
+/// delivery because every handler obeys the send-last contract in
+/// sim/node.h; the delivery-equivalence test in protocol_conformance_test
+/// holds every registered protocol to it.
 ///
 /// A pluggable ChannelModel relaxes that model: when one is installed (see
 /// SetChannel), every hop is adjudicated at send time and may be dropped,
-/// delayed by d simulated ticks, or duplicated. Simulated time advances via
-/// BeginTick(), called by protocols once per stream update; messages
-/// delayed to tick t are delivered at the start of tick t, before the
-/// update is processed, in their original send order. With no channel (the
-/// default) the fault machinery costs one branch per send and the behavior
-/// is bit-identical to the historical perfectly-reliable network.
+/// delayed by d simulated ticks, or duplicated. Delivered hops go to a
+/// FIFO queue that DeliverAll() pumps to quiescence. Simulated time
+/// advances via BeginTick(), called by protocols once per stream update;
+/// messages delayed to tick t are delivered at the start of tick t, before
+/// the update is processed, in their original send order. The queue exists
+/// only because channels need it to hold, duplicate or delay hops; on the
+/// perfect channel it stays empty, so DeliverAll() and BeginTick() are
+/// no-ops.
 ///
 /// The Network does not own the nodes; protocols own their nodes and attach
 /// them before use.
@@ -63,7 +73,9 @@ class Network {
 
   /// True when a channel model is installed. Protocols use this to pick the
   /// per-update processing path under faults (batch fast-forwarding assumes
-  /// silent prefixes stay silent, which delayed delivery breaks).
+  /// silent prefixes stay silent, which delayed delivery breaks). It also
+  /// selects the delivery rule: send-time delivery without a channel,
+  /// the FIFO queue with one.
   bool channeled() const { return channel_ != nullptr; }
 
   /// Current simulated time: the number of BeginTick() calls so far.
@@ -80,22 +92,28 @@ class Network {
     return static_cast<int64_t>(delayed_.size());
   }
 
-  /// Site -> coordinator unicast (1 message).
+  /// Site -> coordinator unicast (1 message). On the perfect channel the
+  /// coordinator's handler has run when this returns.
   void SendToCoordinator(int from_site, const Message& message);
 
-  /// Coordinator -> site unicast (1 message).
+  /// Coordinator -> site unicast (1 message). On the perfect channel the
+  /// site's handler has run when this returns.
   void SendToSite(int site_id, const Message& message);
 
-  /// Coordinator -> all sites (k messages). Under a channel model each
-  /// recipient's copy is adjudicated independently (the fault unit is the
+  /// Coordinator -> all sites (k messages), delivered to sites 0..k-1 in
+  /// order on the perfect channel. Under a channel model each recipient's
+  /// copy is adjudicated independently (the fault unit is the
   /// point-to-point link), so a broadcast can partially fail.
   void Broadcast(const Message& message);
 
   /// Delivers queued messages (and any messages their handlers send) until
-  /// the network is quiescent. Called by the harness after each update.
+  /// the network is quiescent. Called by protocols after each update; only
+  /// a channel ever queues, so on the perfect channel this is a no-op.
   /// The empty-queue test lives here so the (dominant) silent-pump case
   /// costs one load instead of an out-of-line call: outside a delivery
-  /// head_ is always 0, so an empty queue means the body is a no-op.
+  /// head_ is always 0, so an empty queue means the body is a no-op. A
+  /// call from inside a delivering handler returns at once: the outer pump
+  /// owns the queue.
   void DeliverAll() {
     if (delivering_ || queue_.empty()) return;
     DeliverQueued();
@@ -141,13 +159,8 @@ class Network {
     Envelope envelope;
   };
 
-  /// Queues one hop. On the perfect channel the envelope is constructed in
-  /// its queue slot: building it on the stack and copying it in stalls
-  /// store forwarding on every send. Under a channel the hop goes to Route.
-  void Enqueue(bool to_coordinator, int site_id, const Message& message);
-
   /// Channel adjudication path for one hop (only reached when a channel is
-  /// installed).
+  /// installed): queues, drops, delays or duplicates it.
   void Route(const Envelope& envelope);
 
   void BeginTickSlow();

@@ -4,6 +4,15 @@
 
 namespace nmc::sim {
 
+/// The send-last contract. On the perfect channel the Network runs the
+/// receiver's handler inside the send (see sim/network.h), so by the time
+/// a send returns, the whole exchange it triggered may have happened —
+/// including messages back to the sender. Every handler, and every
+/// protocol entry point that sends, must therefore finish its own state
+/// changes before it sends, and must not act on state it read before the
+/// send once the send returns. Under that contract depth-first delivery
+/// and the FIFO queue a channel uses produce the same results.
+///
 /// A site in the star topology. Sites never talk to each other directly
 /// (the model forbids it); their only I/O is updates arriving locally and
 /// messages to/from the coordinator, so a correct implementation cannot

@@ -1,9 +1,10 @@
 // BatchRng contract tests: the lane decomposition onto scalar common::Rng
 // streams, bit-identity of every available SIMD dispatch level against the
 // scalar oracle, slicing invariance of the logical stream, distributional
-// sanity (chi-square) of the bulk Bernoulli/uniform/geometric fills, and
-// child-stream independence.
+// sanity (chi-square) of the bulk uniform/sign fills and of the gaps the
+// log-tail fill yields, and child-stream independence.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -12,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "common/batch_rng.h"
+#include "common/batch_rng_kernels.h"
+#include "common/geometric_skip.h"
 #include "common/rng.h"
 #include "common/simd_dispatch.h"
 
@@ -78,32 +81,63 @@ TEST(BatchRngTest, EveryLevelBitIdenticalToScalar) {
   // ragged lengths that exercise the carry buffer and vector tails.
   const size_t kLen = 981;  // deliberately not a multiple of 4
   std::vector<uint64_t> u64_want(kLen);
-  std::vector<double> uni_want(kLen), sign_want(kLen);
-  std::vector<int64_t> gap_want(kLen);
+  std::vector<double> uni_want(kLen), sign_want(kLen), tail_want(kLen);
   {
     ForcedLevel forced(SimdLevel::kScalar);
     BatchRng rng(77);
     rng.FillU64(std::span<uint64_t>(u64_want));
     rng.FillUniform(std::span<double>(uni_want));
     rng.FillSigns(std::span<double>(sign_want), 0.3);
-    rng.FillGeometricGaps(std::span<int64_t>(gap_want), 1.0 / 16.0);
+    rng.FillLogTails(std::span<double>(tail_want));
   }
   for (const SimdLevel level : AvailableLevels()) {
     SCOPED_TRACE(common::SimdLevelName(level));
     ForcedLevel forced(level);
     std::vector<uint64_t> u64_got(kLen);
-    std::vector<double> uni_got(kLen), sign_got(kLen);
-    std::vector<int64_t> gap_got(kLen);
+    std::vector<double> uni_got(kLen), sign_got(kLen), tail_got(kLen);
     BatchRng rng(77);
     rng.FillU64(std::span<uint64_t>(u64_got));
     rng.FillUniform(std::span<double>(uni_got));
     rng.FillSigns(std::span<double>(sign_got), 0.3);
-    rng.FillGeometricGaps(std::span<int64_t>(gap_got), 1.0 / 16.0);
+    rng.FillLogTails(std::span<double>(tail_got));
     EXPECT_EQ(u64_got, u64_want);
     for (size_t i = 0; i < kLen; ++i) {
       ASSERT_EQ(uni_got[i], uni_want[i]) << i;   // bitwise, not approximate
       ASSERT_EQ(sign_got[i], sign_want[i]) << i;
-      ASSERT_EQ(gap_got[i], gap_want[i]) << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(tail_got[i]),
+                std::bit_cast<uint64_t>(tail_want[i]))
+          << i;
+    }
+  }
+}
+
+TEST(BatchRngTest, LogTailsArePolyLogOfTheRawStream) {
+  // Element i of FillLogTails is PolyLog(TailFromU64(x_i)) for the i-th raw
+  // stream element x_i, bit for bit, on every dispatch level — ragged
+  // slices included, so the carry path and the vector kernels both count.
+  const size_t kLen = 1031;
+  std::vector<uint64_t> raw(kLen);
+  BatchRng(4242).FillU64(std::span<uint64_t>(raw));
+  const size_t kChunks[] = {3, 1, 8, 5, 256, 2};
+  for (const SimdLevel level : AvailableLevels()) {
+    SCOPED_TRACE(common::SimdLevelName(level));
+    ForcedLevel forced(level);
+    BatchRng rng(4242);
+    std::vector<double> tails(kLen);
+    size_t pos = 0, chunk_index = 0;
+    while (pos < kLen) {
+      const size_t len =
+          std::min(kChunks[chunk_index++ % std::size(kChunks)], kLen - pos);
+      rng.FillLogTails(std::span<double>(tails).subspan(pos, len));
+      pos += len;
+    }
+    for (size_t i = 0; i < kLen; ++i) {
+      const double want = common::batch_rng_detail::PolyLog(
+          common::batch_rng_detail::TailFromU64(raw[i]));
+      ASSERT_EQ(std::bit_cast<uint64_t>(tails[i]),
+                std::bit_cast<uint64_t>(want))
+          << i;
+      ASSERT_LE(tails[i], 0.0) << i;
     }
   }
 }
@@ -175,18 +209,21 @@ TEST(BatchRngTest, SignsMatchBernoulliProbability) {
   EXPECT_NEAR(got_p, p_plus, 5.0 * std::sqrt(p_plus * (1 - p_plus) / kN));
 }
 
-TEST(BatchRngTest, GeometricGapsChiSquare) {
-  // Gap g has P[g] = p (1-p)^g. Chi-square over the first few cells plus a
-  // tail cell, and a mean check (E[g] = (1-p)/p).
+TEST(BatchRngTest, LogTailGapsChiSquare) {
+  // A tail scaled by 1/log1p(-p) and floored is a Geometric(p) gap, with
+  // P[g] = p (1-p)^g. Chi-square over the first few cells plus a tail
+  // cell, and a mean check (E[g] = (1-p)/p).
   const size_t kN = 1 << 16;
   const double p = 1.0 / 16.0;
   BatchRng rng(808);
-  std::vector<int64_t> gaps(kN);
-  rng.FillGeometricGaps(std::span<int64_t>(gaps), p);
+  std::vector<double> tails(kN);
+  rng.FillLogTails(std::span<double>(tails));
+  const double inv_log_q = 1.0 / std::log1p(-p);
   const int kCells = 32;
   std::vector<int64_t> counts(kCells + 1, 0);
   double sum = 0.0;
-  for (const int64_t g : gaps) {
+  for (const double tail : tails) {
+    const int64_t g = common::GeometricSkip::GapFromLogTail(tail, inv_log_q);
     ASSERT_GE(g, 0);
     counts[static_cast<size_t>(std::min<int64_t>(g, kCells))] += 1;
     sum += static_cast<double>(g);
@@ -210,18 +247,6 @@ TEST(BatchRngTest, GeometricGapsChiSquare) {
   const double mean = sum / static_cast<double>(kN);
   const double want_mean = (1.0 - p) / p;  // 15
   EXPECT_NEAR(mean, want_mean, 0.5);
-}
-
-TEST(BatchRngTest, GeometricClampsConsumeNoRandomness) {
-  BatchRng a(4);
-  BatchRng b(4);
-  std::vector<int64_t> gaps(17);
-  a.FillGeometricGaps(std::span<int64_t>(gaps), 0.0);
-  for (const int64_t g : gaps) EXPECT_EQ(g, common::kBatchRngInfiniteGap);
-  a.FillGeometricGaps(std::span<int64_t>(gaps), 1.5);
-  for (const int64_t g : gaps) EXPECT_EQ(g, 0);
-  // The stream position is untouched: a and b still agree.
-  EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
 TEST(BatchRngTest, ChildStreamsAreIndependent) {

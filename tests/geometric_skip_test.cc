@@ -1,6 +1,7 @@
 #include "common/geometric_skip.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -18,6 +19,19 @@ namespace {
 /// statistical flake is then fixed by varying one literal at the call.
 common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
 
+/// The first n log-tails of BatchRng(seed): element i of the stream the
+/// sampler reads.
+std::vector<double> ShadowTails(uint64_t seed, size_t n) {
+  std::vector<double> tails(n);
+  BatchRng(seed).FillLogTails(std::span<double>(tails));
+  return tails;
+}
+
+/// The gap stream element `tail` gives at rate p.
+int64_t GapAt(double tail, double p) {
+  return GeometricSkip::GapFromLogTail(tail, 1.0 / std::log1p(-p));
+}
+
 /// Draws one gap at `rate` and consumes it, as a site does between two
 /// candidates.
 int64_t DrawOne(GeometricSkip* skip, double rate) {
@@ -31,7 +45,7 @@ int64_t DrawOne(GeometricSkip* skip, double rate) {
 
 // One-sample chi-square of the drawn gaps against the Geometric(p) pmf
 // P[gap = g] = (1-p)^g * p. The rate is frozen, so after the first draw
-// every gap comes from pre-drawn feed blocks. Fixed seed, so this is
+// every gap comes from a reservation. Fixed seed, so this is
 // deterministic — the generous critical value guards against
 // seed-hunting, not flakiness.
 TEST(GeometricSkipTest, GapHistogramMatchesGeometricPmf) {
@@ -39,7 +53,8 @@ TEST(GeometricSkipTest, GapHistogramMatchesGeometricPmf) {
   const int kDraws = 200000;
   const int kBins = 16;  // gaps 0..14 plus pooled tail
   BatchRng batch(2024);
-  GeometricSkip skip(&batch);
+  InvLogQMemo memo;
+  GeometricSkip skip(&batch, &memo);
   std::vector<int64_t> counts(kBins, 0);
   for (int i = 0; i < kDraws; ++i) {
     const int64_t gap = DrawOne(&skip, p);
@@ -65,7 +80,8 @@ TEST(GeometricSkipTest, GapMeanMatchesGeometricMean) {
   const double p = 0.01;
   const int kDraws = 100000;
   BatchRng batch(7);
-  GeometricSkip skip(&batch);
+  InvLogQMemo memo;
+  GeometricSkip skip(&batch, &memo);
   double sum = 0.0;
   for (int i = 0; i < kDraws; ++i) {
     sum += static_cast<double>(DrawOne(&skip, p));
@@ -79,27 +95,29 @@ TEST(GeometricSkipTest, GapMeanMatchesGeometricMean) {
 
 TEST(GeometricSkipTest, CertainRateDrawsNoRandomness) {
   BatchRng batch(5);
-  BatchRng untouched(5);
-  GeometricSkip skip(&batch);
+  InvLogQMemo memo;
+  GeometricSkip skip(&batch, &memo);
   EXPECT_EQ(DrawOne(&skip, 1.0), 0);
   EXPECT_EQ(DrawOne(&skip, 2.0), 0);
-  EXPECT_EQ(batch.NextU64(), untouched.NextU64());  // no draw consumed
+  // No element consumed: the next real draw takes element 0.
+  EXPECT_EQ(DrawOne(&skip, 0.1), GapAt(ShadowTails(5, 1)[0], 0.1));
 }
 
 TEST(GeometricSkipTest, ZeroRateIsInfiniteWithoutRandomness) {
   BatchRng batch(5);
-  BatchRng untouched(5);
-  GeometricSkip skip(&batch);
+  InvLogQMemo memo;
+  GeometricSkip skip(&batch, &memo);
   EXPECT_EQ(DrawOne(&skip, 0.0), GeometricSkip::kInfiniteGap);
   EXPECT_EQ(DrawOne(&skip, -1.0), GeometricSkip::kInfiniteGap);
-  EXPECT_EQ(batch.NextU64(), untouched.NextU64());
+  EXPECT_EQ(DrawOne(&skip, 0.1), GapAt(ShadowTails(5, 1)[0], 0.1));
 }
 
 TEST(GeometricSkipTest, TinyRateClampsInsteadOfOverflowing) {
   // log(u)/log1p(-p) for p = 1e-300 overflows any int64; the clamp must
   // return the sentinel instead of invoking UB on the cast.
   BatchRng batch(11);
-  GeometricSkip skip(&batch);
+  InvLogQMemo memo;
+  GeometricSkip skip(&batch, &memo);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(DrawOne(&skip, 1e-300), GeometricSkip::kInfiniteGap);
   }
@@ -115,7 +133,8 @@ TEST(GeometricSkipTest, TinyRateClampsInsteadOfOverflowing) {
 
 TEST(GeometricSkipTest, AdvanceAndTakeCandidateWalkTheGap) {
   BatchRng batch(13);
-  GeometricSkip skip(&batch);
+  InvLogQMemo memo;
+  GeometricSkip skip(&batch, &memo);
   for (int run = 0; run < 100; ++run) {
     skip.EnsureGap(0.1);
     const int64_t gap = skip.gap();
@@ -141,8 +160,9 @@ TEST(GeometricSkipTest, ForkedSiteFeedsAreIndependent) {
   common::Rng site2 = seeder.Fork();
   BatchRng batch1(site1.NextU64());
   BatchRng batch2(site2.NextU64());
-  GeometricSkip skip1(&batch1);
-  GeometricSkip skip2(&batch2);
+  InvLogQMemo memo;  // shared, as a protocol's sites share it
+  GeometricSkip skip1(&batch1, &memo);
+  GeometricSkip skip2(&batch2, &memo);
   int equal = 0;
   for (int i = 0; i < 1000; ++i) {
     if (DrawOne(&skip1, 0.1) == DrawOne(&skip2, 0.1)) ++equal;
@@ -151,54 +171,122 @@ TEST(GeometricSkipTest, ForkedSiteFeedsAreIndependent) {
   EXPECT_LT(equal, 150);
 }
 
-// ---- Feed schedule --------------------------------------------------------
+// ---- Stream elements to gaps ---------------------------------------------
 
-TEST(GeometricSkipTest, FeedRateLadderCostsOneDrawPerFreshRate) {
-  // A fresh rate must cost exactly one stream element (no speculative
-  // block), and only the second consecutive same-rate request may buy a
-  // block. Verified through the BatchRng stream position: a ladder of n
-  // distinct rates consumes exactly n elements.
-  BatchRng batch(7);
-  BatchRng shadow(7);  // tracks the expected stream position
-  GeometricSkip skip(&batch);
+TEST(GeometricSkipTest, FreshRatesTakeOneElementEach) {
+  // A fresh rate takes exactly the next stream element (no speculative
+  // reservation): a ladder of distinct rates maps onto elements 0, 1, ...
   const double rates[] = {0.5, 0.25, 0.125, 0.0625, 0.03125};
-  for (const double rate : rates) {
-    DrawOne(&skip, rate);
-    (void)shadow.NextU64();  // one element per fresh rate
+  const std::vector<double> tails = ShadowTails(7, std::size(rates));
+  BatchRng batch(7);
+  InvLogQMemo memo;
+  GeometricSkip skip(&batch, &memo);
+  for (size_t i = 0; i < std::size(rates); ++i) {
+    EXPECT_EQ(DrawOne(&skip, rates[i]), GapAt(tails[i], rates[i])) << i;
   }
-  EXPECT_EQ(batch.NextU64(), shadow.NextU64());
 }
 
-TEST(GeometricSkipTest, FeedBlockRefillServesRepeatRateFromBlock) {
-  // Once a rate repeats, blocks are pre-drawn on the growth schedule
-  // (kFeedFirstBlockGaps, ×kFeedBlockGrowth per refill, capped at
-  // kFeedBlockGaps) and every request in between is served without
-  // further stream traffic. The shadow generator replays the same fills,
-  // so matching stream positions prove both the schedule and the served
-  // values' provenance.
-  BatchRng batch(13);
-  BatchRng shadow(13);
-  GeometricSkip skip(&batch);
+TEST(GeometricSkipTest, RepeatRateReservesOnTheGrowthSchedule) {
+  // Once a rate repeats it reserves elements in runs of kFirstReserve,
+  // growing by kReserveGrowth up to kTailBlock, and serves them in order;
+  // a fresh rate then skips the unserved rest of the current run. The
+  // shadow replays that mapping element by element, through several tail
+  // block refills.
   const double rate = 0.1;
-  DrawOne(&skip, rate);  // fresh rate: single draw
-  (void)shadow.NextU64();
-  int fill = GeometricSkip::kFeedFirstBlockGaps;
-  int served = 0;
-  std::vector<int64_t> block;
-  // Run past the cap so the steady (fill == kFeedBlockGaps) regime is
+  const std::vector<double> tails = ShadowTails(13, 4096);
+  BatchRng batch(13);
+  InvLogQMemo memo;
+  GeometricSkip skip(&batch, &memo);
+  size_t next = 0;
+  EXPECT_EQ(DrawOne(&skip, rate), GapAt(tails[next++], rate));  // fresh
+  int run = GeometricSkip::kFirstReserve;
+  // Run past the cap so the steady (run == kTailBlock) regime is
   // exercised too.
-  while (served < 3 * GeometricSkip::kFeedBlockGaps) {
-    block.resize(static_cast<size_t>(fill));
-    shadow.FillGeometricGaps(std::span<int64_t>(block), rate);
-    for (int i = 0; i < fill; ++i) {
-      // i == 0 buys the block
-      EXPECT_EQ(DrawOne(&skip, rate), block[static_cast<size_t>(i)]);
+  for (int served = 0; served < 3 * GeometricSkip::kTailBlock;) {
+    for (int i = 0; i < run; ++i) {
+      ASSERT_EQ(DrawOne(&skip, rate), GapAt(tails[next++], rate))
+          << "served " << served + i;
     }
-    served += fill;
-    fill = std::min(fill * GeometricSkip::kFeedBlockGrowth,
-                    GeometricSkip::kFeedBlockGaps);
+    served += run;
+    run = std::min(run * GeometricSkip::kReserveGrowth,
+                   GeometricSkip::kTailBlock);
   }
-  EXPECT_EQ(batch.NextU64(), shadow.NextU64());
+  // Serve 5 of the next 256-element run, then change rate: the other 251
+  // are skipped, and the fresh rate takes the element after them.
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(DrawOne(&skip, rate), GapAt(tails[next++], rate));
+  }
+  next += static_cast<size_t>(GeometricSkip::kTailBlock - 5);
+  EXPECT_EQ(DrawOne(&skip, 0.3), GapAt(tails[next++], 0.3));
+  // The schedule restarts at the new rate.
+  for (int i = 0; i < GeometricSkip::kFirstReserve + 1; ++i) {
+    ASSERT_EQ(DrawOne(&skip, 0.3), GapAt(tails[next++], 0.3)) << i;
+  }
+}
+
+TEST(GeometricSkipTest, DegenerateRateKeepsTheReservation) {
+  // A degenerate rate consumes nothing and leaves the current run intact:
+  // the repeat rate resumes where it stopped.
+  const std::vector<double> tails = ShadowTails(21, 16);
+  BatchRng batch(21);
+  InvLogQMemo memo;
+  GeometricSkip skip(&batch, &memo);
+  EXPECT_EQ(DrawOne(&skip, 0.2), GapAt(tails[0], 0.2));
+  EXPECT_EQ(DrawOne(&skip, 0.2), GapAt(tails[1], 0.2));  // opens a run of 8
+  EXPECT_EQ(DrawOne(&skip, 1.0), 0);
+  EXPECT_EQ(DrawOne(&skip, 0.0), GeometricSkip::kInfiniteGap);
+  EXPECT_EQ(DrawOne(&skip, 0.2), GapAt(tails[2], 0.2));
+  // The run covers elements 1..8; a fresh rate skips its 6 unserved
+  // elements (3..8) and takes element 9.
+  EXPECT_EQ(DrawOne(&skip, 0.4), GapAt(tails[9], 0.4));
+}
+
+TEST(GeometricSkipTest, GapSequenceIsPinned) {
+  // A ladder of fresh, repeated and degenerate rates, long enough to cross
+  // tail-block refills mid-reservation. The FNV-1a hash over the gaps (and
+  // the leading gaps) were recorded when gaps were still drawn by a
+  // per-rate bulk gap fill; the log-tail feed must reproduce that element
+  // to gap mapping exactly, at every SIMD level.
+  std::vector<double> ladder;
+  const auto repeat = [&](double rate, int count) {
+    ladder.insert(ladder.end(), static_cast<size_t>(count), rate);
+  };
+  repeat(0.3, 13);
+  repeat(1.0, 1);
+  repeat(0.3, 3);
+  repeat(0.0, 2);
+  repeat(0.3, 1);
+  repeat(0.05, 46);
+  repeat(0.7, 1);
+  repeat(1e-300, 2);
+  repeat(0.7, 5);
+  repeat(0.2, 700);
+  repeat(-1.0, 1);
+  repeat(0.2, 10);
+  repeat(0.01, 1);
+  repeat(0.02, 1);
+  repeat(0.01, 1);
+  repeat(0.4, 300);
+  BatchRng batch(2012);
+  InvLogQMemo memo;
+  GeometricSkip skip(&batch, &memo);
+  std::vector<int64_t> gaps;
+  uint64_t hash = 1469598103934665603ULL;
+  for (const double rate : ladder) {
+    const int64_t gap = DrawOne(&skip, rate);
+    gaps.push_back(gap);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (static_cast<uint64_t>(gap) >> (8 * byte)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  }
+  const int64_t inf = GeometricSkip::kInfiniteGap;
+  const std::vector<int64_t> leading = {2, 2, 2, 2, 1,   2,   0, 0,
+                                        1, 5, 4, 5, 0,   0,   0, 3,
+                                        0, inf, inf, 4, 23, 1, 10, 22};
+  EXPECT_EQ(std::vector<int64_t>(gaps.begin(), gaps.begin() + 24), leading);
+  EXPECT_EQ(gaps.size(), 1088u);
+  EXPECT_EQ(hash, 0x474853ea22859045ULL);
 }
 
 }  // namespace

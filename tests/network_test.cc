@@ -2,15 +2,28 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/channel.h"
 #include "sim/message.h"
 #include "sim/node.h"
 
 namespace nmc::sim {
 namespace {
+
+/// A zero-loss, zero-duplicate Bernoulli channel: the channel machinery is
+/// installed, so hops go through the FIFO queue, but every verdict is
+/// kDeliver.
+std::unique_ptr<ChannelModel> ZeroLossChannel() {
+  ChannelConfig config;
+  config.kind = ChannelConfig::Kind::kLoss;
+  config.loss = 0.0;
+  config.duplicate = 0.0;
+  return MakeChannel(config);
+}
 
 // Records everything it receives; can be told to reply.
 class RecordingSite : public SiteNode {
@@ -52,10 +65,13 @@ class RecordingCoordinator : public CoordinatorNode {
   std::vector<Message> received_;
 };
 
+/// Three recording sites and a recording coordinator on the perfect
+/// channel (send-time delivery).
 class NetworkTest : public ::testing::Test {
  protected:
   void SetUp() override {
     network_ = std::make_unique<Network>(3);
+    if (channeled()) network_->SetChannel(ZeroLossChannel());
     network_->AttachCoordinator(&coordinator_);
     for (int s = 0; s < 3; ++s) {
       sites_.push_back(std::make_unique<RecordingSite>(s, network_.get()));
@@ -63,9 +79,18 @@ class NetworkTest : public ::testing::Test {
     }
   }
 
+  virtual bool channeled() const { return false; }
+
   std::unique_ptr<Network> network_;
   RecordingCoordinator coordinator_;
   std::vector<std::unique_ptr<RecordingSite>> sites_;
+};
+
+/// The same nodes behind a zero-loss channel: hops are queued and
+/// DeliverAll() pumps them in FIFO order.
+class QueuedNetworkTest : public NetworkTest {
+ protected:
+  bool channeled() const override { return true; }
 };
 
 TEST_F(NetworkTest, UnicastToCoordinatorCostsOne) {
@@ -117,7 +142,7 @@ TEST_F(NetworkTest, ChainedHandlersRunToQuiescence) {
   EXPECT_EQ(network_->total_messages(), 6);
 }
 
-TEST_F(NetworkTest, DeliveryIsFifo) {
+TEST_F(QueuedNetworkTest, DeliveryIsFifo) {
   Message a;
   a.type = 1;
   a.u = 1;
@@ -143,7 +168,7 @@ TEST_F(NetworkTest, StatsAccumulateAcrossOperations) {
   EXPECT_EQ(network_->total_messages(), 5);
 }
 
-TEST_F(NetworkTest, NestedSendsDuringDeliveryCountedAndDeliveredOnce) {
+TEST_F(QueuedNetworkTest, NestedSendsDuringDeliveryCountedAndDeliveredOnce) {
   // Regression: a handler that sends from *within* delivery (the reply is
   // enqueued while DeliverAll is pumping) must have its message charged
   // and delivered exactly once, and the queue must be fully drained
@@ -167,7 +192,7 @@ TEST_F(NetworkTest, NestedSendsDuringDeliveryCountedAndDeliveredOnce) {
   EXPECT_EQ(network_->total_messages(), 2);
 }
 
-TEST_F(NetworkTest, ReentrantDeliverAllFromHandlerIsIgnored) {
+TEST_F(QueuedNetworkTest, ReentrantDeliverAllFromHandlerIsIgnored) {
   // A handler calling DeliverAll() re-entrantly must not double-deliver:
   // the outer pump owns the queue.
   class ReentrantCoordinator : public CoordinatorNode {
@@ -194,6 +219,7 @@ TEST_F(NetworkTest, ReentrantDeliverAllFromHandlerIsIgnored) {
   };
 
   Network network(1);
+  network.SetChannel(ZeroLossChannel());
   RecordingSite site(0, &network);
   ReentrantCoordinator coordinator(&network, &site);
   network.AttachCoordinator(&coordinator);
@@ -210,7 +236,7 @@ TEST_F(NetworkTest, ReentrantDeliverAllFromHandlerIsIgnored) {
   EXPECT_EQ(network.total_messages(), 2);
 }
 
-TEST_F(NetworkTest, DeepNestedChainsDrainInFifoOrder) {
+TEST_F(QueuedNetworkTest, DeepNestedChainsDrainInFifoOrder) {
   // Each delivered broadcast triggers replies; interleave with fresh sends
   // to exercise queue storage reuse across pumps.
   for (auto& site : sites_) site->set_reply_on_receive(true);
@@ -226,11 +252,125 @@ TEST_F(NetworkTest, DeepNestedChainsDrainInFifoOrder) {
   EXPECT_EQ(network_->stats().coordinator_to_site, 150);
 }
 
+TEST_F(NetworkTest, HandlerRunsInsideTheSend) {
+  // On the perfect channel the receiver's handler has run when the send
+  // returns; DeliverAll() has nothing left to do.
+  Message m;
+  m.type = 1;
+  m.u = 5;
+  network_->SendToCoordinator(1, m);
+  ASSERT_EQ(coordinator_.received().size(), 1u);
+  EXPECT_EQ(coordinator_.received()[0].u, 5);
+  network_->SendToSite(2, m);
+  EXPECT_EQ(sites_[2]->received().size(), 1u);
+  network_->Broadcast(m);
+  for (const auto& site : sites_) EXPECT_FALSE(site->received().empty());
+  network_->DeliverAll();
+  EXPECT_EQ(coordinator_.received().size(), 1u);
+  EXPECT_EQ(network_->total_messages(), 5);
+}
+
+/// Logs every handler run and every observed send into one sequence, so a
+/// test can check how delivery interleaves with sending.
+struct EventLog {
+  std::vector<std::string> events;
+};
+
+class LoggingReplySite : public SiteNode {
+ public:
+  LoggingReplySite(int id, Network* network, EventLog* log)
+      : id_(id), network_(network), log_(log) {}
+  void OnCoordinatorMessage(const Message& message) override {
+    log_->events.push_back("s" + std::to_string(id_) + " got " +
+                           std::to_string(message.type));
+    if (message.type != 4) return;
+    Message reply;
+    reply.type = 9;
+    network_->SendToCoordinator(id_, reply);
+  }
+
+ private:
+  int id_;
+  Network* network_;
+  EventLog* log_;
+};
+
+class LoggingCoordinator : public CoordinatorNode {
+ public:
+  explicit LoggingCoordinator(EventLog* log) : log_(log) {}
+  void OnSiteMessage(int site_id, const Message& message) override {
+    log_->events.push_back("C got " + std::to_string(message.type) + " from s" +
+                           std::to_string(site_id));
+  }
+
+ private:
+  EventLog* log_;
+};
+
+std::vector<std::string> BroadcastWithReplies(bool channeled) {
+  EventLog log;
+  Network network(3);
+  if (channeled) network.SetChannel(ZeroLossChannel());
+  LoggingCoordinator coordinator(&log);
+  network.AttachCoordinator(&coordinator);
+  std::vector<std::unique_ptr<LoggingReplySite>> sites;
+  for (int s = 0; s < 3; ++s) {
+    sites.push_back(std::make_unique<LoggingReplySite>(s, &network, &log));
+    network.AttachSite(s, sites.back().get());
+  }
+  network.SetObserver([&](const Network::SentMessage& sent) {
+    log.events.push_back("send " + std::to_string(sent.message.type) +
+                         (sent.to_coordinator ? " >C" : " >s") +
+                         std::to_string(sent.site_id));
+  });
+  Message m;
+  m.type = 4;
+  network.Broadcast(m);
+  network.DeliverAll();
+  return log.events;
+}
+
+TEST(NetworkDeliveryTest, NestedSendsRunDepthFirst) {
+  // The observer sees all k broadcast copies first; then each site's
+  // handler runs in site order, and the reply it sends is delivered before
+  // the next site gets the broadcast.
+  const std::vector<std::string> want = {
+      "send 4 >s0", "send 4 >s1",      "send 4 >s2",
+      "s0 got 4",   "send 9 >C0",      "C got 9 from s0",
+      "s1 got 4",   "send 9 >C1",      "C got 9 from s1",
+      "s2 got 4",   "send 9 >C2",      "C got 9 from s2"};
+  EXPECT_EQ(BroadcastWithReplies(/*channeled=*/false), want);
+}
+
+TEST(NetworkDeliveryTest, QueuedDeliveryIsBreadthFirst) {
+  // Behind a channel the same exchange is FIFO: every broadcast copy is
+  // delivered before any reply. The observer still sees sends in send
+  // order, which here matches the depth-first transcript hop for hop.
+  const std::vector<std::string> want = {
+      "send 4 >s0",      "send 4 >s1",      "send 4 >s2",
+      "s0 got 4",        "send 9 >C0",      "s1 got 4",
+      "send 9 >C1",      "s2 got 4",        "send 9 >C2",
+      "C got 9 from s0", "C got 9 from s1", "C got 9 from s2"};
+  EXPECT_EQ(BroadcastWithReplies(/*channeled=*/true), want);
+}
+
+TEST(NetworkDeliveryDeathTest, SendToUnattachedNodeAborts) {
+  // Send-time delivery keeps the queue's check that the destination is
+  // attached.
+  Network network(2);
+  Message m;
+  m.type = 1;
+  EXPECT_DEATH(network.SendToCoordinator(0, m), "");
+  EXPECT_DEATH(network.SendToSite(1, m), "");
+  EXPECT_DEATH(network.Broadcast(m), "");
+}
+
 TEST(NetworkGrowthTest, HandlerGrowingTheQueueKeepsItsMessageAndFifoOrder) {
-  // A handler that sends enough during its own delivery to make the
-  // queue reallocate (it starts at 64 slots) must still see the message it
-  // was handed intact, and every delivery after it must keep send order:
-  // first what was queued before the handler ran, then its own sends.
+  // Behind a channel, a handler that sends enough during its own delivery
+  // to make the queue reallocate (it starts at 64 slots) must still see
+  // the message it was handed intact, and every delivery after it must
+  // keep send order: first what was queued before the handler ran, then
+  // its own sends.
   constexpr int kFlood = 300;
   // Delivery order: u for coordinator deliveries, 1000 + u for sites.
   std::vector<int64_t> log;
@@ -273,6 +413,7 @@ TEST(NetworkGrowthTest, HandlerGrowingTheQueueKeepsItsMessageAndFifoOrder) {
   };
 
   Network network(3);
+  network.SetChannel(ZeroLossChannel());
   FloodingCoordinator coordinator(&network, &log);
   std::vector<std::unique_ptr<LoggingSite>> sites;
   network.AttachCoordinator(&coordinator);

@@ -20,6 +20,7 @@
 #include "registry/builtin.h"
 #include "sim/assignment.h"
 #include "sim/channel.h"
+#include "sim/harness.h"
 #include "sim/protocol.h"
 #include "sim/registry.h"
 #include "streams/bernoulli.h"
@@ -365,6 +366,68 @@ TEST_P(ConformanceTest, PerfectChannelIsBitIdentical) {
   EXPECT_EQ(baseline.first, lossless.first)
       << s.name << ": installing a zero-loss channel changed behavior";
   EXPECT_EQ(baseline.second, lossless.second) << s.name;
+}
+
+/// Every field of two tracked runs matches bit for bit, curve included.
+void ExpectSameRun(const sim::TrackingResult& a, const sim::TrackingResult& b) {
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.broadcasts, b.broadcasts);
+  EXPECT_EQ(a.violation_steps, b.violation_steps);
+  EXPECT_EQ(bits(a.max_rel_error), bits(b.max_rel_error));
+  EXPECT_EQ(bits(a.final_sum), bits(b.final_sum));
+  EXPECT_EQ(bits(a.final_estimate), bits(b.final_estimate));
+  ASSERT_EQ(a.curve.size(), b.curve.size());
+  for (size_t i = 0; i < a.curve.size(); ++i) {
+    EXPECT_EQ(a.curve[i].t, b.curve[i].t) << i;
+    EXPECT_EQ(a.curve[i].messages, b.curve[i].messages) << i;
+    EXPECT_EQ(bits(a.curve[i].sum), bits(b.curve[i].sum)) << i;
+    EXPECT_EQ(bits(a.curve[i].estimate), bits(b.curve[i].estimate)) << i;
+  }
+}
+
+/// Delivery equivalence — the guard on the send-last contract
+/// (sim/node.h). On the perfect channel the Network runs each handler
+/// inside the send, depth-first; behind a zero-loss channel the same hops
+/// go through the FIFO queue (and the protocol takes one update per call).
+/// A protocol whose handlers finish their state changes before they send
+/// gets the same run either way.
+TEST_P(ConformanceTest, DepthFirstDeliveryMatchesFifoQueue) {
+  const auto s = spec();
+  if (s.name == "horizon_free") return;  // rejects faulty channels by design
+  sim::ChannelConfig zero_loss;
+  zero_loss.kind = sim::ChannelConfig::Kind::kLoss;
+  zero_loss.loss = 0.0;
+  zero_loss.duplicate = 0.0;
+  const auto run = [&](int k, bool blocks, const std::vector<double>& stream,
+                       const sim::ChannelConfig& channel) {
+    sim::ProtocolParams params = BaseParams(91);
+    params.channel = channel;
+    auto protocol = sim::ProtocolRegistry::Global().Create(s.name, k, params);
+    sim::RoundRobinAssignment round_robin(k);
+    sim::BlockCyclicAssignment block_cyclic(k, 64);
+    sim::TrackingOptions tracking;
+    tracking.epsilon = params.epsilon;
+    tracking.curve_points = 32;
+    return sim::RunTracking(
+        stream, blocks ? static_cast<sim::AssignmentPolicy*>(&block_cyclic)
+                       : &round_robin,
+        protocol.get(), tracking);
+  };
+  for (const int k : {1, 3, 8}) {
+    for (const double mu : {0.0, 0.3, 1.0}) {
+      if (s.traits.monotonic_only && mu != 1.0) continue;
+      const auto stream = streams::BernoulliStream(4096, (1.0 + mu) / 2.0, 23);
+      for (const bool blocks : {false, true}) {
+        SCOPED_TRACE(s.name + " k=" + std::to_string(k) +
+                     " mu=" + std::to_string(mu) +
+                     (blocks ? " 64-blocks" : " round-robin"));
+        ExpectSameRun(run(k, blocks, stream, sim::ChannelConfig{}),
+                      run(k, blocks, stream, zero_loss));
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ConformanceTest,

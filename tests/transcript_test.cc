@@ -22,13 +22,39 @@ std::string Render(const sim::Network::SentMessage& sent) {
          (sent.to_coordinator ? ">C" : ">s") + std::to_string(sent.site_id);
 }
 
+/// Nodes that accept and drop everything: on the perfect channel a send
+/// runs its receiver's handler, so even a pure observation test needs
+/// every destination attached.
+class SinkSite : public sim::SiteNode {
+ public:
+  void OnCoordinatorMessage(const sim::Message&) override {}
+};
+
+class SinkCoordinator : public sim::CoordinatorNode {
+ public:
+  void OnSiteMessage(int, const sim::Message&) override {}
+};
+
+/// Attaches a sink to every node of `network`.
+struct Sinks {
+  explicit Sinks(sim::Network* network)
+      : sites(static_cast<size_t>(network->num_sites())) {
+    network->AttachCoordinator(&coordinator);
+    for (int s = 0; s < network->num_sites(); ++s) {
+      network->AttachSite(s, &sites[static_cast<size_t>(s)]);
+    }
+  }
+  SinkCoordinator coordinator;
+  std::vector<SinkSite> sites;
+};
+
 TEST(TranscriptTest, ObserverSeesEveryTransmissionInOrder) {
   sim::Network network(2);
+  Sinks sinks(&network);
   std::vector<std::string> log;
   network.SetObserver([&](const sim::Network::SentMessage& sent) {
     log.push_back(Render(sent));
   });
-  // No nodes needed: observation happens at send time.
   sim::Message m;
   m.type = 7;
   network.SendToCoordinator(1, m);
@@ -47,6 +73,7 @@ TEST(TranscriptTest, ObserverSeesEveryTransmissionInOrder) {
 
 TEST(TranscriptTest, RemovingObserverStopsObservation) {
   sim::Network network(1);
+  Sinks sinks(&network);
   int seen = 0;
   network.SetObserver([&](const sim::Network::SentMessage&) { ++seen; });
   sim::Message m;
