@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +30,7 @@
 #include "core/nonmonotonic_counter.h"
 #include "hyz/hyz_counter.h"
 #include "runtime/run.h"
+#include "runtime/threaded.h"
 #include "sim/assignment.h"
 #include "sim/harness.h"
 #include "sim/message.h"
@@ -289,6 +291,38 @@ void BM_BatchRngFill(benchmark::State& state) {
   state.SetItemsProcessed(items);
 }
 BENCHMARK(BM_BatchRngFill)->ArgNames({"tails"})->Arg(0)->Arg(1);
+
+// Set-up layer: one stream-sized buffer built from a fresh allocation per
+// iteration, first-touch page faults included, as every seed's set-up
+// pays them. A 2^22-double stream (32 MiB) is above glibc's largest mmap
+// threshold, so each one is a new mapping rather than reused heap pages.
+constexpr int64_t kSetupUpdates = int64_t{1} << 22;
+
+void BM_SetupBernoulli(benchmark::State& state) {
+  uint64_t seed = 23;
+  for (auto _ : state) {
+    std::vector<double> stream =
+        nmc::streams::BernoulliStream(kSetupUpdates, 0.0, seed++);
+    benchmark::DoNotOptimize(stream.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kSetupUpdates);
+}
+BENCHMARK(BM_SetupBernoulli)->Unit(benchmark::kMillisecond);
+
+// The concurrent backends' shard step at k = 2: two exact-size shards,
+// filled in one pass over a stream built once. At 16 MiB a shard may be
+// served from heap pages an earlier iteration already faulted in.
+void BM_SetupShard(benchmark::State& state) {
+  const std::vector<double> stream =
+      nmc::streams::BernoulliStream(kSetupUpdates, 0.0, 29);
+  for (auto _ : state) {
+    std::vector<std::vector<double>> shards =
+        nmc::runtime::ShardRoundRobin(stream, 2);
+    benchmark::DoNotOptimize(shards.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kSetupUpdates);
+}
+BENCHMARK(BM_SetupShard)->Unit(benchmark::kMillisecond);
 
 // Raw network send+deliver cycle with a trivial echo protocol: isolates
 // the per-message Network overhead (accounting and send-time dispatch on

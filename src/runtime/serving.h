@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/atomic_policy.h"
+#include "common/huge_pages.h"
 #include "common/seqlock.h"
 #include "common/thread_pool.h"
 #include "runtime/threaded.h"
@@ -111,8 +112,9 @@ class ServingState {
         capture_(capture),
         reader_stats_(static_cast<size_t>(num_readers)) {
     if (capture_) {
-      result_->transcript.reserve(static_cast<size_t>(expected_updates));
-      result_->publish_log.reserve(
+      result_->transcript = common::ReserveStreamBuffer<TranscriptEntry>(
+          static_cast<size_t>(expected_updates));
+      result_->publish_log = common::ReserveStreamBuffer<PublishedEstimate>(
           static_cast<size_t>(expected_updates / 8 + 16));
     }
     Publish(0, initial_estimate);

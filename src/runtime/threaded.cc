@@ -9,6 +9,7 @@
 
 #include "common/atomic_policy.h"
 #include "common/check.h"
+#include "common/huge_pages.h"
 #include "common/spsc_queue.h"
 #include "common/thread_pool.h"
 #include "runtime/serving.h"
@@ -166,13 +167,27 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
 std::vector<std::vector<double>> ShardRoundRobin(
     const std::vector<double>& stream, int num_sites) {
   NMC_CHECK_GE(num_sites, 1);
-  std::vector<std::vector<double>> shards(static_cast<size_t>(num_sites));
-  for (std::vector<double>& shard : shards) {
-    shard.reserve(stream.size() / static_cast<size_t>(num_sites) + 1);
+  const size_t k = static_cast<size_t>(num_sites);
+  const size_t n = stream.size();
+  std::vector<std::vector<double>> shards;
+  shards.reserve(k);
+  std::vector<double*> out(k);
+  for (size_t s = 0; s < k; ++s) {
+    // Site s holds stream[s], stream[s + k], ...: ceil((n - s)/k) entries.
+    const size_t size = s < n ? (n - s + k - 1) / k : 0;
+    shards.push_back(common::ReserveStreamBuffer<double>(size));
+    shards.back().resize(size);
+    out[s] = shards.back().data();
   }
-  for (size_t t = 0; t < stream.size(); ++t) {
-    shards[t % static_cast<size_t>(num_sites)].push_back(stream[t]);
+  // One pass over the stream, a round of k values at a time: shard s's
+  // j-th entry is stream[s + j*k]. Reading the stream once per shard
+  // instead would pull every cache line of it k times.
+  const size_t full_rounds = n / k;
+  const double* in = stream.data();
+  for (size_t j = 0; j < full_rounds; ++j, in += k) {
+    for (size_t s = 0; s < k; ++s) out[s][j] = in[s];
   }
+  for (size_t s = 0; s < n % k; ++s) out[s][full_rounds] = in[s];
   return shards;
 }
 
@@ -180,8 +195,7 @@ std::vector<double> InterleaveShards(
     std::span<const std::vector<double>> shards) {
   size_t total = 0;
   for (const std::vector<double>& shard : shards) total += shard.size();
-  std::vector<double> stream;
-  stream.reserve(total);
+  std::vector<double> stream = common::ReserveStreamBuffer<double>(total);
   for (size_t round = 0; stream.size() < total; ++round) {
     for (const std::vector<double>& shard : shards) {
       if (round < shard.size()) stream.push_back(shard[round]);
@@ -222,8 +236,8 @@ LinearizabilityReport CheckLinearizable(const ThreadedRunResult& run,
 
   // The oracle trajectory: the deterministic simulator's estimate after
   // each prefix of the captured consumption order.
-  std::vector<double> trajectory;
-  trajectory.reserve(run.transcript.size() + 1);
+  std::vector<double> trajectory =
+      common::ReserveStreamBuffer<double>(run.transcript.size() + 1);
   trajectory.push_back(oracle->Estimate());
   for (const TranscriptEntry& entry : run.transcript) {
     oracle->ProcessUpdate(static_cast<int>(entry.site), entry.value);

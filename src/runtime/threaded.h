@@ -106,7 +106,8 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
 /// Splits `stream` round-robin into `num_sites` shards — the canonical
 /// sharding under which the sim transport's RoundRobinAssignment pumps the
 /// exact same per-site subsequences as the threaded backend's site
-/// threads.
+/// threads. Shard s holds stream[s], stream[s + k], ...: exactly
+/// ceil((n - s)/k) entries, none when s >= n.
 std::vector<std::vector<double>> ShardRoundRobin(
     const std::vector<double>& stream, int num_sites);
 

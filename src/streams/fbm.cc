@@ -4,6 +4,7 @@
 #include <complex>
 
 #include "common/check.h"
+#include "common/huge_pages.h"
 #include "common/rng.h"
 #include "streams/fft.h"
 
@@ -29,14 +30,17 @@ std::vector<double> FgnDaviesHarte(int64_t n, double hurst, uint64_t seed) {
   const size_t big_n = NextPowerOfTwo(static_cast<size_t>(n));
   const size_t m = 2 * big_n;
 
-  std::vector<std::complex<double>> row(m);
+  std::vector<std::complex<double>> row =
+      common::ReserveStreamBuffer<std::complex<double>>(m);
+  row.resize(m);
   for (size_t j = 0; j <= big_n; ++j) {
     row[j] = FgnAutocovariance(hurst, static_cast<int64_t>(j));
   }
   for (size_t j = 1; j < big_n; ++j) row[m - j] = row[j];
 
   Fft(&row);
-  std::vector<double> lambda(m);
+  std::vector<double> lambda = common::ReserveStreamBuffer<double>(m);
+  lambda.resize(m);
   for (size_t j = 0; j < m; ++j) {
     double eig = row[j].real();
     // The fGn embedding is provably non-negative definite; tolerate only
@@ -46,7 +50,9 @@ std::vector<double> FgnDaviesHarte(int64_t n, double hurst, uint64_t seed) {
   }
 
   common::Rng rng(seed);
-  std::vector<std::complex<double>> z(m);
+  std::vector<std::complex<double>> z =
+      common::ReserveStreamBuffer<std::complex<double>>(m);
+  z.resize(m);
   const double md = static_cast<double>(m);
   z[0] = std::sqrt(lambda[0] / md) * rng.Gaussian();
   z[big_n] = std::sqrt(lambda[big_n] / md) * rng.Gaussian();
@@ -58,7 +64,9 @@ std::vector<double> FgnDaviesHarte(int64_t n, double hurst, uint64_t seed) {
   }
 
   Fft(&z);
-  std::vector<double> fgn(static_cast<size_t>(n));
+  std::vector<double> fgn =
+      common::ReserveStreamBuffer<double>(static_cast<size_t>(n));
+  fgn.resize(static_cast<size_t>(n));
   for (int64_t t = 0; t < n; ++t) {
     fgn[static_cast<size_t>(t)] = z[static_cast<size_t>(t)].real();
   }
@@ -109,7 +117,9 @@ std::vector<double> FgnHosking(int64_t n, double hurst, uint64_t seed) {
 }
 
 std::vector<double> CumulativeSum(const std::vector<double>& increments) {
-  std::vector<double> path(increments.size());
+  std::vector<double> path =
+      common::ReserveStreamBuffer<double>(increments.size());
+  path.resize(increments.size());
   double sum = 0.0;
   for (size_t t = 0; t < increments.size(); ++t) {
     sum += increments[t];

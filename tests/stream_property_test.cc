@@ -61,6 +61,19 @@ TEST(StreamGoldenTest, VectorGeneratorOutputIsPinned) {
   EXPECT_EQ(Fnv1a(SawtoothStream(4097, 37)), 0x447bd28fb17bb0b8ull);
 }
 
+// The same pins at page scale: 2^20 + 3 doubles span several 2 MiB pages,
+// so these buffers take the huge-page-advised path, and the permutation
+// shuffles across page boundaries. The advice may change which pages hold
+// a stream, never a bit of it.
+TEST(StreamGoldenTest, PageScaleOutputIsPinned) {
+  const int64_t n = (int64_t{1} << 20) + 3;
+  EXPECT_EQ(Fnv1a(BernoulliStream(n, 0.3, 55)), 0x285ddc0270c230d8ull);
+  EXPECT_EQ(Fnv1a(FractionalIidStream(n, 0.1, 0.5, 56)),
+            0x06428e4a8aab0dafull);
+  EXPECT_EQ(Fnv1a(RandomlyPermuted(MakeAdversaryMultiset("balanced", n), 57)),
+            0x081dc283aefa3458ull);
+}
+
 class StreamPropertyTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(StreamPropertyTest, CorrectLengthAndBounded) {

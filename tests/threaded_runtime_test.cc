@@ -1,7 +1,9 @@
 #include "runtime/threaded.h"
 
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,6 +51,44 @@ TEST(ShardingTest, RoundRobinAndInterleaveAreInverse) {
   EXPECT_EQ(shards[3].size(), 5u);
   EXPECT_EQ(shards[1][2], 9.0);  // t = 2*4 + 1
   EXPECT_EQ(InterleaveShards(shards), stream);
+}
+
+// Every (k, n) corner of the exact-size strided shard: n below, at and
+// just past k, a ragged small n, and 2^20 + 3 doubles, which spans several
+// 2 MiB pages and so takes the huge-page-advised path.
+TEST(ShardingTest, ExactSizesStridedValuesAndInverseAcrossCorners) {
+  for (const int k : {1, 2, 3, 8}) {
+    const int64_t ks = k;
+    for (const int64_t n :
+         {int64_t{0}, int64_t{1}, ks - 1, ks, int64_t{23},
+          (int64_t{1} << 20) + 3}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+      // Distinct fractional values, so a misplaced entry cannot match.
+      const std::vector<double> stream =
+          streams::FractionalIidStream(n, 0.0, 1.0, 17);
+      const std::vector<std::vector<double>> shards =
+          ShardRoundRobin(stream, k);
+      ASSERT_EQ(shards.size(), static_cast<size_t>(k));
+      for (int64_t s = 0; s < ks; ++s) {
+        const std::vector<double>& shard = shards[static_cast<size_t>(s)];
+        const int64_t want = s >= n ? 0 : (n - s + ks - 1) / ks;
+        ASSERT_EQ(static_cast<int64_t>(shard.size()), want) << "site " << s;
+        for (size_t j = 0; j < shard.size(); ++j) {
+          const size_t t = static_cast<size_t>(s) + j * static_cast<size_t>(k);
+          ASSERT_EQ(std::bit_cast<uint64_t>(shard[j]),
+                    std::bit_cast<uint64_t>(stream[t]))
+              << "site " << s << " entry " << j;
+        }
+      }
+      const std::vector<double> back = InterleaveShards(shards);
+      ASSERT_EQ(back.size(), stream.size());
+      for (size_t t = 0; t < stream.size(); ++t) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(back[t]),
+                  std::bit_cast<uint64_t>(stream[t]))
+            << "t=" << t;
+      }
+    }
+  }
 }
 
 TEST(ThreadedRuntimeTest, ConsumesEveryUpdateAndPublishesFinalGeneration) {
