@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
 # The repo's static-analysis gate, in one entry point:
 #
-#   1. nmc_lint        — determinism/hygiene invariants (tools/nmc_lint);
-#                        also writes build/nmc_lint.sarif (SARIF 2.1.0) for
-#                        CI artifact upload and code-scanning viewers
+#   1. nmc_lint        — determinism/hygiene invariants (tools/nmc_lint)
 #   2. clang-format    — check-only, via scripts/check_format.sh
 #   3. clang-tidy      — curated .clang-tidy over every built TU
 #   4. -Werror build   — strengthened warning set (NMC_WERROR=ON)
@@ -26,8 +24,7 @@
 #   4  clang-tidy findings
 #   5  -Werror build failed (new warnings)
 #   6  a sanitizer build or its ctest run failed
-#   7  the SARIF emission pass failed (text pass was clean — an emitter or
-#      baseline inconsistency, not a new lint finding)
+#   7  (retired; the numbers after it keep their meaning)
 #   8  the full-repo lint took longer than the 30 s budget — the
 #      interprocedural pass is meant to be cheap enough to run on every
 #      commit; a blowup here is a performance regression in the linter
@@ -54,27 +51,14 @@ done
 echo "== stage 1: nmc_lint =="
 cmake -B build -S . > /dev/null || exit 2
 cmake --build build -j "${JOBS}" --target nmc_lint > /dev/null || exit 2
-# SARIF first, so the artifact exists even when the gate below fails and
-# CI can upload the findings. Exit 1 here just means findings (the text
-# pass below gates on them); >= 2 means the emitter or its inputs are
-# broken, which is its own failure class.
-./build/tools/nmc_lint/nmc_lint --root="${REPO_ROOT}" \
-    --compile-commands=build/compile_commands.json \
-    --format=sarif > build/nmc_lint.sarif
-sarif_rc=$?
-[[ "${sarif_rc}" -ge 2 ]] && exit 7
-echo "SARIF log: build/nmc_lint.sarif"
-
-# The gating text pass also exports the resolved cross-TU call graph
-# (build/nmc_call_graph.dot, a CI artifact) and runs under a wall-clock
-# budget: the interprocedural pass must stay fast enough for pre-commit.
+# One text pass under a wall-clock budget: the interprocedural pass must
+# stay fast enough for pre-commit.
 LINT_BUDGET_SECONDS=30
 lint_start="$(date +%s)"
 ./build/tools/nmc_lint/nmc_lint --root="${REPO_ROOT}" \
-    --compile-commands=build/compile_commands.json \
-    --dot=build/nmc_call_graph.dot || exit 1
+    --compile-commands=build/compile_commands.json || exit 1
 lint_elapsed="$(( $(date +%s) - lint_start ))"
-echo "call graph: build/nmc_call_graph.dot (lint took ${lint_elapsed}s)"
+echo "nmc_lint took ${lint_elapsed}s"
 if [[ "${lint_elapsed}" -gt "${LINT_BUDGET_SECONDS}" ]]; then
   echo "nmc_lint: full-repo lint took ${lint_elapsed}s" \
        "(budget ${LINT_BUDGET_SECONDS}s)" >&2

@@ -4,26 +4,22 @@
 // cover file collection, symbol extraction, call-graph construction, the
 // reachability walk, and the merge into per-file findings — exactly the
 // production path. Findings are asserted as file:line:rule keys plus the
-// load-bearing parts of the message and the codeFlows chain.
-#include <algorithm>
+// load-bearing parts of the message and the Finding::flow chain.
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "nmc_lint/call_graph.h"
 #include "nmc_lint/lint.h"
-#include "nmc_lint/symbols.h"
 
 namespace nmc::lint {
 namespace {
 
 const char* kFixtureRoot = NMC_LINT_FIXTURE_DIR "/interproc";
 
-std::vector<Finding> LintTree(const std::string& tree, unsigned threads = 0) {
+std::vector<Finding> LintTree(const std::string& tree) {
   RepoLintOptions options;
   options.repo_root = std::string(kFixtureRoot) + "/" + tree;
   options.roots = {"src"};
-  options.threads = threads;
   return LintRepo(options);
 }
 
@@ -91,13 +87,6 @@ TEST(NmcLintInterprocTest, ChainFlowStartsAtEntryPointAndEndsAtHazard) {
 // The fixture closes a cross-TU cycle (StageTwo -> CycleBack -> StageTwo);
 // completing at all proves the reachability walk terminates on cycles, and
 // the chain test above proves the cycle does not distort shortest paths.
-
-TEST(NmcLintInterprocTest, OutputIsIdenticalForEveryThreadCount) {
-  const std::vector<Finding> one = LintTree("chain", 1);
-  for (unsigned threads : {2u, 3u, 8u}) {
-    EXPECT_EQ(one, LintTree("chain", threads)) << threads << " threads";
-  }
-}
 
 // ---- globals/: namespace-scope and static-member mutable state ---------
 
@@ -204,34 +193,6 @@ TEST(NmcLintInterprocTest, EnforcesReentrantContractsAndGrammar) {
   EXPECT_NE(findings[3].message.find("'frobnicates'"), std::string::npos);
   EXPECT_NE(findings[4].message.find("attaches to no function"),
             std::string::npos);
-}
-
-TEST(NmcLintInterprocTest, ThreadCompatIsNeverBaselinable) {
-  Baseline baseline;
-  baseline.entries.insert({"src/common/workers.cc", "THREAD_COMPAT"});
-  const std::vector<Finding> findings = LintTree("thread_compat");
-  for (const Finding& f : findings) {
-    EXPECT_FALSE(IsBaselined(baseline, f)) << f.file << ":" << f.line;
-  }
-}
-
-// ---- call-graph surface used by the CI artifact ------------------------
-
-TEST(NmcLintInterprocTest, DotExportNamesNodesAndContracts) {
-  FileSymbols workers = BuildFileSymbols(
-      "src/common/workers.cc",
-      "namespace fix {\n"
-      "// nmc: reentrant\n"
-      "int Safe(int x) { return x; }\n"
-      "// nmc: not-thread-safe(test)\n"
-      "int Hostile(int x) { return Safe(x); }\n"
-      "}\n");
-  const CallGraph graph = CallGraph::Build({&workers});
-  const std::string dot = graph.ToDot();
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("[reentrant]"), std::string::npos);
-  EXPECT_NE(dot.find("[not-thread-safe]"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
 }  // namespace

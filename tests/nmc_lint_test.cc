@@ -5,6 +5,7 @@
 // `EXPECT-NEXT: RULE` (next line) markers, so the fixture and its
 // assertions cannot drift apart.
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -267,6 +268,35 @@ TEST(NmcLintTest, EveryEmittedRuleIsRegistered) {
           << finding.rule << " is not in Rules()";
     }
   }
+}
+
+// ---- LINT_IO: inputs the linter cannot read ----------------------------
+
+TEST(NmcLintTest, UnreadableFileIsOneLintIoFinding) {
+  const std::vector<lint::Finding> findings =
+      lint::LintFiles(NMC_LINT_FIXTURE_DIR, {"src/sim/no_such_file.cc"});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "src/sim/no_such_file.cc");
+  EXPECT_EQ(findings[0].line, 0);
+  EXPECT_EQ(findings[0].rule, "LINT_IO");
+}
+
+TEST(NmcLintTest, RejectedLayerSpecIsALintIoFinding) {
+  const std::string spec_path = ::testing::TempDir() + "nmc_lint_bad_spec.txt";
+  std::ofstream(spec_path) << "layer\n";  // a layer with no path prefixes
+  lint::RepoLintOptions options;
+  options.repo_root = std::string(NMC_LINT_FIXTURE_DIR) + "/layers";
+  options.roots = {"base"};
+  options.layers_path = spec_path;
+  std::vector<lint::Finding> io;
+  for (const lint::Finding& finding : lint::LintRepo(options)) {
+    if (finding.rule == "LINT_IO") io.push_back(finding);
+  }
+  std::remove(spec_path.c_str());
+  ASSERT_EQ(io.size(), 1u);
+  EXPECT_EQ(io[0].file, spec_path);
+  EXPECT_EQ(io[0].message.rfind("layer spec rejected: ", 0), 0u)
+      << io[0].message;
 }
 
 TEST(NmcLintTest, FormatFindingIsStable) {

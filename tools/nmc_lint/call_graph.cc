@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <sstream>
+#include <map>
 #include <string>
 
 #include "nmc_lint/scopes.h"
@@ -38,13 +38,6 @@ bool QualSuffixMatches(const FunctionSymbol& node,
   return std::equal(quals.rbegin(), quals.rend(), path.rbegin());
 }
 
-std::string JoinQuals(const std::vector<std::string>& quals,
-                      const std::string& name) {
-  std::string out;
-  for (const std::string& q : quals) out += q + "::";
-  return out + name;
-}
-
 }  // namespace
 
 // ---- construction ---------------------------------------------------------
@@ -72,7 +65,6 @@ CallGraph CallGraph::Build(const std::vector<const FileSymbols*>& files) {
       if (edge.callee == callee) return;  // keep the earliest call site
     }
     graph.adjacency_[caller].push_back({callee, line});
-    ++graph.edge_count_;
   };
 
   for (size_t fi = 0; fi < files.size(); ++fi) {
@@ -81,10 +73,7 @@ CallGraph CallGraph::Build(const std::vector<const FileSymbols*>& files) {
       const FunctionSymbol& from = graph.nodes_[caller];
       if (!call.quals.empty() && call.quals.front() == "std") continue;
       const auto found = by_name.find(call.name);
-      if (found == by_name.end()) {
-        ++graph.unresolved_[JoinQuals(call.quals, call.name)];
-        continue;
-      }
+      if (found == by_name.end()) continue;
       std::vector<size_t> candidates = found->second;
       if (!call.quals.empty()) {
         std::vector<size_t> matched;
@@ -93,10 +82,7 @@ CallGraph CallGraph::Build(const std::vector<const FileSymbols*>& files) {
             matched.push_back(n);
           }
         }
-        if (matched.empty()) {
-          ++graph.unresolved_[JoinQuals(call.quals, call.name)];
-          continue;
-        }
+        if (matched.empty()) continue;
         candidates = std::move(matched);
       } else if (call.member_call) {
         // `x.f()` / `x->f()`: the receiver's type is unknown, so prefer
@@ -258,43 +244,6 @@ std::vector<FlowStep> CallGraph::ChainFlow(const Reachability& reach,
   }
   flow.push_back({hazard_file, hazard_line, hazard_note});
   return flow;
-}
-
-// ---- DOT ------------------------------------------------------------------
-
-std::string CallGraph::ToDot() const {
-  const std::vector<size_t> hot = HotPathRoots();
-  auto is_hot = [&](size_t n) {
-    return std::binary_search(hot.begin(), hot.end(), n);
-  };
-  std::ostringstream out;
-  out << "digraph nmc_call_graph {\n  rankdir=LR;\n  node [fontsize=10];\n";
-  for (size_t n = 0; n < nodes_.size(); ++n) {
-    const FunctionSymbol& fn = nodes_[n];
-    out << "  n" << n << " [label=\"" << fn.Display() << "\\n" << fn.file
-        << ":" << fn.line;
-    if (fn.annotation == ThreadAnnotation::kReentrant) {
-      out << "\\n[reentrant]";
-    } else if (fn.annotation == ThreadAnnotation::kNotThreadSafe) {
-      out << "\\n[not-thread-safe]";
-    }
-    out << "\"";
-    if (is_hot(n)) out << ", shape=box";
-    out << "];\n";
-  }
-  for (size_t n = 0; n < nodes_.size(); ++n) {
-    for (const GraphEdge& edge : adjacency_[n]) {
-      out << "  n" << n << " -> n" << edge.callee << ";\n";
-    }
-  }
-  out << "  // " << nodes_.size() << " nodes, " << edge_count_
-      << " resolved edges, " << unresolved_.size()
-      << " distinct unresolved callee names\n";
-  for (const auto& [name, count] : unresolved_) {
-    out << "  // unresolved: " << name << " x" << count << "\n";
-  }
-  out << "}\n";
-  return out.str();
 }
 
 // ---- interprocedural rules ------------------------------------------------

@@ -36,7 +36,7 @@ struct Reachability {
 /// prefer member functions (the caller's own class first), bare calls prefer
 /// same class, then same file, then same namespace. An ambiguous call links
 /// to every candidate in its best tier (overload sets collapse onto one
-/// name); a call matching nothing is tallied in unresolved().
+/// name); a call matching nothing links nowhere.
 class CallGraph {
  public:
   /// `files` must be in a deterministic (sorted-by-path) order; node order,
@@ -47,13 +47,6 @@ class CallGraph {
   const std::vector<std::vector<GraphEdge>>& adjacency() const {
     return adjacency_;
   }
-  /// Unresolvable callee name → number of call sites. Member calls on
-  /// receivers of unknown type (std containers, mostly) dominate this map;
-  /// it is reported, never a finding.
-  const std::map<std::string, size_t>& unresolved() const {
-    return unresolved_;
-  }
-  size_t edge_count() const { return edge_count_; }
 
   /// Hot-path roots: definitions of kHotPathEntryPoints names in protocol
   /// code (InProtocolCode).
@@ -80,15 +73,9 @@ class CallGraph {
                                   int hazard_line,
                                   const std::string& hazard_note) const;
 
-  /// Graphviz rendering of the resolved graph (CI artifact). Hot-path roots
-  /// are drawn as boxes, annotated functions carry their contract.
-  std::string ToDot() const;
-
  private:
   std::vector<FunctionSymbol> nodes_;
   std::vector<std::vector<GraphEdge>> adjacency_;
-  std::map<std::string, size_t> unresolved_;
-  size_t edge_count_ = 0;
 };
 
 /// The repo-mode interprocedural rules, appended into `findings_by_file`

@@ -6,9 +6,9 @@
 #include <fstream>
 #include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -83,9 +83,6 @@ const std::vector<RuleInfo> kAllRules = {
     {"ALLOW_MISSING_REASON", "nmc-lint: allow(...) must carry a reason"},
     {"ALLOW_UNKNOWN_RULE", "nmc-lint: allow(...) names a rule that exists"},
     {"ALLOW_UNUSED", "nmc-lint: allow(...) must suppress something"},
-    {"BASELINE_STALE",
-     "every baseline entry still matches a finding (tools/nmc_lint/"
-     "baseline.txt)"},
     {"LINT_IO", "every linted file is readable"},
 };
 
@@ -1149,47 +1146,16 @@ std::vector<Finding> LintRepo(const RepoLintOptions& options,
   if (files_linted != nullptr) *files_linted = files.size();
 
   std::vector<Finding> all;
-  // Per-file analysis, optionally parallel. Files are strided across
-  // workers and results land in a by-index vector, then merge in path
-  // order — output is byte-identical for every thread count.
-  std::vector<FileAnalysis> analyzed(files.size());
-  std::vector<char> unreadable(files.size(), 0);
-  unsigned threads =
-      options.threads == 0 ? std::thread::hardware_concurrency()
-                           : options.threads;
-  if (threads == 0) threads = 1;
-  if (files.size() < threads) {
-    threads = files.empty() ? 1 : static_cast<unsigned>(files.size());
-  }
-  const auto analyze_shard = [&](unsigned shard) {
-    for (size_t i = shard; i < files.size(); i += threads) {
-      bool ok = false;
-      const std::string content =
-          ReadFileOr(fs::path(options.repo_root) / files[i], &ok);
-      if (!ok) {
-        unreadable[i] = 1;
-        continue;
-      }
-      analyzed[i] = AnalyzeFile(files[i], content);
-    }
-  };
-  if (threads <= 1) {
-    analyze_shard(0);
-  } else {
-    std::vector<std::thread> pool;
-    for (unsigned shard = 1; shard < threads; ++shard) {
-      pool.emplace_back(analyze_shard, shard);
-    }
-    analyze_shard(0);
-    for (std::thread& worker : pool) worker.join();
-  }
   std::map<std::string, FileAnalysis> analyses;
-  for (size_t i = 0; i < files.size(); ++i) {
-    if (unreadable[i] != 0) {
-      all.push_back({files[i], 0, "LINT_IO", "cannot read file"});
-    } else {
-      analyses.emplace(files[i], std::move(analyzed[i]));
+  for (const std::string& file : files) {
+    bool ok = false;
+    const std::string content =
+        ReadFileOr(fs::path(options.repo_root) / file, &ok);
+    if (!ok) {
+      all.push_back({file, 0, "LINT_IO", "cannot read file"});
+      continue;
     }
+    analyses.emplace(file, AnalyzeFile(file, content));
   }
 
   // Cross-file rules: merged into the per-file lists *before* allowance
@@ -1224,10 +1190,6 @@ std::vector<Finding> LintRepo(const RepoLintOptions& options,
     if (analysis.has_symbols) symbol_files.push_back(&analysis.symbols);
   }
   const CallGraph graph = CallGraph::Build(symbol_files);
-  if (!options.dot_path.empty()) {
-    std::ofstream dot(options.dot_path, std::ios::binary);
-    dot << graph.ToDot();
-  }
   std::map<std::string, std::vector<Finding>> interproc;
   RunInterprocRules(symbol_files, graph, &interproc);
   for (auto& [file, findings] : interproc) {
@@ -1310,55 +1272,6 @@ std::vector<std::string> CollectFiles(const std::string& repo_root,
     }
   }
   return {files.begin(), files.end()};
-}
-
-Baseline ParseBaseline(const std::string& content) {
-  Baseline baseline;
-  std::istringstream lines(content);
-  std::string line;
-  while (std::getline(lines, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    std::istringstream words(line);
-    std::string file, rule;
-    if (words >> file >> rule) baseline.entries.insert({file, rule});
-  }
-  return baseline;
-}
-
-bool LoadBaseline(const std::string& path, Baseline* baseline) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  *baseline = ParseBaseline(buffer.str());
-  return true;
-}
-
-bool IsBaselined(const Baseline& baseline, const Finding& finding) {
-  if (StartsWith(finding.rule, "ALLOW_") || finding.rule == "BASELINE_STALE" ||
-      finding.rule == "THREAD_COMPAT") {
-    return false;
-  }
-  return baseline.entries.count({finding.file, finding.rule}) > 0;
-}
-
-std::vector<Finding> StaleBaselineEntries(
-    const Baseline& baseline, const std::vector<Finding>& findings) {
-  std::vector<Finding> stale;
-  for (const auto& [file, rule] : baseline.entries) {
-    const bool matched =
-        std::any_of(findings.begin(), findings.end(), [&](const Finding& f) {
-          return f.file == file && f.rule == rule;
-        });
-    if (!matched) {
-      stale.push_back({file, 0, "BASELINE_STALE",
-                       "baseline entry (" + file + ", " + rule +
-                           ") matches no current finding; delete it from "
-                           "the baseline file"});
-    }
-  }
-  return stale;
 }
 
 std::string FormatFinding(const Finding& finding) {

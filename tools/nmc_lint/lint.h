@@ -1,15 +1,13 @@
 #pragma once
 
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace nmc::lint {
 
 /// One hop of an interprocedural call chain: where execution is and what
-/// happens there ("calls Foo::Bar", "'log' call"). Rendered as a SARIF
-/// codeFlow and by `nmc_lint --why`.
+/// happens there ("calls Foo::Bar", "'log' call"). Printed by
+/// `nmc_lint --why`; the finding's message carries the same chain as text.
 struct FlowStep {
   std::string file;
   int line = 0;
@@ -37,8 +35,8 @@ struct RuleInfo {
   const char* summary;
 };
 
-/// Every rule the linter can emit, in stable order (for --list-rules, the
-/// SARIF rules table, and for validating allow() annotations).
+/// Every rule the linter can emit, in stable order (for --list-rules and for
+/// validating allow() annotations).
 const std::vector<RuleInfo>& Rules();
 
 /// Lints `content` as if it lived at repo-relative `path`, running every
@@ -66,13 +64,6 @@ struct RepoLintOptions {
   std::string compile_commands;     ///< empty = no compile database
   std::vector<std::string> roots;   ///< repo-relative directories
   std::string layers_path;          ///< empty = skip include-graph rules
-  /// Worker threads for the per-file analysis pass. 0 = hardware
-  /// concurrency. Output is byte-identical for every value — files are
-  /// sharded deterministically and merged in path order.
-  unsigned threads = 0;
-  /// When non-empty, the resolved call graph is written here as Graphviz
-  /// DOT (the CI artifact).
-  std::string dot_path;
 };
 std::vector<Finding> LintRepo(const RepoLintOptions& options,
                               size_t* files_linted = nullptr);
@@ -86,27 +77,6 @@ std::vector<Finding> LintRepo(const RepoLintOptions& options,
 std::vector<std::string> CollectFiles(const std::string& repo_root,
                                       const std::string& compile_commands_path,
                                       const std::vector<std::string>& roots);
-
-/// Baseline suppressions: grandfathered (file, rule) pairs that report but
-/// do not gate. The file format is one `path RULE` pair per line;
-/// '#' starts a comment. Line numbers are deliberately not part of the key
-/// — they drift with every edit, and a baseline that needs constant
-/// re-recording is a baseline nobody trusts.
-struct Baseline {
-  std::set<std::pair<std::string, std::string>> entries;
-};
-Baseline ParseBaseline(const std::string& content);
-bool LoadBaseline(const std::string& path, Baseline* baseline);
-
-/// True if the finding matches a baseline entry. BASELINE_STALE, the
-/// annotation-hygiene rules, and THREAD_COMPAT are never baselinable — the
-/// suppression and contract layers must stay honest.
-bool IsBaselined(const Baseline& baseline, const Finding& finding);
-
-/// Stale-entry findings (rule BASELINE_STALE) for baseline entries that no
-/// current finding matches; `findings` must be the full pre-partition list.
-std::vector<Finding> StaleBaselineEntries(const Baseline& baseline,
-                                          const std::vector<Finding>& findings);
 
 /// "path:line: RULE: message" — the stable output format.
 std::string FormatFinding(const Finding& finding);

@@ -8,21 +8,6 @@
 //                           are unioned with the directory scan so every
 //                           built TU is covered (default:
 //                           <root>/build/compile_commands.json if present)
-//   --layers=PATH           layer spec for the include-graph rules
-//                           (default: <root>/tools/nmc_lint/layers.txt if
-//                           present); --no-layers disables them
-//   --baseline=PATH         baseline suppression file; baselined findings
-//                           are reported but do not gate (default:
-//                           <root>/tools/nmc_lint/baseline.txt if present);
-//                           --no-baseline disables it
-//   --format=text|sarif     output format (default: text); sarif emits a
-//                           SARIF 2.1.0 log on stdout (interprocedural
-//                           findings carry their call chain as codeFlows)
-//   --threads=N             analysis worker threads (0 = hardware
-//                           concurrency, the default); output is
-//                           byte-identical for every value
-//   --dot=PATH              write the resolved cross-TU call graph as
-//                           Graphviz DOT (repo mode only)
 //   --why RULE FILE:LINE    repo mode; print the finding at FILE:LINE for
 //                           RULE and the shortest entry-point call chain
 //                           that produced it, then exit (0 = found)
@@ -33,8 +18,12 @@
 //                           only (no include-graph pass), which is what the
 //                           pre-commit hook wants
 //
-// Exit codes: 0 = clean (baselined findings may still be reported),
-//             1 = gating findings printed, 2 = usage or I/O error.
+// A repo run checks the include graph against the layer spec at
+// <root>/tools/nmc_lint/layers.txt when that file exists. The only way to
+// suppress a finding is an inline allow() annotation with a reason
+// (README.md, "Static analysis").
+//
+// Exit codes: 0 = clean, 1 = findings printed, 2 = usage or I/O error.
 
 #include <cstdio>
 #include <cstdlib>
@@ -43,22 +32,12 @@
 #include <vector>
 
 #include "nmc_lint/lint.h"
-#include "nmc_lint/sarif.h"
 
 int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   std::string root = fs::current_path().string();
   std::string compile_commands;
   bool compile_commands_set = false;
-  std::string layers;
-  bool layers_set = false;
-  bool no_layers = false;
-  std::string baseline_path;
-  bool baseline_set = false;
-  bool no_baseline = false;
-  std::string format = "text";
-  unsigned threads = 0;
-  std::string dot_path;
   std::string why_rule;
   std::string why_location;
   std::vector<std::string> roots;
@@ -77,27 +56,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--compile-commands=", 0) == 0) {
       compile_commands = arg.substr(19);
       compile_commands_set = true;
-    } else if (arg.rfind("--layers=", 0) == 0) {
-      layers = arg.substr(9);
-      layers_set = true;
-    } else if (arg == "--no-layers") {
-      no_layers = true;
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-      baseline_set = true;
-    } else if (arg == "--no-baseline") {
-      no_baseline = true;
-    } else if (arg.rfind("--format=", 0) == 0) {
-      format = arg.substr(9);
-      if (format != "text" && format != "sarif") {
-        std::fprintf(stderr, "nmc_lint: --format must be text or sarif\n");
-        return 2;
-      }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr,
-                                                   10));
-    } else if (arg.rfind("--dot=", 0) == 0) {
-      dot_path = arg.substr(6);
     } else if (arg == "--why") {
       if (i + 2 >= argc) {
         std::fprintf(stderr, "nmc_lint: --why needs RULE and FILE:LINE\n");
@@ -119,16 +77,6 @@ int main(int argc, char** argv) {
     const fs::path fallback = fs::path(root) / "build/compile_commands.json";
     if (fs::exists(fallback)) compile_commands = fallback.string();
   }
-  if (!layers_set && !no_layers) {
-    const fs::path fallback = fs::path(root) / "tools/nmc_lint/layers.txt";
-    if (fs::exists(fallback)) layers = fallback.string();
-  }
-  if (no_layers) layers.clear();
-  if (!baseline_set && !no_baseline) {
-    const fs::path fallback = fs::path(root) / "tools/nmc_lint/baseline.txt";
-    if (fs::exists(fallback)) baseline_path = fallback.string();
-  }
-  if (no_baseline) baseline_path.clear();
 
   std::vector<nmc::lint::Finding> findings;
   size_t files_linted = file_args.size();
@@ -151,9 +99,8 @@ int main(int argc, char** argv) {
     options.repo_root = root;
     options.compile_commands = compile_commands;
     options.roots = roots;
-    options.layers_path = layers;
-    options.threads = threads;
-    options.dot_path = dot_path;
+    const fs::path layers = fs::path(root) / "tools/nmc_lint/layers.txt";
+    if (fs::exists(layers)) options.layers_path = layers.string();
     findings = nmc::lint::LintRepo(options, &files_linted);
     if (files_linted == 0) {
       std::fprintf(stderr, "nmc_lint: no files found under --root=%s\n",
@@ -192,45 +139,19 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "nmc_lint: no %s finding at %s (suppressed findings have "
-                 "no chain; check allow()/baseline)\n",
+                 "no chain; check allow())\n",
                  why_rule.c_str(), why_location.c_str());
     return 2;
   }
 
-  nmc::lint::Baseline baseline;
-  if (!baseline_path.empty()) {
-    if (!nmc::lint::LoadBaseline(baseline_path, &baseline)) {
-      std::fprintf(stderr, "nmc_lint: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    // Stale entries gate: a baseline that outlives its findings is rot.
-    std::vector<nmc::lint::Finding> stale =
-        nmc::lint::StaleBaselineEntries(baseline, findings);
-    findings.insert(findings.end(), stale.begin(), stale.end());
+  for (const nmc::lint::Finding& finding : findings) {
+    std::printf("%s\n", nmc::lint::FormatFinding(finding).c_str());
   }
-
-  std::vector<bool> baselined(findings.size(), false);
-  size_t gating = 0;
-  for (size_t i = 0; i < findings.size(); ++i) {
-    baselined[i] = nmc::lint::IsBaselined(baseline, findings[i]);
-    if (!baselined[i]) ++gating;
-  }
-
-  if (format == "sarif") {
-    std::printf("%s", nmc::lint::SarifReport(findings, baselined).c_str());
-  } else {
-    for (size_t i = 0; i < findings.size(); ++i) {
-      std::printf("%s%s\n", nmc::lint::FormatFinding(findings[i]).c_str(),
-                  baselined[i] ? " [baselined]" : "");
-    }
-  }
-  if (gating == 0) {
-    std::fprintf(stderr, "nmc_lint: %zu files clean (%zu baselined)\n",
-                 files_linted, findings.size() - gating);
+  if (findings.empty()) {
+    std::fprintf(stderr, "nmc_lint: %zu files clean\n", files_linted);
     return 0;
   }
-  std::fprintf(stderr, "nmc_lint: %zu gating findings in %zu files\n", gating,
-               files_linted);
+  std::fprintf(stderr, "nmc_lint: %zu findings in %zu files\n",
+               findings.size(), files_linted);
   return 1;
 }

@@ -1,5 +1,6 @@
 #include "nmc_race/litmus.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <set>
@@ -421,6 +422,9 @@ std::vector<LitmusCase> BuildSuite() {
   seqlock_mono.base = Bounded(2);
   seqlock_mono.test = SeqlockMonotonic;
   seqlock_mono.expected_outcomes = {"ok"};
+  seqlock_mono.kills = {
+      OrderSite::kSeqlockReadAcquire, OrderSite::kSeqlockReadFence,
+      OrderSite::kSeqlockWriteFence, OrderSite::kSeqlockWriteRelease};
   suite.push_back(std::move(seqlock_mono));
 
   return suite;
@@ -488,39 +492,32 @@ LitmusVerdict RunLitmus(const LitmusCase& litmus, common::OrderSite weakened,
   return verdict;
 }
 
-std::vector<MutationOutcome> RunMutationMatrix() {
+std::vector<MutationOutcome> MutateSite(OrderSite site) {
   std::vector<MutationOutcome> outcomes;
-  for (uint32_t i = 0; i < static_cast<uint32_t>(OrderSite::kCount); ++i) {
-    const auto site = static_cast<OrderSite>(i);
-    const LitmusCase* killer = nullptr;
-    for (const LitmusCase& litmus : LitmusSuite()) {
-      for (const OrderSite kill : litmus.kills) {
-        if (kill == site) {
-          killer = &litmus;
-          break;
-        }
-      }
-      if (killer != nullptr) break;
+  for (const LitmusCase& litmus : LitmusSuite()) {
+    if (std::find(litmus.kills.begin(), litmus.kills.end(), site) ==
+        litmus.kills.end()) {
+      continue;
     }
-    NMC_CHECK(killer != nullptr);  // every site must have a killing litmus
     MutationOutcome outcome;
     outcome.site = site;
-    outcome.litmus = killer->name;
-    ExploreOptions options = killer->base;
+    outcome.litmus = litmus.name;
+    ExploreOptions options = litmus.base;
     options.weakened = site;
-    const ExploreResult weakened_run = Explore(options, killer->test);
+    const ExploreResult weakened_run = Explore(options, litmus.test);
     outcome.killed = weakened_run.violation;
     outcome.schedule = weakened_run.schedule;
     outcome.message = weakened_run.message;
-    if (outcome.killed) {
+    if (outcome.killed && !outcome.schedule.empty()) {
       options.replay = weakened_run.schedule;
-      const ExploreResult replayed = Explore(options, killer->test);
+      const ExploreResult replayed = Explore(options, litmus.test);
       outcome.replay_confirmed = replayed.violation &&
                                  replayed.message == weakened_run.message &&
                                  replayed.schedule == weakened_run.schedule;
     }
     outcomes.push_back(std::move(outcome));
   }
+  NMC_CHECK(!outcomes.empty());  // every site must have a killing litmus
   return outcomes;
 }
 

@@ -27,7 +27,7 @@ struct LitmusCase {
   /// case passes iff the exploration reports a violation).
   bool expect_violation = false;
   /// Sites whose release→relaxed weakening this case refutes — the
-  /// mutation matrix picks its killing case from here.
+  /// mutation matrix runs every (case, site) pair declared here.
   std::vector<common::OrderSite> kills;
 };
 
@@ -48,20 +48,22 @@ struct LitmusVerdict {
 LitmusVerdict RunLitmus(const LitmusCase& litmus, common::OrderSite weakened,
                         const std::string& replay);
 
+/// One (case, site) pair of the mutation matrix.
 struct MutationOutcome {
   common::OrderSite site = common::OrderSite::kCount;
   /// Which litmus case was run with the site weakened.
   std::string litmus;
   /// The mutant is killed when the run reports a violation AND replaying
-  /// the printed schedule deterministically reproduces it.
+  /// its non-empty schedule deterministically reproduces it.
   bool killed = false;
   bool replay_confirmed = false;
   std::string schedule;
   std::string message;
 };
 
-/// Weakens every OrderSite in turn and demands its killing litmus case
-/// fail with a replay-confirmed schedule.
-std::vector<MutationOutcome> RunMutationMatrix();
+/// Weakens `site` to relaxed under every case that declares it in `kills`
+/// and demands each fail with a replay-confirmed schedule; one outcome per
+/// declaring case, in suite order. Every site has at least one.
+std::vector<MutationOutcome> MutateSite(common::OrderSite site);
 
 }  // namespace nmc::race

@@ -10,7 +10,8 @@
 //
 // Exit codes:
 //   0  clean: every requested exploration completed with zero violations
-//      (for --mutate: every mutant was killed and replay-confirmed)
+//      (for --mutate: every declared (case, site) mutant was killed and
+//      replay-confirmed)
 //   1  violation found (the minimal failing schedule is printed)
 //   2  usage error (unknown flag, unknown test/site name)
 //   3  execution budget exhausted before the schedule space was covered
@@ -32,10 +33,10 @@ using nmc::race::FindLitmus;
 using nmc::race::LitmusCase;
 using nmc::race::LitmusSuite;
 using nmc::race::LitmusVerdict;
+using nmc::race::MutateSite;
 using nmc::race::MutationOutcome;
 using nmc::race::ParseSiteName;
 using nmc::race::RunLitmus;
-using nmc::race::RunMutationMatrix;
 using nmc::race::SiteName;
 using nmc::common::OrderSite;
 
@@ -110,9 +111,11 @@ int RunOne(const LitmusCase& litmus, OrderSite weakened,
 }
 
 int MutateCommand(const std::string& which) {
-  std::vector<MutationOutcome> outcomes;
+  std::vector<OrderSite> sites;
   if (which == "all") {
-    outcomes = RunMutationMatrix();
+    for (uint32_t i = 0; i < static_cast<uint32_t>(OrderSite::kCount); ++i) {
+      sites.push_back(static_cast<OrderSite>(i));
+    }
   } else {
     OrderSite site = OrderSite::kCount;
     if (!ParseSiteName(which, &site)) {
@@ -120,26 +123,26 @@ int MutateCommand(const std::string& which) {
                    which.c_str());
       return kExitUsage;
     }
-    for (MutationOutcome& outcome : RunMutationMatrix()) {
-      if (outcome.site == site) outcomes.push_back(std::move(outcome));
-    }
+    sites.push_back(site);
   }
   int exit_code = kExitClean;
-  for (const MutationOutcome& outcome : outcomes) {
-    if (outcome.killed && outcome.replay_confirmed) {
-      std::printf("KILLED   %-22s by %-16s schedule=%s\n",
-                  SiteName(outcome.site), outcome.litmus.c_str(),
-                  outcome.schedule.c_str());
-    } else if (outcome.killed) {
-      std::printf("UNSTABLE %-22s by %-16s violation found but replay "
-                  "diverged\n",
-                  SiteName(outcome.site), outcome.litmus.c_str());
-      exit_code = kExitMutantSurvived;
-    } else {
-      std::printf("SURVIVED %-22s (%s explored clean with the site "
-                  "weakened to relaxed)\n",
-                  SiteName(outcome.site), outcome.litmus.c_str());
-      exit_code = kExitMutantSurvived;
+  for (const OrderSite site : sites) {
+    for (const MutationOutcome& outcome : MutateSite(site)) {
+      if (outcome.killed && outcome.replay_confirmed) {
+        std::printf("KILLED   %-22s by %-17s schedule=%s\n",
+                    SiteName(outcome.site), outcome.litmus.c_str(),
+                    outcome.schedule.c_str());
+      } else if (outcome.killed) {
+        std::printf("UNSTABLE %-22s by %-17s violation found but replay "
+                    "diverged\n",
+                    SiteName(outcome.site), outcome.litmus.c_str());
+        exit_code = kExitMutantSurvived;
+      } else {
+        std::printf("SURVIVED %-22s (%s explored clean with the site "
+                    "weakened to relaxed)\n",
+                    SiteName(outcome.site), outcome.litmus.c_str());
+        exit_code = kExitMutantSurvived;
+      }
     }
   }
   return exit_code;
