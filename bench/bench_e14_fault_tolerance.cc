@@ -77,8 +77,7 @@ std::function<std::unique_ptr<nmc::sim::Protocol>(int)> WrappedCounter(
     int num_sites, const nmc::sim::ChannelConfig& channel) {
   auto make_inner = RawCounter(num_sites, channel);
   return [make_inner](int trial) -> std::unique_ptr<nmc::sim::Protocol> {
-    return std::make_unique<nmc::sim::ReliableProtocol>(
-        make_inner(trial), nmc::sim::ReliableOptions{});
+    return std::make_unique<nmc::sim::ReliableProtocol>(make_inner(trial));
   };
 }
 
@@ -183,8 +182,7 @@ void ResyncDiagnostics() {
                             "recoveries", "abandoned", "deadline_ticks"});
   for (double loss : {0.02, 0.05, 0.1, 0.2}) {
     nmc::sim::ReliableProtocol protocol(
-        RawCounter(k, LossChannel(loss, 1430))(0),
-        nmc::sim::ReliableOptions{});
+        RawCounter(k, LossChannel(loss, 1430))(0));
     const std::vector<double> stream = DriftStream()(0);
     for (int64_t t = 0; t < kN; ++t) {
       protocol.ProcessUpdate(static_cast<int>(t % k),

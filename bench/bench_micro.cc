@@ -4,11 +4,10 @@
 // simulator's throughput (updates/second), which is what limits the n the
 // experiment harnesses can sweep.
 //
-// Accepts the shared bench flags --json_out=PATH (mapped to
+// Accepts the shared bench flags, --json_out=PATH among them (mapped to
 // --benchmark_out=PATH --benchmark_out_format=json for
-// scripts/run_benches.sh's BENCH_baseline.json aggregation) and --batch=N
-// (harness batch size for the pump benches), alongside the native
-// --benchmark_* flags.
+// scripts/run_benches.sh's BENCH_baseline.json aggregation), alongside the
+// native --benchmark_* flags.
 
 #include <benchmark/benchmark.h>
 
@@ -44,14 +43,9 @@
 
 namespace {
 
-/// Pump configuration from --batch (see main below); applied by the
-/// tracking-pump benches.
-int g_batch = 0;  // 0 = harness default
-
 nmc::sim::TrackingOptions PumpTracking(double epsilon) {
   nmc::sim::TrackingOptions tracking;
   tracking.epsilon = epsilon;
-  if (g_batch > 0) tracking.batch_size = g_batch;
   return tracking;
 }
 
@@ -417,7 +411,6 @@ int main(int argc, char** argv) {
   nmc::bench::BenchFlagValues values;
   std::vector<std::string> rest;
   nmc::bench::PeelBenchFlags(argc, argv, "bench_micro", &values, &rest);
-  if (values.batch > 0) g_batch = values.batch;
 
   std::vector<std::string> args;
   args.reserve(rest.size() + 3);

@@ -35,7 +35,6 @@ inline RunSummary Repeat(
   spec.num_sites = num_sites;
   spec.epsilon = epsilon;
   spec.psi_name = psi_name;
-  spec.batch_size = BenchBatch();
   spec.make_stream = make_stream;
   spec.make_protocol = make_protocol;
   const RunSummary summary = RunRepeated(spec, BenchThreads());

@@ -94,7 +94,6 @@ std::string BenchReportToJson(const BenchReport& report) {
   std::string out = "{\n";
   out += "  \"bench\": " + JsonString(report.bench) + ",\n";
   out += "  \"threads\": " + std::to_string(report.threads) + ",\n";
-  out += "  \"batch\": " + std::to_string(report.batch) + ",\n";
   out += "  \"wall_seconds\": " + JsonDouble(report.wall_seconds) + ",\n";
   out += "  \"total_updates\": " + std::to_string(report.total_updates()) +
          ",\n";
@@ -147,7 +146,6 @@ struct BenchSession {
   BenchReport report;
   std::string json_out;
   int run_counter = 0;
-  int batch = 0;
   sim::ChannelConfig channel;
   runtime::TransportKind transport = runtime::TransportKind::kSim;
   std::chrono::steady_clock::time_point start;
@@ -169,7 +167,6 @@ struct BenchFlagSpec {
 constexpr BenchFlagSpec kBenchFlags[] = {
     {"threads", "--threads=N"},
     {"json_out", "--json_out=PATH"},
-    {"batch", "--batch=N"},
     {"channel", "--channel=perfect|loss|delay"},
     {"loss", "--loss=P"},
     {"dup", "--dup=P"},
@@ -195,7 +192,6 @@ bool ConsumeBenchFlags(const common::Flags& flags, BenchFlagValues* values,
                        std::string* error) {
   values->threads = flags.Threads();
   values->json_out = flags.GetString("json_out", "");
-  values->batch = static_cast<int>(flags.GetInt("batch", 0));
 
   sim::ChannelConfig& channel = values->channel;
   const std::string kind = flags.GetString("channel", "perfect");
@@ -283,10 +279,8 @@ void InitBenchRest(int argc, const char* const* argv,
   PeelBenchFlags(argc, argv, bench_name, &values, rest);
   session.report.threads = values.threads;
   session.json_out = values.json_out;
-  session.batch = values.batch;
   session.channel = values.channel;
   session.transport = values.transport;
-  session.report.batch = session.batch;
   if (session.report.threads > 1) {
     std::printf("[bench: %d worker threads]\n", session.report.threads);
   }
@@ -316,11 +310,6 @@ void InitBench(int argc, const char* const* argv,
 int BenchThreads() {
   const BenchSession& session = Session();
   return session.initialized ? session.report.threads : 1;
-}
-
-int BenchBatch() {
-  const BenchSession& session = Session();
-  return session.initialized ? session.batch : 0;
 }
 
 const sim::ChannelConfig& BenchChannel() {

@@ -34,8 +34,6 @@ struct BenchMetric {
 struct BenchReport {
   std::string bench;
   int threads = 1;
-  /// Pump configuration the batches ran under (see --batch).
-  int batch = 0;
   std::vector<RunRecord> runs;
   /// Free-form named scalars (see RecordMetric); empty for most benches.
   std::vector<BenchMetric> metrics;
@@ -67,8 +65,6 @@ bool WriteBenchReport(const std::string& path, const BenchReport& report);
 ///   --threads=N       worker threads for Repeat batches (0/absent =
 ///                     hardware concurrency, 1 = legacy serial)
 ///   --json_out=P      write a BENCH_*.json report to P on FinishBench()
-///   --batch=N         harness batch size for Repeat batches (0/absent =
-///                     harness default)
 ///   --channel=K       fault model: perfect (default) | loss | delay
 ///   --loss=P          drop probability per hop (with --channel=loss)
 ///   --dup=P           duplicate probability per hop (with --channel=loss)
@@ -82,7 +78,6 @@ bool WriteBenchReport(const std::string& path, const BenchReport& report);
 struct BenchFlagValues {
   int threads = 1;
   std::string json_out;
-  int batch = 0;
   sim::ChannelConfig channel;
   runtime::TransportKind transport = runtime::TransportKind::kSim;
 };
@@ -115,9 +110,6 @@ void InitBenchRest(int argc, const char* const* argv,
 
 /// Thread count resolved by InitBench (1 before InitBench is called).
 int BenchThreads();
-
-/// --batch value resolved by InitBench (0 = harness default).
-int BenchBatch();
 
 /// Channel model requested by --channel/--loss/... (kPerfect before
 /// InitBench, and by default). The protocol factories in bench_util apply

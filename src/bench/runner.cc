@@ -30,7 +30,6 @@ TrialOutcome RunTrial(const RepeatSpec& spec, int trial) {
                                  1000 + static_cast<uint64_t>(trial));
   sim::TrackingOptions tracking;
   tracking.epsilon = spec.epsilon;
-  if (spec.batch_size > 0) tracking.batch_size = spec.batch_size;
   runtime::RunConfig config;
   config.protocol = protocol.get();
   config.stream = &stream;

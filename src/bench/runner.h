@@ -50,9 +50,6 @@ struct RepeatSpec {
   int num_sites = 1;
   double epsilon = 0.1;
   std::string psi_name = "round_robin";
-  /// Harness batch size (see TrackingOptions::batch_size); 0 keeps the
-  /// harness default.
-  int batch_size = 0;
   std::function<std::vector<double>(int)> make_stream;
   std::function<std::unique_ptr<sim::Protocol>(int)> make_protocol;
 };

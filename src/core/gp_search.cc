@@ -6,30 +6,23 @@
 
 namespace nmc::core {
 
-GpSearch::GpSearch(const GpSearchOptions& options) : options_(options) {
-  NMC_CHECK_GT(options.epsilon0, 0.0);
-  NMC_CHECK_LT(options.epsilon0, 1.0);
-  NMC_CHECK_GE(options.horizon_n, 1);
-  NMC_CHECK_GE(options.observation_epsilon, 0.0);
-  NMC_CHECK_LT(options.observation_epsilon, 1.0);
-  const double n = std::max<double>(static_cast<double>(options.horizon_n), 2.0);
+GpSearch::GpSearch(int64_t horizon_n) {
+  static_assert(kEpsilon0 > 0.0 && kEpsilon0 < 1.0);
+  NMC_CHECK_GE(horizon_n, 1);
+  const double n = std::max<double>(static_cast<double>(horizon_n), 2.0);
   log_term_ = std::log(2.0 * n * n * n);
 }
 
 void GpSearch::Observe(int64_t t, double count) {
   if (resolved_) return;
   NMC_CHECK_GE(t, 0);
-  if (t <= 0) return;
-  if (options_.geometric_checkpoints && t < next_checkpoint_) return;
+  if (t < next_checkpoint_) return;  // t = 0 included: checkpoints start at 1
   while (next_checkpoint_ <= t) next_checkpoint_ *= 2;
 
   // Hoeffding: |S_t - mu*t| <= w_t with probability 1 - 1/n^3 per
-  // checkpoint (bounded +-1 updates). Deflate the observed |count| by the
-  // counter's own accuracy before testing.
+  // checkpoint (bounded +-1 updates).
   const double width = std::sqrt(2.0 * static_cast<double>(t) * log_term_);
-  const double observed =
-      std::fabs(count) * (1.0 - options_.observation_epsilon);
-  if (observed >= (1.0 + 1.0 / options_.epsilon0) * width) {
+  if (std::fabs(count) >= (1.0 + 1.0 / kEpsilon0) * width) {
     resolved_ = true;
     mu_hat_ = count / static_cast<double>(t);
     resolution_time_ = t;

@@ -11,7 +11,7 @@ HorizonFreeCounter::HorizonFreeCounter(int num_sites,
       horizon_(options.initial_horizon),
       epoch_seed_(options.counter.seed) {
   NMC_CHECK_GE(options.initial_horizon, 2);
-  NMC_CHECK_GE(options.growth_factor, 2);
+  static_assert(kGrowthFactor >= 2);
   NMC_CHECK(options.counter.drift_mode == DriftMode::kZeroDrift);
   CounterOptions epoch = options_.counter;
   epoch.horizon_n = horizon_;
@@ -33,7 +33,7 @@ void HorizonFreeCounter::Restart() {
   epoch.initial_sum_sq = counter_->SyncedSumSquares();
   NMC_CHECK_EQ(epoch.initial_updates, processed_);
   retired_stats_ += counter_->stats();
-  horizon_ *= options_.growth_factor;
+  horizon_ *= kGrowthFactor;
   epoch.horizon_n = horizon_;
   epoch.seed = epoch_seed_++;
   // nmc-lint: allow(NO_HEAP_IN_HOT_PATH) one allocation per epoch restart; the horizon grows geometrically, so this runs O(log n) times per trial, not per update

@@ -17,21 +17,22 @@ struct HorizonFreeOptions {
   CounterOptions counter;
   /// Horizon assumed for the first epoch.
   int64_t initial_horizon = 4096;
-  /// Horizon multiplier at each restart. 4 keeps the number of restarts at
-  /// ~log4(n) while the log(horizon) in the sampling law changes little.
-  int64_t growth_factor = 4;
 };
 
 /// Removes the known-horizon assumption of eq. (1)/(2) with the standard
 /// doubling trick: run the counter with a guessed horizon; when the stream
 /// outlives it, force one sync (<= 3k+1 messages), snapshot the exact
-/// state, and restart with a `growth_factor` larger horizon and the
+/// state, and restart with a kGrowthFactor larger horizon and the
 /// snapshot carried as initial state. Each epoch's guarantee holds with
 /// probability 1 - O(1/epoch_horizon), the epochs are geometric, and the
 /// total cost is a constant factor above the known-horizon counter — the
 /// paper assumes n is known and this wrapper discharges that assumption.
 class HorizonFreeCounter : public sim::Protocol {
  public:
+  /// Horizon multiplier at each restart. 4 keeps the number of restarts at
+  /// ~log4(n) while the log(horizon) in the sampling law changes little.
+  static constexpr int64_t kGrowthFactor = 4;
+
   HorizonFreeCounter(int num_sites, const HorizonFreeOptions& options);
 
   int num_sites() const override { return num_sites_; }

@@ -26,6 +26,23 @@ enum MessageType {
   kPhase2 = 7,         // coord -> all: switch to the HYZ pair
 };
 
+/// Eq. (2) constant alpha_delta (paper: c(2(c+1))^{delta/2}, c > 3/2).
+constexpr double kFbmAlpha = 2.0;
+
+/// Drift guard rate = c log(n)/(eps t): a drift-dominated escape takes
+/// ~eps*t steps, so the per-window failure is ~n^{-c}; c = 2 matches the
+/// 1/n^2 per-event budget of the walk law.
+constexpr double kDriftGuardC = 2.0;
+
+/// Phase-2 HYZ counters run at eps_h = max(kPhase2EpsFraction * eps *
+/// |mu_hat|, 1e-5): the error budget eps_h * t must fit in eps * |S_t|
+/// ~= eps * |mu| * t.
+constexpr double kPhase2EpsFraction = 0.25;
+
+/// Phase-2 HYZ failure probability kPhase2DeltaScale / n^2 (paper:
+/// Theta(1/n^2)).
+constexpr double kPhase2DeltaScale = 1.0;
+
 constexpr int64_t kStageStraight = 0;
 constexpr int64_t kStageSbc = 1;
 
@@ -69,7 +86,7 @@ double Phase1Rate(const CounterOptions& options, double estimate,
             : options.epsilon / std::pow(scale, 1.0 / options.fbm_delta);
     const auto compute = [&] {
       return FbmRate(estimate, eps_eff, options.horizon_n, options.fbm_delta,
-                     options.fbm_alpha);
+                     kFbmAlpha);
     };
     rate = cache != nullptr ? cache->Get(estimate, eps_eff, compute)
                             : compute();
@@ -85,8 +102,7 @@ double Phase1Rate(const CounterOptions& options, double estimate,
   }
   if (options.enable_drift_guard) {
     rate = std::max(rate, DriftGuardRate(t_estimate, options.epsilon,
-                                         options.horizon_n,
-                                         options.drift_guard_c));
+                                         options.horizon_n, kDriftGuardC));
   }
   return rate;
 }
@@ -425,9 +441,7 @@ class NonMonotonicCounter::Coordinator : public sim::CoordinatorNode {
         known_sum_(static_cast<size_t>(num_sites), 0.0),
         known_sum_sq_(static_cast<size_t>(num_sites), 0.0),
         collect_replied_(static_cast<size_t>(num_sites), false),
-        gp_(GpSearchOptions{options.gp_epsilon0, options.horizon_n,
-                            /*observation_epsilon=*/0.0,
-                            /*geometric_checkpoints=*/true}) {
+        gp_(options.horizon_n) {
     // Carried state from a previous horizon epoch (HorizonFreeCounter).
     // With k > 1 the sites restart their local totals at zero, so the
     // carried part lives only in these aggregates; with k = 1 the single
@@ -848,10 +862,9 @@ void NonMonotonicCounter::ActivatePhase2() {
   const double mu = coordinator_->mu_hat();
   hyz::HyzOptions hyz_options;
   hyz_options.epsilon = std::clamp(
-      options_.phase2_eps_fraction * options_.epsilon * std::fabs(mu), 1e-5,
-      0.9);
+      kPhase2EpsFraction * options_.epsilon * std::fabs(mu), 1e-5, 0.9);
   const double n = static_cast<double>(options_.horizon_n);
-  hyz_options.delta = std::min(0.5, options_.phase2_delta_scale / (n * n));
+  hyz_options.delta = std::min(0.5, kPhase2DeltaScale / (n * n));
   if (options_.phase2_auto_hyz_mode) {
     // Per-round cost: deterministic ~2k, sampled ~sqrt(kL) + L.
     const double k = static_cast<double>(num_sites());

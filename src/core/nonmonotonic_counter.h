@@ -47,7 +47,7 @@ enum class StagePolicy {
 
 /// Parameters of the Non-monotonic Counter. Defaults are tuned so that
 /// empirical violation rates stay well below 1/n (the paper's constants,
-/// noted per field, are proof-friendly upper bounds).
+/// noted per field and constant, are proof-friendly upper bounds).
 struct CounterOptions {
   /// Relative tracking accuracy epsilon > 0.
   double epsilon = 0.1;
@@ -68,10 +68,9 @@ struct CounterOptions {
   double beta = 2.0;
 
   /// If > 0, use the fBm law eq. (2) with this exponent delta (1 < delta
-  /// <= 2, valid for Hurst H <= 1/delta) instead of eq. (1).
+  /// <= 2, valid for Hurst H <= 1/delta) instead of eq. (1). The law's
+  /// constant alpha_delta is fixed (kFbmAlpha in the .cc).
   double fbm_delta = 0.0;
-  /// Eq. (2) constant alpha_delta (paper: c(2(c+1))^{delta/2}, c > 3/2).
-  double fbm_alpha = 2.0;
 
   DriftMode drift_mode = DriftMode::kZeroDrift;
 
@@ -80,26 +79,14 @@ struct CounterOptions {
   /// input drifts — including biased multisets in the permutation model,
   /// whose Theorem 3.4 cost carries the matching +log^3 n term — at a
   /// total cost of only O(k log^2(n)/eps). Disable only for the E12
-  /// ablation or for inputs known to be driftless.
+  /// ablation or for inputs known to be driftless. The guard's constant c
+  /// is fixed (kDriftGuardC in the .cc).
   bool enable_drift_guard = true;
-  /// Guard rate = c log(n)/(eps t): a drift-dominated escape takes ~eps*t
-  /// steps, so the per-window failure is ~n^{-c}; c = 2 matches the 1/n^2
-  /// per-event budget of the walk law above.
-  double drift_guard_c = 2.0;
 
   /// Allows disabling the Phase-2 switch while keeping GPSearch running
-  /// (E12 ablation).
+  /// (E12 ablation). Phase 2's accuracy and failure probability are fixed
+  /// (kPhase2EpsFraction and kPhase2DeltaScale in the .cc).
   bool enable_phase2 = true;
-
-  /// GPSearch target accuracy for mu_hat.
-  double gp_epsilon0 = 0.25;
-
-  /// Phase-2 HYZ counters run at eps_h = max(phase2_eps_fraction * eps *
-  /// |mu_hat|, 1e-5): the error budget eps_h * t must fit in eps * |S_t|
-  /// ~= eps * |mu| * t.
-  double phase2_eps_fraction = 0.25;
-  /// Phase-2 HYZ failure probability (paper: Theta(1/n^2)).
-  double phase2_delta_scale = 1.0;
   /// If true (default), Phase 2 picks the cheaper HYZ variant per round
   /// cost — deterministic thresholds (~2k/eps_h) while k = O(log(1/delta)),
   /// sampled (~(sqrt(kL)+L)/eps_h) beyond — the crossover the E11 bench

@@ -19,6 +19,9 @@ enum MessageType {
   kNewRound = 4,      // coord -> sites (broadcast): a = sampling probability
 };
 
+/// Multiplier c on the theoretical sampling rate (see RateForBase).
+constexpr double kRateConstant = 1.0;
+
 }  // namespace
 
 /// Site-side state: in-round local increment count and the current
@@ -146,7 +149,6 @@ class HyzProtocol::Coordinator : public sim::CoordinatorNode {
     NMC_CHECK_GT(options.epsilon, 0.0);
     NMC_CHECK_GT(options.delta, 0.0);
     NMC_CHECK_LT(options.delta, 1.0);
-    NMC_CHECK_GT(options.rate_constant, 0.0);
     NMC_CHECK_GE(options.initial_total, 0);
   }
 
@@ -222,7 +224,7 @@ class HyzProtocol::Coordinator : public sim::CoordinatorNode {
     const double log_term = std::log(2.0 / options_.delta);
     const double denom = options_.epsilon * std::max(base, 1.0);
     const double rate =
-        options_.rate_constant *
+        kRateConstant *
         (std::sqrt(static_cast<double>(reported_.size()) * log_term) +
          log_term) /
         denom;

@@ -35,8 +35,6 @@ struct HyzOptions {
   /// Failure probability target; the sampling rate scales with
   /// sqrt(log(2/delta)).
   double delta = 1e-6;
-  /// Multiplier on the theoretical sampling rate (tuning constant).
-  double rate_constant = 1.0;
 
   /// Offset added to the tracked count: Estimate() returns
   /// initial_total + (count of increments seen). Used when HYZ is started

@@ -23,11 +23,11 @@ DistributedLinRegTracker::DistributedLinRegTracker(
     int num_sites, const DistributedLinRegOptions& options)
     : num_sites_(num_sites), options_(options) {
   NMC_CHECK_GE(num_sites, 1);
-  NMC_CHECK_GT(options.feature_bound, 0.0);
+  static_assert(kFeatureBound > 0.0);
   NMC_CHECK_GT(options.response_bound, 0.0);
   const double beta = options.model.noise_precision;
-  xx_scale_ = beta * options.feature_bound * options.feature_bound;
-  xy_scale_ = beta * options.feature_bound * options.response_bound;
+  xx_scale_ = beta * kFeatureBound * kFeatureBound;
+  xy_scale_ = beta * kFeatureBound * options.response_bound;
 
   common::Rng seeder(options.seed ^ 0x5bd1e995cc9e2d51ULL);
   core::CounterOptions counter_options;
@@ -70,8 +70,7 @@ void DistributedLinRegTracker::ProcessUpdate(int site_id, const Vector& x,
   NMC_CHECK_LE(std::fabs(y), options_.response_bound);
   const double beta = options_.model.noise_precision;
   for (int i = 0; i < d; ++i) {
-    NMC_CHECK_LE(std::fabs(x[static_cast<size_t>(i)]),
-                 options_.feature_bound);
+    NMC_CHECK_LE(std::fabs(x[static_cast<size_t>(i)]), kFeatureBound);
     for (int j = i; j < d; ++j) {
       const double value = beta * x[static_cast<size_t>(i)] *
                            x[static_cast<size_t>(j)] / xx_scale_;

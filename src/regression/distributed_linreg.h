@@ -17,9 +17,9 @@ struct DistributedLinRegOptions {
   /// Per-entry relative tracking accuracy.
   double counter_epsilon = 0.05;
   int64_t horizon_n = 1;
-  /// A priori bounds on |x_j| and |y| (the permutation model assumes
-  /// bounded data); counter updates are rescaled into [-1, 1] with them.
-  double feature_bound = 1.0;
+  /// A priori bound on |y| (the permutation model assumes bounded data);
+  /// with the fixed feature bound kFeatureBound on |x_j| it rescales the
+  /// counter updates into [-1, 1].
   double response_bound = 8.0;
   /// Eq. (1) constants forwarded to the entry counters.
   double alpha = 2.0;
@@ -39,6 +39,10 @@ struct DistributedLinRegOptions {
 /// Lambda.
 class DistributedLinRegTracker {
  public:
+  /// A priori bound on every feature |x_j| (the synthetic workload draws
+  /// features from [-1, 1]).
+  static constexpr double kFeatureBound = 1.0;
+
   DistributedLinRegTracker(int num_sites,
                            const DistributedLinRegOptions& options);
 

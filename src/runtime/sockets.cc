@@ -434,8 +434,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
       maybe_kill(sites[static_cast<size_t>(s)]);
     }
 
-    if (options.echo_period > 0 &&
-        consumed_total - last_echo >= options.echo_period) {
+    if (consumed_total - last_echo >= internal::kEchoPeriod) {
       last_echo = consumed_total;
       sim::Message echo;
       echo.type = static_cast<int>(FrameType::kEcho);

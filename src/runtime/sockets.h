@@ -44,8 +44,6 @@ struct SocketRunOptions {
   /// the seqlock-published estimate while the run progresses.
   int num_readers = 0;
   bool capture = false;
-  /// Coordinator->site kEcho cadence in consumed updates; 0 = off.
-  int64_t echo_period = 1024;
   /// Reliable link discipline: strictly in-order consumption, gaps NACKed
   /// (go-back-N), killed sites respawned at the consumption cursor. When
   /// false the link is raw — dropped frames are lost forever and killed
@@ -54,8 +52,8 @@ struct SocketRunOptions {
   bool reliable = true;
   SocketFaultOptions faults;
   /// Tracking-guarantee check against the generated world (see
-  /// SocketStats::violation_steps), judged by sim::CheckStep with these
-  /// fields in its sim::TrackingOptions (the rest keep their defaults).
+  /// SocketStats::violation_steps), judged by sim::CheckCall; these are
+  /// the two sim::TrackingOptions fields the check reads.
   double epsilon = 0.1;
   double rel_error_floor = 1.0;
   /// A respawned site must deliver its first resumed update within this

@@ -19,6 +19,14 @@ namespace nmc::runtime {
 
 namespace {
 
+/// Per-site mailbox capacity in updates (a power of two; RingCapacity
+/// checks it at compile time).
+constexpr size_t kMailboxCapacity = size_t{1} << 12;
+
+/// Max updates the coordinator pulls from one mailbox per visit — the
+/// fairness quantum across sites.
+constexpr size_t kMaxPull = 256;
+
 void SiteLoop(const std::vector<double>& shard,
               common::SpscQueue<double>* inbox,
               common::SpscQueue<PublishedEstimate>* echoes,
@@ -51,8 +59,6 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   const int num_sites = protocol->num_sites();
   NMC_CHECK_EQ(static_cast<int>(shards.size()), num_sites);
   NMC_CHECK_GE(options.num_readers, 0);
-  NMC_CHECK_GE(options.mailbox_capacity, 1);
-  NMC_CHECK_GE(options.max_pull, 1);
 
   int64_t total_updates = 0;
   for (const std::vector<double>& shard : shards) {
@@ -65,7 +71,7 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   echoes.reserve(static_cast<size_t>(num_sites));
   for (int i = 0; i < num_sites; ++i) {
     inboxes.push_back(std::make_unique<common::SpscQueue<double>>(
-        static_cast<size_t>(options.mailbox_capacity)));
+        common::RingCapacity<kMailboxCapacity>{}));
     // The echo ring is advisory (lagging sites drop echoes), so a small
     // fixed capacity suffices.
     echoes.push_back(std::make_unique<common::SpscQueue<PublishedEstimate>>(64));
@@ -108,8 +114,7 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
     bool progressed = false;
     for (int s = 0; s < num_sites; ++s) {
       common::SpscQueue<double>& inbox = *inboxes[static_cast<size_t>(s)];
-      const std::span<const double> batch =
-          inbox.PeekContiguous(static_cast<size_t>(options.max_pull));
+      const std::span<const double> batch = inbox.PeekContiguous(kMaxPull);
       if (batch.empty()) continue;
       progressed = true;
       size_t pos = 0;
@@ -130,8 +135,7 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
       }
       inbox.Advance(batch.size());
     }
-    if (options.echo_period > 0 &&
-        consumed_total - last_echo >= options.echo_period) {
+    if (consumed_total - last_echo >= internal::kEchoPeriod) {
       last_echo = consumed_total;
       const PublishedEstimate echo{consumed_total, estimate};
       for (int s = 0; s < num_sites; ++s) {

@@ -46,15 +46,6 @@ struct ReadSample {
 struct ThreadedRunOptions {
   /// Query-client threads reading the published estimate concurrently.
   int num_readers = 0;
-  /// Per-site mailbox capacity in updates (rounded up to a power of two).
-  int64_t mailbox_capacity = 1 << 12;
-  /// Max updates the coordinator pulls from one mailbox per visit — the
-  /// fairness quantum across sites.
-  int64_t max_pull = 256;
-  /// Coordinator->site estimate echoes: after every `echo_period` consumed
-  /// updates the current published estimate is offered to every site's
-  /// reverse mailbox (dropped, not blocked on, when a site lags). 0 = off.
-  int64_t echo_period = 1024;
   /// Record the transcript and the publish log for the linearizability
   /// check. Costs O(n) memory — meant for tests and verification runs.
   bool capture = false;

@@ -13,21 +13,21 @@
 
 namespace nmc::sim {
 
+/// Absolute slack added to the tracking checker's violation test to absorb
+/// floating-point accumulation noise on fractional streams.
+inline constexpr double kAbsoluteSlack = 1e-9;
+
 /// Configuration of the tracking checker.
 struct TrackingOptions {
   /// Relative accuracy the protocol promises; a step violates the guarantee
-  /// when |estimate - S| > epsilon * |S| (+ small float slack), or when
-  /// S == 0 but the estimate is not.
+  /// when |estimate - S| > epsilon * |S| + kAbsoluteSlack (so at S == 0
+  /// the estimate may differ from 0 only by float noise).
   double epsilon = 0.1;
 
   /// Steps with |S| below this floor are excluded from max_rel_error (the
   /// relative error is ill-conditioned around zero) but still checked for
   /// violations via the absolute criterion above.
   double rel_error_floor = 1.0;
-
-  /// Absolute slack added to the violation test to absorb floating-point
-  /// accumulation noise on fractional streams.
-  double absolute_slack = 1e-9;
 
   /// If > 0, record (t, cumulative messages, S, estimate) at this many
   /// roughly evenly spaced steps — the raw series behind "figures".
@@ -78,7 +78,7 @@ inline void CheckStep(double estimate, double sum,
                       const TrackingOptions& options, TrackingResult* result) {
   const double abs_error = std::fabs(estimate - sum);
   const double abs_sum = std::fabs(sum);
-  if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
+  if (abs_error > options.epsilon * abs_sum + kAbsoluteSlack) {
     result->violation_steps += 1;
   }
   if (abs_sum >= options.rel_error_floor) {
@@ -109,9 +109,8 @@ inline void CheckCall(std::span<const double> call, double frozen,
   common::PrefixCheckResult prefix;
   if (silent.size() >= 7 &&
       common::CheckUnitPrefix(silent, *sum, frozen, options.epsilon,
-                              options.absolute_slack,
-                              options.rel_error_floor, result->max_rel_error,
-                              &prefix)) {
+                              kAbsoluteSlack, options.rel_error_floor,
+                              result->max_rel_error, &prefix)) {
     *sum = prefix.final_sum;
     result->violation_steps += prefix.violations;
     result->max_rel_error = std::max(result->max_rel_error,

@@ -7,13 +7,12 @@
 
 namespace nmc::sim {
 
-ReliableProtocol::ReliableProtocol(std::unique_ptr<Protocol> inner,
-                                   const ReliableOptions& options)
-    : inner_(std::move(inner)), options_(options) {
+ReliableProtocol::ReliableProtocol(std::unique_ptr<Protocol> inner)
+    : inner_(std::move(inner)) {
+  // kMaxRetries < 62 keeps every kBackoffBase << r in range.
+  static_assert(kBackoffBase >= 1 && kBackoffCap >= kBackoffBase &&
+                kMaxRetries >= 0 && kMaxRetries < 62);
   NMC_CHECK(inner_ != nullptr);
-  NMC_CHECK_GE(options.backoff_base, 1);
-  NMC_CHECK_GE(options.backoff_cap, options.backoff_base);
-  NMC_CHECK_GE(options.max_retries, 0);
 }
 
 int ReliableProtocol::num_sites() const { return inner_->num_sites(); }
@@ -29,11 +28,10 @@ int64_t ReliableProtocol::FaultCount() const {
   return stats.dropped + stats.delayed;
 }
 
-int64_t ReliableProtocol::RecoveryDeadlineTicks() const {
+int64_t ReliableProtocol::RecoveryDeadlineTicks() {
   int64_t deadline = 0;
-  for (int r = 0; r < options_.max_retries; ++r) {
-    const int64_t shift = std::min(r, 62);
-    deadline += std::min(options_.backoff_base << shift, options_.backoff_cap);
+  for (int r = 0; r < kMaxRetries; ++r) {
+    deadline += std::min(kBackoffBase << r, kBackoffCap);
   }
   return deadline;
 }
@@ -91,14 +89,12 @@ void ReliableProtocol::AttemptResync() {
     recovering_ = false;
     return;
   }
-  if (attempts_ >= options_.max_retries) {
+  if (attempts_ >= kMaxRetries) {
     ++diagnostics_.abandoned;
     recovering_ = false;
     return;
   }
-  const int64_t shift = std::min(attempts_, 62);
-  const int64_t backoff =
-      std::min(options_.backoff_base << shift, options_.backoff_cap);
+  const int64_t backoff = std::min(kBackoffBase << attempts_, kBackoffCap);
   ++attempts_;
   ++diagnostics_.retries;
   next_attempt_tick_ = tick_ + backoff;

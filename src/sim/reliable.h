@@ -8,19 +8,6 @@
 
 namespace nmc::sim {
 
-/// Retry/backoff policy of ReliableProtocol, in simulated time (one tick =
-/// one stream update).
-struct ReliableOptions {
-  /// Backoff before retry r is min(backoff_base << r, backoff_cap) ticks
-  /// (the first attempt after a detected loss is immediate).
-  int64_t backoff_base = 1;
-  int64_t backoff_cap = 64;
-  /// Retries after the immediate first attempt; a loss event whose
-  /// attempts all fail is abandoned (counted in diagnostics; a later loss
-  /// event re-arms recovery).
-  int max_retries = 16;
-};
-
 /// Recovery bookkeeping (for benches/tests).
 struct ReliableDiagnostics {
   /// Silence-timeout events: transitions from clean to loss-detected.
@@ -31,7 +18,7 @@ struct ReliableDiagnostics {
   int64_t retries = 0;
   /// Recoveries whose resync round went through intact.
   int64_t recoveries = 0;
-  /// Loss events abandoned after max_retries dirty attempts.
+  /// Loss events abandoned after kMaxRetries dirty attempts.
   int64_t abandoned = 0;
   /// True when the wrapped protocol reported Resync() unsupported.
   bool unsupported = false;
@@ -57,8 +44,17 @@ struct ReliableDiagnostics {
 /// perfect-channel hot path.
 class ReliableProtocol : public Protocol {
  public:
-  ReliableProtocol(std::unique_ptr<Protocol> inner,
-                   const ReliableOptions& options);
+  /// Retry/backoff policy, in simulated time (one tick = one stream
+  /// update): the backoff before retry r is min(kBackoffBase << r,
+  /// kBackoffCap) ticks (the first attempt after a detected loss is
+  /// immediate), and a loss event whose kMaxRetries retries all fail is
+  /// abandoned (counted in diagnostics; a later loss event re-arms
+  /// recovery).
+  static constexpr int64_t kBackoffBase = 1;
+  static constexpr int64_t kBackoffCap = 64;
+  static constexpr int kMaxRetries = 16;
+
+  explicit ReliableProtocol(std::unique_ptr<Protocol> inner);
 
   int num_sites() const override;
   void ProcessUpdate(int site_id, double value) override;
@@ -71,8 +67,8 @@ class ReliableProtocol : public Protocol {
   Protocol* inner() { return inner_.get(); }
 
   /// Upper bound on ticks from loss detection to the last scheduled retry:
-  /// sum over attempts of min(backoff_base << r, backoff_cap).
-  int64_t RecoveryDeadlineTicks() const;
+  /// sum over retries of min(kBackoffBase << r, kBackoffCap).
+  static int64_t RecoveryDeadlineTicks();
 
  private:
   /// One recovery attempt: Resync(), then check whether its own traffic
@@ -85,7 +81,6 @@ class ReliableProtocol : public Protocol {
   int64_t FaultCount() const;
 
   std::unique_ptr<Protocol> inner_;
-  ReliableOptions options_;
   ReliableDiagnostics diagnostics_;
   int64_t tick_ = 0;
   /// Fault count last reconciled (recovery triggers when it grows).

@@ -12,7 +12,7 @@ RegressionData GenerateRegressionData(int64_t n,
   NMC_CHECK_GE(n, 0);
   NMC_CHECK_GE(options.dim, 1);
   NMC_CHECK_GT(options.noise_precision, 0.0);
-  NMC_CHECK_GT(options.feature_scale, 0.0);
+  static_assert(kFeatureScale > 0.0);
 
   common::Rng rng(options.seed);
   RegressionData data;
@@ -25,8 +25,7 @@ RegressionData GenerateRegressionData(int64_t n,
     sample.x.resize(static_cast<size_t>(options.dim));
     double dot = 0.0;
     for (int j = 0; j < options.dim; ++j) {
-      const double xj =
-          options.feature_scale * (2.0 * rng.UniformDouble() - 1.0);
+      const double xj = kFeatureScale * (2.0 * rng.UniformDouble() - 1.0);
       sample.x[static_cast<size_t>(j)] = xj;
       dot += xj * data.true_weights[static_cast<size_t>(j)];
     }

@@ -12,14 +12,15 @@ struct RegressionSample {
   double y = 0.0;
 };
 
+/// Features are uniform in [-kFeatureScale, kFeatureScale] (bounded, as
+/// the permutation model requires).
+inline constexpr double kFeatureScale = 1.0;
+
 /// Parameters of the synthetic regression workload.
 struct RegressionDataOptions {
   int dim = 4;
   /// Noise precision beta: y = w* . x + N(0, 1/beta).
   double noise_precision = 25.0;
-  /// Features are uniform in [-feature_scale, feature_scale] (bounded, as
-  /// the permutation model requires).
-  double feature_scale = 1.0;
   uint64_t seed = 1;
 };
 

@@ -70,7 +70,6 @@ DistributedLinRegOptions TrackerOptions(int dim, int64_t n) {
   options.model = ModelOptions(dim);
   options.counter_epsilon = 0.05;
   options.horizon_n = n;
-  options.feature_bound = 1.0;
   options.response_bound = 16.0;
   options.seed = 7;
   return options;

@@ -62,7 +62,6 @@ TEST(HorizonFreeTest, EpochsGrowGeometrically) {
   options.counter.epsilon = 0.2;
   options.counter.seed = 4;
   options.initial_horizon = 1024;
-  options.growth_factor = 4;
   core::HorizonFreeCounter counter(4, options);
   sim::RoundRobinAssignment psi(4);
   sim::TrackingOptions tracking;
@@ -70,6 +69,7 @@ TEST(HorizonFreeTest, EpochsGrowGeometrically) {
   const auto result = sim::RunTracking(stream, &psi, &counter, tracking);
   EXPECT_EQ(result.violation_steps, 0);
   // 1024 * 4^e >= 2^17 -> e = 4 restarts; horizon now covers the stream.
+  static_assert(core::HorizonFreeCounter::kGrowthFactor == 4);
   EXPECT_EQ(counter.epochs(), 4);
   EXPECT_GE(counter.current_horizon(), n);
 }

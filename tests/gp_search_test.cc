@@ -10,17 +10,10 @@
 namespace nmc::core {
 namespace {
 
-GpSearchOptions Options(int64_t n, double epsilon0) {
-  GpSearchOptions options;
-  options.epsilon0 = epsilon0;
-  options.horizon_n = n;
-  return options;
-}
-
 // Feeds the exact running count of a Bernoulli(mu) stream to GPSearch and
 // returns it after the full stream.
-GpSearch RunOnStream(int64_t n, double mu, double epsilon0, uint64_t seed) {
-  GpSearch gp(Options(n, epsilon0));
+GpSearch RunOnStream(int64_t n, double mu, uint64_t seed) {
+  GpSearch gp(n);
   const auto stream = streams::BernoulliStream(n, mu, seed);
   double sum = 0.0;
   for (int64_t t = 0; t < n; ++t) {
@@ -32,14 +25,14 @@ GpSearch RunOnStream(int64_t n, double mu, double epsilon0, uint64_t seed) {
 
 TEST(GpSearchTest, ResolvesPositiveDriftAccurately) {
   for (double mu : {0.2, 0.5, 1.0}) {
-    const auto gp = RunOnStream(1 << 16, mu, 0.25, 42);
+    const auto gp = RunOnStream(1 << 16, mu, 42);
     ASSERT_TRUE(gp.resolved()) << "mu=" << mu;
     EXPECT_NEAR(gp.mu_hat(), mu, 0.25 * mu + 0.02) << "mu=" << mu;
   }
 }
 
 TEST(GpSearchTest, ResolvesNegativeDrift) {
-  const auto gp = RunOnStream(1 << 16, -0.5, 0.25, 43);
+  const auto gp = RunOnStream(1 << 16, -0.5, 43);
   ASSERT_TRUE(gp.resolved());
   EXPECT_NEAR(gp.mu_hat(), -0.5, 0.15);
 }
@@ -48,15 +41,15 @@ TEST(GpSearchTest, DoesNotResolveZeroDrift) {
   // For mu = 0 the count stays near sqrt(t) << Hoeffding width; across
   // many seeds it must never (falsely) report.
   for (uint64_t seed = 0; seed < 20; ++seed) {
-    const auto gp = RunOnStream(1 << 14, 0.0, 0.25, 100 + seed);
+    const auto gp = RunOnStream(1 << 14, 0.0, 100 + seed);
     EXPECT_FALSE(gp.resolved()) << "seed=" << seed;
   }
 }
 
 TEST(GpSearchTest, ResolutionTimeScalesAsInverseMuSquared) {
   // t* ~ log(n)/ (mu eps0)^2: halving mu should roughly quadruple t*.
-  const auto gp_fast = RunOnStream(1 << 18, 0.8, 0.25, 7);
-  const auto gp_slow = RunOnStream(1 << 18, 0.2, 0.25, 7);
+  const auto gp_fast = RunOnStream(1 << 18, 0.8, 7);
+  const auto gp_slow = RunOnStream(1 << 18, 0.2, 7);
   ASSERT_TRUE(gp_fast.resolved());
   ASSERT_TRUE(gp_slow.resolved());
   const double ratio = static_cast<double>(gp_slow.resolution_time()) /
@@ -67,9 +60,9 @@ TEST(GpSearchTest, ResolutionTimeScalesAsInverseMuSquared) {
 }
 
 TEST(GpSearchTest, ResolutionBeforeTheoreticalDeadline) {
-  const double mu = 0.5, eps0 = 0.25;
+  const double mu = 0.5, eps0 = GpSearch::kEpsilon0;
   const int64_t n = 1 << 18;
-  const auto gp = RunOnStream(n, mu, eps0, 11);
+  const auto gp = RunOnStream(n, mu, 11);
   ASSERT_TRUE(gp.resolved());
   // Theta(log n / (mu eps0)^2) with a generous constant.
   const double deadline =
@@ -77,25 +70,8 @@ TEST(GpSearchTest, ResolutionBeforeTheoreticalDeadline) {
   EXPECT_LT(static_cast<double>(gp.resolution_time()), deadline);
 }
 
-TEST(GpSearchTest, ObservationEpsilonDelaysResolution) {
-  GpSearchOptions exact = Options(1 << 16, 0.25);
-  GpSearchOptions noisy = exact;
-  noisy.observation_epsilon = 0.5;
-  GpSearch gp_exact(exact);
-  GpSearch gp_noisy(noisy);
-  // Deterministic drift-1 counts.
-  for (int64_t t = 1; t <= (1 << 14); ++t) {
-    gp_exact.Observe(t, static_cast<double>(t));
-    gp_noisy.Observe(t, static_cast<double>(t));
-  }
-  ASSERT_TRUE(gp_exact.resolved());
-  ASSERT_TRUE(gp_noisy.resolved());
-  EXPECT_LE(gp_exact.resolution_time(), gp_noisy.resolution_time());
-}
-
 TEST(GpSearchTest, GeometricCheckpointsSkipIntermediateTimes) {
-  GpSearchOptions options = Options(1 << 16, 0.25);
-  GpSearch gp(options);
+  GpSearch gp(1 << 16);
   // A huge count at a non-checkpoint time right after a checkpoint must
   // wait for the next power of two.
   gp.Observe(4, 4.0);     // checkpoint, not yet confident
@@ -105,17 +81,8 @@ TEST(GpSearchTest, GeometricCheckpointsSkipIntermediateTimes) {
   EXPECT_TRUE(gp.resolved());
 }
 
-TEST(GpSearchTest, ContinuousCheckpointsEvaluateEveryObservation) {
-  GpSearchOptions options = Options(1 << 16, 0.25);
-  options.geometric_checkpoints = false;
-  GpSearch gp(options);
-  gp.Observe(4, 4.0);
-  gp.Observe(5, 1e9);
-  EXPECT_TRUE(gp.resolved());
-}
-
 TEST(GpSearchTest, NoOpAfterResolution) {
-  GpSearch gp(Options(1 << 10, 0.25));
+  GpSearch gp(1 << 10);
   gp.Observe(1024, 1e12);
   ASSERT_TRUE(gp.resolved());
   const double mu = gp.mu_hat();

@@ -12,14 +12,13 @@ namespace {
 TEST(RegressionDataTest, ShapesAndBounds) {
   RegressionDataOptions options;
   options.dim = 3;
-  options.feature_scale = 0.5;
   options.seed = 1;
   const auto data = GenerateRegressionData(200, options);
   EXPECT_EQ(data.true_weights.size(), 3u);
   ASSERT_EQ(data.samples.size(), 200u);
   for (const auto& s : data.samples) {
     ASSERT_EQ(s.x.size(), 3u);
-    for (double xj : s.x) EXPECT_LE(std::fabs(xj), 0.5);
+    for (double xj : s.x) EXPECT_LE(std::fabs(xj), kFeatureScale);
   }
 }
 

@@ -44,26 +44,20 @@ ChannelConfig LossChannel(double loss, uint64_t seed) {
 }
 
 TEST(ReliableProtocolTest, DeadlineIsTheSumOfTheBackoffSchedule) {
-  ReliableOptions options;
-  options.backoff_base = 1;
-  options.backoff_cap = 8;
-  options.max_retries = 5;
-  ReliableProtocol protocol(MakeCounter(2, ChannelConfig{}, 1), options);
-  // Backoffs 1, 2, 4, 8, 8 (capped) = 23 ticks.
-  EXPECT_EQ(protocol.RecoveryDeadlineTicks(), 23);
+  // 16 retries: backoffs 1, 2, 4, 8, 16, 32, 64, then 9 more capped at 64.
+  EXPECT_EQ(ReliableProtocol::RecoveryDeadlineTicks(),
+            1 + 2 + 4 + 8 + 16 + 32 + 64 + 9 * 64);
 }
 
 TEST(ReliableProtocolTest, ProcessBatchConsumesOneUpdatePerCall) {
-  ReliableProtocol protocol(MakeCounter(2, LossChannel(0.1, 5), 1),
-                            ReliableOptions{});
+  ReliableProtocol protocol(MakeCounter(2, LossChannel(0.1, 5), 1));
   const std::vector<double> values{1.0, -1.0, 1.0, 1.0};
   EXPECT_EQ(protocol.ProcessBatch(0, values), 1);
   EXPECT_EQ(protocol.num_sites(), 2);
 }
 
 TEST(ReliableProtocolTest, PerfectChannelNeverTriggersRecovery) {
-  ReliableProtocol protocol(MakeCounter(3, ChannelConfig{}, 7),
-                            ReliableOptions{});
+  ReliableProtocol protocol(MakeCounter(3, ChannelConfig{}, 7));
   common::Rng rng = MakeRng(3);
   for (int i = 0; i < 2000; ++i) {
     protocol.ProcessUpdate(i % 3, rng.Sign(0.5));
@@ -78,8 +72,7 @@ TEST(ReliableProtocolTest, PerfectChannelNeverTriggersRecovery) {
 /// RecoveryDeadlineTicks, and each recovery must leave the coordinator's
 /// estimate exactly equal to the true running sum.
 TEST(ReliableProtocolTest, CounterRecoversExactlyWithinDeadlineUnderLoss) {
-  ReliableProtocol protocol(MakeCounter(4, LossChannel(0.1, 11), 13),
-                            ReliableOptions{});
+  ReliableProtocol protocol(MakeCounter(4, LossChannel(0.1, 11), 13));
   const int64_t deadline = protocol.RecoveryDeadlineTicks();
   common::Rng rng = MakeRng(99);
   int64_t true_sum = 0;
@@ -122,8 +115,7 @@ TEST(ReliableProtocolTest, HyzRecoversExactlyUnderLoss) {
   options.delta = 1e-4;
   options.seed = 5;
   options.channel = LossChannel(0.1, 29);
-  ReliableProtocol protocol(std::make_unique<hyz::HyzProtocol>(3, options),
-                            ReliableOptions{});
+  ReliableProtocol protocol(std::make_unique<hyz::HyzProtocol>(3, options));
   int64_t total = 0;
   int64_t seen_recoveries = 0;
   for (int i = 0; i < 3000; ++i) {
@@ -148,8 +140,8 @@ TEST(ReliableProtocolTest, RecoversAfterCrashWindow) {
   ChannelConfig config;
   config.kind = ChannelConfig::Kind::kCrash;
   config.crashes = {CrashInterval{0, 100, 200}};
-  ReliableProtocol protocol(MakeCounter(3, config, 23), ReliableOptions{});
-  // Default schedule sums to 767 ticks >> the 100-tick crash window, so
+  ReliableProtocol protocol(MakeCounter(3, config, 23));
+  // The schedule sums to 703 ticks >> the 100-tick crash window, so
   // retries are still pending when the site returns.
   ASSERT_GT(protocol.RecoveryDeadlineTicks(), 200);
   common::Rng rng = MakeRng(7);
@@ -174,7 +166,7 @@ TEST(ReliableProtocolTest, RecoversAfterCrashWindow) {
 TEST(ReliableProtocolTest, UnsupportedInnerLatchesAfterOneAttempt) {
   auto inner =
       std::make_unique<baselines::ExactSyncProtocol>(2, LossChannel(0.2, 31));
-  ReliableProtocol protocol(std::move(inner), ReliableOptions{});
+  ReliableProtocol protocol(std::move(inner));
   common::Rng rng = MakeRng(17);
   for (int i = 0; i < 500; ++i) {
     protocol.ProcessUpdate(i % 2, rng.Sign(0.5));

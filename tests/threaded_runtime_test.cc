@@ -155,17 +155,16 @@ TEST(ThreadedRuntimeTest, LinearizabilityCheckDetectsCorruption) {
   EXPECT_FALSE(report.failure.empty());
 }
 
-// Tiny mailboxes force constant producer backpressure (every push path
-// hits the full-queue branch); the run must still consume everything.
+// Shards of at least 32 times the 4096-slot mailbox per site keep the
+// producers running into a full ring (the full-queue branch of every push
+// path); the run must still consume everything.
 TEST(ThreadedRuntimeTest, SurvivesTinyMailboxBackpressure) {
-  const int64_t n = 8192;
   const int k = 3;
+  const int64_t n = int64_t{k} * 32 * 4096;
   const std::vector<double> stream = streams::BernoulliStream(n, 0.0, 29);
   const std::vector<std::vector<double>> shards = ShardRoundRobin(stream, k);
   const std::unique_ptr<sim::Protocol> protocol = MakeCounter(k, n);
   ThreadedRunOptions options;
-  options.mailbox_capacity = 4;
-  options.max_pull = 2;
   options.capture = true;
   const ThreadedRunResult result =
       RunThreaded(protocol.get(), shards, options);
@@ -180,10 +179,8 @@ TEST(ThreadedRuntimeTest, EchoesFlowBackToSites) {
   const std::vector<double> stream = streams::BernoulliStream(n, 0.0, 57);
   const std::vector<std::vector<double>> shards = ShardRoundRobin(stream, k);
   const std::unique_ptr<sim::Protocol> protocol = MakeCounter(k, n);
-  ThreadedRunOptions options;
-  options.echo_period = 512;
   const ThreadedRunResult result =
-      RunThreaded(protocol.get(), shards, options);
+      RunThreaded(protocol.get(), shards, ThreadedRunOptions{});
   EXPECT_GT(result.echoes_sent, 0);
   EXPECT_LE(result.echoes_received, result.echoes_sent);
 }

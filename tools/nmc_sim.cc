@@ -143,6 +143,20 @@ std::unique_ptr<nmc::sim::Protocol> MakeProtocol(
   std::exit(1);
 }
 
+/// Rejects typos and malformed values: prints the first to stderr and
+/// returns false. Call only once every flag has been queried.
+bool FlagsValid(const nmc::common::Flags& flags) {
+  for (const auto& key : flags.UnusedKeys()) {
+    std::fprintf(stderr, "unknown flag --%s\n%s", key.c_str(), kUsage);
+    return false;
+  }
+  for (const auto& key : flags.Malformed()) {
+    std::fprintf(stderr, "malformed value for --%s\n", key.c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -166,6 +180,11 @@ int main(int argc, char** argv) {
   const std::string psi_name = flags.GetString("psi", "round_robin");
   const bool csv = flags.GetBool("csv", false);
   const int64_t curve_points = flags.GetInt("curve", 0);
+  if (trials < 1) {
+    // Flags are validated in trial 0, so a run needs one.
+    std::fprintf(stderr, "--trials must be at least 1\n");
+    return 1;
+  }
 
   nmc::common::Table table({"trial", "messages", "violation_steps",
                             "max_rel_err", "final_sum", "final_estimate"});
@@ -180,6 +199,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown --psi=%s\n", psi_name.c_str());
       return 1;
     }
+    // Trial 0 has built the stream, protocol and psi, so every flag has
+    // been queried: reject typos before any output (the curve dump below
+    // prints and returns inside this trial).
+    if (trial == 0 && !FlagsValid(flags)) return 1;
     nmc::sim::TrackingOptions tracking;
     tracking.epsilon = eps;
     if (trial == 0 && curve_points > 0) {
@@ -212,16 +235,6 @@ int main(int argc, char** argv) {
                   nmc::common::Format(result.final_estimate, 1)});
     messages.Add(static_cast<double>(result.messages));
     total_violations += result.violation_steps;
-  }
-
-  // Reject typos before printing anything (all flags are queried by now).
-  for (const auto& key : flags.UnusedKeys()) {
-    std::fprintf(stderr, "unknown flag --%s\n%s", key.c_str(), kUsage);
-    return 1;
-  }
-  for (const auto& key : flags.Malformed()) {
-    std::fprintf(stderr, "malformed value for --%s\n", key.c_str());
-    return 1;
   }
 
   if (csv) {
