@@ -30,21 +30,16 @@ struct RegressionRun {
 RegressionRun RunRegression(int64_t n, int dim, int k, uint64_t seed) {
   nmc::streams::RegressionDataOptions data_options;
   data_options.dim = dim;
-  data_options.noise_precision = 25.0;
   data_options.seed = seed;
   const auto data = nmc::streams::GenerateRegressionData(n, data_options);
 
   nmc::regression::BayesLinRegOptions model;
   model.dim = dim;
-  model.prior_variance = 10.0;
-  model.noise_precision = 25.0;
 
   nmc::regression::ExactBayesLinReg exact(model);
   nmc::regression::DistributedLinRegOptions tracker_options;
   tracker_options.model = model;
-  tracker_options.counter_epsilon = 0.05;
   tracker_options.horizon_n = n;
-  tracker_options.response_bound = 16.0;
   tracker_options.seed = seed + 1;
   nmc::regression::DistributedLinRegTracker tracker(k, tracker_options);
   nmc::sim::RoundRobinAssignment psi(k);

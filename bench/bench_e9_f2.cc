@@ -34,9 +34,7 @@ F2RunResult RunF2(int64_t n, int k, uint64_t seed) {
   const auto exact_prefix = nmc::streams::ExactF2Prefix(updates, universe);
 
   nmc::sketch::DistributedF2Options options;
-  options.rows = 5;
   options.cols = 64;
-  options.counter_epsilon = 0.1;
   options.horizon_n = n;
   options.seed = seed + 2;
   nmc::sketch::DistributedF2Tracker tracker(k, options);

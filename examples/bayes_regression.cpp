@@ -23,22 +23,17 @@ int main() {
 
   nmc::streams::RegressionDataOptions data_options;
   data_options.dim = dim;
-  data_options.noise_precision = 25.0;
   data_options.seed = 51;
   const auto data = nmc::streams::GenerateRegressionData(n, data_options);
 
   nmc::regression::BayesLinRegOptions model;
   model.dim = dim;
-  model.prior_variance = 10.0;
-  model.noise_precision = 25.0;
 
   nmc::regression::ExactBayesLinReg exact(model);  // centralized reference
 
   nmc::regression::DistributedLinRegOptions tracker_options;
   tracker_options.model = model;
-  tracker_options.counter_epsilon = 0.05;
   tracker_options.horizon_n = n;
-  tracker_options.response_bound = 16.0;
   tracker_options.seed = 53;
   nmc::regression::DistributedLinRegTracker tracker(k, tracker_options);
 

@@ -30,9 +30,7 @@ int main() {
   const auto exact = nmc::streams::ExactF2Prefix(updates, universe);
 
   nmc::sketch::DistributedF2Options options;
-  options.rows = 5;
   options.cols = 128;
-  options.counter_epsilon = 0.1;
   options.horizon_n = n;
   options.seed = 35;
   nmc::sketch::DistributedF2Tracker tracker(k, options);
@@ -76,6 +74,7 @@ int main() {
               static_cast<double>(stats.total()) / static_cast<double>(n));
   std::printf("(each update touches %d sketch rows; forwarding raw updates\n"
               "to a central sketch would cost %lld messages)\n",
-              options.rows, static_cast<long long>(n));
+              nmc::sketch::DistributedF2Tracker::kRows,
+              static_cast<long long>(n));
   return 0;
 }

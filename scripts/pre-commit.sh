@@ -1,19 +1,14 @@
 #!/usr/bin/env bash
-# Fast pre-commit gate over the files staged for commit: nmc_lint's
-# single-file rules plus the clang-format check. Install with
+# Fast pre-commit gate: nmc_lint over the whole repo plus the clang-format
+# check over the files staged for commit. Install with
 #
 #   ln -s ../../scripts/pre-commit.sh .git/hooks/pre-commit
 #
-# or run it by hand before committing. The staged-file pass includes the
-# atomics-discipline rules (ATOMIC_ORDER_EXPLICIT, SEQ_CST_JUSTIFIED,
-# NO_RAW_ATOMIC_IN_RUNTIME), so an implicit-seq_cst atomic op or a raw
-# std::atomic in the runtime layer is caught before the commit exists.
-# The cross-file rules — layering,
-# include cycles/depth, the interprocedural hot-path propagation, and the
-# concurrency pack (NO_MUTABLE_GLOBAL_STATE, NO_STATIC_LOCAL_IN_REENTRANT,
-# THREAD_COMPAT) — need the whole repo, so the hook follows the staged-file
-# pass with a repo-mode run; the full-repo lint is sub-second, well inside
-# the 30 s budget run_static_analysis.sh enforces.
+# or run it by hand before committing. The lint is one repo run: every rule
+# (the token-pattern rules, the atomics discipline, the call-graph hot-path
+# scan and concurrency audit, the include-graph layering) over every file,
+# which covers the staged files and is sub-second, well inside the 30 s
+# budget run_static_analysis.sh enforces.
 #
 # Exit codes: 0 = clean (or nothing staged), 1 = findings or format diffs,
 #             2 = the lint tool would not build.
@@ -35,10 +30,6 @@ cmake -B build -S . > /dev/null || exit 2
 cmake --build build -j "$(nproc)" --target nmc_lint > /dev/null || exit 2
 
 status=0
-./build/tools/nmc_lint/nmc_lint --root="${REPO_ROOT}" "${staged[@]}" \
-    || status=1
-# Repo mode: the cross-TU rules (call-graph propagation, reentrancy audit,
-# thread contracts, include graph) only exist over the whole tree.
 ./build/tools/nmc_lint/nmc_lint --root="${REPO_ROOT}" || status=1
 scripts/check_format.sh "${staged[@]}" || status=1
 exit "${status}"

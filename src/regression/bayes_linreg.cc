@@ -9,20 +9,19 @@ ExactBayesLinReg::ExactBayesLinReg(const BayesLinRegOptions& options)
       precision_(options.dim, options.dim),
       moment_(static_cast<size_t>(options.dim), 0.0) {
   NMC_CHECK_GE(options.dim, 1);
-  NMC_CHECK_GT(options.prior_variance, 0.0);
-  NMC_CHECK_GT(options.noise_precision, 0.0);
-  // S0^{-1} = (1/prior_variance) I; m0 = 0 so b starts at 0.
+  static_assert(kPriorVariance > 0.0);
+  // S0^{-1} = (1/kPriorVariance) I; m0 = 0 so b starts at 0.
   for (int i = 0; i < options.dim; ++i) {
-    precision_.At(i, i) = 1.0 / options.prior_variance;
+    precision_.At(i, i) = 1.0 / kPriorVariance;
   }
 }
 
 void ExactBayesLinReg::Update(const Vector& x, double y) {
   NMC_CHECK_EQ(x.size(), static_cast<size_t>(options_.dim));
-  precision_.AddOuterProduct(x, options_.noise_precision);
+  precision_.AddOuterProduct(x, streams::kNoisePrecision);
   for (int i = 0; i < options_.dim; ++i) {
     moment_[static_cast<size_t>(i)] +=
-        options_.noise_precision * y * x[static_cast<size_t>(i)];
+        streams::kNoisePrecision * y * x[static_cast<size_t>(i)];
   }
   ++updates_;
 }
@@ -31,11 +30,9 @@ bool ExactBayesLinReg::PosteriorMean(Vector* mean) const {
   return SolveSpd(precision_, moment_, mean);
 }
 
-bool Predict(const Matrix& precision, const Vector& moment,
-             double noise_precision, const Vector& x,
+bool Predict(const Matrix& precision, const Vector& moment, const Vector& x,
              PredictiveDistribution* out) {
   NMC_CHECK(out != nullptr);
-  NMC_CHECK_GT(noise_precision, 0.0);
   NMC_CHECK_EQ(x.size(), static_cast<size_t>(precision.rows()));
   Matrix lower;
   if (!CholeskyFactor(precision, &lower)) return false;
@@ -47,7 +44,7 @@ bool Predict(const Matrix& precision, const Vector& moment,
     quad += x[j] * lambda_inv_x[j];
   }
   out->mean = dot_mean;
-  out->variance = 1.0 / noise_precision + quad;
+  out->variance = 1.0 / streams::kNoisePrecision + quad;
   return true;
 }
 

@@ -3,16 +3,18 @@
 #include <cstdint>
 
 #include "regression/matrix.h"
+#include "streams/regression_data.h"
 
 namespace nmc::regression {
 
 /// Prior and noise model of the Bayesian linear regression (Section 5.2,
-/// following Bishop): w ~ N(m0, S0) with S0 = prior_variance * I and
-/// m0 = 0; observation noise precision beta.
+/// following Bishop): w ~ N(m0, S0) with S0 = kPriorVariance * I and
+/// m0 = 0; observation noise precision beta = streams::kNoisePrecision, the
+/// beta the synthetic workload draws its noise with.
+inline constexpr double kPriorVariance = 10.0;
+
 struct BayesLinRegOptions {
   int dim = 4;
-  double prior_variance = 10.0;
-  double noise_precision = 25.0;
 };
 
 /// Exact streaming posterior: maintains the precision matrix
@@ -58,8 +60,7 @@ struct PredictiveDistribution {
 
 /// Computes the predictive distribution from a precision matrix and moment
 /// vector. Returns false if `precision` is not positive definite.
-bool Predict(const Matrix& precision, const Vector& moment,
-             double noise_precision, const Vector& x,
+bool Predict(const Matrix& precision, const Vector& moment, const Vector& x,
              PredictiveDistribution* out);
 
 }  // namespace nmc::regression

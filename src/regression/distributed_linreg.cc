@@ -24,17 +24,15 @@ DistributedLinRegTracker::DistributedLinRegTracker(
     : num_sites_(num_sites), options_(options) {
   NMC_CHECK_GE(num_sites, 1);
   static_assert(kFeatureBound > 0.0);
-  NMC_CHECK_GT(options.response_bound, 0.0);
-  const double beta = options.model.noise_precision;
+  static_assert(kResponseBound > 0.0);
+  const double beta = streams::kNoisePrecision;
   xx_scale_ = beta * kFeatureBound * kFeatureBound;
-  xy_scale_ = beta * kFeatureBound * options.response_bound;
+  xy_scale_ = beta * kFeatureBound * kResponseBound;
 
   common::Rng seeder(options.seed ^ 0x5bd1e995cc9e2d51ULL);
   core::CounterOptions counter_options;
-  counter_options.epsilon = options.counter_epsilon;
+  counter_options.epsilon = kCounterEpsilon;
   counter_options.horizon_n = options.horizon_n;
-  counter_options.alpha = options.alpha;
-  counter_options.beta = options.beta;
   counter_options.drift_mode = core::DriftMode::kZeroDrift;
 
   const int d = options.model.dim;
@@ -67,8 +65,8 @@ void DistributedLinRegTracker::ProcessUpdate(int site_id, const Vector& x,
                                              double y) {
   const int d = options_.model.dim;
   NMC_CHECK_EQ(x.size(), static_cast<size_t>(d));
-  NMC_CHECK_LE(std::fabs(y), options_.response_bound);
-  const double beta = options_.model.noise_precision;
+  NMC_CHECK_LE(std::fabs(y), kResponseBound);
+  const double beta = streams::kNoisePrecision;
   for (int i = 0; i < d; ++i) {
     NMC_CHECK_LE(std::fabs(x[static_cast<size_t>(i)]), kFeatureBound);
     for (int j = i; j < d; ++j) {
@@ -86,7 +84,7 @@ Matrix DistributedLinRegTracker::TrackedPrecision() const {
   const int d = options_.model.dim;
   Matrix precision(d, d);
   for (int i = 0; i < d; ++i) {
-    precision.At(i, i) = 1.0 / options_.model.prior_variance;
+    precision.At(i, i) = 1.0 / kPriorVariance;
   }
   for (int i = 0; i < d; ++i) {
     for (int j = i; j < d; ++j) {
@@ -114,8 +112,7 @@ bool DistributedLinRegTracker::PosteriorMean(Vector* mean) const {
 
 bool DistributedLinRegTracker::Predict(const Vector& x,
                                        PredictiveDistribution* out) const {
-  return regression::Predict(TrackedPrecision(), TrackedMoment(),
-                             options_.model.noise_precision, x, out);
+  return regression::Predict(TrackedPrecision(), TrackedMoment(), x, out);
 }
 
 sim::MessageStats DistributedLinRegTracker::stats() const {

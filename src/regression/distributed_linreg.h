@@ -14,16 +14,7 @@ namespace nmc::regression {
 /// Parameters of the distributed posterior tracker.
 struct DistributedLinRegOptions {
   BayesLinRegOptions model;
-  /// Per-entry relative tracking accuracy.
-  double counter_epsilon = 0.05;
   int64_t horizon_n = 1;
-  /// A priori bound on |y| (the permutation model assumes bounded data);
-  /// with the fixed feature bound kFeatureBound on |x_j| it rescales the
-  /// counter updates into [-1, 1].
-  double response_bound = 8.0;
-  /// Eq. (1) constants forwarded to the entry counters.
-  double alpha = 2.0;
-  double beta = 2.0;
   uint64_t seed = 1;
 };
 
@@ -42,6 +33,12 @@ class DistributedLinRegTracker {
   /// A priori bound on every feature |x_j| (the synthetic workload draws
   /// features from [-1, 1]).
   static constexpr double kFeatureBound = 1.0;
+  /// A priori bound on |y| (the permutation model assumes bounded data);
+  /// with kFeatureBound it rescales the counter updates into [-1, 1].
+  static constexpr double kResponseBound = 16.0;
+  /// Per-entry relative tracking accuracy of the entry counters (which run
+  /// eq. (1) at CounterOptions' alpha and beta).
+  static constexpr double kCounterEpsilon = 0.05;
 
   DistributedLinRegTracker(int num_sites,
                            const DistributedLinRegOptions& options);

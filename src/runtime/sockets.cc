@@ -19,7 +19,7 @@ namespace {
 
 /// Deterministic fault stream: splitmix64-style finalizer over (seed,
 /// site, index) mapped to [0, 1). The same fault plan replays the same
-/// drops and stalls regardless of socket timing, which is what makes the
+/// drops regardless of socket timing, which is what makes the
 /// E14-over-sockets runs reproducible.
 double FaultUniform(uint64_t seed, uint64_t site, uint64_t index) {
   uint64_t x = seed ^ (site * 0x9E3779B97F4A7C15ull) ^
@@ -31,9 +31,6 @@ double FaultUniform(uint64_t seed, uint64_t site, uint64_t index) {
   x ^= x >> 31;
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
-
-/// Poll rounds one injected head-of-line stall keeps a site unread.
-constexpr int64_t kStallPolls = 8;
 
 /// Safety stop: consecutive poll rounds with no frame consumed before the
 /// coordinator declares the run wedged, SIGKILLs everything and returns
@@ -53,7 +50,6 @@ struct SiteState {
   /// retransmissions of the same update draw fresh coins.
   int64_t arrival_updates = 0;
   int64_t consumed_from = 0;
-  int64_t stall_rounds = 0;
   bool nacked_this_round = false;
   bool saw_eof = false;
   bool fin_acked = false;
@@ -368,19 +364,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
       SiteState& st = sites[static_cast<size_t>(s)];
       st.nacked_this_round = false;
       if (!st.live_fd()) continue;
-      if (st.stall_rounds > 0) {
-        --st.stall_rounds;
-        continue;
-      }
-      if (options.faults.delay_probability > 0.0 &&
-          FaultUniform(options.faults.seed ^ 0xD31Au,
-                       static_cast<uint64_t>(s),
-                       static_cast<uint64_t>(stats.poll_rounds)) <
-              options.faults.delay_probability) {
-        st.stall_rounds = kStallPolls;
-        ++stats.delays_injected;
-        continue;
-      }
       struct pollfd pfd;
       pfd.fd = st.proc.fd;
       pfd.events = POLLIN;

@@ -28,11 +28,6 @@ struct SocketFaultOptions {
   /// (kFin/kNack/kEcho/kFinAck) ride a reliable control plane and
   /// are never dropped — loss models a flaky data path, not a broken link.
   double loss = 0.0;
-  /// Probability (per site per poll round) of a head-of-line stall: the
-  /// coordinator stops reading that site's socket for 8 rounds, so frames
-  /// back up in the kernel buffer and arrive late but in order — the
-  /// socket-level shape of a delay channel.
-  double delay_probability = 0.0;
   /// Seed of the deterministic fault stream. Drops hash (seed, site,
   /// arrival index); the same plan replays the same faults.
   uint64_t seed = 1;
@@ -69,7 +64,6 @@ struct SocketStats {
   /// Frames decoded at ingress, all types, counted before the loss shim.
   int64_t frames = 0;
   int64_t drops_injected = 0;
-  int64_t delays_injected = 0;
   int64_t nacks_sent = 0;
   /// kUpdate frames discarded as already-consumed duplicates — the
   /// retransmission overlap a go-back-N rewind necessarily resends.

@@ -9,19 +9,17 @@ DistributedF2Tracker::DistributedF2Tracker(
     int num_sites, const DistributedF2Options& options)
     : num_sites_(num_sites),
       options_(options),
-      hashes_(options.rows, options.cols, options.seed) {
+      hashes_(kRows, options.cols, options.seed) {
   NMC_CHECK_GE(num_sites, 1);
   NMC_CHECK_GE(options.horizon_n, 1);
   common::Rng seeder(options.seed ^ 0xa5a5a5a5a5a5a5a5ULL);
   core::CounterOptions counter_options;
-  counter_options.epsilon = options.counter_epsilon;
+  counter_options.epsilon = kCounterEpsilon;
   counter_options.horizon_n = options.horizon_n;
-  counter_options.alpha = options.alpha;
-  counter_options.beta = options.beta;
   counter_options.drift_mode = core::DriftMode::kZeroDrift;
-  cells_.reserve(static_cast<size_t>(options.rows) *
+  cells_.reserve(static_cast<size_t>(kRows) *
                  static_cast<size_t>(options.cols));
-  for (int j = 0; j < options.rows; ++j) {
+  for (int j = 0; j < kRows; ++j) {
     for (int c = 0; c < options.cols; ++c) {
       counter_options.seed = seeder.NextU64();
       cells_.push_back(std::make_unique<core::NonMonotonicCounter>(
@@ -48,7 +46,7 @@ void DistributedF2Tracker::ProcessUpdate(int site_id,
                                          const streams::ItemUpdate& update) {
   NMC_CHECK(update.sign == 1 || update.sign == -1);
   const uint64_t item = static_cast<uint64_t>(update.item);
-  for (int j = 0; j < options_.rows; ++j) {
+  for (int j = 0; j < kRows; ++j) {
     const int64_t c = hashes_.BucketOf(j, item);
     const double value =
         static_cast<double>(update.sign * hashes_.SignOf(j, item));
@@ -58,8 +56,8 @@ void DistributedF2Tracker::ProcessUpdate(int site_id,
 }
 
 double DistributedF2Tracker::EstimateF2() const {
-  std::vector<double> row_estimates(static_cast<size_t>(options_.rows), 0.0);
-  for (int j = 0; j < options_.rows; ++j) {
+  std::vector<double> row_estimates(static_cast<size_t>(kRows), 0.0);
+  for (int j = 0; j < kRows; ++j) {
     double sum_sq = 0.0;
     for (int c = 0; c < options_.cols; ++c) {
       const double v = CellCounter(j, c)->Estimate();
@@ -73,8 +71,8 @@ double DistributedF2Tracker::EstimateF2() const {
 double DistributedF2Tracker::EstimateFrequency(int64_t item) const {
   NMC_CHECK_GE(item, 0);
   const uint64_t key = static_cast<uint64_t>(item);
-  std::vector<double> row_estimates(static_cast<size_t>(options_.rows), 0.0);
-  for (int j = 0; j < options_.rows; ++j) {
+  std::vector<double> row_estimates(static_cast<size_t>(kRows), 0.0);
+  for (int j = 0; j < kRows; ++j) {
     const int64_t c = hashes_.BucketOf(j, key);
     row_estimates[static_cast<size_t>(j)] =
         static_cast<double>(hashes_.SignOf(j, key)) *

@@ -13,16 +13,10 @@ namespace nmc::sketch {
 
 /// Parameters of the distributed F2 tracker.
 struct DistributedF2Options {
-  /// Sketch shape: rows ~ O(log 1/delta), cols ~ O(1/eps_sketch^2).
-  int rows = 5;
+  /// Sketch width, cols ~ O(1/eps_sketch^2) (the depth is kRows).
   int cols = 64;
-  /// Per-cell relative tracking accuracy (Corollary 5.1 takes Theta(eps)).
-  double counter_epsilon = 0.1;
   /// Stream horizon (shared by all cell counters' sampling laws).
   int64_t horizon_n = 1;
-  /// Eq. (1) constants forwarded to the cell counters.
-  double alpha = 2.0;
-  double beta = 2.0;
   uint64_t seed = 1;
 };
 
@@ -36,6 +30,12 @@ struct DistributedF2Options {
 /// lower bound inherited from the counter.
 class DistributedF2Tracker {
  public:
+  /// Sketch depth, rows ~ O(log 1/delta).
+  static constexpr int kRows = 5;
+  /// Per-cell relative tracking accuracy (Corollary 5.1 takes Theta(eps));
+  /// the cell counters run eq. (1) at CounterOptions' alpha and beta.
+  static constexpr double kCounterEpsilon = 0.1;
+
   DistributedF2Tracker(int num_sites, const DistributedF2Options& options);
 
   int num_sites() const { return num_sites_; }

@@ -11,15 +11,15 @@ RegressionData GenerateRegressionData(int64_t n,
                                       const RegressionDataOptions& options) {
   NMC_CHECK_GE(n, 0);
   NMC_CHECK_GE(options.dim, 1);
-  NMC_CHECK_GT(options.noise_precision, 0.0);
   static_assert(kFeatureScale > 0.0);
+  static_assert(kNoisePrecision > 0.0);
 
   common::Rng rng(options.seed);
   RegressionData data;
   data.true_weights.resize(static_cast<size_t>(options.dim));
   for (double& w : data.true_weights) w = rng.Gaussian();
 
-  const double noise_stddev = 1.0 / std::sqrt(options.noise_precision);
+  const double noise_stddev = 1.0 / std::sqrt(kNoisePrecision);
   data.samples.resize(static_cast<size_t>(n));
   for (auto& sample : data.samples) {
     sample.x.resize(static_cast<size_t>(options.dim));

@@ -16,11 +16,13 @@ struct RegressionSample {
 /// the permutation model requires).
 inline constexpr double kFeatureScale = 1.0;
 
+/// Noise precision beta: y = w* . x + N(0, 1/beta). The Bayesian model
+/// (regression::ExactBayesLinReg) assumes the same beta.
+inline constexpr double kNoisePrecision = 25.0;
+
 /// Parameters of the synthetic regression workload.
 struct RegressionDataOptions {
   int dim = 4;
-  /// Noise precision beta: y = w* . x + N(0, 1/beta).
-  double noise_precision = 25.0;
   uint64_t seed = 1;
 };
 

@@ -21,8 +21,6 @@ common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
 BayesLinRegOptions ModelOptions(int dim) {
   BayesLinRegOptions options;
   options.dim = dim;
-  options.prior_variance = 10.0;
-  options.noise_precision = 25.0;
   return options;
 }
 
@@ -30,6 +28,7 @@ TEST(ExactBayesTest, PrecisionMatchesClosedForm) {
   ExactBayesLinReg model(ModelOptions(2));
   model.Update({1.0, 2.0}, 0.5);
   model.Update({-1.0, 0.5}, -0.2);
+  static_assert(kPriorVariance == 10.0 && streams::kNoisePrecision == 25.0);
   // Lambda = I/10 + 25 * (x1 x1^T + x2 x2^T).
   Matrix expected(2, 2);
   expected.At(0, 0) = 0.1;
@@ -46,7 +45,6 @@ TEST(ExactBayesTest, PrecisionMatchesClosedForm) {
 TEST(ExactBayesTest, PosteriorMeanConvergesToTrueWeights) {
   streams::RegressionDataOptions data_options;
   data_options.dim = 4;
-  data_options.noise_precision = 25.0;
   data_options.seed = 3;
   const auto data = streams::GenerateRegressionData(20000, data_options);
 
@@ -68,9 +66,7 @@ TEST(ExactBayesTest, PriorDominatesWithNoData) {
 DistributedLinRegOptions TrackerOptions(int dim, int64_t n) {
   DistributedLinRegOptions options;
   options.model = ModelOptions(dim);
-  options.counter_epsilon = 0.05;
   options.horizon_n = n;
-  options.response_bound = 16.0;
   options.seed = 7;
   return options;
 }
@@ -213,7 +209,7 @@ TEST(PredictiveTest, MatchesClosedFormOnIdentityPrecision) {
   // predictive mean 2, variance 1/beta + x^T x = 1/25 + 2.
   Matrix precision = Matrix::Identity(2);
   PredictiveDistribution pred;
-  ASSERT_TRUE(Predict(precision, {2.0, 0.0}, 25.0, {1.0, 1.0}, &pred));
+  ASSERT_TRUE(Predict(precision, {2.0, 0.0}, {1.0, 1.0}, &pred));
   EXPECT_DOUBLE_EQ(pred.mean, 2.0);
   EXPECT_DOUBLE_EQ(pred.variance, 0.04 + 2.0);
 }
@@ -228,17 +224,17 @@ TEST(PredictiveTest, VarianceShrinksWithData) {
   ExactBayesLinReg model(ModelOptions(3));
   const Vector query{0.5, -0.5, 0.25};
   PredictiveDistribution before, mid, after;
-  ASSERT_TRUE(Predict(model.precision(), model.moment(), 25.0, query, &before));
+  ASSERT_TRUE(Predict(model.precision(), model.moment(), query, &before));
   for (int64_t t = 0; t < 100; ++t) {
     model.Update(data.samples[static_cast<size_t>(t)].x,
                  data.samples[static_cast<size_t>(t)].y);
   }
-  ASSERT_TRUE(Predict(model.precision(), model.moment(), 25.0, query, &mid));
+  ASSERT_TRUE(Predict(model.precision(), model.moment(), query, &mid));
   for (int64_t t = 100; t < 5000; ++t) {
     model.Update(data.samples[static_cast<size_t>(t)].x,
                  data.samples[static_cast<size_t>(t)].y);
   }
-  ASSERT_TRUE(Predict(model.precision(), model.moment(), 25.0, query, &after));
+  ASSERT_TRUE(Predict(model.precision(), model.moment(), query, &after));
   EXPECT_GT(before.variance, mid.variance);
   EXPECT_GT(mid.variance, after.variance);
   EXPECT_GT(after.variance, 1.0 / 25.0);
@@ -262,7 +258,7 @@ TEST(PredictiveTest, TrackedPredictionsMatchExact) {
   const Vector query{0.3, -0.7, 0.1};
   PredictiveDistribution exact_pred, tracked_pred;
   ASSERT_TRUE(
-      Predict(exact.precision(), exact.moment(), 25.0, query, &exact_pred));
+      Predict(exact.precision(), exact.moment(), query, &exact_pred));
   ASSERT_TRUE(tracker.Predict(query, &tracked_pred));
   EXPECT_NEAR(tracked_pred.mean, exact_pred.mean,
               0.1 * std::fabs(exact_pred.mean) + 0.05);
@@ -275,7 +271,7 @@ TEST(PredictiveTest, RejectsIndefinitePrecision) {
   bad.At(0, 0) = 1.0;
   bad.At(1, 1) = -1.0;
   PredictiveDistribution pred;
-  EXPECT_FALSE(Predict(bad, {0.0, 0.0}, 25.0, {1.0, 0.0}, &pred));
+  EXPECT_FALSE(Predict(bad, {0.0, 0.0}, {1.0, 0.0}, &pred));
 }
 
 TEST(DistributedLinRegDeathTest, RejectsOutOfBoundData) {

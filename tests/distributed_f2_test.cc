@@ -20,9 +20,7 @@ common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
 
 DistributedF2Options Options(int64_t n) {
   DistributedF2Options options;
-  options.rows = 5;
   options.cols = 128;
-  options.counter_epsilon = 0.1;
   options.horizon_n = n;
   options.seed = 13;
   return options;

@@ -273,8 +273,21 @@ TEST(NmcLintTest, EveryEmittedRuleIsRegistered) {
 // ---- LINT_IO: inputs the linter cannot read ----------------------------
 
 TEST(NmcLintTest, UnreadableFileIsOneLintIoFinding) {
+  // A compile database can name a translation unit that is not on disk;
+  // the repo run reports it instead of skipping it.
+  const std::string root = ::testing::TempDir() + "nmc_lint_io_root";
+  const std::string database = ::testing::TempDir() + "nmc_lint_io_db.json";
+  std::ofstream(database) << "[{\"file\": \"" << root
+                          << "/src/sim/no_such_file.cc\"}]\n";
+  lint::RepoLintOptions options;
+  options.repo_root = root;
+  options.compile_commands = database;
+  options.roots = {"src"};
+  size_t files_linted = 0;
   const std::vector<lint::Finding> findings =
-      lint::LintFiles(NMC_LINT_FIXTURE_DIR, {"src/sim/no_such_file.cc"});
+      lint::LintRepo(options, &files_linted);
+  std::remove(database.c_str());
+  EXPECT_EQ(files_linted, 1u);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].file, "src/sim/no_such_file.cc");
   EXPECT_EQ(findings[0].line, 0);

@@ -25,8 +25,8 @@ TEST(RegressionDataTest, ShapesAndBounds) {
 TEST(RegressionDataTest, ResponsesFollowModel) {
   RegressionDataOptions options;
   options.dim = 4;
-  options.noise_precision = 100.0;  // noise stddev 0.1
   options.seed = 5;
+  const double sigma = 1.0 / std::sqrt(kNoisePrecision);  // noise stddev
   const auto data = GenerateRegressionData(5000, options);
   common::RunningStat residuals;
   for (const auto& s : data.samples) {
@@ -34,8 +34,8 @@ TEST(RegressionDataTest, ResponsesFollowModel) {
     for (size_t j = 0; j < s.x.size(); ++j) dot += s.x[j] * data.true_weights[j];
     residuals.Add(s.y - dot);
   }
-  EXPECT_NEAR(residuals.mean(), 0.0, 0.01);
-  EXPECT_NEAR(residuals.stddev(), 0.1, 0.01);
+  EXPECT_NEAR(residuals.mean(), 0.0, 0.1 * sigma);
+  EXPECT_NEAR(residuals.stddev(), sigma, 0.1 * sigma);
 }
 
 TEST(RegressionDataTest, DeterministicInSeed) {

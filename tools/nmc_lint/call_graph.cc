@@ -250,6 +250,10 @@ std::vector<FlowStep> CallGraph::ChainFlow(const Reachability& reach,
 
 namespace {
 
+/// Receivers the file reserves capacity for somewhere: `name.reserve(` or
+/// `name->reserve(`. Same-file rather than same-function on purpose: the
+/// sanctioned pattern is "constructor reserves, hot path pushes", and those
+/// live in different functions of one translation unit.
 std::vector<std::string> ReservedReceivers(const std::vector<Token>& code) {
   std::vector<std::string> names;
   for (size_t i = 0; i + 3 < code.size(); ++i) {
@@ -265,13 +269,13 @@ std::vector<std::string> ReservedReceivers(const std::vector<Token>& code) {
 struct Hazard {
   int line = 0;
   std::string rule;
-  std::string message;  // chain suffix appended by the caller
-  std::string note;     // final flow step
+  std::string what;    // the offending construct, e.g. "'log'"
+  std::string advice;  // how to take it off the per-update path
+  std::string note;    // final flow step
 };
 
-/// Direct hazards inside one function body — the same patterns the direct
-/// hot-path rules police in entry-point bodies, here found anywhere the
-/// propagation can reach.
+/// Hot-path hazards inside one function body. RunInterprocRules scans every
+/// function the propagation reaches, the entry points themselves included.
 std::vector<Hazard> ScanBodyHazards(const FileSymbols& file,
                                     const FunctionSymbol& fn,
                                     const std::vector<std::string>& reserved) {
@@ -280,58 +284,46 @@ std::vector<Hazard> ScanBodyHazards(const FileSymbols& file,
   auto is_reserved = [&](const std::string& name) {
     return std::find(reserved.begin(), reserved.end(), name) != reserved.end();
   };
-  const std::string where = fn.Display() + "()";
   for (size_t i = fn.body_begin; i < fn.body_end && i < code.size(); ++i) {
     if (IsIdentIn(code, i, kTranscendentals) && IsPunct(code, i + 1, "(")) {
-      hazards.push_back(
-          {code[i].line, "NO_PER_UPDATE_TRANSCENDENTALS",
-           "'" + code[i].text + "' in " + where +
-               " is reachable from a per-update hot-path entry point; "
-               "amortize it (core::RateCache, geometric skip) or hoist it "
-               "off the per-update path",
-           "'" + code[i].text + "' call"});
+      hazards.push_back({code[i].line, "NO_PER_UPDATE_TRANSCENDENTALS",
+                         "'" + code[i].text + "'",
+                         "amortize it (core::RateCache, geometric skip) or "
+                         "hoist it off the per-update path",
+                         "'" + code[i].text + "' call"});
     } else if (IsIdent(code, i, "new")) {
-      hazards.push_back(
-          {code[i].line, "NO_HEAP_IN_HOT_PATH",
-           "'new' in " + where +
-               " is reachable from a per-update hot-path entry point; "
-               "preallocate in the constructor",
-           "'new' expression"});
+      hazards.push_back({code[i].line, "NO_HEAP_IN_HOT_PATH", "'new'",
+                         "preallocate in the constructor", "'new' expression"});
     } else if (IsIdentIn(code, i, kHeapMakers) &&
                (IsPunct(code, i + 1, "<") || IsPunct(code, i + 1, "("))) {
-      hazards.push_back(
-          {code[i].line, "NO_HEAP_IN_HOT_PATH",
-           "'" + code[i].text + "' in " + where +
-               " is reachable from a per-update hot-path entry point; hoist "
-               "the allocation out of the per-update path",
-           "'" + code[i].text + "' call"});
+      hazards.push_back({code[i].line, "NO_HEAP_IN_HOT_PATH",
+                         "'" + code[i].text + "'",
+                         "hoist the allocation out of the per-update path",
+                         "'" + code[i].text + "' call"});
     } else if (i >= fn.body_begin + 2 && IsIdentIn(code, i, kGrowthCalls) &&
                IsPunct(code, i + 1, "(") &&
                (IsPunct(code, i - 1, ".") || IsPunct(code, i - 1, "->")) &&
                IsIdent(code, i - 2) && !is_reserved(code[i - 2].text)) {
-      hazards.push_back(
-          {code[i].line, "NO_HEAP_IN_HOT_PATH",
-           "'" + code[i - 2].text + "." + code[i].text + "' in " + where +
-               " with no reserve() on '" + code[i - 2].text +
-               "' anywhere in its file, reachable from a per-update "
-               "hot-path entry point; reserve capacity up front",
-           "'" + code[i].text + "' growth"});
+      const std::string& receiver = code[i - 2].text;
+      hazards.push_back({code[i].line, "NO_HEAP_IN_HOT_PATH",
+                         "'" + receiver + "." + code[i].text + "'",
+                         "no reserve() on '" + receiver +
+                             "' anywhere in its file; reserve capacity up "
+                             "front",
+                         "'" + code[i].text + "' growth"});
     } else if (!InHotPath(fn.file) && i + 3 < code.size() &&
                IsIdent(code, i, "std") && IsPunct(code, i + 1, "::") &&
                IsIdentIn(code, i + 2, kMapLike) && IsPunct(code, i + 3, "<")) {
-      hazards.push_back(
-          {code[i].line, "NO_MAP_IN_HOT_PATH",
-           "node-based container in " + where +
-               " is reachable from a per-update hot-path entry point; use a "
-               "flat vector/array",
-           "std::" + code[i + 2].text + " use"});
+      hazards.push_back({code[i].line, "NO_MAP_IN_HOT_PATH",
+                         "node-based container std::" + code[i + 2].text,
+                         "use a flat vector/array",
+                         "std::" + code[i + 2].text + " use"});
     } else if (!InSimLibrary(fn.file) && IsIdent(code, i, "std") &&
                IsPunct(code, i + 1, "::") &&
                (IsIdent(code, i + 2, "cout") || IsIdent(code, i + 2, "cerr"))) {
-      hazards.push_back({code[i].line, "NO_IOSTREAM_IN_LIB",
-                         "console output in " + where +
-                             " is reachable from a per-update hot-path entry "
-                             "point",
+      hazards.push_back({code[i].line, "NO_IOSTREAM_IN_LIB", "console output",
+                         "return data or use fprintf(stderr, ...) at the "
+                         "binary layer",
                          "console output"});
     }
   }
@@ -359,25 +351,32 @@ void RunInterprocRules(const std::vector<const FileSymbols*>& files,
     reserved_by_file[file->file] = ReservedReceivers(file->code);
   }
 
-  // 1. Transitive hot-path propagation, depth >= 1 (depth 0 is the direct
-  //    rules' territory).
+  // 1. Hot-path propagation: every function reachable from an entry point,
+  //    the entry point's own body (depth 0) included.
   const Reachability hot = graph.ReachableFrom(graph.HotPathRoots());
   for (size_t fi = 0; fi < files.size(); ++fi) {
     const FileSymbols& file = *files[fi];
     if (!InLibraryCode(file.file)) continue;
     for (size_t k = 0; k < file.functions.size(); ++k) {
       const size_t node = offsets[fi] + k;
-      if (!hot.Reached(node) || hot.depth[node] < 1) continue;
+      if (!hot.Reached(node)) continue;
       const FunctionSymbol& fn = file.functions[k];
       const std::vector<size_t> chain = graph.ChainTo(hot, node);
-      const std::string chain_text = graph.RenderChain(chain);
+      const std::string where = fn.Display() + "()";
+      const std::string context =
+          hot.depth[node] == 0
+              ? " inside entry point " + where + " runs once per update; "
+              : " in " + where +
+                    " is reachable from a per-update hot-path entry point; ";
+      const std::string suffix =
+          hot.depth[node] == 0 ? "" : graph.RenderChain(chain);
       for (const Hazard& hazard :
            ScanBodyHazards(file, fn, reserved_by_file[file.file])) {
         Finding finding;
         finding.file = file.file;
         finding.line = hazard.line;
         finding.rule = hazard.rule;
-        finding.message = hazard.message + chain_text;
+        finding.message = hazard.what + context + hazard.advice + suffix;
         finding.flow = graph.ChainFlow(hot, chain, file.file, hazard.line,
                                        hazard.note);
         (*findings_by_file)[file.file].push_back(std::move(finding));

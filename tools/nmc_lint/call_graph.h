@@ -78,20 +78,18 @@ class CallGraph {
   std::vector<std::vector<GraphEdge>> adjacency_;
 };
 
-/// The repo-mode interprocedural rules, appended into `findings_by_file`
-/// (keyed by repo-relative path):
-///   - transitive hot-path propagation: NO_HEAP_IN_HOT_PATH,
+/// The interprocedural rules, appended into `findings_by_file` (keyed by
+/// repo-relative path):
+///   - the hot-path scan: NO_HEAP_IN_HOT_PATH,
 ///     NO_PER_UPDATE_TRANSCENDENTALS, NO_MAP_IN_HOT_PATH,
-///     NO_IOSTREAM_IN_LIB hazards in any function ≥ 1 call away from a
-///     hot-path entry point, with the full chain in the message and in
-///     Finding::flow;
+///     NO_IOSTREAM_IN_LIB hazards in a hot-path entry point's body or in
+///     any function it reaches, with the entry point → hazard chain in
+///     Finding::flow (and, one call or more away, in the message);
 ///   - NO_STATIC_LOCAL_IN_REENTRANT: mutable function-local statics in any
 ///     function reachable from the reentrancy-audit roots;
 ///   - THREAD_COMPAT: a `// nmc: reentrant` function calling a resolved
 ///     callee that is not itself annotated reentrant.
-/// Only src/ files participate (bench/tests own their processes). Existing
-/// per-file findings with the same (file, line, rule) win over a propagated
-/// duplicate.
+/// Only src/ files participate (bench/tests own their processes).
 void RunInterprocRules(const std::vector<const FileSymbols*>& files,
                        const CallGraph& graph,
                        std::map<std::string, std::vector<Finding>>*

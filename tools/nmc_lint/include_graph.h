@@ -27,7 +27,7 @@ struct IncludeGraph {
 /// Resolution mirrors the build's include dirs: a path is tried relative to
 /// the including file's directory, then under src/, then tools/, then the
 /// repo root; the first existing file wins. Unreadable files are skipped
-/// (LintFiles/LintRepo already report LINT_IO for them).
+/// (LintRepo already reports LINT_IO for them).
 IncludeGraph BuildIncludeGraph(const std::string& repo_root,
                                const std::vector<std::string>& files);
 

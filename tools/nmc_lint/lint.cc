@@ -37,16 +37,19 @@ const std::vector<RuleInfo> kAllRules = {
      "no wall-clock reads in src/ outside src/bench timing code"},
     {"NO_UNORDERED_ITERATION_IN_PROTOCOL",
      "no iteration over unordered containers in src/{core,hyz,baselines,sim}"},
-    {"NO_MAP_IN_HOT_PATH", "no std::map/std::deque in src/sim delivery paths"},
+    {"NO_MAP_IN_HOT_PATH",
+     "no std::map/std::multimap/std::deque in src/sim delivery paths or any "
+     "function a hot-path entry point reaches"},
     {"NO_IOSTREAM_IN_LIB", "no std::cout/printf in library code"},
     {"NO_PER_UPDATE_TRANSCENDENTALS",
-     "no log/exp/pow inside per-update protocol entry points; hoist into a "
-     "rate helper or cache (see core::RateCache)"},
+     "no log/exp/pow inside hot-path entry points (src/{core,hyz,baselines,"
+     "sim}) or any function they transitively call; hoist into a rate "
+     "helper or cache (see core::RateCache)"},
     {"NO_HEAP_IN_HOT_PATH",
      "no new/make_unique/make_shared, and no push_back/emplace_back on a "
-     "receiver the file never reserve()s, inside per-update hot-path entry "
-     "points (src/{core,hyz,baselines,sim}) or any function they "
-     "transitively call"},
+     "receiver the file never reserve()s, inside hot-path entry points "
+     "(src/{core,hyz,baselines,sim}) or any function they transitively "
+     "call"},
     {"NO_MUTABLE_GLOBAL_STATE",
      "no non-const namespace-scope data or non-const static data members in "
      "src/ — process-wide state a threaded runtime cannot tolerate "
@@ -709,149 +712,6 @@ void CheckUnorderedIteration(const std::string& path,
   }
 }
 
-// ---- NO_PER_UPDATE_TRANSCENDENTALS ----------------------------------------
-
-/// Brace-tracks the *definitions* of the per-update entry points (a name
-/// followed by `;` before any `{` is a declaration and is skipped) and
-/// flags direct transcendental calls inside their bodies. A transcendental
-/// here is paid O(n) times per trial — the exact cost class the geometric
-/// skip sampler and RateCache exist to remove. Lexical by design: a helper
-/// called from the body is not traced — the rule polices the hot loop's own
-/// text, the layer where these costs have actually crept in.
-void CheckPerUpdateTranscendentals(const std::string& path,
-                                   const std::vector<Token>& code,
-                                   std::vector<Finding>* findings) {
-  enum class Mode { kOutside, kSeeking, kInside };
-  Mode mode = Mode::kOutside;
-  int depth = 0;
-  std::string entry;
-  for (size_t i = 0; i < code.size(); ++i) {
-    switch (mode) {
-      case Mode::kOutside:
-        if (IsIdentIn(code, i, kPerUpdateEntryPoints) &&
-            IsPunct(code, i + 1, "(")) {
-          mode = Mode::kSeeking;
-          entry = code[i].text;
-          ++i;  // skip the '('; a ';' before '{' still aborts below
-        }
-        break;
-      case Mode::kSeeking:
-        if (IsPunct(code, i, ";")) {
-          mode = Mode::kOutside;  // declaration (or call), not a body
-        } else if (IsPunct(code, i, "{")) {
-          mode = Mode::kInside;
-          depth = 1;
-        }
-        break;
-      case Mode::kInside:
-        if (IsPunct(code, i, "{")) {
-          ++depth;
-        } else if (IsPunct(code, i, "}")) {
-          if (--depth == 0) mode = Mode::kOutside;
-        } else if (IsIdentIn(code, i, kTranscendentals) &&
-                   IsPunct(code, i + 1, "(")) {
-          findings->push_back(
-              {path, code[i].line, "NO_PER_UPDATE_TRANSCENDENTALS",
-               "'" + code[i].text + "' call inside " + entry +
-                   "() runs once per update; hoist it into a rate helper, "
-                   "cache it (core::RateCache), or fast-forward with the "
-                   "skip sampler"});
-        }
-        break;
-    }
-  }
-}
-
-// ---- NO_HEAP_IN_HOT_PATH --------------------------------------------------
-
-/// Receivers the file reserves capacity for somewhere: `name.reserve(` or
-/// `name->reserve(`. Same-file rather than same-function on purpose — the
-/// sanctioned pattern is exactly "constructor reserves, hot path pushes",
-/// and those live in different functions of one translation unit.
-std::vector<std::string> CollectReservedReceivers(
-    const std::vector<Token>& code) {
-  std::vector<std::string> names;
-  for (size_t i = 0; i + 3 < code.size(); ++i) {
-    if (IsIdent(code, i) &&
-        (IsPunct(code, i + 1, ".") || IsPunct(code, i + 1, "->")) &&
-        IsIdent(code, i + 2, "reserve") && IsPunct(code, i + 3, "(")) {
-      names.push_back(code[i].text);
-    }
-  }
-  return names;
-}
-
-/// Brace-tracks the hot-path entry-point definitions (same machinery as
-/// CheckPerUpdateTranscendentals) and flags heap traffic inside them:
-/// `new` / std::make_unique / std::make_shared outright, and vector growth
-/// (`x.push_back` / `x.emplace_back`) on a receiver the file never calls
-/// reserve() on. Reserved receivers amortize to zero steady-state
-/// allocations; unreserved ones reallocate on a schedule the adversary
-/// controls. Lexical by design, like the transcendental rule: helpers
-/// called from the body are not traced.
-void CheckHeapInHotPath(const std::string& path,
-                        const std::vector<Token>& code,
-                        std::vector<Finding>* findings) {
-  const std::vector<std::string> reserved = CollectReservedReceivers(code);
-  auto is_reserved = [&](const std::string& name) {
-    return std::find(reserved.begin(), reserved.end(), name) != reserved.end();
-  };
-  enum class Mode { kOutside, kSeeking, kInside };
-  Mode mode = Mode::kOutside;
-  int depth = 0;
-  std::string entry;
-  for (size_t i = 0; i < code.size(); ++i) {
-    switch (mode) {
-      case Mode::kOutside:
-        if (IsIdentIn(code, i, kHotPathEntryPoints) &&
-            IsPunct(code, i + 1, "(")) {
-          mode = Mode::kSeeking;
-          entry = code[i].text;
-          ++i;  // skip the '('; a ';' before '{' still aborts below
-        }
-        break;
-      case Mode::kSeeking:
-        if (IsPunct(code, i, ";")) {
-          mode = Mode::kOutside;  // declaration (or call), not a body
-        } else if (IsPunct(code, i, "{")) {
-          mode = Mode::kInside;
-          depth = 1;
-        }
-        break;
-      case Mode::kInside:
-        if (IsPunct(code, i, "{")) {
-          ++depth;
-        } else if (IsPunct(code, i, "}")) {
-          if (--depth == 0) mode = Mode::kOutside;
-        } else if (IsIdent(code, i, "new")) {
-          findings->push_back(
-              {path, code[i].line, "NO_HEAP_IN_HOT_PATH",
-               "'new' inside " + entry +
-                   "() allocates once per update; preallocate in the "
-                   "constructor"});
-        } else if (IsIdentIn(code, i, kHeapMakers) &&
-                   (IsPunct(code, i + 1, "<") || IsPunct(code, i + 1, "("))) {
-          findings->push_back(
-              {path, code[i].line, "NO_HEAP_IN_HOT_PATH",
-               "'" + code[i].text + "' inside " + entry +
-                   "() allocates once per update; hoist the allocation out "
-                   "of the per-update path"});
-        } else if (i >= 2 && IsIdentIn(code, i, kGrowthCalls) &&
-                   IsPunct(code, i + 1, "(") &&
-                   (IsPunct(code, i - 1, ".") || IsPunct(code, i - 1, "->")) &&
-                   IsIdent(code, i - 2) && !is_reserved(code[i - 2].text)) {
-          findings->push_back(
-              {path, code[i].line, "NO_HEAP_IN_HOT_PATH",
-               "'" + code[i - 2].text + "." + code[i].text + "' inside " +
-                   entry + "() with no reserve() on '" + code[i - 2].text +
-                   "' anywhere in this file; reserve capacity up front so "
-                   "the steady state never reallocates"});
-        }
-        break;
-    }
-  }
-}
-
 // ---- Concurrency-readiness per-file rules ---------------------------------
 
 /// NO_MUTABLE_GLOBAL_STATE plus the THREAD_COMPAT annotation-grammar checks
@@ -995,8 +855,6 @@ FileAnalysis AnalyzeFile(const std::string& path, const std::string& content) {
   if (InHotPath(path)) CheckMapInHotPath(path, streams.code, findings);
   if (InProtocolCode(path)) {
     CheckUnorderedIteration(path, streams.code, findings);
-    CheckPerUpdateTranscendentals(path, streams.code, findings);
-    CheckHeapInHotPath(path, streams.code, findings);
   }
   CheckIncludeHygiene(path, streams, findings);
   if (IsHeader(path)) CheckPragmaOnce(path, streams, findings);
@@ -1015,9 +873,9 @@ FileAnalysis AnalyzeFile(const std::string& path, const std::string& content) {
 }
 
 /// Rules whose findings can originate in a cross-file pass (include graph
-/// or call-graph propagation). An allow() for one of these may look unused
-/// in single-file mode simply because the pass that produces the finding
-/// did not run — ALLOW_UNUSED for them gates only in repo mode.
+/// or a call chain through another file). An allow() for one of these may
+/// look unused when LintContent sees its file alone — ALLOW_UNUSED for them
+/// gates only in repo mode.
 constexpr const char* kCrossFileCapableRules[] = {
     "LAYERING_VIOLATION",        "NO_INCLUDE_CYCLES",
     "INCLUDE_DEPTH",             "NO_HEAP_IN_HOT_PATH",
@@ -1091,6 +949,33 @@ std::string ReadFileOr(const std::filesystem::path& path, bool* ok) {
   return buffer.str();
 }
 
+/// Interprocedural pass: the call graph over the analyzed library files'
+/// symbol tables, the hot-path propagation (entry-point bodies included) and
+/// the concurrency reachability/contract rules. Findings merge into the
+/// per-file lists *before* allowance application (like the include-graph
+/// rules) so an inline allow() at the flagged line works; one finding per
+/// (line, rule) is kept.
+void MergeInterprocFindings(std::map<std::string, FileAnalysis>* analyses) {
+  std::vector<const FileSymbols*> symbol_files;
+  for (const auto& [file, analysis] : *analyses) {
+    if (analysis.has_symbols) symbol_files.push_back(&analysis.symbols);
+  }
+  const CallGraph graph = CallGraph::Build(symbol_files);
+  std::map<std::string, std::vector<Finding>> interproc;
+  RunInterprocRules(symbol_files, graph, &interproc);
+  for (auto& [file, findings] : interproc) {
+    std::vector<Finding>& kept = analyses->at(file).findings;
+    for (Finding& finding : findings) {
+      const bool duplicate =
+          std::any_of(kept.begin(), kept.end(), [&](const Finding& existing) {
+            return existing.line == finding.line &&
+                   existing.rule == finding.rule;
+          });
+      if (!duplicate) kept.push_back(std::move(finding));
+    }
+  }
+}
+
 void SortByFileLineRule(std::vector<Finding>* findings) {
   std::sort(findings->begin(), findings->end(),
             [](const Finding& a, const Finding& b) {
@@ -1107,35 +992,13 @@ const std::vector<RuleInfo>& Rules() { return kAllRules; }
 
 std::vector<Finding> LintContent(const std::string& path,
                                  const std::string& content) {
-  FileAnalysis analysis = AnalyzeFile(path, content);
+  std::map<std::string, FileAnalysis> analyses;
+  analyses.emplace(path, AnalyzeFile(path, content));
+  MergeInterprocFindings(&analyses);
+  FileAnalysis& analysis = analyses.at(path);
   return ApplyAllowances(path, std::move(analysis.findings),
                          std::move(analysis.allowances),
                          /*repo_mode=*/false);
-}
-
-std::vector<Finding> LintFiles(const std::string& repo_root,
-                               const std::vector<std::string>& paths) {
-  namespace fs = std::filesystem;
-  std::vector<Finding> findings;
-  for (const std::string& path : paths) {
-    const fs::path abs = fs::path(path).is_absolute()
-                             ? fs::path(path)
-                             : fs::path(repo_root) / path;
-    const std::string rel = fs::path(path).is_absolute()
-                                ? fs::relative(abs, repo_root).generic_string()
-                                : path;
-    bool ok = false;
-    const std::string content = ReadFileOr(abs, &ok);
-    if (!ok) {
-      findings.push_back({rel, 0, "LINT_IO", "cannot read file"});
-      continue;
-    }
-    std::vector<Finding> file_findings = LintContent(rel, content);
-    findings.insert(findings.end(), file_findings.begin(),
-                    file_findings.end());
-  }
-  SortByFileLineRule(&findings);
-  return findings;
 }
 
 std::vector<Finding> LintRepo(const RepoLintOptions& options,
@@ -1179,36 +1042,7 @@ std::vector<Finding> LintRepo(const RepoLintOptions& options,
     }
   }
 
-  // Interprocedural pass: cross-TU call graph over the library files'
-  // symbol tables, transitive hot-path propagation, and the
-  // concurrency-readiness reachability/contract rules. Propagated findings
-  // merge into the per-file lists *before* allowance application (like the
-  // include-graph rules) so an inline allow() at the flagged line works; a
-  // direct finding at the same (line, rule) wins over its propagated twin.
-  std::vector<const FileSymbols*> symbol_files;
-  for (const auto& [file, analysis] : analyses) {
-    if (analysis.has_symbols) symbol_files.push_back(&analysis.symbols);
-  }
-  const CallGraph graph = CallGraph::Build(symbol_files);
-  std::map<std::string, std::vector<Finding>> interproc;
-  RunInterprocRules(symbol_files, graph, &interproc);
-  for (auto& [file, findings] : interproc) {
-    const auto it = analyses.find(file);
-    for (Finding& finding : findings) {
-      if (it == analyses.end()) {
-        all.push_back(std::move(finding));
-        continue;
-      }
-      const bool duplicate = std::any_of(
-          it->second.findings.begin(), it->second.findings.end(),
-          [&](const Finding& existing) {
-            return existing.line == finding.line &&
-                   existing.rule == finding.rule;
-          });
-      if (!duplicate) it->second.findings.push_back(std::move(finding));
-    }
-  }
-
+  MergeInterprocFindings(&analyses);
   for (auto& [file, analysis] : analyses) {
     std::vector<Finding> kept = ApplyAllowances(
         file, std::move(analysis.findings), std::move(analysis.allowances),

@@ -40,25 +40,21 @@ struct RuleInfo {
 const std::vector<RuleInfo>& Rules();
 
 /// Lints `content` as if it lived at repo-relative `path`, running every
-/// single-file rule. Scope decisions (which rules apply) use only the path
-/// prefix, so fixture tests can lint a testdata file "as if" it were in
-/// src/sim/. Cross-file rules (layering, cycles, depth) need the include
-/// graph and run only through LintRepo. Findings are sorted by (line, rule).
+/// single-file rule plus the interprocedural pass over this one file's
+/// functions. Scope decisions (which rules apply) use only the path prefix,
+/// so fixture tests can lint a testdata file "as if" it were in src/sim/.
+/// The include-graph rules (layering, cycles, depth) and call chains that
+/// cross files run only through LintRepo. Findings are sorted by
+/// (line, rule).
 std::vector<Finding> LintContent(const std::string& path,
                                  const std::string& content);
 
-/// Reads and lints each file (single-file rules only). Paths may be absolute
-/// or repo_root-relative; rule scopes are decided on the repo_root-relative
-/// form. Unreadable files produce a LINT_IO finding. Findings are sorted by
-/// (file, line, rule).
-std::vector<Finding> LintFiles(const std::string& repo_root,
-                               const std::vector<std::string>& paths);
-
-/// Full repo run: single-file rules over every collected file plus the
-/// include-graph rules (LAYERING_VIOLATION, NO_INCLUDE_CYCLES,
-/// INCLUDE_DEPTH) against the layer spec. Graph findings attach to the
-/// offending #include line and are suppressible by the same inline
-/// allow annotations as everything else.
+/// Full repo run: single-file rules over every collected file, the
+/// interprocedural pass over the whole call graph, and the include-graph
+/// rules (LAYERING_VIOLATION, NO_INCLUDE_CYCLES, INCLUDE_DEPTH) against the
+/// layer spec. Graph findings attach to the offending #include line and are
+/// suppressible by the same inline allow annotations as everything else.
+/// An unreadable collected file is one LINT_IO finding at line 0.
 struct RepoLintOptions {
   std::string repo_root;
   std::string compile_commands;     ///< empty = no compile database

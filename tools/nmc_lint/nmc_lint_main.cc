@@ -1,27 +1,26 @@
 // nmc_lint — determinism-invariant static analysis gate for this repo.
 //
 // Usage:
-//   nmc_lint [flags] [roots-or-files...]
+//   nmc_lint [flags] [roots...]
 //
 //   --root=DIR              repo root for scope decisions (default: cwd)
 //   --compile-commands=PATH CMake compile database; its translation units
 //                           are unioned with the directory scan so every
 //                           built TU is covered (default:
 //                           <root>/build/compile_commands.json if present)
-//   --why RULE FILE:LINE    repo mode; print the finding at FILE:LINE for
-//                           RULE and the shortest entry-point call chain
-//                           that produced it, then exit (0 = found)
+//   --why RULE FILE:LINE    print the finding at FILE:LINE for RULE and
+//                           the shortest entry-point call chain that
+//                           produced it, then exit (0 = found)
 //   --list-rules            print rule IDs + summaries and exit
-//   roots-or-files...       repo-relative directories to lint as a repo run
-//                           (default: src bench tests tools), or individual
-//                           files — file arguments run the single-file rules
-//                           only (no include-graph pass), which is what the
-//                           pre-commit hook wants
+//   roots...                repo-relative directories to lint (default:
+//                           src bench tests tools)
 //
-// A repo run checks the include graph against the layer spec at
-// <root>/tools/nmc_lint/layers.txt when that file exists. The only way to
-// suppress a finding is an inline allow() annotation with a reason
-// (README.md, "Static analysis").
+// Every run is a repo run: the single-file rules, the call-graph pass and
+// the include-graph rules over every file under the roots, so one entry
+// serves CI, ctest and the pre-commit hook. The include graph is checked
+// against the layer spec at <root>/tools/nmc_lint/layers.txt when that file
+// exists. The only way to suppress a finding is an inline allow()
+// annotation with a reason (README.md, "Static analysis").
 //
 // Exit codes: 0 = clean, 1 = findings printed, 2 = usage or I/O error.
 
@@ -41,7 +40,6 @@ int main(int argc, char** argv) {
   std::string why_rule;
   std::string why_location;
   std::vector<std::string> roots;
-  std::vector<std::string> file_args;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -70,43 +68,29 @@ int main(int argc, char** argv) {
                fs::is_directory(arg)) {
       roots.push_back(arg);
     } else {
-      file_args.push_back(arg);
+      std::fprintf(stderr, "nmc_lint: %s is not a directory\n", arg.c_str());
+      return 2;
     }
   }
   if (!compile_commands_set) {
     const fs::path fallback = fs::path(root) / "build/compile_commands.json";
     if (fs::exists(fallback)) compile_commands = fallback.string();
   }
+  if (roots.empty()) roots = {"src", "bench", "tests", "tools"};
 
-  std::vector<nmc::lint::Finding> findings;
-  size_t files_linted = file_args.size();
-  if (!file_args.empty()) {
-    // Explicit files: single-file rules only — the include-graph pass needs
-    // the whole repo to mean anything.
-    findings = nmc::lint::LintFiles(root, file_args);
-    if (!roots.empty()) {
-      std::fprintf(stderr,
-                   "nmc_lint: cannot mix directory and file arguments\n");
-      return 2;
-    }
-    if (!why_rule.empty()) {
-      std::fprintf(stderr, "nmc_lint: --why needs a repo run, not files\n");
-      return 2;
-    }
-  } else {
-    if (roots.empty()) roots = {"src", "bench", "tests", "tools"};
-    nmc::lint::RepoLintOptions options;
-    options.repo_root = root;
-    options.compile_commands = compile_commands;
-    options.roots = roots;
-    const fs::path layers = fs::path(root) / "tools/nmc_lint/layers.txt";
-    if (fs::exists(layers)) options.layers_path = layers.string();
-    findings = nmc::lint::LintRepo(options, &files_linted);
-    if (files_linted == 0) {
-      std::fprintf(stderr, "nmc_lint: no files found under --root=%s\n",
-                   root.c_str());
-      return 2;
-    }
+  nmc::lint::RepoLintOptions options;
+  options.repo_root = root;
+  options.compile_commands = compile_commands;
+  options.roots = roots;
+  const fs::path layers = fs::path(root) / "tools/nmc_lint/layers.txt";
+  if (fs::exists(layers)) options.layers_path = layers.string();
+  size_t files_linted = 0;
+  const std::vector<nmc::lint::Finding> findings =
+      nmc::lint::LintRepo(options, &files_linted);
+  if (files_linted == 0) {
+    std::fprintf(stderr, "nmc_lint: no files found under --root=%s\n",
+                 root.c_str());
+    return 2;
   }
 
   if (!why_rule.empty()) {

@@ -6,9 +6,9 @@ namespace nmc::lint {
 
 // Path scopes and the shared name tables. Rule *scope* decisions use only
 // the repo-relative path prefix, so fixture tests can lint files "as if"
-// they lived anywhere; both the single-file rules (lint.cc) and the
-// interprocedural pass (call_graph.cc) make the same decisions from the
-// same predicates.
+// they lived anywhere. The token-pattern rules (lint.cc) and the call-graph
+// pass (call_graph.cc), which alone judges the hot-path entry points and
+// everything they reach, make the same decisions from the same predicates.
 
 inline bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
@@ -83,20 +83,16 @@ inline bool InModeledConcurrencyScope(const std::string& path) {
          path == "src/common/spsc_queue.h" || path == "src/common/seqlock.h";
 }
 
-/// Per-update entry points (the transcendental rule's direct scope): the
-/// protocol calls, ProcessChunk taking psi's same-site runs, and
-/// CheckCall, the tracking check over one protocol call's updates.
-inline constexpr const char* kPerUpdateEntryPoints[] = {
-    "OnLocalUpdate", "ProcessUpdate", "ProcessBatch", "ProcessChunk",
-    "ProcessRun",    "ConsumeRun",    "CheckCall"};
-
-/// The per-update entry points plus the network delivery machinery they
-/// drive and the sim pump with its assignment policy (PumpChunk, and psi's
-/// Assign, which writes a chunk's same-site runs into the pump's run
-/// buffer) — everything executed once (or more) per stream update or
-/// chunk. These are the roots of the transitive hot-path propagation: a
-/// heap allocation or transcendental anywhere in a call chain starting
-/// here is paid O(n) times per trial.
+/// Hot-path entry points: the per-update protocol calls, ProcessChunk
+/// taking psi's same-site runs, CheckCall (the tracking check over one
+/// protocol call's updates), the network delivery machinery they drive, and
+/// the sim pump with its assignment policy (PumpChunk, and psi's Assign,
+/// which writes a chunk's same-site runs into the pump's run buffer).
+/// Everything here runs once (or more) per stream update or chunk. These
+/// are the roots of the hot-path scan (NO_HEAP_IN_HOT_PATH,
+/// NO_PER_UPDATE_TRANSCENDENTALS, ...): a hazard in an entry point's own
+/// body, or anywhere in a call chain starting there, is paid O(n) times per
+/// trial.
 inline constexpr const char* kHotPathEntryPoints[] = {
     "OnLocalUpdate", "ProcessUpdate",        "ProcessBatch",
     "ProcessChunk",  "ProcessRun",           "ConsumeRun",

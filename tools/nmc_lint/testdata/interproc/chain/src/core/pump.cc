@@ -1,6 +1,8 @@
-// Interprocedural fixture: a hot-path entry point whose hazards all live
-// two-plus calls away, across a TU boundary (helpers.cc). Nothing in this
-// file is a direct finding.
+// Interprocedural fixture: a hot-path entry point with one hazard in its
+// own body (depth 0) and the rest two-plus calls away, across a TU
+// boundary (helpers.cc).
+#include <cmath>
+
 namespace fix {
 
 void StageTwo(double value);
@@ -13,10 +15,12 @@ class Pump {
  private:
   void StageOne(double value);
   int sites_ = 0;
+  double scale_ = 1.0;
 };
 
 void Pump::ProcessUpdate(int site, double value) {
   sites_ = site;
+  scale_ = std::exp(value);
   StageOne(value);
 }
 

@@ -1,10 +1,10 @@
 // Fixture for NO_HEAP_IN_HOT_PATH. Linted as if at src/sim/fixture.cc
-// (protocol scope). The rule brace-tracks the bodies of the per-update and
-// delivery entry points (OnLocalUpdate / ProcessUpdate / ... / DeliverAll /
-// Route / Send* / On*Message) and flags heap traffic there: `new`,
-// std::make_unique / std::make_shared, and push_back / emplace_back on a
-// receiver the file never reserve()s. Constructors, helpers, declarations,
-// and reserved receivers stay silent.
+// (protocol scope). The call-graph pass scans the bodies of the per-update
+// and delivery entry points (OnLocalUpdate / ProcessUpdate / ... /
+// DeliverAll / Route / Send* / On*Message) and everything they call, and
+// flags heap traffic there: `new`, std::make_unique / std::make_shared, and
+// push_back / emplace_back on a receiver the file never reserve()s.
+// Constructors, uncalled helpers, declarations, reserved receivers: silent.
 #include <memory>
 #include <vector>
 
@@ -36,8 +36,8 @@ class Network {
     queue_.emplace_back();  // reserved receiver: silent
   }
 
-  // Declaration only — no body, must not arm the tracker; the make_shared
-  // in the helper right after it is outside any entry point.
+  // Declaration only — no body, so not an entry point; the make_shared in
+  // the helper right after it is outside every entry point's call chain.
   void ProcessUpdate(int site_id, double value);
 
   void RebuildRouting() {
@@ -58,5 +58,5 @@ struct Renewal {
   int renew = 0;  // 'new' inside a longer identifier
 };
 void ProcessBatchStats(std::vector<int>* out) {  // name embedded in a longer one
-  out->push_back(1);                             // ...so this body is untracked
+  out->push_back(1);                             // ...so this is no entry point
 }

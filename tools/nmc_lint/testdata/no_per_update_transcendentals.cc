@@ -1,9 +1,9 @@
 // Fixture for NO_PER_UPDATE_TRANSCENDENTALS. Linted as if at
-// src/core/fixture.cc (protocol scope). The rule brace-tracks the bodies
-// of the per-update entry points (OnLocalUpdate / ProcessUpdate /
-// ProcessBatch / ProcessRun / ConsumeRun) and flags direct log/exp/pow
-// calls there; helpers, declarations, and look-alike identifiers stay
-// silent.
+// src/core/fixture.cc (protocol scope). The call-graph pass scans the
+// bodies of the hot-path entry points (OnLocalUpdate / ProcessBatch /
+// ConsumeRun / PumpChunk / ...) and of every function they call, and flags
+// log/exp/pow calls there; helpers no entry point calls, declarations, and
+// look-alike identifiers stay silent.
 #include <cmath>
 
 class Site {
@@ -28,12 +28,12 @@ class Site {
 
 class Protocol {
  public:
-  // Declaration only — no body, must not arm the tracker; the exp() in
-  // the helper right after it is outside any entry point.
+  // Declaration only — no body, so not an entry point; the exp() in the
+  // helper right after it is outside every entry point's call chain.
   void ProcessUpdate(int site_id, double value);
 
   double RateHelper(double estimate) const {
-    return std::exp(-estimate);  // helper body: silent by design
+    return std::exp(-estimate);  // no entry point calls it: silent
   }
 
   long ProcessBatch(long count) {
@@ -52,6 +52,12 @@ class Protocol {
 double exp_(double x);                       // trailing underscore: not exp(
 double logical(double x) { return x; }       // 'log' inside an identifier
 double ReProcessUpdate(double x) {           // name embedded in a longer one
-  return std::pow(x, 2.0);                   // ...so this body is untracked
+  return std::pow(x, 2.0);                   // ...so this is no entry point
 }
 const double export_rate = 0.0;              // 'exp' prefix, no call
+
+// The sim pump is an entry point too, though no protocol call: a
+// transcendental written directly in its body runs once per chunk.
+long PumpChunk(long count) {
+  return count + static_cast<long>(std::log(2.0));  // EXPECT: NO_PER_UPDATE_TRANSCENDENTALS
+}
