@@ -43,31 +43,33 @@ constexpr size_t kChildInBytes = 4096;
   uint8_t outbuf[kSiteBatchBytes];
   size_t outlen = 0;
   size_t outpos = 0;
-  const int64_t shard_n = static_cast<int64_t>(options.shard.size());
+  const int64_t stop = options.stop_seq;
   int64_t cursor = options.resume_seq;
   int64_t echoes = 0;
   bool fin_sent = false;
 
   for (;;) {
-    // 1. Refill the outbound batch once the previous one fully drained.
+    // 1. Refill the outbound batch once the previous one fully drained:
+    // runs packed from the cursor up to the stop point, then the kFin that
+    // announces the stop.
     if (outpos == outlen) {
       outpos = 0;
       outlen = 0;
-      while (cursor < shard_n &&
-             outlen + wire::kFrameBytes <= kSiteBatchBytes) {
+      while (cursor < stop && outlen + wire::kFrameBytes <= kSiteBatchBytes) {
         sim::Message m;
         m.type = static_cast<int>(FrameType::kUpdate);
-        m.a = options.shard[static_cast<size_t>(cursor)];
-        m.u = cursor;
+        cursor += wire::PackRun(
+            options.shard.subspan(static_cast<size_t>(cursor),
+                                  static_cast<size_t>(stop - cursor)),
+            cursor, &m);
         wire::EncodeFrame(m, outbuf + outlen);
         outlen += wire::kFrameBytes;
-        ++cursor;
       }
-      if (cursor >= shard_n && !fin_sent &&
+      if (cursor >= stop && !fin_sent &&
           outlen + wire::kFrameBytes <= kSiteBatchBytes) {
         sim::Message m;
         m.type = static_cast<int>(FrameType::kFin);
-        m.u = shard_n;
+        m.u = stop;
         m.v = echoes;
         wire::EncodeFrame(m, outbuf + outlen);
         outlen += wire::kFrameBytes;
@@ -104,9 +106,10 @@ constexpr size_t kChildInBytes = 4096;
       ipos += decoded.consumed;
       switch (static_cast<FrameType>(decoded.message.type)) {
         case FrameType::kNack:
-          // Go-back-N rewind. The frames already batched keep flushing
-          // (whole frames; the coordinator discards stale sequence
-          // numbers), only the cursor moves back.
+          // Go-back-N rewind, possibly into the middle of a frame already
+          // sent: the next frame packed starts exactly at u. The frames
+          // already batched keep flushing (whole frames; the coordinator
+          // discards stale sequence numbers), only the cursor moves back.
           if (decoded.message.u < cursor) {
             cursor = decoded.message.u;
             fin_sent = false;
@@ -144,6 +147,9 @@ constexpr size_t kChildInBytes = 4096;
 }  // namespace
 
 SiteProcess SpawnSiteProcess(const SiteSpawnOptions& options) {
+  NMC_CHECK_LE(0, options.resume_seq);
+  NMC_CHECK_LE(options.resume_seq, options.stop_seq);
+  NMC_CHECK_LE(options.stop_seq, static_cast<int64_t>(options.shard.size()));
   SiteProcess site;
   site.site_id = options.site_id;
   site.resume_seq = options.resume_seq;
@@ -185,10 +191,7 @@ int ReapSiteProcess(SiteProcess* site, bool kill_first) {
 
 void BoundSocketBuffers(int fd) {
   // Small kernel buffers bound the in-flight window to about 744 frames
-  // per direction. Without this a fast child streams its entire shard into
-  // the socket before the coordinator consumes a thing, which makes crash
-  // injection meaningless (the SIGKILL lands after the data already left)
-  // and resync distances unbounded. Best effort: the kernel clamps to its
+  // per direction (see process.h). Best effort: the kernel clamps to its
   // floor, and doubles what we ask for bookkeeping.
   const int bytes = static_cast<int>(kSocketWindowBytes);
   (void)setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));

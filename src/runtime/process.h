@@ -12,9 +12,10 @@ namespace nmc::runtime {
 
 /// The sockets transport's one window size. It sets the kernel buffer
 /// request on every data socket (BoundSocketBuffers), the child's outbound
-/// batch (the whole frames that fit in one window: 372 frames, one send
-/// per window) and, doubled, the coordinator's per-recv size (Linux
-/// doubles an SO_RCVBUF request, so one socket can hold up to 2× this).
+/// batch (the whole frames that fit in one window: 372 frames of up to 63
+/// updates, one send per window) and, doubled, the coordinator's per-recv
+/// size (Linux doubles an SO_RCVBUF request, so one socket can hold up to
+/// 2× this).
 inline constexpr size_t kSocketWindowBytes = 16 * 1024;
 
 /// Transport-level frame vocabulary of the sockets backend, carried in
@@ -24,10 +25,16 @@ inline constexpr size_t kSocketWindowBytes = 16 * 1024;
 /// as on the threads backend.
 ///
 /// Field usage per type (unused fields are zero):
-///   kUpdate  a = value, u = per-site sequence number (0-based)
-///   kFin     u = shard length, v = echoes the child had received
+///   kUpdate  a run of 1..63 consecutive updates (wire::PackRun):
+///            u = sequence number (0-based) of the first,
+///            a, b = the run's at most two distinct values,
+///            v = selector bits (update i is b when bit i is set, else a)
+///                under a stop bit; the count is bit_width(v) − 1
+///   kFin     u = the incarnation's stop point (the shard length, or the
+///            kill point its plan stops it at), v = echoes it had received
 ///   kFinAck  (none) — coordinator release; the child exits on receipt
-///   kNack    u = first sequence number to resend (go-back-N rewind)
+///   kNack    u = first sequence number to resend (go-back-N rewind; it
+///            may fall inside a frame already sent)
 ///   kEcho    a = estimate, u = generation     (advisory, may be dropped)
 ///
 /// The numbers are wire format (the transport goldens pin them); 1 is
@@ -53,15 +60,20 @@ struct SiteProcess {
 
 struct SiteSpawnOptions {
   int site_id = 0;
-  /// The site's full shard; the child streams shard[resume_seq..) tagging
-  /// each update with its absolute sequence number.
+  /// The site's full shard; the child streams shard[resume_seq, stop_seq)
+  /// tagging each run with its absolute first sequence number.
   std::span<const double> shard;
   int64_t resume_seq = 0;
+  /// The incarnation's stop point: its next kill point, or the shard's
+  /// end. The child frames nothing at or past it, announces it with kFin
+  /// and then only answers rewinds until it is released or killed.
+  int64_t stop_seq = 0;
 };
 
 /// Forks one site child connected to the coordinator by a Unix socketpair.
-/// The child never returns: it streams its shard as kUpdate frames, honors
-/// kNack rewinds (go-back-N), announces completion with kFin, and _exit()s
+/// The child never returns: it streams its shard up to its stop point as
+/// packed kUpdate frames, honors kNack rewinds (go-back-N), announces the
+/// stop point with kFin, and _exit()s
 /// once the coordinator acknowledges with kFinAck (or the socket reports
 /// EOF/error — an orphaned child must die, not linger). The post-fork
 /// child path allocates nothing on the heap: the parent may already be
@@ -84,10 +96,9 @@ bool SetNonBlocking(int fd);
 
 /// Requests kSocketWindowBytes for SO_SNDBUF and SO_RCVBUF. Linux doubles
 /// the request, so about 2 × 16 KiB (744 frames) sit in one socket's
-/// kernel buffer per direction. Applied to both socketpair ends: a fast
-/// child must not outrun the coordinator by a whole shard, or crash
-/// injection degenerates (the kill lands after the data already left the
-/// site) and resync distances stop meaning anything.
+/// kernel buffer per direction. Applied to both socketpair ends, so a
+/// site runs at most that far ahead of the coordinator: a go-back-N
+/// rewind leaves at most that much stale data in flight.
 void BoundSocketBuffers(int fd);
 
 /// Sends one frame on a nonblocking fd. Each EAGAIN before the frame's

@@ -32,11 +32,19 @@ double FaultUniform(uint64_t seed, uint64_t site, uint64_t index) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
-/// Safety stop: consecutive poll rounds with no frame consumed before the
+/// Safety stop: consecutive idle polls (no frame decoded) before the
 /// coordinator declares the run wedged, SIGKILLs everything and returns
 /// with timed_out set (a hung CI job is worse than a failed one). Each
-/// idle round blocks ~1ms in poll.
+/// idle poll blocks ~1ms.
 constexpr int64_t kMaxIdlePolls = 20000;
+
+/// Updates one site's turn takes before the next site's turn (see
+/// RunSockets). Fine enough that the sites interleave about as finely as
+/// one unpacked socket window did (744 updates), so the message cost does
+/// not hinge on how the sites' shards happen to line up; each turn
+/// boundary splits a run and each rotation may send an echo, so not
+/// finer (1024 ran about 10% slower on sockets_drift_read).
+constexpr int64_t kTurnUpdates = 2048;
 
 /// Coordinator-side view of one site across its incarnations.
 struct SiteState {
@@ -46,16 +54,21 @@ struct SiteState {
   /// reliable link is the only one consumable next (strictly in order).
   /// Also the generated-world cursor: shard[0..next_seq) is in the world.
   int64_t next_seq = 0;
-  /// kUpdate frames seen at ingress — the loss shim's hash domain, so
-  /// retransmissions of the same update draw fresh coins.
+  /// Updates seen at ingress, counted one by one inside each packed
+  /// frame — the loss shim's hash domain, so retransmissions of the same
+  /// update draw fresh coins.
   int64_t arrival_updates = 0;
-  int64_t consumed_from = 0;
-  bool nacked_this_round = false;
+  /// A kNack for next_seq is out and unanswered. The child's first frame
+  /// after a rewind starts exactly at the NACKed sequence number, so until
+  /// a frame starts there, every gap and every kFin read was sent before
+  /// the rewind and asks for no second one.
+  bool rewind_pending = false;
   bool saw_eof = false;
   bool fin_acked = false;
   bool dead = false;
-  /// Scheduled kills for this site, sorted by after_consumed.
-  std::vector<int64_t> kill_after;
+  /// Scheduled kill points for this site, sorted; kill_idx is the next
+  /// one, the stop point of the live incarnation.
+  std::vector<int64_t> kill_points;
   size_t kill_idx = 0;
   bool kill_pending_eof = false;
   int64_t consumed_at_kill = -1;
@@ -91,50 +104,41 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
                                  options.num_readers, total_updates, estimate);
 
   // Transport bring-up: one child per site, each polled from the moment it
-  // is spawned.
+  // is spawned. Each incarnation stops at its site's next kill point (or
+  // the shard's end), so a kill always lands with the shard's tail unsent.
   std::vector<SiteState> sites(static_cast<size_t>(num_sites));
+  for (const SiteKillSpec& kill : options.faults.kills) {
+    NMC_CHECK_GE(kill.site, 0);
+    NMC_CHECK_LT(kill.site, num_sites);
+    sites[static_cast<size_t>(kill.site)].kill_points.push_back(
+        kill.after_consumed);
+  }
   const auto spawn = [&](int s, int64_t resume_seq) {
+    SiteState& st = sites[static_cast<size_t>(s)];
     SiteSpawnOptions spawn_options;
     spawn_options.site_id = s;
     spawn_options.shard = shards[static_cast<size_t>(s)];
     spawn_options.resume_seq = resume_seq;
-    sites[static_cast<size_t>(s)].proc = SpawnSiteProcess(spawn_options);
-    sites[static_cast<size_t>(s)].reassembler = wire::FrameReassembler();
-    sites[static_cast<size_t>(s)].saw_eof = false;
+    const int64_t shard_n = static_cast<int64_t>(spawn_options.shard.size());
+    spawn_options.stop_seq =
+        st.kill_idx < st.kill_points.size()
+            ? std::clamp(st.kill_points[st.kill_idx], resume_seq, shard_n)
+            : shard_n;
+    st.proc = SpawnSiteProcess(spawn_options);
+    st.reassembler = wire::FrameReassembler();
+    st.saw_eof = false;
+    st.rewind_pending = false;
   };
-  for (int s = 0; s < num_sites; ++s) spawn(s, 0);
-  for (const SiteKillSpec& kill : options.faults.kills) {
-    NMC_CHECK_GE(kill.site, 0);
-    NMC_CHECK_LT(kill.site, num_sites);
-    sites[static_cast<size_t>(kill.site)].kill_after.push_back(
-        kill.after_consumed);
-  }
-  for (SiteState& st : sites) {
-    std::sort(st.kill_after.begin(), st.kill_after.end());
+  for (int s = 0; s < num_sites; ++s) {
+    SiteState& st = sites[static_cast<size_t>(s)];
+    std::sort(st.kill_points.begin(), st.kill_points.end());
+    spawn(s, 0);
   }
 
   // Checker state: world_sum is the exact sum of the generated world (all
   // per-site prefixes up to their world cursors).
   double world_sum = 0.0;
   int64_t consumed_total = 0;
-
-  // Scheduled-kill delivery, update-granular: checked after every
-  // ProcessBatch return (and once per round as a backstop), and drive()
-  // ends each call at the site's next threshold, so the SIGKILL lands
-  // exactly when the coordinator's consumption reaches it — not a whole
-  // drain round later, by which point a fast child may already have
-  // FIN'd.
-  const auto maybe_kill = [&](SiteState& st) {
-    if (st.done() || st.kill_pending_eof) return;
-    if (st.kill_idx < st.kill_after.size() && st.proc.pid > 0 &&
-        st.consumed_from >= st.kill_after[st.kill_idx]) {
-      (void)kill(st.proc.pid, SIGKILL);
-      st.kill_pending_eof = true;
-      st.consumed_at_kill = consumed_total;
-      ++st.kill_idx;
-      ++stats.kills_delivered;
-    }
-  };
 
   // The tracking check is the sim harness's own, run against the generated
   // world; its tallies land in SocketStats at teardown.
@@ -157,16 +161,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     SiteState& st = sites[static_cast<size_t>(s)];
     size_t pos = 0;
     while (pos < values.size()) {
-      // End the call at the site's next kill threshold, so maybe_kill
-      // below fires at exactly that consumption count. An incarnation
-      // already past its threshold is killed after one update.
-      size_t len = values.size() - pos;
-      if (!st.kill_pending_eof && st.kill_idx < st.kill_after.size()) {
-        const int64_t to_kill = std::max<int64_t>(
-            1, st.kill_after[st.kill_idx] - st.consumed_from);
-        len = std::min(len, static_cast<size_t>(to_kill));
-      }
-      const std::span<const double> batch = values.subspan(pos, len);
+      const std::span<const double> batch = values.subspan(pos);
       const int64_t consumed = protocol->ProcessBatch(s, batch);
       NMC_CHECK_GE(consumed, 1);
       NMC_CHECK_LE(consumed, static_cast<int64_t>(batch.size()));
@@ -198,9 +193,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
         }
       }
       consumed_total += consumed;
-      st.consumed_from += consumed;
       serving.Publish(consumed_total, estimate);
-      maybe_kill(st);
       pos += static_cast<size_t>(consumed);
     }
     if (in_order) st.next_seq += static_cast<int64_t>(values.size());
@@ -208,49 +201,64 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
 
   const auto maybe_nack = [&](int s) {
     SiteState& st = sites[static_cast<size_t>(s)];
-    if (st.nacked_this_round || st.proc.fd < 0) return;
-    st.nacked_this_round = true;
+    if (st.rewind_pending || st.proc.fd < 0) return;
     sim::Message nack;
     nack.type = static_cast<int>(FrameType::kNack);
     nack.u = st.next_seq;
-    if (SendControl(st.proc.fd, nack, 200)) ++stats.nacks_sent;
+    if (SendControl(st.proc.fd, nack, 200)) {
+      ++stats.nacks_sent;
+      st.rewind_pending = true;
+    }
   };
 
-  // Handles one frame that is not the site's next in-order update (drain()
-  // batches those): a control frame, or an update off the sequence.
+  // Handles one update that is not the site's next in-order one (drain()
+  // batches those): a duplicate or a gap.
+  const auto handle_update = [&](int s, int64_t seq, double value) {
+    SiteState& st = sites[static_cast<size_t>(s)];
+    if (options.reliable) {
+      if (seq < st.next_seq) {
+        ++stats.duplicate_updates;
+      } else {
+        maybe_nack(s);
+      }
+      return;
+    }
+    if (seq > st.next_seq) {
+      // Raw-link gap: the skipped updates were generated (the site sent
+      // them before this one) — they enter the world here, unseen by the
+      // protocol. This is precisely where the raw counter's estimate
+      // detaches from the truth. They are added one by one, the same
+      // additions in-order consumption would have made.
+      const std::vector<double>& shard = shards[static_cast<size_t>(s)];
+      for (int64_t i = st.next_seq; i <= seq; ++i) {
+        world_sum += shard[static_cast<size_t>(i)];
+      }
+      st.next_seq = seq + 1;
+    }
+    drive(s, std::span<const double>(&value, 1), /*in_order=*/false);
+  };
+
+  // Handles one control frame from a site.
   const auto handle_frame = [&](int s, const sim::Message& m) {
     SiteState& st = sites[static_cast<size_t>(s)];
     switch (static_cast<FrameType>(m.type)) {
-      case FrameType::kUpdate: {
-        const int64_t seq = m.u;
-        if (options.reliable) {
-          if (seq < st.next_seq) {
-            ++stats.duplicate_updates;
-          } else {
-            maybe_nack(s);
-          }
-          return;
-        }
-        if (seq > st.next_seq) {
-          // Raw-link gap: the skipped updates were generated (the site
-          // sent them before this one) — they enter the world here, unseen
-          // by the protocol. This is precisely where the raw counter's
-          // estimate detaches from the truth. They are added one by one,
-          // the same additions in-order consumption would have made.
-          const std::vector<double>& shard = shards[static_cast<size_t>(s)];
-          for (int64_t i = st.next_seq; i <= seq; ++i) {
-            world_sum += shard[static_cast<size_t>(i)];
-          }
-          st.next_seq = seq + 1;
-        }
-        drive(s, std::span<const double>(&m.a, 1), /*in_order=*/false);
-        return;
-      }
       case FrameType::kFin: {
         if (options.reliable && m.u != st.next_seq) {
           // The site believes it is done but the coordinator has a gap:
-          // rewind it. A stale pre-rewind FIN takes this branch too.
+          // rewind it. A stale pre-rewind FIN lands here too, while its
+          // rewind is pending, and asks for none.
           maybe_nack(s);
+          return;
+        }
+        if (m.u < static_cast<int64_t>(shards[static_cast<size_t>(s)].size())) {
+          // The incarnation stopped at its kill point with everything
+          // before it read (on the raw link, minus drops): the crash.
+          NMC_CHECK_LT(st.kill_idx, st.kill_points.size());
+          (void)kill(st.proc.pid, SIGKILL);
+          st.kill_pending_eof = true;
+          st.consumed_at_kill = consumed_total;
+          ++st.kill_idx;
+          ++stats.kills_delivered;
           return;
         }
         stats.echoes_acked += m.v;
@@ -293,20 +301,47 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     }
   };
 
-  // Drains site s's reassembler. Consecutive in-order kUpdate frames
-  // collect in run_values and reach the protocol as one run; any other
-  // frame first flushes the run, then goes to handle_frame. A loss-shim
-  // drop is discarded on the spot: it touches nothing the run depends on,
-  // and the frame after it is off the sequence anyway. run_values holds
-  // the frames one round's reads can bring in; a fuller run flushes early.
-  // Each recv asks for 2 × the window: a socket can hold that much, since
-  // Linux doubles the buffer request.
-  constexpr int kReadsPerRound = 8;
+  // Reads what site s's socket holds into its reassembler. Returns false
+  // when the socket had nothing; EOF or a reset (a killed peer) sets
+  // saw_eof. One recv asks for 2 × the window: a socket can hold that
+  // much, since Linux doubles the buffer request.
   constexpr size_t kRecvBytes = 2 * kSocketWindowBytes;
-  std::vector<double> run_values(kReadsPerRound * kRecvBytes /
-                                 wire::kFrameBytes);
-  bool progressed_this_round = false;
-  const auto drain = [&](int s) {
+  const auto fill = [&](int s) {
+    SiteState& st = sites[static_cast<size_t>(s)];
+    const ssize_t got =
+        recv(st.proc.fd, st.reassembler.Reserve(kRecvBytes), kRecvBytes, 0);
+    if (got > 0) {
+      st.reassembler.Commit(static_cast<size_t>(got));
+      return true;
+    }
+    if (got == 0 ||
+        (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
+      st.saw_eof = true;
+      return true;
+    }
+    return false;
+  };
+
+  // One turn of site s: up to kTurnUpdates of its updates, counted as
+  // frames expand (drops and stale resends included), so the turn ends on
+  // a frame boundary. Each update frame expands into its run; consecutive
+  // in-order updates collect in run_values and reach the protocol as one
+  // run. Any other update first flushes the run, then goes to
+  // handle_update, and so does any control frame to handle_frame. A
+  // loss-shim drop, drawn per update, is discarded on the spot: it touches
+  // nothing the run depends on, and the update after it is off the
+  // sequence anyway. A turn that starts with less than a window buffered
+  // reads the socket first, so the child can refill it while the
+  // buffered frames are consumed instead of after. With no whole frame
+  // buffered the turn reads the socket, and waits on it when it is
+  // empty: the turn belongs to s whatever the other sites have sent.
+  // The reassembler holds at most a window plus one recv. A planned
+  // crash ends the turn; the killed incarnation's EOF and its replacement
+  // are met on s's next one.
+  // Returns false when the idle watchdog fires.
+  std::vector<double> run_values(kTurnUpdates + wire::kMaxRunUpdates);
+  int64_t idle_polls = 0;
+  const auto take_turn = [&](int s) {
     SiteState& st = sites[static_cast<size_t>(s)];
     size_t len = 0;
     const auto flush = [&]() {
@@ -314,11 +349,49 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
             /*in_order=*/true);
       len = 0;
     };
+    int64_t taken = 0;
+    if (st.proc.fd >= 0 && !st.saw_eof &&
+        st.reassembler.buffered_bytes() < kSocketWindowBytes) {
+      (void)fill(s);
+    }
     sim::Message m;
-    while (!st.done() && st.reassembler.Next(&m) == wire::DecodeStatus::kOk) {
+    double values[wire::kMaxRunUpdates];
+    while (!st.done() && taken < kTurnUpdates) {
+      if (st.reassembler.Next(&m) != wire::DecodeStatus::kOk) {
+        // Our own children cannot desynchronize the stream; a corrupt
+        // reassembler means a wire bug, not a fault to tolerate.
+        NMC_CHECK(!st.reassembler.corrupt());
+        flush();
+        if (st.saw_eof) {
+          // A partial trailing frame (SIGKILL mid-send) dies with this
+          // incarnation's reassembler; whole frames were already drained.
+          handle_eof(s);
+          continue;
+        }
+        if (fill(s)) continue;
+        struct pollfd pfd;
+        pfd.fd = st.proc.fd;
+        pfd.events = POLLIN;
+        pfd.revents = 0;
+        (void)poll(&pfd, 1, 1);
+        if (++idle_polls > kMaxIdlePolls) return false;
+        continue;
+      }
+      idle_polls = 0;
       ++stats.frames;
-      progressed_this_round = true;
-      if (m.type == static_cast<int>(FrameType::kUpdate)) {
+      if (m.type != static_cast<int>(FrameType::kUpdate)) {
+        flush();
+        handle_frame(s, m);
+        if (st.kill_pending_eof) break;
+        continue;
+      }
+      const int count = wire::ExpandRun(m, values);
+      NMC_CHECK_GE(count, 1);  // a frame without an update is a wire bug
+      taken += count;
+      if (m.u == st.next_seq + static_cast<int64_t>(len)) {
+        st.rewind_pending = false;  // the frame a rewind starts with
+      }
+      for (int i = 0; i < count; ++i) {
         const int64_t arrival = st.arrival_updates++;
         if (options.faults.loss > 0.0 &&
             FaultUniform(options.faults.seed, static_cast<uint64_t>(s),
@@ -327,96 +400,36 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
           ++stats.drops_injected;
           continue;
         }
-        if (m.u == st.next_seq + static_cast<int64_t>(len)) {
-          run_values[len++] = m.a;
-          if (len == run_values.size()) flush();
+        const int64_t seq = m.u + i;
+        if (seq == st.next_seq + static_cast<int64_t>(len)) {
+          run_values[len++] = values[i];
           continue;
         }
+        flush();
+        handle_update(s, seq, values[i]);
       }
-      flush();
-      handle_frame(s, m);
     }
     flush();
+    return true;
   };
 
-  // The event loop: poll the live sockets, reassemble frames, feed the
-  // confined protocol, publish. 1ms poll timeout keeps the fault schedule
-  // and the idle watchdog ticking even when no site is talking.
-  std::vector<struct pollfd> pfds;
-  std::vector<int> pfd_site;
-  pfds.reserve(static_cast<size_t>(num_sites));
-  pfd_site.reserve(static_cast<size_t>(num_sites));
+  // The event loop: the sites take their turns in a fixed rotation, so
+  // the order in which the protocol sees the sites' updates follows from
+  // the shards and the fault plan, not from socket timing. After each
+  // rotation that consumed kEchoPeriod updates or more since the last
+  // echo, the estimate is echoed to every live site.
   int64_t last_echo = 0;
-  int64_t idle_rounds = 0;
-
-  while (true) {
-    if (std::all_of(sites.begin(), sites.end(),
-                    [](const SiteState& st) { return st.done(); })) {
-      break;
-    }
-
+  while (!std::all_of(sites.begin(), sites.end(),
+                      [](const SiteState& st) { return st.done(); })) {
     ++stats.poll_rounds;
-    progressed_this_round = false;
-
-    pfds.clear();
-    pfd_site.clear();
     for (int s = 0; s < num_sites; ++s) {
-      SiteState& st = sites[static_cast<size_t>(s)];
-      st.nacked_this_round = false;
-      if (!st.live_fd()) continue;
-      struct pollfd pfd;
-      pfd.fd = st.proc.fd;
-      pfd.events = POLLIN;
-      pfd.revents = 0;
-      pfds.push_back(pfd);
-      pfd_site.push_back(s);
-    }
-
-    if (!pfds.empty()) {
-      (void)poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 1);
-    }
-
-    for (size_t i = 0; i < pfds.size(); ++i) {
-      const int s = pfd_site[i];
-      SiteState& st = sites[static_cast<size_t>(s)];
-      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      // Bounded reads per site per round keep the loop fair across sites.
-      for (int reads = 0; reads < kReadsPerRound; ++reads) {
-        const ssize_t got = recv(
-            st.proc.fd, st.reassembler.Reserve(kRecvBytes), kRecvBytes, 0);
-        if (got > 0) {
-          st.reassembler.Commit(static_cast<size_t>(got));
-          if (got < static_cast<ssize_t>(kRecvBytes)) break;
-          continue;
-        }
-        if (got == 0) {
-          st.saw_eof = true;
-        } else if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                   errno != EINTR) {
-          st.saw_eof = true;  // reset by a killed peer: same as EOF
-        }
+      if (sites[static_cast<size_t>(s)].done()) continue;
+      if (!take_turn(s)) {
+        stats.timed_out = true;
         break;
       }
     }
-
-    // Drain every reassembler fully, then settle EOFs. (A killed child's
-    // final whole frames are consumed before its death is handled.)
-    for (int s = 0; s < num_sites; ++s) {
-      SiteState& st = sites[static_cast<size_t>(s)];
-      drain(s);
-      // Our own children cannot desynchronize the stream; a corrupt
-      // reassembler means a wire bug, not a fault to tolerate.
-      NMC_CHECK(!st.reassembler.corrupt());
-      if (st.saw_eof) handle_eof(s);
-    }
-
-    // Backstop for kill thresholds already crossed when a site (re)spawns
-    // — drive()-time delivery handles the common case. The EOF shows up on
-    // a later round.
-    for (int s = 0; s < num_sites; ++s) {
-      maybe_kill(sites[static_cast<size_t>(s)]);
-    }
-
+    if (stats.timed_out) break;
     if (consumed_total - last_echo >= internal::kEchoPeriod) {
       last_echo = consumed_total;
       sim::Message echo;
@@ -427,13 +440,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
         if (!st.live_fd()) continue;
         if (SendControl(st.proc.fd, echo, 1)) ++result.echoes_sent;
       }
-    }
-
-    if (progressed_this_round) {
-      idle_rounds = 0;
-    } else if (++idle_rounds > kMaxIdlePolls) {
-      stats.timed_out = true;
-      break;
     }
   }
 

@@ -9,12 +9,18 @@
 
 namespace nmc::runtime {
 
-/// One scheduled crash: SIGKILL the live incarnation of `site` once the
-/// coordinator has consumed `after_consumed` of that site's updates. The
-/// process-level twin of the sim CrashScheduleChannel: a killed site stops
-/// generating — its unsent tail leaves the world — and, on the reliable
-/// link, a replacement incarnation is forked that resumes the shard at the
-/// coordinator's consumption cursor.
+/// One scheduled crash of `site` at its kill point `after_consumed`, a
+/// sequence number in the site's shard. The crash point is part of the
+/// plan, not of the timing: the incarnation it hits frames nothing at or
+/// past the kill point and announces the stop with kFin, and the
+/// coordinator SIGKILLs it once that kFin arrives with everything before
+/// it read. On the reliable link that is exactly `after_consumed` of the
+/// site's updates consumed; on the raw link, drops may leave it short. A
+/// killed site's unsent tail leaves the world, the process-level twin of
+/// the sim CrashScheduleChannel. On the reliable link a replacement
+/// incarnation is then forked that resumes the shard at the coordinator's
+/// consumption cursor. A kill point at or past the shard's end never
+/// fires: the site finishes first.
 struct SiteKillSpec {
   int site = 0;
   int64_t after_consumed = 0;
@@ -24,12 +30,13 @@ struct SiteKillSpec {
 /// hit real frames on real sockets (the twin of BernoulliLossChannel /
 /// CrashScheduleChannel, which perturb sim::Message objects in memory).
 struct SocketFaultOptions {
-  /// Probability of dropping a kUpdate frame at ingress. Control frames
+  /// Probability of dropping an update at ingress, drawn per update inside
+  /// each packed kUpdate frame. Control frames
   /// (kFin/kNack/kEcho/kFinAck) ride a reliable control plane and
   /// are never dropped — loss models a flaky data path, not a broken link.
   double loss = 0.0;
   /// Seed of the deterministic fault stream. Drops hash (seed, site,
-  /// arrival index); the same plan replays the same faults.
+  /// arrival index of the update); the same plan replays the same faults.
   uint64_t seed = 1;
   std::vector<SiteKillSpec> kills;
 };
@@ -53,7 +60,10 @@ struct SocketRunOptions {
   double rel_error_floor = 1.0;
   /// A respawned site must deliver its first resumed update within this
   /// many coordinator-consumed updates (across all sites) of the kill;
-  /// otherwise the run reports all_kills_recovered = false.
+  /// otherwise the run reports all_kills_recovered = false. The kill ends
+  /// the victim's turn and its next turn waits for the replacement, so
+  /// the distance is one turn of each other site, whatever the fork
+  /// costs.
   int64_t resync_deadline_updates = 1 << 20;
 };
 
@@ -65,8 +75,9 @@ struct SocketStats {
   int64_t frames = 0;
   int64_t drops_injected = 0;
   int64_t nacks_sent = 0;
-  /// kUpdate frames discarded as already-consumed duplicates — the
-  /// retransmission overlap a go-back-N rewind necessarily resends.
+  /// Updates discarded as already-consumed duplicates. Zero by design: a
+  /// rewind restarts exactly at the first unconsumed update, and frames
+  /// sent before it are discarded unconsumed.
   int64_t duplicate_updates = 0;
   int64_t kills_delivered = 0;
   int64_t respawns = 0;
@@ -93,6 +104,8 @@ struct SocketStats {
   int64_t unexpected_exits = 0;
   /// Echo receipts the sites reported back in their kFin frames.
   int64_t echoes_acked = 0;
+  /// Rotations of the turn loop: each gives every unfinished site one
+  /// turn.
   int64_t poll_rounds = 0;
   /// The idle watchdog stopped a wedged run (see RunSockets).
   bool timed_out = false;
@@ -108,15 +121,20 @@ struct SocketRunResult {
 
 /// Runs `protocol` on the sockets transport backend: shards[i] streams
 /// from a forked child process over a Unix-domain socketpair in the
-/// versioned wire framing, a nonblocking poll event loop on the
-/// coordinator reassembles frames, feeds each site's consecutive in-order
-/// updates to the confined protocol through ProcessBatch, as the sim drive
-/// loop does, and publishes the estimate after every ProcessBatch return
-/// through the same seqlock serving layer as the threads backend. Returns
-/// once every site has FIN/FinAck'd (or died per the fault plan) and every
-/// child is reaped — no zombies, no open fds. A run that consumes no frame
-/// for 20000 poll rounds (about 20 s) is wedged: the watchdog SIGKILLs
-/// everything and returns with stats.timed_out set.
+/// versioned wire framing, up to 63 updates per frame. The coordinator
+/// serves the sites in a fixed rotation of turns, about 2048 updates each
+/// (whole frames), waiting on a site's socket during its turn, so the
+/// order in which the protocol sees the sites' updates follows from the
+/// shards and the fault plan, not from socket timing (save for how many
+/// stale frames a go-back-N rewind discards). It reassembles and
+/// expands frames, feeds each site's consecutive in-order updates to the
+/// confined protocol through ProcessBatch, as the sim drive loop does,
+/// and publishes the estimate after every ProcessBatch return through
+/// the same seqlock serving layer as the threads backend. Returns once
+/// every site has FIN/FinAck'd (or died per the fault plan) and every
+/// child is reaped — no zombies, no open fds. A run that decodes no frame
+/// over 20000 consecutive 1 ms waits (about 20 s) is wedged: the watchdog
+/// SIGKILLs everything and returns with stats.timed_out set.
 ///
 /// The protocol object is only ever touched by the calling thread;
 /// processes own streaming, not protocol state.

@@ -1,5 +1,7 @@
 #include "runtime/wire.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/check.h"
@@ -20,6 +22,33 @@ const char* DecodeStatusName(DecodeStatus status) {
       return "bad-length";
   }
   return "unknown";
+}
+
+int PackRun(std::span<const double> values, int64_t first_seq,
+            sim::Message* out) {
+  const size_t limit =
+      std::min(values.size(), static_cast<size_t>(kMaxRunUpdates));
+  const uint64_t a = std::bit_cast<uint64_t>(values[0]);
+  uint64_t b = 0;
+  bool have_b = false;
+  uint64_t selectors = 0;
+  size_t count = 1;
+  for (; count < limit; ++count) {
+    const uint64_t bits = std::bit_cast<uint64_t>(values[count]);
+    if (bits == a) continue;
+    if (!have_b) {
+      b = bits;
+      have_b = true;
+    } else if (bits != b) {
+      break;  // a third distinct value starts the next frame
+    }
+    selectors |= uint64_t{1} << count;
+  }
+  out->a = std::bit_cast<double>(a);
+  out->b = std::bit_cast<double>(b);
+  out->u = first_seq;
+  out->v = static_cast<int64_t>(selectors | (uint64_t{1} << count));
+  return static_cast<int>(count);
 }
 
 void EncodeFrame(const sim::Message& message, uint8_t* out) {

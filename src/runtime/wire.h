@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstddef>
 #include <span>
@@ -24,8 +25,12 @@ namespace nmc::runtime::wire {
 /// before any payload byte is touched, so truncated, oversized, and
 /// garbage frames are rejected cleanly instead of desynchronizing the
 /// stream decoder.
+///
+/// Version 2 lets one update frame carry a run of 1 to kMaxRunUpdates
+/// consecutive updates of one site (PackRun / ExpandRun below); the frame
+/// itself is the same 44 bytes.
 inline constexpr uint32_t kMagic = 0x314D434Eu;
-inline constexpr uint16_t kVersion = 1;
+inline constexpr uint16_t kVersion = 2;
 inline constexpr size_t kHeaderBytes = 8;
 inline constexpr size_t kFrameBytes = kHeaderBytes + sim::kMessageWireBytes;
 /// The 8 header bytes of every valid frame, read as one little-endian word
@@ -33,6 +38,41 @@ inline constexpr size_t kFrameBytes = kHeaderBytes + sim::kMessageWireBytes;
 inline constexpr uint64_t kHeaderWord =
     uint64_t{kMagic} | (uint64_t{kVersion} << 32) |
     (uint64_t{sim::kMessageWireBytes} << 48);
+
+/// Most updates one update frame carries: v holds one selector bit per
+/// update plus a stop bit above them, so 63 updates fill its 64 bits.
+inline constexpr int kMaxRunUpdates = 63;
+
+/// Packs the longest prefix of `values` that one update frame can carry
+/// and returns its length. The run ends before a third distinct value or
+/// at kMaxRunUpdates updates, whichever comes first. Fills out->a and
+/// out->b with the run's at most two distinct values (compared by bit
+/// pattern, so NaN payloads and signed zeros stay distinct; b is 0.0
+/// while unused), out->u with `first_seq` and out->v with the selector
+/// bits: update i is b when bit i is set, else a, and a stop bit sits
+/// just above the last update. out->type is the caller's. `values` must
+/// not be empty. Allocates nothing and cannot fail, so a forked child
+/// may call it.
+int PackRun(std::span<const double> values, int64_t first_seq,
+            sim::Message* out);
+
+/// The number of updates an update frame carries: bit_width(v) − 1. Below
+/// 1 only for a malformed frame (v is 0 or 1).
+inline int RunLength(const sim::Message& message) {
+  return static_cast<int>(std::bit_width(static_cast<uint64_t>(message.v))) -
+         1;
+}
+
+/// Writes the RunLength(message) values of an update frame to `out` (room
+/// for kMaxRunUpdates) and returns that count; writes nothing when it is
+/// below 1.
+inline int ExpandRun(const sim::Message& message, double* out) {
+  const int count = RunLength(message);
+  const uint64_t selectors = static_cast<uint64_t>(message.v);
+  const double pair[2] = {message.a, message.b};
+  for (int i = 0; i < count; ++i) out[i] = pair[(selectors >> i) & 1u];
+  return count;
+}
 
 enum class DecodeStatus {
   kOk = 0,

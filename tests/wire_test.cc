@@ -38,12 +38,12 @@ TEST(WireTest, GoldenFrameLayout) {
   uint8_t frame[kFrameBytes];
   EncodeFrame(message, frame);
 
-  // Header: magic "NCM1" little-endian, version 1, length 36.
+  // Header: magic "NCM1" little-endian, version 2, length 36.
   EXPECT_EQ(frame[0], 'N');
   EXPECT_EQ(frame[1], 'C');
   EXPECT_EQ(frame[2], 'M');
   EXPECT_EQ(frame[3], '1');
-  EXPECT_EQ(frame[4], 1);
+  EXPECT_EQ(frame[4], 2);
   EXPECT_EQ(frame[5], 0);
   EXPECT_EQ(frame[6], 36);
   EXPECT_EQ(frame[7], 0);
@@ -369,6 +369,181 @@ void CheckReserveCommitMatchesFeed(uint64_t seed) {
 
 TEST(WireTest, ReserveCommitMatchesFeedAtRandomChunkBoundaries) {
   CheckReserveCommitMatchesFeed(20261017);
+}
+
+// ---- The run codec --------------------------------------------------------
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Per-update oracle of where a run frame ends: walks the updates one at a
+// time from `start`, keeping the distinct bit patterns seen, and stops
+// before a third one, at kMaxRunUpdates updates, or at `stop`.
+int64_t RefRunEnd(const std::vector<double>& values, int64_t start,
+                  int64_t stop) {
+  std::vector<uint64_t> distinct;
+  int64_t end = start;
+  while (end < stop && end - start < kMaxRunUpdates) {
+    const uint64_t bits = Bits(values[static_cast<size_t>(end)]);
+    if (std::find(distinct.begin(), distinct.end(), bits) == distinct.end()) {
+      if (distinct.size() == 2) break;
+      distinct.push_back(bits);
+    }
+    ++end;
+  }
+  return end;
+}
+
+// Random sequences over small alphabets of edge values and random doubles:
+// the alphabet size decides how often a third value ends a run.
+std::vector<double> RunSequence(size_t length, uint64_t seed) {
+  const std::array<double, 10> edges = {
+      std::bit_cast<double>(uint64_t{0x7FF8000000000001}),  // qNaN, payload
+      std::bit_cast<double>(uint64_t{0x7FF8000000000002}),  // another payload
+      std::bit_cast<double>(uint64_t{0xFFF4000000C0FFEE}),  // -sNaN, payload
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      1.0,
+      -1.0,
+      0.5};
+  std::mt19937_64 rng(seed);
+  const size_t alphabet = 1 + rng() % 4;
+  std::vector<double> letters(alphabet);
+  for (double& letter : letters) {
+    letter = rng() % 2 == 0 ? edges[rng() % edges.size()]
+                            : std::bit_cast<double>(rng());
+  }
+  std::vector<double> values(length);
+  for (double& value : values) value = letters[rng() % alphabet];
+  return values;
+}
+
+// Packs `values` from `start` to `stop` greedily into framed runs, checks
+// each frame's extent against the oracle, and expands the frames back
+// through the reassembler; the round trip must be bit-exact.
+void CheckRunCodec(const std::vector<double>& values, int64_t start,
+                   int64_t stop) {
+  std::vector<uint8_t> stream;
+  std::vector<int64_t> ends;
+  for (int64_t seq = start; seq < stop;) {
+    sim::Message m;
+    m.type = 2;
+    const int count = PackRun(
+        std::span<const double>(values).subspan(
+            static_cast<size_t>(seq), static_cast<size_t>(stop - seq)),
+        seq, &m);
+    ASSERT_EQ(seq + count, RefRunEnd(values, seq, stop)) << "seq=" << seq;
+    ASSERT_EQ(RunLength(m), count);
+    ASSERT_EQ(m.u, seq);
+    ASSERT_EQ(Bits(m.a), Bits(values[static_cast<size_t>(seq)]));
+    AppendFrame(m, &stream);
+    seq += count;
+    ends.push_back(seq);
+  }
+  FrameReassembler reassembler;
+  reassembler.Feed(stream);
+  sim::Message m;
+  int64_t seq = start;
+  for (const int64_t end : ends) {
+    ASSERT_EQ(reassembler.Next(&m), DecodeStatus::kOk);
+    ASSERT_EQ(m.u, seq);
+    double expanded[kMaxRunUpdates];
+    ASSERT_EQ(ExpandRun(m, expanded), end - seq);
+    for (int64_t i = seq; i < end; ++i) {
+      ASSERT_EQ(Bits(expanded[i - seq]), Bits(values[static_cast<size_t>(i)]))
+          << "update " << i;
+    }
+    seq = end;
+  }
+  EXPECT_EQ(seq, stop);
+  EXPECT_EQ(reassembler.Next(&m), DecodeStatus::kNeedMore);
+}
+
+TEST(WireTest, RunCodecMatchesPerUpdateOracle) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    const std::vector<double> values = RunSequence(1 + seed * 7 % 500, seed);
+    const int64_t n = static_cast<int64_t>(values.size());
+    // The whole sequence, then one incarnation between two stop points.
+    CheckRunCodec(values, 0, n);
+    const int64_t start = static_cast<int64_t>(seed * 13) % n;
+    CheckRunCodec(values, start, start + (n - start) / 2);
+  }
+}
+
+TEST(WireTest, RunEndsAtThirdValueAtCapAndAtStop) {
+  // A third distinct value ends the run before it.
+  const std::vector<double> three = {1.0, -1.0, 1.0, 2.0, 1.0};
+  sim::Message m;
+  EXPECT_EQ(PackRun(three, 7, &m), 3);
+  EXPECT_EQ(m.a, 1.0);
+  EXPECT_EQ(m.b, -1.0);
+  EXPECT_EQ(m.u, 7);
+  EXPECT_EQ(m.v, 0b1010);  // update 1 is b; the stop bit sits above update 2
+
+  // Two values never end it before 63 updates.
+  std::vector<double> long_run(100);
+  for (size_t i = 0; i < long_run.size(); ++i) {
+    long_run[i] = i % 3 == 0 ? 1.0 : -1.0;
+  }
+  EXPECT_EQ(PackRun(long_run, 0, &m), kMaxRunUpdates);
+  EXPECT_EQ(static_cast<uint64_t>(m.v) >> 63, 1u);  // all 64 bits in use
+  EXPECT_EQ(RunLength(m), kMaxRunUpdates);
+
+  // A stop point is the end of the span handed in.
+  EXPECT_EQ(PackRun(std::span<const double>(long_run).first(5), 0, &m), 5);
+  EXPECT_EQ(RunLength(m), 5);
+
+  // One value alone: b stays 0.0 and no selector bit is set.
+  const std::vector<double> same(10, -1.0);
+  EXPECT_EQ(PackRun(same, 0, &m), 10);
+  EXPECT_EQ(Bits(m.b), 0u);
+  EXPECT_EQ(m.v, int64_t{1} << 10);
+}
+
+TEST(WireTest, RunCodecKeepsSignedZerosInfinitiesAndNanPayloads) {
+  // ±0 compare equal as doubles but are two values on the wire.
+  const std::vector<double> zeros = {0.0, -0.0, -0.0, 0.0};
+  sim::Message m;
+  ASSERT_EQ(PackRun(zeros, 0, &m), 4);
+  double out[kMaxRunUpdates];
+  ASSERT_EQ(ExpandRun(m, out), 4);
+  for (size_t i = 0; i < zeros.size(); ++i) {
+    EXPECT_EQ(Bits(out[i]), Bits(zeros[i]));
+  }
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> infinities = {inf, -inf, inf};
+  ASSERT_EQ(PackRun(infinities, 0, &m), 3);
+  ASSERT_EQ(ExpandRun(m, out), 3);
+  for (size_t i = 0; i < infinities.size(); ++i) {
+    EXPECT_EQ(Bits(out[i]), Bits(infinities[i]));
+  }
+
+  // Two NaNs that differ only in payload are two values, and a third
+  // payload ends the run.
+  const std::vector<double> nans = {
+      std::bit_cast<double>(uint64_t{0x7FF8000000000001}),
+      std::bit_cast<double>(uint64_t{0x7FF8000000000002}),
+      std::bit_cast<double>(uint64_t{0x7FF8000000000001}),
+      std::bit_cast<double>(uint64_t{0x7FF8000000000003})};
+  ASSERT_EQ(PackRun(nans, 0, &m), 3);
+  ASSERT_EQ(ExpandRun(m, out), 3);
+  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(Bits(out[i]), Bits(nans[i]));
+}
+
+TEST(WireTest, FrameWithoutUpdatesHasCountBelowOne) {
+  sim::Message m;
+  double out[kMaxRunUpdates] = {};
+  out[0] = 42.0;
+  m.a = 7.0;
+  m.v = 0;  // no stop bit
+  EXPECT_LT(RunLength(m), 1);
+  EXPECT_LT(ExpandRun(m, out), 1);
+  m.v = 1;  // a stop bit with no update below it
+  EXPECT_EQ(RunLength(m), 0);
+  EXPECT_EQ(ExpandRun(m, out), 0);
+  EXPECT_EQ(out[0], 42.0) << "nothing is written for a malformed frame";
 }
 
 TEST(WireTest, DecodeStatusNamesAreStable) {
