@@ -45,7 +45,6 @@ constexpr size_t kChildInBytes = 4096;
   size_t outpos = 0;
   const int64_t stop = options.stop_seq;
   int64_t cursor = options.resume_seq;
-  int64_t echoes = 0;
   bool fin_sent = false;
 
   for (;;) {
@@ -70,7 +69,6 @@ constexpr size_t kChildInBytes = 4096;
         sim::Message m;
         m.type = static_cast<int>(FrameType::kFin);
         m.u = stop;
-        m.v = echoes;
         wire::EncodeFrame(m, outbuf + outlen);
         outlen += wire::kFrameBytes;
         fin_sent = true;
@@ -91,7 +89,7 @@ constexpr size_t kChildInBytes = 4096;
       }
     }
 
-    // 3. Drain control frames (kNack rewinds, echoes, the FinAck release).
+    // 3. Drain control frames (kNack rewinds, the FinAck release).
     const ssize_t got = recv(fd, inbuf + inlen, kChildInBytes - inlen, 0);
     if (got == 0) _exit(2);
     if (got < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
@@ -114,9 +112,6 @@ constexpr size_t kChildInBytes = 4096;
             cursor = decoded.message.u;
             fin_sent = false;
           }
-          break;
-        case FrameType::kEcho:
-          ++echoes;
           break;
         case FrameType::kFinAck:
           _exit(0);
@@ -151,8 +146,6 @@ SiteProcess SpawnSiteProcess(const SiteSpawnOptions& options) {
   NMC_CHECK_LE(options.resume_seq, options.stop_seq);
   NMC_CHECK_LE(options.stop_seq, static_cast<int64_t>(options.shard.size()));
   SiteProcess site;
-  site.site_id = options.site_id;
-  site.resume_seq = options.resume_seq;
 
   int fds[2];
   NMC_CHECK_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -198,7 +191,7 @@ void BoundSocketBuffers(int fd) {
   (void)setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
 }
 
-bool SendControl(int fd, const sim::Message& message, int max_attempts) {
+bool SendControl(int fd, const sim::Message& message) {
   if (fd < 0) return false;
   uint8_t frame[wire::kFrameBytes];
   wire::EncodeFrame(message, frame);
@@ -213,7 +206,7 @@ bool SendControl(int fd, const sim::Message& message, int max_attempts) {
     }
     if (sent < 0 && errno == EINTR) continue;
     if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (off == 0 && ++attempts >= max_attempts) return false;
+      if (off == 0 && ++attempts >= kControlSendAttempts) return false;
       struct pollfd pfd;
       pfd.fd = fd;
       pfd.events = POLLOUT;

@@ -31,20 +31,19 @@ inline constexpr size_t kSocketWindowBytes = 16 * 1024;
 ///            v = selector bits (update i is b when bit i is set, else a)
 ///                under a stop bit; the count is bit_width(v) − 1
 ///   kFin     u = the incarnation's stop point (the shard length, or the
-///            kill point its plan stops it at), v = echoes it had received
+///            kill point its plan stops it at)
 ///   kFinAck  (none) — coordinator release; the child exits on receipt
 ///   kNack    u = first sequence number to resend (go-back-N rewind; it
 ///            may fall inside a frame already sent)
-///   kEcho    a = estimate, u = generation     (advisory, may be dropped)
 ///
-/// The numbers are wire format (the transport goldens pin them); 1 is
-/// unused.
+/// The numbers are wire format (the transport goldens pin them); 1 and 6
+/// are unused. 6 was the coordinator->site echo, so reusing it needs a
+/// new wire::kVersion: a version-2 peer still reads 6 as an echo.
 enum class FrameType : int {
   kUpdate = 2,
   kFin = 3,
   kFinAck = 4,
   kNack = 5,
-  kEcho = 6,
 };
 
 /// One forked site incarnation as the coordinator sees it.
@@ -52,10 +51,6 @@ struct SiteProcess {
   pid_t pid = -1;
   /// Parent's end of the stream socket, nonblocking. -1 after teardown.
   int fd = -1;
-  int site_id = 0;
-  /// First sequence number this incarnation sends (respawns resume where
-  /// the coordinator's consumption cursor stood).
-  int64_t resume_seq = 0;
 };
 
 struct SiteSpawnOptions {
@@ -101,12 +96,17 @@ bool SetNonBlocking(int fd);
 /// rewind leaves at most that much stale data in flight.
 void BoundSocketBuffers(int fd);
 
-/// Sends one frame on a nonblocking fd. Each EAGAIN before the frame's
-/// first byte is out uses one of `max_attempts` tries; between tries the
-/// call waits up to 1 ms for POLLOUT, and after the last try it gives up
-/// at once with nothing written. Once any byte is out the call finishes
-/// the frame: a torn frame would desynchronize the peer's decoder. Returns
-/// false when the tries ran out or the peer is gone (EPIPE/reset).
-bool SendControl(int fd, const sim::Message& message, int max_attempts);
+/// Tries a control frame gets on a full socket before SendControl gives
+/// up on it.
+inline constexpr int kControlSendAttempts = 200;
+
+/// Sends one control frame on a nonblocking fd. Each EAGAIN before the
+/// frame's first byte is out uses one of kControlSendAttempts tries;
+/// between tries the call waits up to 1 ms for POLLOUT, and after the last
+/// try it gives up with nothing written. Once any byte is out the call
+/// finishes the frame: a torn frame would desynchronize the peer's
+/// decoder. Returns false when the tries ran out or the peer is gone
+/// (EPIPE/reset).
+bool SendControl(int fd, const sim::Message& message);
 
 }  // namespace nmc::runtime

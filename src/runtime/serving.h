@@ -50,12 +50,6 @@ inline constexpr int64_t kReaderYieldEvery = 256;
 
 inline constexpr size_t kCacheLineBytes = 64;
 
-/// Coordinator->site estimate echoes, on both concurrent backends: after
-/// every kEchoPeriod consumed updates the current published estimate is
-/// offered to every site (on threads through its reverse mailbox, dropped
-/// rather than blocked on when a site lags; on sockets as a kEcho frame).
-inline constexpr int64_t kEchoPeriod = 1024;
-
 /// The readers' stop flag, alone on its cache line. Every reader loads it
 /// once per iteration. Were the line shared with state the coordinator
 /// writes per update, each such write would invalidate the readers' copy,

@@ -41,9 +41,10 @@ constexpr int64_t kMaxIdlePolls = 20000;
 /// Updates one site's turn takes before the next site's turn (see
 /// RunSockets). Fine enough that the sites interleave about as finely as
 /// one unpacked socket window did (744 updates), so the message cost does
-/// not hinge on how the sites' shards happen to line up; each turn
-/// boundary splits a run and each rotation may send an echo, so not
-/// finer (1024 ran about 10% slower on sockets_drift_read).
+/// not hinge on how the sites' shards happen to line up. 1024 runs
+/// sockets_drift_read as fast; the value stays because it fixes the
+/// interleaving, and with it the message count at each seed and E14's
+/// recovery distance (one turn of each other site).
 constexpr int64_t kTurnUpdates = 2048;
 
 /// Coordinator-side view of one site across its incarnations.
@@ -75,7 +76,6 @@ struct SiteState {
   bool awaiting_recovery = false;
 
   bool done() const { return fin_acked || dead; }
-  bool live_fd() const { return proc.fd >= 0 && !done(); }
 };
 
 }  // namespace
@@ -205,7 +205,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     sim::Message nack;
     nack.type = static_cast<int>(FrameType::kNack);
     nack.u = st.next_seq;
-    if (SendControl(st.proc.fd, nack, 200)) {
+    if (SendControl(st.proc.fd, nack)) {
       ++stats.nacks_sent;
       st.rewind_pending = true;
     }
@@ -261,10 +261,9 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
           ++stats.kills_delivered;
           return;
         }
-        stats.echoes_acked += m.v;
         sim::Message ack;
         ack.type = static_cast<int>(FrameType::kFinAck);
-        (void)SendControl(st.proc.fd, ack, 200);
+        (void)SendControl(st.proc.fd, ack);
         st.fin_acked = true;
         // The child exits on FinAck or on the EOF our close() produces —
         // either way this reap is bounded.
@@ -415,10 +414,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
 
   // The event loop: the sites take their turns in a fixed rotation, so
   // the order in which the protocol sees the sites' updates follows from
-  // the shards and the fault plan, not from socket timing. After each
-  // rotation that consumed kEchoPeriod updates or more since the last
-  // echo, the estimate is echoed to every live site.
-  int64_t last_echo = 0;
+  // the shards and the fault plan, not from socket timing.
   while (!std::all_of(sites.begin(), sites.end(),
                       [](const SiteState& st) { return st.done(); })) {
     ++stats.poll_rounds;
@@ -430,17 +426,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
       }
     }
     if (stats.timed_out) break;
-    if (consumed_total - last_echo >= internal::kEchoPeriod) {
-      last_echo = consumed_total;
-      sim::Message echo;
-      echo.type = static_cast<int>(FrameType::kEcho);
-      echo.a = estimate;
-      echo.u = consumed_total;
-      for (const SiteState& st : sites) {
-        if (!st.live_fd()) continue;
-        if (SendControl(st.proc.fd, echo, 1)) ++result.echoes_sent;
-      }
-    }
   }
 
   // Teardown: stop the serving layer, then make sure nothing survives us —

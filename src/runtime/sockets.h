@@ -31,9 +31,9 @@ struct SiteKillSpec {
 /// CrashScheduleChannel, which perturb sim::Message objects in memory).
 struct SocketFaultOptions {
   /// Probability of dropping an update at ingress, drawn per update inside
-  /// each packed kUpdate frame. Control frames
-  /// (kFin/kNack/kEcho/kFinAck) ride a reliable control plane and
-  /// are never dropped — loss models a flaky data path, not a broken link.
+  /// each packed kUpdate frame. Control frames (kFin/kNack/kFinAck) ride
+  /// a reliable control plane and are never dropped — loss models a flaky
+  /// data path, not a broken link.
   double loss = 0.0;
   /// Seed of the deterministic fault stream. Drops hash (seed, site,
   /// arrival index of the update); the same plan replays the same faults.
@@ -102,7 +102,8 @@ struct SocketStats {
   /// Children that died without a scheduled kill (nonzero means a site
   /// crashed or hit a framing error — always a bug worth looking at).
   int64_t unexpected_exits = 0;
-  /// Echo receipts the sites reported back in their kFin frames.
+  /// Always 0: the sites receive no echoes; kept for nmc_benchmark, which
+  /// still reads it.
   int64_t echoes_acked = 0;
   /// Rotations of the turn loop: each gives every unfinished site one
   /// turn.

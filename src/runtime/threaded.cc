@@ -29,17 +29,12 @@ constexpr size_t kMaxPull = 256;
 
 void SiteLoop(const std::vector<double>& shard,
               common::SpscQueue<double>* inbox,
-              common::SpscQueue<PublishedEstimate>* echoes,
-              common::RuntimeAtomic<bool>* done,
-              common::RuntimeAtomic<int64_t>* echoes_received) {
-  int64_t received = 0;
+              common::RuntimeAtomic<bool>* done) {
   size_t pos = 0;
   const std::span<const double> all(shard);
   while (pos < all.size()) {
     const size_t pushed = inbox->TryPushSpan(all.subspan(pos));
     pos += pushed;
-    PublishedEstimate echo;
-    while (echoes->TryPop(&echo)) ++received;
     if (pushed == 0) std::this_thread::yield();
   }
   // Publish the shard-exhausted flag only after the last TryPushSpan: the
@@ -47,7 +42,6 @@ void SiteLoop(const std::vector<double>& shard,
   // coordinator that sees done==true and an empty mailbox has seen
   // everything.
   done->store(true, std::memory_order_release);
-  echoes_received->fetch_add(received, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -66,22 +60,16 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   }
 
   std::vector<std::unique_ptr<common::SpscQueue<double>>> inboxes;
-  std::vector<std::unique_ptr<common::SpscQueue<PublishedEstimate>>> echoes;
   inboxes.reserve(static_cast<size_t>(num_sites));
-  echoes.reserve(static_cast<size_t>(num_sites));
   for (int i = 0; i < num_sites; ++i) {
     inboxes.push_back(std::make_unique<common::SpscQueue<double>>(
         common::RingCapacity<kMailboxCapacity>{}));
-    // The echo ring is advisory (lagging sites drop echoes), so a small
-    // fixed capacity suffices.
-    echoes.push_back(std::make_unique<common::SpscQueue<PublishedEstimate>>(64));
   }
   std::unique_ptr<common::RuntimeAtomic<bool>[]> site_done(
       new common::RuntimeAtomic<bool>[static_cast<size_t>(num_sites)]);
   for (int i = 0; i < num_sites; ++i) {
     site_done[i].store(false, std::memory_order_relaxed);
   }
-  common::RuntimeAtomic<int64_t> echoes_received{0};
 
   // Sites on pool threads, then readers on the serving state's own pool;
   // the coordinator is the calling thread, so no pool ever has to
@@ -90,13 +78,10 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   std::vector<std::future<void>> joins;
   joins.reserve(static_cast<size_t>(num_sites));
   for (int i = 0; i < num_sites; ++i) {
-    joins.push_back(pool.Submit(
-        [&shards, &inboxes, &echoes, &site_done, &echoes_received, i]() {
-          SiteLoop(shards[static_cast<size_t>(i)],
-                   inboxes[static_cast<size_t>(i)].get(),
-                   echoes[static_cast<size_t>(i)].get(), &site_done[i],
-                   &echoes_received);
-        }));
+    joins.push_back(pool.Submit([&shards, &inboxes, &site_done, i]() {
+      SiteLoop(shards[static_cast<size_t>(i)],
+               inboxes[static_cast<size_t>(i)].get(), &site_done[i]);
+    }));
   }
   ThreadedRunResult result;
   internal::ServingState serving(&result, options.capture,
@@ -108,7 +93,6 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   // publishing the estimate at every point the protocol may have changed
   // it (each ProcessBatch return).
   int64_t consumed_total = 0;
-  int64_t last_echo = 0;
   double estimate = protocol->Estimate();
   while (true) {
     bool progressed = false;
@@ -135,15 +119,6 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
       }
       inbox.Advance(batch.size());
     }
-    if (consumed_total - last_echo >= internal::kEchoPeriod) {
-      last_echo = consumed_total;
-      const PublishedEstimate echo{consumed_total, estimate};
-      for (int s = 0; s < num_sites; ++s) {
-        if (echoes[static_cast<size_t>(s)]->TryPush(echo)) {
-          ++result.echoes_sent;
-        }
-      }
-    }
     if (progressed) continue;
     // Check done flags before re-probing the mailboxes: a site's pushes
     // happen-before its done flag, so done && empty is conclusive.
@@ -163,7 +138,6 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   serving.Finish();
 
   result.updates = consumed_total;
-  result.echoes_received = echoes_received.load(std::memory_order_relaxed);
   result.final_published = PublishedEstimate{consumed_total, estimate};
   return result;
 }

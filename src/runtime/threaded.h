@@ -57,7 +57,8 @@ struct ThreadedRunResult {
   /// Seqlock publishes (one per ProcessBatch return, plus the initial
   /// generation-0 publish).
   int64_t publishes = 0;
-  /// Coordinator->site echo messages actually enqueued / actually drained.
+  /// Always 0: no backend sends coordinator->site echoes; kept for
+  /// nmc_benchmark, which still reads them.
   int64_t echoes_sent = 0;
   int64_t echoes_received = 0;
   /// Pooled over readers. torn_reads counts snapshot attempts that lost

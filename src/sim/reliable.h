@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 
 #include "sim/protocol.h"
 
@@ -39,9 +38,10 @@ struct ReliableDiagnostics {
 /// of the attempts goes through intact; the fault-tolerance tests enforce
 /// this bound under Bernoulli loss.
 ///
-/// The wrapper forces per-update supervision: ProcessBatch consumes one
-/// update per call so every tick is inspected. Never use it on the
-/// perfect-channel hot path.
+/// The wrapper forces per-update supervision: it keeps Protocol's default
+/// ProcessBatch, which consumes one update per call through the
+/// supervised ProcessUpdate, so every tick is inspected. Never use it on
+/// the perfect-channel hot path.
 class ReliableProtocol : public Protocol {
  public:
   /// Retry/backoff policy, in simulated time (one tick = one stream
@@ -58,7 +58,6 @@ class ReliableProtocol : public Protocol {
 
   int num_sites() const override;
   void ProcessUpdate(int site_id, double value) override;
-  int64_t ProcessBatch(int site_id, std::span<const double> values) override;
   double Estimate() const override;
   const MessageStats& stats() const override;
   bool Resync() override;

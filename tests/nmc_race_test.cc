@@ -172,7 +172,13 @@ TEST(NmcRaceSuiteTest, EveryCaseHasADescriptionAndUniqueName) {
         << "duplicate litmus name " << litmus.name;
     EXPECT_FALSE(litmus.description.empty()) << litmus.name;
   }
-  EXPECT_GE(names.size(), 14u);
+  const std::set<std::string> expected = {
+      "sb-relaxed",        "sb-acqrel",       "sb-seqcst",
+      "mp-relaxed",        "mp-acqrel",       "lb-relaxed",
+      "mp-race-relaxed",   "mp-race-acqrel",  "spsc-wrap-cap1",
+      "spsc-wrap-cap2",    "spsc-span-batch", "seqlock-torn",
+      "seqlock-monotonic"};
+  EXPECT_EQ(names, expected);
 }
 
 TEST(NmcRaceSuiteTest, SiteNamesRoundTrip) {

@@ -61,10 +61,10 @@ std::vector<std::vector<double>> TestShards(int64_t n, int num_sites,
   return ShardRoundRobin(streams::BernoulliStream(n, 0.2, seed), num_sites);
 }
 
-// The echo path sends with one attempt. On a socket whose buffer is full
-// that attempt must fail at once with nothing written (no 1 ms wait, no
-// torn frame), so the peer only ever reads whole frames.
-TEST(SocketsRuntimeTest, OneAttemptSendControlOnFullSocketWritesNothing) {
+// A control frame gets kControlSendAttempts tries on a full socket. When
+// they run out the call must fail with nothing written (no torn frame), so
+// the peer reads exactly the frames that were accepted, whole and in order.
+TEST(SocketsRuntimeTest, SendControlOnFullSocketGivesUpAfterFixedAttempts) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   BoundSocketBuffers(fds[0]);
@@ -72,26 +72,23 @@ TEST(SocketsRuntimeTest, OneAttemptSendControlOnFullSocketWritesNothing) {
   ASSERT_TRUE(SetNonBlocking(fds[0]));
   ASSERT_TRUE(SetNonBlocking(fds[1]));
 
-  sim::Message echo;
-  echo.type = static_cast<int>(FrameType::kEcho);
+  sim::Message nack;
+  nack.type = static_cast<int>(FrameType::kNack);
   int64_t accepted = 0;
+  std::chrono::steady_clock::duration refused_call{};
   for (;;) {
-    echo.u = accepted;
-    if (!SendControl(fds[0], echo, 1)) break;
+    nack.u = accepted;
+    const auto start = std::chrono::steady_clock::now();
+    if (!SendControl(fds[0], nack)) {
+      refused_call = std::chrono::steady_clock::now() - start;
+      break;
+    }
     ++accepted;
     ASSERT_LT(accepted, int64_t{1} << 20) << "the buffer never filled";
   }
   EXPECT_GT(accepted, 0);
-
-  constexpr int kRefused = 500;
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kRefused; ++i) {
-    echo.u = accepted + i;
-    EXPECT_FALSE(SendControl(fds[0], echo, 1));
-  }
-  const auto waited = std::chrono::steady_clock::now() - start;
-  // A 1 ms wait per refused try would take at least 500 ms.
-  EXPECT_LT(waited, std::chrono::milliseconds(kRefused / 2));
+  // Every try but the last waits at least 1 ms for POLLOUT.
+  EXPECT_GE(refused_call, std::chrono::milliseconds(kControlSendAttempts - 1));
 
   wire::FrameReassembler reassembler;
   for (;;) {
@@ -102,7 +99,7 @@ TEST(SocketsRuntimeTest, OneAttemptSendControlOnFullSocketWritesNothing) {
   int64_t frames = 0;
   sim::Message out;
   while (reassembler.Next(&out) == wire::DecodeStatus::kOk) {
-    EXPECT_EQ(out.type, static_cast<int>(FrameType::kEcho));
+    EXPECT_EQ(out.type, static_cast<int>(FrameType::kNack));
     EXPECT_EQ(out.u, frames);
     ++frames;
   }
@@ -446,7 +443,7 @@ bool NextFrame(int fd, wire::FrameReassembler* reassembler,
 void ReleaseChild(SiteProcess* site) {
   sim::Message ack;
   ack.type = static_cast<int>(FrameType::kFinAck);
-  EXPECT_TRUE(SendControl(site->fd, ack, 200));
+  EXPECT_TRUE(SendControl(site->fd, ack));
   const int status = ReapSiteProcess(site, false);
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
@@ -473,7 +470,7 @@ TEST(SocketsRuntimeTest, NackInsidePackedFrameRewindsToItsUpdate) {
   sim::Message nack;
   nack.type = static_cast<int>(FrameType::kNack);
   nack.u = rewind;
-  ASSERT_TRUE(SendControl(site.fd, nack, 200));
+  ASSERT_TRUE(SendControl(site.fd, nack));
 
   int64_t expected = m.u + wire::RunLength(m);
   for (;;) {

@@ -173,18 +173,6 @@ TEST(ThreadedRuntimeTest, SurvivesTinyMailboxBackpressure) {
   EXPECT_TRUE(CheckLinearizable(result, oracle.get()).linearizable);
 }
 
-TEST(ThreadedRuntimeTest, EchoesFlowBackToSites) {
-  const int64_t n = 32768;
-  const int k = 2;
-  const std::vector<double> stream = streams::BernoulliStream(n, 0.0, 57);
-  const std::vector<std::vector<double>> shards = ShardRoundRobin(stream, k);
-  const std::unique_ptr<sim::Protocol> protocol = MakeCounter(k, n);
-  const ThreadedRunResult result =
-      RunThreaded(protocol.get(), shards, ThreadedRunOptions{});
-  EXPECT_GT(result.echoes_sent, 0);
-  EXPECT_LE(result.echoes_received, result.echoes_sent);
-}
-
 TEST(ThreadedRuntimeTest, SingleSiteNoReadersDegeneratesToSequentialFeed) {
   const int64_t n = 4096;
   const std::vector<double> stream = streams::BernoulliStream(n, 0.0, 3);

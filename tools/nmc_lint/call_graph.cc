@@ -318,13 +318,6 @@ std::vector<Hazard> ScanBodyHazards(const FileSymbols& file,
                          "node-based container std::" + code[i + 2].text,
                          "use a flat vector/array",
                          "std::" + code[i + 2].text + " use"});
-    } else if (!InSimLibrary(fn.file) && IsIdent(code, i, "std") &&
-               IsPunct(code, i + 1, "::") &&
-               (IsIdent(code, i + 2, "cout") || IsIdent(code, i + 2, "cerr"))) {
-      hazards.push_back({code[i].line, "NO_IOSTREAM_IN_LIB", "console output",
-                         "return data or use fprintf(stderr, ...) at the "
-                         "binary layer",
-                         "console output"});
     }
   }
   return hazards;

@@ -81,10 +81,10 @@ class CallGraph {
 /// The interprocedural rules, appended into `findings_by_file` (keyed by
 /// repo-relative path):
 ///   - the hot-path scan: NO_HEAP_IN_HOT_PATH,
-///     NO_PER_UPDATE_TRANSCENDENTALS, NO_MAP_IN_HOT_PATH,
-///     NO_IOSTREAM_IN_LIB hazards in a hot-path entry point's body or in
-///     any function it reaches, with the entry point → hazard chain in
-///     Finding::flow (and, one call or more away, in the message);
+///     NO_PER_UPDATE_TRANSCENDENTALS and NO_MAP_IN_HOT_PATH hazards in a
+///     hot-path entry point's body or in any function it reaches, with
+///     the entry point → hazard chain in Finding::flow (and, one call or
+///     more away, in the message);
 ///   - NO_STATIC_LOCAL_IN_REENTRANT: mutable function-local statics in any
 ///     function reachable from the reentrancy-audit roots;
 ///   - THREAD_COMPAT: a `// nmc: reentrant` function calling a resolved

@@ -880,8 +880,7 @@ constexpr const char* kCrossFileCapableRules[] = {
     "LAYERING_VIOLATION",        "NO_INCLUDE_CYCLES",
     "INCLUDE_DEPTH",             "NO_HEAP_IN_HOT_PATH",
     "NO_PER_UPDATE_TRANSCENDENTALS", "NO_MAP_IN_HOT_PATH",
-    "NO_IOSTREAM_IN_LIB",        "NO_STATIC_LOCAL_IN_REENTRANT",
-    "THREAD_COMPAT"};
+    "NO_STATIC_LOCAL_IN_REENTRANT",  "THREAD_COMPAT"};
 
 bool IsCrossFileCapable(const std::string& rule) {
   for (const char* name : kCrossFileCapableRules) {
