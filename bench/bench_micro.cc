@@ -1,8 +1,9 @@
 // M1 — google-benchmark microbenchmarks of the hot paths: counter update,
 // HYZ update, full simulator pump (network + tracking checker), stream
-// generation (fGn via FFT), hashing, and sketch update. These bound the
-// simulator's throughput (updates/second), which is what limits the n the
-// experiment harnesses can sweep.
+// generation (fGn via FFT), hashing, sketch update, and the sockets run
+// codec (PackRun / ExpandRun). These bound the simulator's throughput
+// (updates/second), which is what limits the n the experiment harnesses
+// can sweep.
 //
 // Accepts the shared bench flags, --json_out=PATH among them (mapped to
 // --benchmark_out=PATH --benchmark_out_format=json for
@@ -28,8 +29,10 @@
 #include "common/rng.h"
 #include "core/nonmonotonic_counter.h"
 #include "hyz/hyz_counter.h"
+#include "runtime/process.h"
 #include "runtime/run.h"
 #include "runtime/threaded.h"
+#include "runtime/wire.h"
 #include "sim/assignment.h"
 #include "sim/harness.h"
 #include "sim/message.h"
@@ -348,6 +351,65 @@ void BM_NetworkPump(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_NetworkPump);
+
+// The sockets data path's two ends over one 2^20-update ±1 shard. Pack:
+// the site child's loop, PackRun then EncodeFrame into a window-sized
+// batch buffer. Expand: the coordinator's ExpandRun of those frames into
+// a one-turn run buffer (2048 updates plus a frame's worth of room).
+// items_per_second counts updates; 1e9 over it is ns per update.
+constexpr int64_t kWireShard = int64_t{1} << 20;
+
+std::vector<double> WireShard() {
+  return nmc::streams::BernoulliStream(kWireShard, 0.0, 37);
+}
+
+void BM_WirePackRun(benchmark::State& state) {
+  const std::vector<double> shard = WireShard();
+  const std::span<const double> values(shard);
+  std::vector<uint8_t> batch(nmc::runtime::kSocketWindowBytes);
+  for (auto _ : state) {
+    size_t used = 0;
+    for (int64_t cursor = 0; cursor < kWireShard;) {
+      nmc::sim::Message m;
+      m.type = static_cast<int>(nmc::runtime::FrameType::kUpdate);
+      cursor += nmc::runtime::wire::PackRun(
+          values.subspan(static_cast<size_t>(cursor)), cursor, &m);
+      if (used + nmc::runtime::wire::kFrameBytes > batch.size()) used = 0;
+      nmc::runtime::wire::EncodeFrame(m, batch.data() + used);
+      used += nmc::runtime::wire::kFrameBytes;
+    }
+    benchmark::DoNotOptimize(batch.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kWireShard);
+}
+BENCHMARK(BM_WirePackRun);
+
+void BM_WireExpandRun(benchmark::State& state) {
+  const std::vector<double> shard = WireShard();
+  const std::span<const double> values(shard);
+  std::vector<nmc::sim::Message> frames;
+  for (int64_t cursor = 0; cursor < kWireShard;) {
+    nmc::sim::Message m;
+    cursor += nmc::runtime::wire::PackRun(
+        values.subspan(static_cast<size_t>(cursor)), cursor, &m);
+    frames.push_back(m);
+  }
+  constexpr size_t kTurn = 2048;
+  std::vector<double> run(kTurn + nmc::runtime::wire::kMaxRunUpdates);
+  for (auto _ : state) {
+    size_t len = 0;
+    for (const nmc::sim::Message& m : frames) {
+      if (len >= kTurn) len = 0;
+      len += static_cast<size_t>(
+          nmc::runtime::wire::ExpandRun(m, run.data() + len));
+    }
+    benchmark::DoNotOptimize(run.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kWireShard);
+}
+BENCHMARK(BM_WireExpandRun);
 
 void BM_RngU64(benchmark::State& state) {
   // nmc-lint: allow(NO_UNSEEDED_RNG) fixed seed; measures throughput only.

@@ -54,7 +54,6 @@ struct SiteProcess {
 };
 
 struct SiteSpawnOptions {
-  int site_id = 0;
   /// The site's full shard; the child streams shard[resume_seq, stop_seq)
   /// tagging each run with its absolute first sequence number.
   std::span<const double> shard;

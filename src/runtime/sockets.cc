@@ -42,9 +42,9 @@ constexpr int64_t kMaxIdlePolls = 20000;
 /// RunSockets). Fine enough that the sites interleave about as finely as
 /// one unpacked socket window did (744 updates), so the message cost does
 /// not hinge on how the sites' shards happen to line up. 1024 runs
-/// sockets_drift_read as fast; the value stays because it fixes the
-/// interleaving, and with it the message count at each seed and E14's
-/// recovery distance (one turn of each other site).
+/// sockets_drift_read about as fast (DESIGN §14); the value stays because
+/// it fixes the interleaving, and with it the message count at each seed
+/// and E14's recovery distance (one turn of each other site).
 constexpr int64_t kTurnUpdates = 2048;
 
 /// Coordinator-side view of one site across its incarnations.
@@ -116,7 +116,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   const auto spawn = [&](int s, int64_t resume_seq) {
     SiteState& st = sites[static_cast<size_t>(s)];
     SiteSpawnOptions spawn_options;
-    spawn_options.site_id = s;
     spawn_options.shard = shards[static_cast<size_t>(s)];
     spawn_options.resume_seq = resume_seq;
     const int64_t shard_n = static_cast<int64_t>(spawn_options.shard.size());
@@ -323,22 +322,27 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
 
   // One turn of site s: up to kTurnUpdates of its updates, counted as
   // frames expand (drops and stale resends included), so the turn ends on
-  // a frame boundary. Each update frame expands into its run; consecutive
-  // in-order updates collect in run_values and reach the protocol as one
-  // run. Any other update first flushes the run, then goes to
-  // handle_update, and so does any control frame to handle_frame. A
-  // loss-shim drop, drawn per update, is discarded on the spot: it touches
-  // nothing the run depends on, and the update after it is off the
-  // sequence anyway. A turn that starts with less than a window buffered
-  // reads the socket first, so the child can refill it while the
-  // buffered frames are consumed instead of after. With no whole frame
-  // buffered the turn reads the socket, and waits on it when it is
-  // empty: the turn belongs to s whatever the other sites have sent.
+  // a frame boundary. Consecutive in-order updates collect in run_values
+  // and reach the protocol as one run. Without the loss shim, a frame that
+  // starts at the run's next sequence number expands straight into
+  // run_values. Every other update frame (any frame once the shim is on,
+  // a gap, a stale resend) expands into a stack array and is walked update
+  // by update: an in-order update joins the run, any other one first
+  // flushes the run, then goes to handle_update, and so does any control
+  // frame to handle_frame. A loss-shim drop, drawn per update, is
+  // discarded on the spot: it touches nothing the run depends on, and the
+  // update after it is off the sequence anyway. A turn that starts with
+  // less than a window buffered reads the socket first, so the child can
+  // refill it while the buffered frames are consumed instead of after.
+  // With no whole frame buffered the turn reads the socket, and waits on
+  // it when it is empty: the turn belongs to s whatever the other sites
+  // have sent.
   // The reassembler holds at most a window plus one recv. A planned
   // crash ends the turn; the killed incarnation's EOF and its replacement
   // are met on s's next one.
   // Returns false when the idle watchdog fires.
   std::vector<double> run_values(kTurnUpdates + wire::kMaxRunUpdates);
+  const bool lossy = options.faults.loss > 0.0;
   int64_t idle_polls = 0;
   const auto take_turn = [&](int s) {
     SiteState& st = sites[static_cast<size_t>(s)];
@@ -384,15 +388,23 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
         if (st.kill_pending_eof) break;
         continue;
       }
-      const int count = wire::ExpandRun(m, values);
+      const bool in_order = m.u == st.next_seq + static_cast<int64_t>(len);
+      if (in_order) st.rewind_pending = false;  // a rewind's first frame
+      // On a lossless link an in-order frame is all run: it expands straight
+      // into run_values, which has room (len <= taken < kTurnUpdates here).
+      double* const dest =
+          in_order && !lossy ? run_values.data() + len : values;
+      const int count = wire::ExpandRun(m, dest);
       NMC_CHECK_GE(count, 1);  // a frame without an update is a wire bug
       taken += count;
-      if (m.u == st.next_seq + static_cast<int64_t>(len)) {
-        st.rewind_pending = false;  // the frame a rewind starts with
+      if (dest != values) {
+        len += static_cast<size_t>(count);
+        st.arrival_updates += count;
+        continue;
       }
       for (int i = 0; i < count; ++i) {
         const int64_t arrival = st.arrival_updates++;
-        if (options.faults.loss > 0.0 &&
+        if (lossy &&
             FaultUniform(options.faults.seed, static_cast<uint64_t>(s),
                          static_cast<uint64_t>(arrival)) <
                 options.faults.loss) {

@@ -29,25 +29,27 @@ int PackRun(std::span<const double> values, int64_t first_seq,
   const size_t limit =
       std::min(values.size(), static_cast<size_t>(kMaxRunUpdates));
   const uint64_t a = std::bit_cast<uint64_t>(values[0]);
-  uint64_t b = 0;
-  bool have_b = false;
+  size_t lead = 1;
+  while (lead < limit && std::bit_cast<uint64_t>(values[lead]) == a) ++lead;
+  // Past the leading run of a, b is the first value and the rest of the
+  // window is classified without a branch: a selector bit for every b, a
+  // `third` bit for every value that is neither. The run ends before the
+  // first third value; selector bits at or above that point are dropped.
+  const uint64_t b = lead < limit ? std::bit_cast<uint64_t>(values[lead]) : 0;
   uint64_t selectors = 0;
-  size_t count = 1;
-  for (; count < limit; ++count) {
-    const uint64_t bits = std::bit_cast<uint64_t>(values[count]);
-    if (bits == a) continue;
-    if (!have_b) {
-      b = bits;
-      have_b = true;
-    } else if (bits != b) {
-      break;  // a third distinct value starts the next frame
-    }
-    selectors |= uint64_t{1} << count;
+  uint64_t third = 0;
+  for (size_t j = lead; j < limit; ++j) {
+    const uint64_t bits = std::bit_cast<uint64_t>(values[j]);
+    selectors |= uint64_t{bits == b} << j;
+    third |= (uint64_t{bits != a} & uint64_t{bits != b}) << j;
   }
+  const size_t count =
+      third != 0 ? static_cast<size_t>(std::countr_zero(third)) : limit;
+  const uint64_t stop = uint64_t{1} << count;
   out->a = std::bit_cast<double>(a);
   out->b = std::bit_cast<double>(b);
   out->u = first_seq;
-  out->v = static_cast<int64_t>(selectors | (uint64_t{1} << count));
+  out->v = static_cast<int64_t>((selectors & (stop - 1)) | stop);
   return static_cast<int>(count);
 }
 

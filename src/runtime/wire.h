@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -65,12 +66,26 @@ inline int RunLength(const sim::Message& message) {
 
 /// Writes the RunLength(message) values of an update frame to `out` (room
 /// for kMaxRunUpdates) and returns that count; writes nothing when it is
-/// below 1.
+/// below 1 and nothing past out[count − 1], so it may expand into the
+/// middle of a larger buffer. Each value is a ^ (flip & −bit) over the bit
+/// patterns, with flip = a ^ b: no table load, no branch per update.
 inline int ExpandRun(const sim::Message& message, double* out) {
   const int count = RunLength(message);
-  const uint64_t selectors = static_cast<uint64_t>(message.v);
-  const double pair[2] = {message.a, message.b};
-  for (int i = 0; i < count; ++i) out[i] = pair[(selectors >> i) & 1u];
+  const uint64_t a = std::bit_cast<uint64_t>(message.a);
+  const uint64_t flip = a ^ std::bit_cast<uint64_t>(message.b);
+  const auto word = [&](uint64_t bit) {
+    return a ^ (flip & (uint64_t{0} - bit));
+  };
+  uint64_t rest = static_cast<uint64_t>(message.v);  // bit 0: update i
+  int i = 0;
+  for (; i + 1 < count; i += 2, rest >>= 2) {
+    const uint64_t two[2] = {word(rest & 1u), word((rest >> 1) & 1u)};
+    std::memcpy(out + i, two, sizeof two);
+  }
+  if (i < count) {
+    const uint64_t last = word(rest & 1u);
+    std::memcpy(out + i, &last, sizeof last);
+  }
   return count;
 }
 

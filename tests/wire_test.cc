@@ -13,12 +13,15 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "runtime/threaded.h"
 #include "sim/message.h"
 #include "sim/message_wire.h"
+#include "streams/bernoulli.h"
 
 namespace nmc::runtime::wire {
 namespace {
@@ -393,6 +396,43 @@ int64_t RefRunEnd(const std::vector<double>& values, int64_t start,
   return end;
 }
 
+// The branchy packer the branch-free PackRun replaced, kept as the oracle
+// of the frame image: it walks the window one update at a time, takes the
+// first value that is not a as b, and stops before a third value.
+sim::Message RefPackRun(std::span<const double> values, int64_t first_seq) {
+  const size_t limit =
+      std::min(values.size(), static_cast<size_t>(kMaxRunUpdates));
+  const uint64_t a = Bits(values[0]);
+  uint64_t b = 0;
+  bool have_b = false;
+  uint64_t selectors = 0;
+  size_t count = 1;
+  for (; count < limit; ++count) {
+    const uint64_t bits = Bits(values[count]);
+    if (bits == a) continue;
+    if (!have_b) {
+      b = bits;
+      have_b = true;
+    } else if (bits != b) {
+      break;
+    }
+    selectors |= uint64_t{1} << count;
+  }
+  sim::Message m;
+  m.type = 2;
+  m.a = std::bit_cast<double>(a);
+  m.b = std::bit_cast<double>(b);
+  m.u = first_seq;
+  m.v = static_cast<int64_t>(selectors | (uint64_t{1} << count));
+  return m;
+}
+
+std::vector<uint8_t> FrameImage(const sim::Message& message) {
+  std::vector<uint8_t> frame(kFrameBytes);
+  EncodeFrame(message, frame.data());
+  return frame;
+}
+
 // Random sequences over small alphabets of edge values and random doubles:
 // the alphabet size decides how often a third value ends a run.
 std::vector<double> RunSequence(size_t length, uint64_t seed) {
@@ -420,20 +460,24 @@ std::vector<double> RunSequence(size_t length, uint64_t seed) {
 }
 
 // Packs `values` from `start` to `stop` greedily into framed runs, checks
-// each frame's extent against the oracle, and expands the frames back
-// through the reassembler; the round trip must be bit-exact.
+// each frame's extent against the oracle and its bytes against
+// RefPackRun's frame (b is 0.0 while unused, no selector bit at or above
+// the stop bit), and expands the frames back through the reassembler; the
+// round trip must be bit-exact.
 void CheckRunCodec(const std::vector<double>& values, int64_t start,
                    int64_t stop) {
   std::vector<uint8_t> stream;
   std::vector<int64_t> ends;
   for (int64_t seq = start; seq < stop;) {
+    const std::span<const double> window =
+        std::span<const double>(values).subspan(
+            static_cast<size_t>(seq), static_cast<size_t>(stop - seq));
     sim::Message m;
     m.type = 2;
-    const int count = PackRun(
-        std::span<const double>(values).subspan(
-            static_cast<size_t>(seq), static_cast<size_t>(stop - seq)),
-        seq, &m);
+    const int count = PackRun(window, seq, &m);
     ASSERT_EQ(seq + count, RefRunEnd(values, seq, stop)) << "seq=" << seq;
+    ASSERT_EQ(FrameImage(m), FrameImage(RefPackRun(window, seq)))
+        << "seq=" << seq;
     ASSERT_EQ(RunLength(m), count);
     ASSERT_EQ(m.u, seq);
     ASSERT_EQ(Bits(m.a), Bits(values[static_cast<size_t>(seq)]));
@@ -468,6 +512,45 @@ TEST(WireTest, RunCodecMatchesPerUpdateOracle) {
     CheckRunCodec(values, 0, n);
     const int64_t start = static_cast<int64_t>(seed * 13) % n;
     CheckRunCodec(values, start, start + (n - start) / 2);
+  }
+}
+
+TEST(WireTest, RunCodecMatchesOracleOnBernoulliShard) {
+  // The ±1 shard a sockets site streams: two values, so every frame but a
+  // shard's last carries kMaxRunUpdates updates.
+  for (const double mu : {0.0, 0.02}) {
+    const std::vector<double> shard =
+        ShardRoundRobin(streams::BernoulliStream(int64_t{1} << 14, mu, 5),
+                        2)[0];
+    const int64_t n = static_cast<int64_t>(shard.size());
+    CheckRunCodec(shard, 0, n);
+    CheckRunCodec(shard, 1000, n - 17);
+  }
+}
+
+TEST(WireTest, ExpandRunWritesNothingPastItsCount) {
+  // The coordinator expands in-order frames into the middle of its run
+  // buffer, so out[count] and beyond must survive every count.
+  const double sentinel = std::bit_cast<double>(uint64_t{0x7FF800000000BEEF});
+  const std::vector<double> values =
+      streams::BernoulliStream(kMaxRunUpdates, 0.0, 31);
+  for (int count = 1; count <= kMaxRunUpdates; ++count) {
+    sim::Message m;
+    ASSERT_EQ(PackRun(std::span<const double>(values).first(
+                          static_cast<size_t>(count)),
+                      0, &m),
+              count);
+    std::array<double, kMaxRunUpdates + 1> out;
+    out.fill(sentinel);
+    ASSERT_EQ(ExpandRun(m, out.data()), count);
+    for (int i = 0; i < count; ++i) {
+      ASSERT_EQ(Bits(out[static_cast<size_t>(i)]),
+                Bits(values[static_cast<size_t>(i)]))
+          << "count=" << count << " update " << i;
+    }
+    for (size_t i = static_cast<size_t>(count); i < out.size(); ++i) {
+      ASSERT_EQ(Bits(out[i]), Bits(sentinel)) << "count=" << count;
+    }
   }
 }
 
