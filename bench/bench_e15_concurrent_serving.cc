@@ -149,6 +149,8 @@ struct ServingPoint {
   double updates_per_sec = 0.0;
   double reads_per_sec = 0.0;
   int64_t torn_reads = 0;
+  /// Sockets only: polls a turn made on its site's empty socket.
+  int64_t turn_waits = 0;
 };
 
 /// One reader-count point on a concurrent backend (threads or sockets),
@@ -177,6 +179,7 @@ ServingPoint RunServingPoint(const E15Options& options,
         static_cast<double>(result.serving.total_reads) / elapsed;
   }
   point.torn_reads = result.serving.torn_reads;
+  point.turn_waits = result.sockets.turn_waits;
   return point;
 }
 
@@ -270,20 +273,30 @@ int main(int argc, char** argv) {
   }
   std::printf("\n-- %s backend: %d sites, m reader threads --\n", kind_name,
               options.sites);
-  std::printf("%8s  %16s  %16s  %12s\n", "readers", "updates/sec",
-              "reads/sec", "torn reads");
+  // Sockets runs add the transport's turn waits (SocketStats::turn_waits).
+  const bool sockets = kind == TransportKind::kSockets;
+  std::printf("%8s  %16s  %16s  %12s%s\n", "readers", "updates/sec",
+              "reads/sec", "torn reads", sockets ? "    turn waits" : "");
   std::vector<ServingPoint> points;
   for (const int m : sweep) {
     points.push_back(RunServingPoint(options, shards, m, kind));
     const ServingPoint& p = points.back();
-    std::printf("%8d  %16.3e  %16.3e  %12lld\n", p.readers, p.updates_per_sec,
+    std::printf("%8d  %16.3e  %16.3e  %12lld", p.readers, p.updates_per_sec,
                 p.reads_per_sec, static_cast<long long>(p.torn_reads));
+    if (sockets) {
+      std::printf("  %12lld", static_cast<long long>(p.turn_waits));
+    }
+    std::printf("\n");
     char name[64];
     std::snprintf(name, sizeof(name), "%s_updates_per_sec_m%d", kind_name,
                   p.readers);
     RecordMetric(name, p.updates_per_sec);
     std::snprintf(name, sizeof(name), "reads_per_sec_m%d", p.readers);
     RecordMetric(name, p.reads_per_sec);
+    if (sockets) {
+      std::snprintf(name, sizeof(name), "sockets_turn_waits_m%d", p.readers);
+      RecordMetric(name, static_cast<double>(p.turn_waits));
+    }
   }
 
   const ServingPoint& first = points.front();

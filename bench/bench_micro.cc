@@ -1,9 +1,9 @@
 // M1 — google-benchmark microbenchmarks of the hot paths: counter update,
 // HYZ update, full simulator pump (network + tracking checker), stream
-// generation (fGn via FFT), hashing, sketch update, and the sockets run
-// codec (PackRun / ExpandRun). These bound the simulator's throughput
-// (updates/second), which is what limits the n the experiment harnesses
-// can sweep.
+// generation (fGn via FFT), hashing, sketch update, the sockets run codec
+// (PackRun / ExpandRun) and the sign tally. These bound the simulator's
+// throughput (updates/second), which is what limits the n the experiment
+// harnesses can sweep.
 //
 // Accepts the shared bench flags, --json_out=PATH among them (mapped to
 // --benchmark_out=PATH --benchmark_out_format=json for
@@ -24,6 +24,7 @@
 
 #include "baselines/exact_sync.h"
 #include "bench/bench_json.h"
+#include "common/batch_ops.h"
 #include "common/batch_rng.h"
 #include "common/geometric_skip.h"
 #include "common/rng.h"
@@ -410,6 +411,22 @@ void BM_WireExpandRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kWireShard);
 }
 BENCHMARK(BM_WireExpandRun);
+
+// The sign tally over a ±1 span of Arg values: the ±1 gate plus the
+// plus/minus counts that the counter's AbsorbRun and the tracking check's
+// CheckUnitPrefix read. 64 is one CheckUnitPrefix block; 1024 a long
+// silent prefix. items_per_second counts values.
+void BM_TallySigns(benchmark::State& state) {
+  const std::vector<double> values = nmc::streams::BernoulliStream(
+      static_cast<int64_t>(state.range(0)), 0.0, 41);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(values.data());
+    const nmc::common::SignTally tally = nmc::common::TallySigns(values);
+    benchmark::DoNotOptimize(tally);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TallySigns)->Arg(64)->Arg(1024);
 
 void BM_RngU64(benchmark::State& state) {
   // nmc-lint: allow(NO_UNSEEDED_RNG) fixed seed; measures throughput only.

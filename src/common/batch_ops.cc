@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 
 #include "common/batch_ops_kernels.h"
 #include "common/simd_dispatch.h"
@@ -57,13 +58,25 @@ bool ShortCircuitPasses(double min_sum, double max_sum, double estimate,
 // running sum.
 constexpr size_t kPrefixBlock = 64;
 
+SignTally Tally(SimdLevel level, std::span<const double> values) {
+  switch (level) {
+#if NMC_SIMD_AVX2
+    case SimdLevel::kAvx2:
+      return detail::TallySignsAvx2(values.data(), values.size());
+#endif
+    default:
+      return detail::TallySignsScalar(values.data(), values.size());
+  }
+}
+
 // Per-item check of one ±1 block, continuing `state` (the scalar loop's
 // running sum, max and violation count).
-void CheckBlock(std::span<const double> block, double estimate, double epsilon,
-                double slack, double rel_floor, detail::PrefixState* state) {
+void CheckBlock(SimdLevel level, std::span<const double> block,
+                double estimate, double epsilon, double slack,
+                double rel_floor, detail::PrefixState* state) {
   const double* data = block.data();
   size_t n = block.size();
-  switch (ActiveSimdLevel()) {
+  switch (level) {
 #if NMC_SIMD_AVX2
     case SimdLevel::kAvx2: {
       const size_t bulk = n & ~static_cast<size_t>(3);
@@ -88,13 +101,17 @@ void CheckBlock(std::span<const double> block, double estimate, double epsilon,
 }  // namespace
 
 SignTally TallySigns(std::span<const double> values) {
+  return Tally(ActiveSimdLevel(), values);
+}
+
+ExpandSelectorsFn ExpandSelectorsKernel() {
   switch (ActiveSimdLevel()) {
 #if NMC_SIMD_AVX2
     case SimdLevel::kAvx2:
-      return detail::TallySignsAvx2(values.data(), values.size());
+      return detail::ExpandSelectorsAvx2;
 #endif
     default:
-      return detail::TallySignsScalar(values.data(), values.size());
+      return detail::ExpandSelectorsScalar;
   }
 }
 
@@ -105,20 +122,21 @@ bool CheckUnitPrefix(std::span<const double> values, double sum0,
   if (!(rel_floor > 0.0)) return false;
   if (!(epsilon >= 0.0)) return false;
   if (!IsSmallInteger(sum0, static_cast<double>(values.size()))) return false;
+  const SimdLevel level = ActiveSimdLevel();
 
-  // Span-level short-circuit, no extra data scan: a ±1 walk of n steps
-  // keeps every prefix sum inside [s - n, s + n] around its start s (both
-  // exact: the IsSmallInteger margin covers them), so the tests of
+  // Span-level short-circuit, tested before any data is read: a ±1 walk of
+  // n steps keeps every prefix sum inside [s - n, s + n] around its start
+  // s (both exact: the IsSmallInteger margin covers them), so the tests of
   // ShortCircuitPasses over that interval bound every item. The only
-  // per-item work left is the sign tally: the all-unit gate plus the exact
+  // per-item work left is one sign tally: the all-unit gate plus the exact
   // final sum. In a settled tracker the estimate sits deep inside the
   // envelope and the ±n slop is negligible against |s|, so this is the
   // common case.
-  const SignTally tally = TallySigns(values);
-  if (!tally.all_unit) return false;
   const double total = static_cast<double>(values.size());
   if (ShortCircuitPasses(sum0 - total, sum0 + total, estimate, epsilon, slack,
                          rel_floor, current_max_rel)) {
+    const SignTally tally = Tally(level, values);
+    if (!tally.all_unit) return false;
     result->violations = 0;
     // Every item's relative error is provably <= current_max_rel, so 0.0
     // is exact under the documented max-fold contract.
@@ -128,20 +146,24 @@ bool CheckUnitPrefix(std::span<const double> values, double sum0,
   }
 
   // The slop grows with the span, so a long span that fails may still
-  // pass block by block: retry the test per kPrefixBlock items from each
-  // block's exact starting sum, and run the per-item kernels, which
-  // reproduce the scalar loop bit for bit, only on blocks that fail.
+  // pass block by block. Each kPrefixBlock items are tallied once: the
+  // tally gates the block (the per-item kernels need ±1 values) and, when
+  // the test from the block's exact starting sum passes, advances the sum.
+  // Only blocks that fail run the per-item kernels, which reproduce the
+  // scalar loop bit for bit. State is written only once every block
+  // passed the gate.
   detail::PrefixState state{sum0, 0.0, 0};
   for (size_t begin = 0; begin < values.size(); begin += kPrefixBlock) {
     const std::span<const double> block =
         values.subspan(begin, std::min(kPrefixBlock, values.size() - begin));
+    const SignTally block_tally = Tally(level, block);
+    if (!block_tally.all_unit) return false;
     const double n = static_cast<double>(block.size());
     if (ShortCircuitPasses(state.sum - n, state.sum + n, estimate, epsilon,
                            slack, rel_floor, current_max_rel)) {
-      const SignTally block_tally = TallySigns(block);
       state.sum += static_cast<double>(block_tally.plus - block_tally.minus);
     } else {
-      CheckBlock(block, estimate, epsilon, slack, rel_floor, &state);
+      CheckBlock(level, block, estimate, epsilon, slack, rel_floor, &state);
     }
   }
   result->violations = state.violations;
@@ -165,6 +187,23 @@ SignTally TallySignsScalar(const double* values, size_t n) {
   }
   tally.all_unit = true;
   return tally;
+}
+
+void ExpandSelectorsScalar(uint64_t a, uint64_t flip, uint64_t selectors,
+                           int count, double* out) {
+  const auto word = [&](uint64_t bit) {
+    return a ^ (flip & (uint64_t{0} - bit));
+  };
+  int i = 0;
+  for (; i + 1 < count; i += 2, selectors >>= 2) {
+    const uint64_t two[2] = {word(selectors & 1u),
+                             word((selectors >> 1) & 1u)};
+    std::memcpy(out + i, two, sizeof two);
+  }
+  if (i < count) {
+    const uint64_t last = word(selectors & 1u);
+    std::memcpy(out + i, &last, sizeof last);
+  }
 }
 
 void CheckUnitPrefixScalar(const double* values, size_t n, double estimate,

@@ -20,6 +20,21 @@ struct SignTally {
 /// grouping, so bulk absorption is bit-identical to per-item absorption.
 SignTally TallySigns(std::span<const double> values);
 
+/// Expands a selector word into `count` (at most 64) doubles: out[i] has
+/// the bit pattern a ^ (flip & −(bit i of selectors)), so it is the value
+/// whose bits are `a` where the selector bit is clear and a ^ flip where it
+/// is set. Writes nothing at or past out[count], so it may expand into the
+/// middle of a larger buffer. Kernels of every SIMD level write the same
+/// bits.
+using ExpandSelectorsFn = void (*)(uint64_t a, uint64_t flip,
+                                   uint64_t selectors, int count,
+                                   double* out);
+
+/// The ExpandSelectors kernel of the active SIMD level. Resolving it is an
+/// out-of-line call, so a caller expanding many short words resolves it
+/// once, outside its loop.
+ExpandSelectorsFn ExpandSelectorsKernel();
+
 /// Outcome of CheckUnitPrefix over a whole span.
 struct PrefixCheckResult {
   int64_t violations = 0;      ///< items outside the (epsilon, slack) envelope
@@ -43,10 +58,13 @@ struct PrefixCheckResult {
 /// of its starting sum s, and when that interval proves that no item
 /// violates its envelope *and* no item's relative error can exceed
 /// current_max_rel, the per-item kernels are skipped and the items add
-/// nothing to the result. The test is tried over the whole span and, when
-/// that fails, again per 64-item block from the block's exact starting
-/// sum, so only failing blocks run the kernels (a span that passes
-/// reports violations == 0 with max_rel_error == 0.0). That report is
+/// nothing to the result. The test needs no data, so it is tried first
+/// over the whole span, which is then tallied once. When it fails, each
+/// 64-item block is tallied once (the tally is also its ±1 gate) and
+/// tested from its exact starting sum, so only failing blocks run the
+/// per-item kernels (a span that passes reports violations == 0 with
+/// max_rel_error == 0.0). A non-±1 value in any block returns false with
+/// nothing written, as the whole-span gate would. That report is
 /// only exact for callers that fold the field with
 /// std::max(current_max_rel, result.max_rel_error) — which is the
 /// harness's (and the per-item loop's) semantics. Pass 0.0 to force the

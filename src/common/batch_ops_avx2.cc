@@ -32,41 +32,82 @@ inline double HorizontalMax(__m256d x) {
 }  // namespace
 
 SignTally TallySignsAvx2(const double* values, size_t n) {
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
-  const __m256d one = _mm256_set1_pd(1.0);
-  int64_t plus = 0;
+  // Integer domain: a value is ±1.0 iff its bits with the sign cleared are
+  // those of 1.0, so ((bits & abs) ^ one) is zero exactly for ±1.0 (±0,
+  // NaN, ±inf, denormals and 1 ± ulp all leave a bit set). Those words
+  // fold into one OR-accumulator and the sign bits, shifted down, into two
+  // independent add chains; the gate is tested once, after the loop, so
+  // the loop has no data-dependent branch. The tally is integer-exact, so
+  // the order of accumulation is irrelevant.
+  const __m256i abs_mask = _mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL);
+  const __m256i one = _mm256_set1_epi64x(0x3FF0000000000000LL);
+  __m256i bad = _mm256_setzero_si256();
+  __m256i neg0 = _mm256_setzero_si256();
+  __m256i neg1 = _mm256_setzero_si256();
+  const auto absorb = [&](__m256i v, __m256i* neg) {
+    bad = _mm256_or_si256(
+        bad, _mm256_xor_si256(_mm256_and_si256(v, abs_mask), one));
+    *neg = _mm256_add_epi64(*neg, _mm256_srli_epi64(v, 63));
+  };
+  const auto load = [&](size_t at) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values + at));
+  };
   size_t i = 0;
-  // Two vectors per iteration: one fused movemask test gates both, so the
-  // loop-carried branch fires half as often as a 4-wide walk. The order
-  // of popcount accumulation is irrelevant — the tally is integer-exact.
-  const size_t bulk8 = n & ~static_cast<size_t>(7);
-  for (; i < bulk8; i += 8) {
-    const __m256d v0 = _mm256_loadu_pd(values + i);
-    const __m256d v1 = _mm256_loadu_pd(values + i + 4);
-    const int unit0 = _mm256_movemask_pd(
-        _mm256_cmp_pd(_mm256_and_pd(v0, abs_mask), one, _CMP_EQ_OQ));
-    const int unit1 = _mm256_movemask_pd(
-        _mm256_cmp_pd(_mm256_and_pd(v1, abs_mask), one, _CMP_EQ_OQ));
-    if ((unit0 & unit1) != 0xF) return SignTally{};
-    const int head =
-        _mm256_movemask_pd(_mm256_cmp_pd(v0, one, _CMP_EQ_OQ)) |
-        (_mm256_movemask_pd(_mm256_cmp_pd(v1, one, _CMP_EQ_OQ)) << 4);
-    plus += __builtin_popcount(static_cast<unsigned>(head));
+  for (; i + 8 <= n; i += 8) {
+    absorb(load(i), &neg0);
+    absorb(load(i + 4), &neg1);
   }
-  const size_t bulk = n & ~static_cast<size_t>(3);
-  for (; i < bulk; i += 4) {
-    const __m256d v = _mm256_loadu_pd(values + i);
-    const __m256d unit =
-        _mm256_cmp_pd(_mm256_and_pd(v, abs_mask), one, _CMP_EQ_OQ);
-    if (_mm256_movemask_pd(unit) != 0xF) return SignTally{};
-    const int head = _mm256_movemask_pd(_mm256_cmp_pd(v, one, _CMP_EQ_OQ));
-    plus += __builtin_popcount(static_cast<unsigned>(head));
+  if (i + 4 <= n) {
+    absorb(load(i), &neg0);
+    i += 4;
   }
-  const SignTally tail = TallySignsScalar(values + bulk, n - bulk);
-  if (!tail.all_unit) return SignTally{};
-  return SignTally{plus + tail.plus,
-                   static_cast<int64_t>(bulk) - plus + tail.minus, true};
+  if (i < n) {
+    // The last 1-3 values through a masked load, which neither reads nor
+    // faults past n; the masked-off lanes are filled with +1.0, which
+    // passes the gate and adds no sign bit.
+    const __m256i live = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(n - i)),
+        _mm256_setr_epi64x(0, 1, 2, 3));
+    const __m256i tail = _mm256_maskload_epi64(
+        reinterpret_cast<const long long*>(values + i), live);
+    absorb(_mm256_blendv_epi8(one, tail, live), &neg0);
+  }
+  if (!_mm256_testz_si256(bad, bad)) return SignTally{};
+  const __m256i neg = _mm256_add_epi64(neg0, neg1);
+  const __m128i pair = _mm_add_epi64(_mm256_castsi256_si128(neg),
+                                     _mm256_extracti128_si256(neg, 1));
+  const int64_t minus =
+      _mm_cvtsi128_si64(_mm_add_epi64(pair, _mm_unpackhi_epi64(pair, pair)));
+  return SignTally{static_cast<int64_t>(n) - minus, minus, true};
+}
+
+void ExpandSelectorsAvx2(uint64_t a, uint64_t flip, uint64_t selectors,
+                         int count, double* out) {
+  // Lane j of each store takes selector bit i + j: the word is broadcast,
+  // ANDed with {1, 2, 4, 8} and compared back, which gives the all-ones
+  // mask that picks flip, and shifted down 4 bits per store.
+  const __m256i lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
+  const __m256i av = _mm256_set1_epi64x(static_cast<long long>(a));
+  const __m256i fv = _mm256_set1_epi64x(static_cast<long long>(flip));
+  __m256i sel = _mm256_set1_epi64x(static_cast<long long>(selectors));
+  const auto expand = [&]() {
+    const __m256i pick = _mm256_cmpeq_epi64(
+        _mm256_and_si256(sel, lane_bits), lane_bits);
+    return _mm256_xor_si256(av, _mm256_and_si256(fv, pick));
+  };
+  int i = 0;
+  for (; i + 4 <= count; i += 4) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), expand());
+    sel = _mm256_srli_epi64(sel, 4);
+  }
+  if (i < count) {
+    // Lanes at or past count are masked off: vpmaskmovq neither writes
+    // nor faults there.
+    const __m256i live = _mm256_cmpgt_epi64(_mm256_set1_epi64x(count - i),
+                                            _mm256_setr_epi64x(0, 1, 2, 3));
+    _mm256_maskstore_epi64(reinterpret_cast<long long*>(out + i), live,
+                           expand());
+  }
 }
 
 void CheckUnitPrefixAvx2(const double* values, size_t n, double estimate,

@@ -19,12 +19,16 @@ struct PrefixState {
 };
 
 SignTally TallySignsScalar(const double* values, size_t n);
+void ExpandSelectorsScalar(uint64_t a, uint64_t flip, uint64_t selectors,
+                           int count, double* out);
 void CheckUnitPrefixScalar(const double* values, size_t n, double estimate,
                            double epsilon, double slack, double rel_floor,
                            PrefixState* state);
 
 #if NMC_SIMD_AVX2
 SignTally TallySignsAvx2(const double* values, size_t n);
+void ExpandSelectorsAvx2(uint64_t a, uint64_t flip, uint64_t selectors,
+                         int count, double* out);
 /// n must be a multiple of 4; the dispatcher handles the tail with the
 /// scalar kernel (exactness makes the split invisible).
 void CheckUnitPrefixAvx2(const double* values, size_t n, double estimate,

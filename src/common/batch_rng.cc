@@ -20,11 +20,6 @@ void DispatchU64(uint64_t state[4][detail::kLanes], uint64_t* out, size_t n) {
       detail::FillU64Avx2(state, out, n);
       return;
 #endif
-#if NMC_SIMD_NEON
-    case SimdLevel::kNeon:
-      detail::FillU64Neon(state, out, n);
-      return;
-#endif
     default:
       detail::FillU64Scalar(state, out, n);
       return;
@@ -36,11 +31,6 @@ void DispatchUniform(uint64_t state[4][detail::kLanes], double* out, size_t n) {
 #if NMC_SIMD_AVX2
     case SimdLevel::kAvx2:
       detail::FillUniformAvx2(state, out, n);
-      return;
-#endif
-#if NMC_SIMD_NEON
-    case SimdLevel::kNeon:
-      detail::FillUniformNeon(state, out, n);
       return;
 #endif
     default:
@@ -57,11 +47,6 @@ void DispatchSigns(uint64_t state[4][detail::kLanes], double* out, size_t n,
       detail::FillSignsAvx2(state, out, n, p_plus);
       return;
 #endif
-#if NMC_SIMD_NEON
-    case SimdLevel::kNeon:
-      detail::FillSignsNeon(state, out, n, p_plus);
-      return;
-#endif
     default:
       detail::FillSignsScalar(state, out, n, p_plus);
       return;
@@ -74,11 +59,6 @@ void DispatchLogTails(uint64_t state[4][detail::kLanes], double* out,
 #if NMC_SIMD_AVX2
     case SimdLevel::kAvx2:
       detail::FillLogTailsAvx2(state, out, n);
-      return;
-#endif
-#if NMC_SIMD_NEON
-    case SimdLevel::kNeon:
-      detail::FillLogTailsNeon(state, out, n);
       return;
 #endif
     default:

@@ -6,17 +6,16 @@
 namespace nmc::common {
 
 /// Number of independent xoshiro256++ lanes in a BatchRng. Four 64-bit
-/// lanes fill one AVX2 register; NEON walks the same four lanes two at a
-/// time; the scalar kernel walks them round-robin. The lane count is part
-/// of the output contract (element i comes from lane i mod 4), not a
-/// tuning knob.
+/// lanes fill one AVX2 register; the scalar kernel walks them
+/// round-robin. The lane count is part of the output contract (element i
+/// comes from lane i mod 4), not a tuning knob.
 inline constexpr int kBatchRngLanes = 4;
 
 /// Multi-lane xoshiro256++ that fills spans of raw u64s, uniforms, ±1
 /// signs, and log-tails (the skip sampler's feed) in bulk, dispatching to
-/// AVX2/NEON kernels at runtime (see simd_dispatch.h) with a scalar
-/// fallback that is the correctness oracle — vector kernels are
-/// bit-identical to it.
+/// AVX2 kernels at runtime (see simd_dispatch.h) with a scalar fallback
+/// that is the correctness oracle — vector kernels are bit-identical to
+/// it.
 ///
 /// Output contract: the generator defines ONE logical u64 stream,
 /// round-robin interleaved over the lanes (element i of the stream comes

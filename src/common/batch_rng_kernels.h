@@ -132,12 +132,4 @@ void FillSignsAvx2(uint64_t state[4][kLanes], double* out, size_t n,
 void FillLogTailsAvx2(uint64_t state[4][kLanes], double* out, size_t n);
 #endif
 
-#if NMC_SIMD_NEON
-void FillU64Neon(uint64_t state[4][kLanes], uint64_t* out, size_t n);
-void FillUniformNeon(uint64_t state[4][kLanes], double* out, size_t n);
-void FillSignsNeon(uint64_t state[4][kLanes], double* out, size_t n,
-                   double p_plus);
-void FillLogTailsNeon(uint64_t state[4][kLanes], double* out, size_t n);
-#endif
-
 }  // namespace nmc::common::batch_rng_detail

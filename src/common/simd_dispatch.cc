@@ -14,9 +14,6 @@ SimdLevel Detect() {
     return SimdLevel::kAvx2;
   }
 #endif
-#if NMC_SIMD_NEON
-  return SimdLevel::kNeon;
-#endif
   return SimdLevel::kScalar;
 }
 
@@ -34,8 +31,6 @@ const char* SimdLevelName(SimdLevel level) {
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -51,9 +46,6 @@ bool SimdLevelAvailable(SimdLevel level) {
   if (level == SimdLevel::kAvx2) {
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   }
-#endif
-#if NMC_SIMD_NEON
-  if (level == SimdLevel::kNeon) return true;
 #endif
   return false;
 }

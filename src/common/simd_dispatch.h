@@ -10,15 +10,14 @@ namespace nmc::common {
 enum class SimdLevel {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
-/// Name for logs and test output: "scalar", "avx2", "neon".
+/// Name for logs and test output: "scalar", "avx2".
 const char* SimdLevelName(SimdLevel level);
 
 /// The level batch kernels currently dispatch to. Resolved once at startup
-/// from CPUID (x86-64) or architecture (aarch64); kScalar when the build
-/// disabled SIMD (-DNMC_SIMD=off) or the CPU lacks the instructions.
+/// from CPUID; kScalar when the build disabled SIMD (-DNMC_SIMD=off), the
+/// target is not x86-64, or the CPU lacks the instructions.
 SimdLevel ActiveSimdLevel();
 
 /// True iff `level`'s kernels are compiled in AND the CPU can run them.

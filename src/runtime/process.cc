@@ -183,10 +183,10 @@ int ReapSiteProcess(SiteProcess* site, bool kill_first) {
 }
 
 void BoundSocketBuffers(int fd) {
-  // Small kernel buffers bound the in-flight window to about 744 frames
-  // per direction (see process.h). Best effort: the kernel clamps to its
-  // floor, and doubles what we ask for bookkeeping.
-  const int bytes = static_cast<int>(kSocketWindowBytes);
+  // Bounded kernel buffers bound the in-flight data per direction (see
+  // process.h). Best effort: the kernel clamps to its floor and ceiling,
+  // and doubles what we ask for bookkeeping.
+  const int bytes = static_cast<int>(kSocketBufferBytes);
   (void)setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
   (void)setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
 }

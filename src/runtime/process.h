@@ -10,13 +10,22 @@
 
 namespace nmc::runtime {
 
-/// The sockets transport's one window size. It sets the kernel buffer
-/// request on every data socket (BoundSocketBuffers), the child's outbound
+/// The sockets transport's unit of transfer. It sets the child's outbound
 /// batch (the whole frames that fit in one window: 372 frames of up to 63
 /// updates, one send per window) and, doubled, the coordinator's per-recv
-/// size (Linux doubles an SO_RCVBUF request, so one socket can hold up to
-/// 2× this).
+/// size. It stays small so that a child's first send goes out after 372
+/// frames are packed, not after a whole socket's worth.
 inline constexpr size_t kSocketWindowBytes = 16 * 1024;
+
+/// The kernel buffer request on every data socket (BoundSocketBuffers):
+/// 16 windows. A second constant because depth and batch size pull apart.
+/// An AF_UNIX sender blocked on a full socket wakes for POLLOUT only once
+/// the bytes in flight fall to a quarter of its SO_SNDBUF, so a shallow
+/// socket (one window) runs dry whenever the child is descheduled across
+/// that wake, and the coordinator's turn then waits on it. A deep socket
+/// keeps frames queued across such a gap. Growing the window instead
+/// delays every child's first send by a whole batch.
+inline constexpr size_t kSocketBufferBytes = 16 * kSocketWindowBytes;
 
 /// Transport-level frame vocabulary of the sockets backend, carried in
 /// sim::Message::type. Distinct from any protocol's own message enum: these
@@ -88,11 +97,12 @@ int ReapSiteProcess(SiteProcess* site, bool kill_first);
 /// O_NONBLOCK on an fd; returns false on fcntl failure.
 bool SetNonBlocking(int fd);
 
-/// Requests kSocketWindowBytes for SO_SNDBUF and SO_RCVBUF. Linux doubles
-/// the request, so about 2 × 16 KiB (744 frames) sit in one socket's
-/// kernel buffer per direction. Applied to both socketpair ends, so a
-/// site runs at most that far ahead of the coordinator: a go-back-N
-/// rewind leaves at most that much stale data in flight.
+/// Requests kSocketBufferBytes for SO_SNDBUF and SO_RCVBUF. Linux doubles
+/// the request (after clamping it to net.core.wmem_max / rmem_max), so up
+/// to 2 × 256 KiB (11,915 frames) sit in one socket's kernel buffer per
+/// direction. Applied to both socketpair ends, so a site runs at most that
+/// far ahead of the coordinator: a go-back-N rewind leaves at most that
+/// much stale data in flight.
 void BoundSocketBuffers(int fd);
 
 /// Tries a control frame gets on a full socket before SendControl gives

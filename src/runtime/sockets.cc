@@ -7,6 +7,7 @@
 #include <signal.h>
 #include <sys/socket.h>
 
+#include "common/batch_ops.h"
 #include "common/check.h"
 #include "runtime/serving.h"
 #include "runtime/wire.h"
@@ -37,15 +38,6 @@ double FaultUniform(uint64_t seed, uint64_t site, uint64_t index) {
 /// with timed_out set (a hung CI job is worse than a failed one). Each
 /// idle poll blocks ~1ms.
 constexpr int64_t kMaxIdlePolls = 20000;
-
-/// Updates one site's turn takes before the next site's turn (see
-/// RunSockets). Fine enough that the sites interleave about as finely as
-/// one unpacked socket window did (744 updates), so the message cost does
-/// not hinge on how the sites' shards happen to line up. 1024 runs
-/// sockets_drift_read about as fast (DESIGN §14); the value stays because
-/// it fixes the interleaving, and with it the message count at each seed
-/// and E14's recovery distance (one turn of each other site).
-constexpr int64_t kTurnUpdates = 2048;
 
 /// Coordinator-side view of one site across its incarnations.
 struct SiteState {
@@ -301,8 +293,8 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
 
   // Reads what site s's socket holds into its reassembler. Returns false
   // when the socket had nothing; EOF or a reset (a killed peer) sets
-  // saw_eof. One recv asks for 2 × the window: a socket can hold that
-  // much, since Linux doubles the buffer request.
+  // saw_eof. One recv asks for 2 × the window, about 23 turns of one
+  // site; the socket itself may hold 32 windows (kSocketBufferBytes).
   constexpr size_t kRecvBytes = 2 * kSocketWindowBytes;
   const auto fill = [&](int s) {
     SiteState& st = sites[static_cast<size_t>(s)];
@@ -325,9 +317,11 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   // a frame boundary. Consecutive in-order updates collect in run_values
   // and reach the protocol as one run. Without the loss shim, a frame that
   // starts at the run's next sequence number expands straight into
-  // run_values. Every other update frame (any frame once the shim is on,
-  // a gap, a stale resend) expands into a stack array and is walked update
-  // by update: an in-order update joins the run, any other one first
+  // run_values. A frame past the sequence while a go-back-N rewind is
+  // pending was sent before the rewind and is discarded whole, unexpanded.
+  // Every other update frame (any frame once the shim is on, a gap, a
+  // stale resend) expands into a stack array and is walked update by
+  // update: an in-order update joins the run, any other one first
   // flushes the run, then goes to handle_update, and so does any control
   // frame to handle_frame. A loss-shim drop, drawn per update, is
   // discarded on the spot: it touches nothing the run depends on, and the
@@ -335,14 +329,15 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   // less than a window buffered reads the socket first, so the child can
   // refill it while the buffered frames are consumed instead of after.
   // With no whole frame buffered the turn reads the socket, and waits on
-  // it when it is empty: the turn belongs to s whatever the other sites
-  // have sent.
+  // it when it is empty (stats.turn_waits): the turn belongs to s
+  // whatever the other sites have sent.
   // The reassembler holds at most a window plus one recv. A planned
   // crash ends the turn; the killed incarnation's EOF and its replacement
   // are met on s's next one.
   // Returns false when the idle watchdog fires.
   std::vector<double> run_values(kTurnUpdates + wire::kMaxRunUpdates);
   const bool lossy = options.faults.loss > 0.0;
+  const common::ExpandSelectorsFn expand = common::ExpandSelectorsKernel();
   int64_t idle_polls = 0;
   const auto take_turn = [&](int s) {
     SiteState& st = sites[static_cast<size_t>(s)];
@@ -377,6 +372,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
         pfd.events = POLLIN;
         pfd.revents = 0;
         (void)poll(&pfd, 1, 1);
+        ++stats.turn_waits;
         if (++idle_polls > kMaxIdlePolls) return false;
         continue;
       }
@@ -388,13 +384,27 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
         if (st.kill_pending_eof) break;
         continue;
       }
-      const bool in_order = m.u == st.next_seq + static_cast<int64_t>(len);
+      const int64_t expected = st.next_seq + static_cast<int64_t>(len);
+      const bool in_order = m.u == expected;
       if (in_order) st.rewind_pending = false;  // a rewind's first frame
+      if (st.rewind_pending && m.u > expected) {
+        // Sent before the rewind its kNack asked for: every update in it is
+        // past the gap and would be discarded one by one, so the frame is
+        // discarded whole, unexpanded. Its updates still count as arrivals
+        // (the loss shim's hash domain), so every later coin is the one the
+        // per-update walk would have drawn; only the drops it would have
+        // counted among these discarded updates go uncounted.
+        const int count = wire::RunLength(m);
+        NMC_CHECK_GE(count, 1);  // a frame without an update is a wire bug
+        taken += count;
+        st.arrival_updates += count;
+        continue;
+      }
       // On a lossless link an in-order frame is all run: it expands straight
       // into run_values, which has room (len <= taken < kTurnUpdates here).
       double* const dest =
           in_order && !lossy ? run_values.data() + len : values;
-      const int count = wire::ExpandRun(m, dest);
+      const int count = wire::ExpandRun(m, dest, expand);
       NMC_CHECK_GE(count, 1);  // a frame without an update is a wire bug
       taken += count;
       if (dest != values) {

@@ -73,6 +73,8 @@ struct SocketRunOptions {
 struct SocketStats {
   /// Frames decoded at ingress, all types, counted before the loss shim.
   int64_t frames = 0;
+  /// Updates the loss shim dropped, among those not already discarded
+  /// whole as stale (frames sent before a pending go-back-N rewind).
   int64_t drops_injected = 0;
   int64_t nacks_sent = 0;
   /// Updates discarded as already-consumed duplicates. Zero by design: a
@@ -108,6 +110,9 @@ struct SocketStats {
   /// Rotations of the turn loop: each gives every unfinished site one
   /// turn.
   int64_t poll_rounds = 0;
+  /// Waits a turn made on its site's empty socket: one per poll call,
+  /// each up to 1 ms. Timing only; no result depends on it.
+  int64_t turn_waits = 0;
   /// The idle watchdog stopped a wedged run (see RunSockets).
   bool timed_out = false;
   int children_reaped = 0;

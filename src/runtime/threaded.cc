@@ -1,13 +1,12 @@
 #include "runtime/threaded.h"
 
-#include <atomic>
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <future>
 #include <thread>
 #include <utility>
 
-#include "common/atomic_policy.h"
 #include "common/check.h"
 #include "common/huge_pages.h"
 #include "common/spsc_queue.h"
@@ -23,13 +22,8 @@ namespace {
 /// checks it at compile time).
 constexpr size_t kMailboxCapacity = size_t{1} << 12;
 
-/// Max updates the coordinator pulls from one mailbox per visit — the
-/// fairness quantum across sites.
-constexpr size_t kMaxPull = 256;
-
 void SiteLoop(const std::vector<double>& shard,
-              common::SpscQueue<double>* inbox,
-              common::RuntimeAtomic<bool>* done) {
+              common::SpscQueue<double>* inbox) {
   size_t pos = 0;
   const std::span<const double> all(shard);
   while (pos < all.size()) {
@@ -37,11 +31,6 @@ void SiteLoop(const std::vector<double>& shard,
     pos += pushed;
     if (pushed == 0) std::this_thread::yield();
   }
-  // Publish the shard-exhausted flag only after the last TryPushSpan: the
-  // release store orders every enqueued update before the flag, so a
-  // coordinator that sees done==true and an empty mailbox has seen
-  // everything.
-  done->store(true, std::memory_order_release);
 }
 
 }  // namespace
@@ -65,12 +54,6 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
     inboxes.push_back(std::make_unique<common::SpscQueue<double>>(
         common::RingCapacity<kMailboxCapacity>{}));
   }
-  std::unique_ptr<common::RuntimeAtomic<bool>[]> site_done(
-      new common::RuntimeAtomic<bool>[static_cast<size_t>(num_sites)]);
-  for (int i = 0; i < num_sites; ++i) {
-    site_done[i].store(false, std::memory_order_relaxed);
-  }
-
   // Sites on pool threads, then readers on the serving state's own pool;
   // the coordinator is the calling thread, so no pool ever has to
   // schedule a task that other running tasks spin-wait on.
@@ -78,9 +61,9 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   std::vector<std::future<void>> joins;
   joins.reserve(static_cast<size_t>(num_sites));
   for (int i = 0; i < num_sites; ++i) {
-    joins.push_back(pool.Submit([&shards, &inboxes, &site_done, i]() {
+    joins.push_back(pool.Submit([&shards, &inboxes, i]() {
       SiteLoop(shards[static_cast<size_t>(i)],
-               inboxes[static_cast<size_t>(i)].get(), &site_done[i]);
+               inboxes[static_cast<size_t>(i)].get());
     }));
   }
   ThreadedRunResult result;
@@ -88,50 +71,53 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
                                  options.num_readers, total_updates,
                                  protocol->Estimate());
 
-  // Coordinator: round-robin over the mailboxes, feeding contiguous spans
-  // straight from the ring storage into ProcessBatch (zero copies), and
-  // publishing the estimate at every point the protocol may have changed
-  // it (each ProcessBatch return).
+  // Coordinator: the sites take turns of kTurnUpdates in a fixed
+  // rotation, each turn waiting on its site's mailbox until the turn is
+  // complete or the shard is used up. The shard sizes are known, so the
+  // run ends when every site's count is consumed, and the consumption
+  // order (and with it every result bit) follows from the shards alone.
+  // Each turn feeds contiguous spans straight from the ring storage into
+  // ProcessBatch (zero copies) and publishes the estimate at every point
+  // the protocol may have changed it (each ProcessBatch return).
+  std::vector<int64_t> remaining(static_cast<size_t>(num_sites));
+  for (int s = 0; s < num_sites; ++s) {
+    remaining[static_cast<size_t>(s)] =
+        static_cast<int64_t>(shards[static_cast<size_t>(s)].size());
+  }
   int64_t consumed_total = 0;
   double estimate = protocol->Estimate();
-  while (true) {
-    bool progressed = false;
+  while (consumed_total < total_updates) {
     for (int s = 0; s < num_sites; ++s) {
       common::SpscQueue<double>& inbox = *inboxes[static_cast<size_t>(s)];
-      const std::span<const double> batch = inbox.PeekContiguous(kMaxPull);
-      if (batch.empty()) continue;
-      progressed = true;
-      size_t pos = 0;
-      while (pos < batch.size()) {
-        const int64_t consumed =
-            protocol->ProcessBatch(s, batch.subspan(pos));
-        NMC_CHECK_GE(consumed, 1);
-        if (options.capture) {
-          for (int64_t j = 0; j < consumed; ++j) {
-            result.transcript.push_back(TranscriptEntry{
-                s, batch[pos + static_cast<size_t>(j)]});
-          }
+      int64_t turn = std::min(kTurnUpdates, remaining[static_cast<size_t>(s)]);
+      remaining[static_cast<size_t>(s)] -= turn;
+      while (turn > 0) {
+        const std::span<const double> batch =
+            inbox.PeekContiguous(static_cast<size_t>(turn));
+        if (batch.empty()) {
+          std::this_thread::yield();
+          continue;
         }
-        pos += static_cast<size_t>(consumed);
-        consumed_total += consumed;
-        estimate = protocol->Estimate();
-        serving.Publish(consumed_total, estimate);
+        size_t pos = 0;
+        while (pos < batch.size()) {
+          const int64_t consumed =
+              protocol->ProcessBatch(s, batch.subspan(pos));
+          NMC_CHECK_GE(consumed, 1);
+          if (options.capture) {
+            for (int64_t j = 0; j < consumed; ++j) {
+              result.transcript.push_back(TranscriptEntry{
+                  s, batch[pos + static_cast<size_t>(j)]});
+            }
+          }
+          pos += static_cast<size_t>(consumed);
+          consumed_total += consumed;
+          estimate = protocol->Estimate();
+          serving.Publish(consumed_total, estimate);
+        }
+        inbox.Advance(batch.size());
+        turn -= static_cast<int64_t>(batch.size());
       }
-      inbox.Advance(batch.size());
     }
-    if (progressed) continue;
-    // Check done flags before re-probing the mailboxes: a site's pushes
-    // happen-before its done flag, so done && empty is conclusive.
-    bool finished = true;
-    for (int s = 0; s < num_sites; ++s) {
-      if (!site_done[s].load(std::memory_order_acquire) ||
-          !inboxes[static_cast<size_t>(s)]->PeekContiguous(1).empty()) {
-        finished = false;
-        break;
-      }
-    }
-    if (finished) break;
-    std::this_thread::yield();
   }
   NMC_CHECK_EQ(consumed_total, total_updates);
   for (std::future<void>& join : joins) join.get();

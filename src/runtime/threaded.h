@@ -30,8 +30,9 @@ struct PublishedEstimate {
 /// One consumed update in coordinator order — the unit of the captured
 /// transcript. Replaying the transcript through a fresh protocol instance
 /// on the deterministic simulator reproduces the threaded run exactly
-/// (the protocol itself is single-threaded either way; the only
-/// nondeterminism is the mailbox interleaving, which the transcript pins).
+/// (the protocol itself is single-threaded either way, and both concurrent
+/// backends consume the sites in fixed turns of kTurnUpdates, so the
+/// transcript is the turn rotation of the shards).
 struct TranscriptEntry {
   int64_t site = 0;
   double value = 0.0;
@@ -79,10 +80,14 @@ struct ThreadedRunResult {
 /// Runs `protocol` on the threaded transport backend: shards[i] streams
 /// into site i's thread (spawned on a common::ThreadPool), updates flow
 /// through lock-free SPSC mailboxes to the coordinator (the calling
-/// thread), which applies them via Protocol::ProcessBatch and publishes
-/// the estimate into a seqlock slot that options.num_readers concurrent
-/// query threads read wait-free. Returns after every shard is consumed and
-/// every thread has joined.
+/// thread), which serves the sites in a fixed rotation of turns of
+/// kTurnUpdates (a shard's last turn takes what is left), waiting on a
+/// site's mailbox during its turn. It applies the updates via
+/// Protocol::ProcessBatch and publishes the estimate into a seqlock slot
+/// that options.num_readers concurrent query threads read wait-free. The
+/// consumption order, and with it the message count and final estimate,
+/// is a function of the shards alone. Returns after every shard is
+/// consumed and every thread has joined.
 ///
 /// The protocol object itself is only ever touched by the coordinator
 /// thread — protocols stay single-threaded state machines; the concurrency

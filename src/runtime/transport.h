@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string_view>
 
 namespace nmc::runtime {
@@ -28,6 +29,20 @@ enum class TransportKind {
   kThreads = 1,
   kSockets = 2,
 };
+
+/// Updates one site's turn takes before the next site's turn, on both
+/// concurrent backends: the coordinator serves the sites in a fixed
+/// rotation of turns, so the order in which the protocol sees the sites'
+/// updates, its message count and its final estimate follow from the
+/// shards, not from thread or socket timing. Fine enough that the sites
+/// interleave about as finely as one unpacked socket window did (744
+/// updates), so the message cost does not hinge on how the sites' shards
+/// happen to line up. 1024 runs sockets_drift_read about as fast (DESIGN
+/// §14); the value stays because it fixes the interleaving, and with it
+/// the message count at each seed and E14's recovery distance (one turn
+/// of each other site). A threads turn ends at exactly this many updates;
+/// a sockets turn ends at the first frame boundary at or past it.
+inline constexpr int64_t kTurnUpdates = 2048;
 
 /// "sim" / "threads" / "sockets" — the --transport flag vocabulary.
 const char* TransportKindName(TransportKind kind);

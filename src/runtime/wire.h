@@ -3,10 +3,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstddef>
-#include <cstring>
 #include <span>
 #include <vector>
 
+#include "common/batch_ops.h"
 #include "sim/message.h"
 #include "sim/message_wire.h"
 
@@ -69,22 +69,16 @@ inline int RunLength(const sim::Message& message) {
 /// below 1 and nothing past out[count − 1], so it may expand into the
 /// middle of a larger buffer. Each value is a ^ (flip & −bit) over the bit
 /// patterns, with flip = a ^ b: no table load, no branch per update.
-inline int ExpandRun(const sim::Message& message, double* out) {
+/// `expand` is the SIMD-dispatched kernel (common::ExpandSelectorsKernel);
+/// a loop over many frames resolves it once and passes it in.
+inline int ExpandRun(
+    const sim::Message& message, double* out,
+    common::ExpandSelectorsFn expand = common::ExpandSelectorsKernel()) {
   const int count = RunLength(message);
   const uint64_t a = std::bit_cast<uint64_t>(message.a);
-  const uint64_t flip = a ^ std::bit_cast<uint64_t>(message.b);
-  const auto word = [&](uint64_t bit) {
-    return a ^ (flip & (uint64_t{0} - bit));
-  };
-  uint64_t rest = static_cast<uint64_t>(message.v);  // bit 0: update i
-  int i = 0;
-  for (; i + 1 < count; i += 2, rest >>= 2) {
-    const uint64_t two[2] = {word(rest & 1u), word((rest >> 1) & 1u)};
-    std::memcpy(out + i, two, sizeof two);
-  }
-  if (i < count) {
-    const uint64_t last = word(rest & 1u);
-    std::memcpy(out + i, &last, sizeof last);
+  if (count > 0) {
+    expand(a, a ^ std::bit_cast<uint64_t>(message.b),
+           static_cast<uint64_t>(message.v), count, out);
   }
   return count;
 }

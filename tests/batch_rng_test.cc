@@ -32,8 +32,7 @@ using common::SimdLevel;
 
 std::vector<SimdLevel> AvailableLevels() {
   std::vector<SimdLevel> levels;
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kNeon}) {
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     if (common::SimdLevelAvailable(level)) levels.push_back(level);
   }
   return levels;

@@ -256,8 +256,7 @@ TEST(BatchedPumpTest, CounterBitIdenticalAcrossSimdLevels) {
   const auto stream = streams::BernoulliStream(n, 0.5, 92);
   const auto reference = RunCounterBatched(stream, 4, options, 64);
   common::ResetSimdLevel();
-  for (const auto level :
-       {common::SimdLevel::kAvx2, common::SimdLevel::kNeon}) {
+  for (const auto level : {common::SimdLevel::kAvx2}) {
     if (!common::SimdLevelAvailable(level)) continue;
     SCOPED_TRACE(::testing::Message()
                  << "level=" << common::SimdLevelName(level));

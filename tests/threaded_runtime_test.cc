@@ -1,5 +1,6 @@
 #include "runtime/threaded.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -187,6 +188,71 @@ TEST(ThreadedRuntimeTest, SingleSiteNoReadersDegeneratesToSequentialFeed) {
   for (size_t t = 0; t < result.transcript.size(); ++t) {
     ASSERT_EQ(result.transcript[t].site, 0);
     ASSERT_EQ(result.transcript[t].value, stream[t]);
+  }
+}
+
+// The coordinator serves the sites in a fixed rotation of kTurnUpdates
+// turns, so a run is a function of its shards: repeated runs, readers
+// racing or not, send the same messages and end on the same estimate.
+TEST(ThreadedRuntimeTest, FixedTurnsMakeRepeatedRunsIdentical) {
+  const int64_t n = (int64_t{1} << 16) + 333;
+  const int k = 3;
+  const std::vector<double> stream = streams::BernoulliStream(n, 0.0, 53);
+  const std::vector<std::vector<double>> shards = ShardRoundRobin(stream, k);
+  int64_t first_messages = -1;
+  double first_estimate = 0.0;
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    const std::unique_ptr<sim::Protocol> protocol = MakeCounter(k, n);
+    ThreadedRunOptions options;
+    options.num_readers = 1;
+    const ThreadedRunResult result =
+        RunThreaded(protocol.get(), shards, options);
+    ASSERT_EQ(result.updates, n);
+    const int64_t messages = protocol->stats().total();
+    if (run == 0) {
+      first_messages = messages;
+      first_estimate = result.final_published.estimate;
+      continue;
+    }
+    EXPECT_EQ(messages, first_messages);
+    EXPECT_EQ(std::bit_cast<uint64_t>(result.final_published.estimate),
+              std::bit_cast<uint64_t>(first_estimate));
+  }
+}
+
+// The captured consumption order is the turn rotation: site 0's first
+// kTurnUpdates updates, then site 1's, ..., then site 0's next turn, with
+// each shard's last turn taking what is left of it.
+TEST(ThreadedRuntimeTest, SitesTakeTurnsOfKTurnUpdatesInRotation) {
+  const int k = 3;
+  const int64_t n = 5 * k * kTurnUpdates + 1000;  // ragged last turns
+  const std::vector<double> stream =
+      streams::FractionalIidStream(n, 0.0, 1.0, 19);
+  const std::vector<std::vector<double>> shards = ShardRoundRobin(stream, k);
+  const std::unique_ptr<sim::Protocol> protocol = MakeCounter(k, n);
+  ThreadedRunOptions options;
+  options.capture = true;
+  const ThreadedRunResult result =
+      RunThreaded(protocol.get(), shards, options);
+  ASSERT_EQ(static_cast<int64_t>(result.transcript.size()), n);
+
+  std::vector<TranscriptEntry> want;
+  std::vector<size_t> cursor(static_cast<size_t>(k), 0);
+  while (static_cast<int64_t>(want.size()) < n) {
+    for (int s = 0; s < k; ++s) {
+      const std::vector<double>& shard = shards[static_cast<size_t>(s)];
+      size_t& pos = cursor[static_cast<size_t>(s)];
+      const size_t end =
+          std::min(shard.size(), pos + static_cast<size_t>(kTurnUpdates));
+      for (; pos < end; ++pos) want.push_back(TranscriptEntry{s, shard[pos]});
+    }
+  }
+  for (size_t t = 0; t < want.size(); ++t) {
+    ASSERT_EQ(result.transcript[t].site, want[t].site) << "update " << t;
+    ASSERT_EQ(std::bit_cast<uint64_t>(result.transcript[t].value),
+              std::bit_cast<uint64_t>(want[t].value))
+        << "update " << t;
   }
 }
 

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/batch_ops_kernels.h"
+#include "common/simd_dispatch.h"
 #include "runtime/threaded.h"
 #include "sim/message.h"
 #include "sim/message_wire.h"
@@ -530,28 +532,43 @@ TEST(WireTest, RunCodecMatchesOracleOnBernoulliShard) {
 
 TEST(WireTest, ExpandRunWritesNothingPastItsCount) {
   // The coordinator expands in-order frames into the middle of its run
-  // buffer, so out[count] and beyond must survive every count.
+  // buffer, so out[count] and beyond must survive every count, at every
+  // SIMD level the dispatched kernel can take; the scalar loop is the
+  // oracle.
   const double sentinel = std::bit_cast<double>(uint64_t{0x7FF800000000BEEF});
   const std::vector<double> values =
       streams::BernoulliStream(kMaxRunUpdates, 0.0, 31);
-  for (int count = 1; count <= kMaxRunUpdates; ++count) {
-    sim::Message m;
-    ASSERT_EQ(PackRun(std::span<const double>(values).first(
-                          static_cast<size_t>(count)),
-                      0, &m),
-              count);
-    std::array<double, kMaxRunUpdates + 1> out;
-    out.fill(sentinel);
-    ASSERT_EQ(ExpandRun(m, out.data()), count);
-    for (int i = 0; i < count; ++i) {
-      ASSERT_EQ(Bits(out[static_cast<size_t>(i)]),
-                Bits(values[static_cast<size_t>(i)]))
-          << "count=" << count << " update " << i;
-    }
-    for (size_t i = static_cast<size_t>(count); i < out.size(); ++i) {
-      ASSERT_EQ(Bits(out[i]), Bits(sentinel)) << "count=" << count;
+  for (const common::SimdLevel level :
+       {common::SimdLevel::kScalar, common::SimdLevel::kAvx2}) {
+    if (!common::ForceSimdLevel(level)) continue;
+    SCOPED_TRACE(common::SimdLevelName(level));
+    for (int count = 1; count <= kMaxRunUpdates; ++count) {
+      sim::Message m;
+      ASSERT_EQ(PackRun(std::span<const double>(values).first(
+                            static_cast<size_t>(count)),
+                        0, &m),
+                count);
+      std::array<double, kMaxRunUpdates + 1> out;
+      out.fill(sentinel);
+      std::array<double, kMaxRunUpdates + 1> oracle = out;
+      ASSERT_EQ(ExpandRun(m, out.data()), count);
+      ASSERT_EQ(ExpandRun(m, oracle.data(),
+                          common::batch_ops_detail::ExpandSelectorsScalar),
+                count);
+      for (int i = 0; i < count; ++i) {
+        ASSERT_EQ(Bits(out[static_cast<size_t>(i)]),
+                  Bits(values[static_cast<size_t>(i)]))
+            << "count=" << count << " update " << i;
+      }
+      for (size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(Bits(out[i]), Bits(oracle[i])) << "count=" << count;
+        if (i >= static_cast<size_t>(count)) {
+          ASSERT_EQ(Bits(out[i]), Bits(sentinel)) << "count=" << count;
+        }
+      }
     }
   }
+  common::ResetSimdLevel();
 }
 
 TEST(WireTest, RunEndsAtThirdValueAtCapAndAtStop) {

@@ -4,6 +4,9 @@
 #include <sstream>
 #include <utility>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include "common/check.h"
 
 namespace nmc::race {
@@ -12,6 +15,47 @@ namespace {
 
 thread_local Runtime* t_rt = nullptr;
 thread_local uint32_t t_tid = 0;
+
+/// The CPU the process started on (-1 when unknown). Exactly one engine
+/// thread runs at a time, so the engine keeps all of its threads on this
+/// one CPU: each token hand-off then wakes a thread on the CPU that just
+/// went idle instead of another CPU's run queue, which is where an
+/// unpinned suite spent most of its time. Taking the start CPU rather than
+/// a fixed one keeps parallel checker processes spread over the machine.
+const int kEngineCpu = sched_getcpu();
+
+/// Best effort: a failure (or an unknown CPU) leaves `thread` unpinned,
+/// which changes timing only, never an exploration result.
+void PinToEngineCpu(pthread_t thread) {
+  if (kEngineCpu < 0) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(kEngineCpu, &set);
+  (void)pthread_setaffinity_np(thread, sizeof(set), &set);
+}
+
+/// Pins the calling thread, which runs the scheduler, for the lifetime of
+/// one Explore() call and restores its own mask afterwards, so a caller
+/// (a test binary, say) is left as it was.
+class ScopedSchedulerPin {
+ public:
+  ScopedSchedulerPin()
+      : saved_ok_(pthread_getaffinity_np(pthread_self(), sizeof(saved_),
+                                         &saved_) == 0) {
+    if (saved_ok_) PinToEngineCpu(pthread_self());
+  }
+  ~ScopedSchedulerPin() {
+    if (saved_ok_) {
+      (void)pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+    }
+  }
+  ScopedSchedulerPin(const ScopedSchedulerPin&) = delete;
+  ScopedSchedulerPin& operator=(const ScopedSchedulerPin&) = delete;
+
+ private:
+  cpu_set_t saved_;
+  bool saved_ok_;
+};
 
 bool IsAcquireSide(std::memory_order order) {
   return order == std::memory_order_acquire ||
@@ -42,7 +86,8 @@ struct ChoicePoint {
 /// call: the DFS choice stack and the token-passing thread engine. Real
 /// std::threads with a mutex/condvar token (exactly one runnable at a
 /// time) rather than fibers, so the model checker itself stays clean under
-/// ASan/TSan — CI runs the full ctest suite under both.
+/// ASan/TSan — CI runs the full ctest suite under both. The workers and
+/// the scheduler share one CPU (kEngineCpu).
 struct Engine {
   // ---- DFS state --------------------------------------------------------
   std::vector<ChoicePoint> stack;
@@ -96,6 +141,7 @@ struct Engine {
     while (workers.size() < tid) {
       const uint32_t worker_tid = static_cast<uint32_t>(workers.size()) + 1;
       workers.emplace_back([this, worker_tid] { WorkerLoop(worker_tid); });
+      PinToEngineCpu(workers.back().native_handle());
     }
   }
 
@@ -547,6 +593,7 @@ std::memory_order Runtime::SiteOrder(common::OrderSite site,
 
 ExploreResult Explore(const ExploreOptions& options,
                       const std::function<void(Runtime&)>& test) {
+  const ScopedSchedulerPin pin;
   detail::Engine engine;
   const bool replaying = !options.replay.empty();
   if (replaying && !engine.ParseReplay(options.replay)) {
