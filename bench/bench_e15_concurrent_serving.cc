@@ -149,8 +149,10 @@ struct ServingPoint {
   double updates_per_sec = 0.0;
   double reads_per_sec = 0.0;
   int64_t torn_reads = 0;
-  /// Sockets only: polls a turn made on its site's empty socket.
+  /// Sockets only: polls a turn made on its site's empty socket, and
+  /// their summed wall time.
   int64_t turn_waits = 0;
+  double turn_wait_s = 0.0;
 };
 
 /// One reader-count point on a concurrent backend (threads or sockets),
@@ -180,6 +182,7 @@ ServingPoint RunServingPoint(const E15Options& options,
   }
   point.torn_reads = result.serving.torn_reads;
   point.turn_waits = result.sockets.turn_waits;
+  point.turn_wait_s = result.sockets.turn_wait_s;
   return point;
 }
 
@@ -273,10 +276,12 @@ int main(int argc, char** argv) {
   }
   std::printf("\n-- %s backend: %d sites, m reader threads --\n", kind_name,
               options.sites);
-  // Sockets runs add the transport's turn waits (SocketStats::turn_waits).
+  // Sockets runs add the transport's turn waits and their summed wall
+  // time (SocketStats::turn_waits, turn_wait_s).
   const bool sockets = kind == TransportKind::kSockets;
   std::printf("%8s  %16s  %16s  %12s%s\n", "readers", "updates/sec",
-              "reads/sec", "torn reads", sockets ? "    turn waits" : "");
+              "reads/sec", "torn reads",
+              sockets ? "    turn waits  turn wait ms" : "");
   std::vector<ServingPoint> points;
   for (const int m : sweep) {
     points.push_back(RunServingPoint(options, shards, m, kind));
@@ -284,7 +289,8 @@ int main(int argc, char** argv) {
     std::printf("%8d  %16.3e  %16.3e  %12lld", p.readers, p.updates_per_sec,
                 p.reads_per_sec, static_cast<long long>(p.torn_reads));
     if (sockets) {
-      std::printf("  %12lld", static_cast<long long>(p.turn_waits));
+      std::printf("  %12lld  %12.2f", static_cast<long long>(p.turn_waits),
+                  p.turn_wait_s * 1e3);
     }
     std::printf("\n");
     char name[64];
@@ -296,6 +302,8 @@ int main(int argc, char** argv) {
     if (sockets) {
       std::snprintf(name, sizeof(name), "sockets_turn_waits_m%d", p.readers);
       RecordMetric(name, static_cast<double>(p.turn_waits));
+      std::snprintf(name, sizeof(name), "sockets_turn_wait_s_m%d", p.readers);
+      RecordMetric(name, p.turn_wait_s);
     }
   }
 

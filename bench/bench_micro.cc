@@ -1,9 +1,10 @@
 // M1 — google-benchmark microbenchmarks of the hot paths: counter update,
 // HYZ update, full simulator pump (network + tracking checker), stream
 // generation (fGn via FFT), hashing, sketch update, the sockets run codec
-// (PackRun / ExpandRun) and the sign tally. These bound the simulator's
-// throughput (updates/second), which is what limits the n the experiment
-// harnesses can sweep.
+// (PackRun / ExpandRun), the sign tally, and one bare pass over a
+// DRAM-sized stream as the floor under the pump. These bound the
+// simulator's throughput (updates/second), which is what limits the n the
+// experiment harnesses can sweep.
 //
 // Accepts the shared bench flags, --json_out=PATH among them (mapped to
 // --benchmark_out=PATH --benchmark_out_format=json for
@@ -160,25 +161,60 @@ BENCHMARK(BM_TrackingPumpLongGap)->Arg(1)->Arg(8);
 // sending 64-update blocks to each site in turn. Runs are long, so the pump's
 // per-update costs (site assignment, run detection) sit next to a protocol
 // that mostly skips.
-void BM_TrackingPumpBlock(benchmark::State& state) {
+void PumpBlocks(benchmark::State& state, int64_t n, double epsilon) {
   const int k = static_cast<int>(state.range(0));
-  const int64_t n = 1 << 15;
   const auto stream = nmc::streams::BernoulliStream(n, 0.02, 21);
   int64_t updates = 0;
   for (auto _ : state) {
     nmc::core::CounterOptions options;
-    options.epsilon = 0.25;
+    options.epsilon = epsilon;
     options.horizon_n = n;
     options.seed = 11;
     nmc::core::NonMonotonicCounter counter(k, options);
     nmc::sim::BlockCyclicAssignment psi(k, 64);
-    const auto result = PumpRun(stream, &counter, &psi, PumpTracking(0.25));
+    const auto result =
+        PumpRun(stream, &counter, &psi, PumpTracking(epsilon));
     benchmark::DoNotOptimize(result.messages);
     updates += result.n;
   }
   state.SetItemsProcessed(updates);
 }
+
+void BM_TrackingPumpBlock(benchmark::State& state) {
+  PumpBlocks(state, 1 << 15, 0.25);
+}
 BENCHMARK(BM_TrackingPumpBlock)->Arg(8);
+
+// The same shape at the benchmark's scale: 2^24 updates (128 MiB of
+// stream) and epsilon = 0.1, as in sim_drift_block. The stream does not fit
+// in any cache, so each run reads it from DRAM; the 2^15-update row above
+// stays cache-resident and cannot show what the pump's stream prefetch
+// buys. Compare per update with BM_StreamReadFloor.
+constexpr int64_t kDramUpdates = int64_t{1} << 24;
+
+void BM_TrackingPumpBlockDram(benchmark::State& state) {
+  PumpBlocks(state, kDramUpdates, 0.1);
+}
+BENCHMARK(BM_TrackingPumpBlockDram)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// The memory floor under the row above: one pass summing the same 2^24
+// ±1 stream (BernoulliStream allocates it with ReserveStreamBuffer, as
+// every stream generator does). Four independent partial sums keep the
+// floating-point add latency off the critical path, so the pass is bound
+// by memory bandwidth alone; the sum of ±1 values is exact in any order.
+void BM_StreamReadFloor(benchmark::State& state) {
+  const auto stream = nmc::streams::BernoulliStream(kDramUpdates, 0.02, 21);
+  for (auto _ : state) {
+    double partial[4] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t i = 0; i < stream.size(); i += 4) {
+      for (size_t j = 0; j < 4; ++j) partial[j] += stream[i + j];
+    }
+    const double sum = partial[0] + partial[1] + partial[2] + partial[3];
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kDramUpdates);
+}
+BENCHMARK(BM_StreamReadFloor)->Unit(benchmark::kMillisecond);
 
 // Protocols that keep the default ProcessChunk, at k = 4: each call takes
 // psi's leading run (or what a message left of it) to ProcessUpdate or

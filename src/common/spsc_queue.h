@@ -12,10 +12,8 @@
 namespace nmc::common {
 
 /// Compile-time capacity tag for SpscQueue: rejects zero and
-/// non-power-of-two capacities at compile time instead of silently
-/// rounding. Capacity 1 is allowed — a single-slot ring degrades to a
-/// strict ping-pong hand-off — while the runtime size_t constructor keeps
-/// its historical floor of 2.
+/// non-power-of-two capacities at compile time. Capacity 1 is allowed — a
+/// single-slot ring degrades to a strict ping-pong hand-off.
 template <size_t kN>
 struct RingCapacity {
   static_assert(kN >= 1, "SpscQueue capacity must be at least 1");
@@ -52,14 +50,10 @@ class SpscQueue {
                 "SpscQueue slots are copied across threads raw");
 
  public:
-  /// Capacity is rounded up to the next power of two (>= 2).
-  explicit SpscQueue(size_t min_capacity)
-      : SpscQueue(Exact{}, RoundUpCapacity(min_capacity)) {}
-
   /// Exact compile-time capacity; rejects invalid sizes via the tag's
   /// static_asserts and permits a capacity-1 ring.
   template <size_t kN>
-  explicit SpscQueue(RingCapacity<kN>) : SpscQueue(Exact{}, kN) {}
+  explicit SpscQueue(RingCapacity<kN>) : mask_(kN - 1), slots_(kN) {}
 
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
@@ -146,15 +140,6 @@ class SpscQueue {
 
  private:
   static constexpr size_t kCacheLine = 64;
-
-  struct Exact {};
-  SpscQueue(Exact, size_t capacity) : mask_(capacity - 1), slots_(capacity) {}
-
-  static size_t RoundUpCapacity(size_t min_capacity) {
-    size_t capacity = 2;
-    while (capacity < min_capacity) capacity <<= 1;
-    return capacity;
-  }
 
   size_t mask_ = 0;
   typename Policy::template SlotArray<T> slots_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 
 #include <poll.h>
 #include <signal.h>
@@ -33,11 +34,14 @@ double FaultUniform(uint64_t seed, uint64_t site, uint64_t index) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
-/// Safety stop: consecutive idle polls (no frame decoded) before the
-/// coordinator declares the run wedged, SIGKILLs everything and returns
-/// with timed_out set (a hung CI job is worse than a failed one). Each
-/// idle poll blocks ~1ms.
-constexpr int64_t kMaxIdlePolls = 20000;
+// nmc-lint: allow(NO_WALLCLOCK_IN_SIM) the transport's idle watchdog and its turn-wait timing; no result the protocol or the checker sees depends on the clock
+using Clock = std::chrono::steady_clock;
+
+/// Safety stop: consecutive idle time (turn waits with no frame decoded
+/// between them) after which the coordinator declares the run wedged,
+/// SIGKILLs everything and returns with timed_out set (a hung CI job is
+/// worse than a failed one).
+constexpr Clock::duration kMaxIdleTime = std::chrono::seconds(20);
 
 /// Coordinator-side view of one site across its incarnations.
 struct SiteState {
@@ -338,7 +342,10 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   std::vector<double> run_values(kTurnUpdates + wire::kMaxRunUpdates);
   const bool lossy = options.faults.loss > 0.0;
   const common::ExpandSelectorsFn expand = common::ExpandSelectorsKernel();
-  int64_t idle_polls = 0;
+  // The start of the current stretch of consecutive idle time: set by the
+  // first turn wait after a decoded frame, cleared by the next one.
+  bool idle = false;
+  Clock::time_point idle_since;
   const auto take_turn = [&](int s) {
     SiteState& st = sites[static_cast<size_t>(s)];
     size_t len = 0;
@@ -371,12 +378,18 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
         pfd.fd = st.proc.fd;
         pfd.events = POLLIN;
         pfd.revents = 0;
+        const Clock::time_point wait_start = Clock::now();
         (void)poll(&pfd, 1, 1);
+        const Clock::time_point wait_end = Clock::now();
         ++stats.turn_waits;
-        if (++idle_polls > kMaxIdlePolls) return false;
+        stats.turn_wait_s +=
+            std::chrono::duration<double>(wait_end - wait_start).count();
+        if (!idle) idle_since = wait_start;
+        idle = true;
+        if (wait_end - idle_since > kMaxIdleTime) return false;
         continue;
       }
-      idle_polls = 0;
+      idle = false;
       ++stats.frames;
       if (m.type != static_cast<int>(FrameType::kUpdate)) {
         flush();

@@ -110,9 +110,13 @@ struct SocketStats {
   /// Rotations of the turn loop: each gives every unfinished site one
   /// turn.
   int64_t poll_rounds = 0;
-  /// Waits a turn made on its site's empty socket: one per poll call,
-  /// each up to 1 ms. Timing only; no result depends on it.
+  /// Waits a turn made on its site's empty socket: one per poll call.
+  /// The call's timeout is 1 ms, but a wait can last longer, ready or
+  /// not, until the coordinator is scheduled again (turn_wait_s).
+  /// Timing only; no result depends on it.
   int64_t turn_waits = 0;
+  /// Summed wall time of those waits, in seconds. Timing only.
+  double turn_wait_s = 0.0;
   /// The idle watchdog stopped a wedged run (see RunSockets).
   bool timed_out = false;
   int children_reaped = 0;
@@ -138,8 +142,8 @@ struct SocketRunResult {
 /// and publishes the estimate after every ProcessBatch return through
 /// the same seqlock serving layer as the threads backend. Returns once
 /// every site has FIN/FinAck'd (or died per the fault plan) and every
-/// child is reaped — no zombies, no open fds. A run that decodes no frame
-/// over 20000 consecutive 1 ms waits (about 20 s) is wedged: the watchdog
+/// child is reaped — no zombies, no open fds. A run that waits 20 s of
+/// steady-clock time without decoding a frame is wedged: the watchdog
 /// SIGKILLs everything and returns with stats.timed_out set.
 ///
 /// The protocol object is only ever touched by the calling thread;

@@ -1,12 +1,46 @@
 #include "sim/harness.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/check.h"
 
 namespace nmc::sim {
 
 namespace {
+
+/// How far ahead of the chunk being pumped the stream is requested. In the
+/// sampled regime a chunk costs little more than reading it, so a chunk
+/// found cold in DRAM stalls the pump; 4 KiB won a 2–32 KiB sweep on
+/// sim_drift_block (DESIGN.md §7).
+constexpr size_t kPrefetchAheadBytes = size_t{4} << 10;
+constexpr uintptr_t kCacheLineBytes = 64;
+
+/// Requests a stream's cache lines in order, each exactly once: Through(end)
+/// prefetches every line not yet requested up to the one holding item
+/// end - 1. The cursor is a line address (the first line may start before
+/// item 0), and no pointer past the last item is formed.
+class StreamPrefetcher {
+ public:
+  explicit StreamPrefetcher(const double* stream)
+      : stream_(stream), next_line_(LineOf(stream)) {}
+
+  void Through(size_t end) {
+    if (end == 0) return;
+    const uintptr_t last = LineOf(stream_ + (end - 1));
+    for (; next_line_ <= last; next_line_ += kCacheLineBytes) {
+      __builtin_prefetch(reinterpret_cast<const void*>(next_line_));
+    }
+  }
+
+ private:
+  static uintptr_t LineOf(const double* item) {
+    return reinterpret_cast<uintptr_t>(item) & ~(kCacheLineBytes - 1);
+  }
+
+  const double* stream_;
+  uintptr_t next_line_;
+};
 
 /// RunTracking's loop state, threaded through PumpChunk.
 struct PumpState {
@@ -128,9 +162,12 @@ TrackingResult RunTracking(const std::vector<double>& stream,
 
   const std::span<const double> all(stream);
   const size_t batch = static_cast<size_t>(options.batch_size);
+  constexpr size_t kAheadItems = kPrefetchAheadBytes / sizeof(double);
+  StreamPrefetcher prefetch(all.data());
   for (size_t offset = 0; offset < all.size(); offset += batch) {
-    PumpChunk(all.subspan(offset, std::min(batch, all.size() - offset)), psi,
-              protocol, options, &state);
+    const size_t len = std::min(batch, all.size() - offset);
+    prefetch.Through(std::min(all.size(), offset + len + kAheadItems));
+    PumpChunk(all.subspan(offset, len), psi, protocol, options, &state);
   }
 
   NMC_CHECK_EQ(state.t, n);

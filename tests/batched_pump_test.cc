@@ -25,23 +25,7 @@
 namespace nmc {
 namespace {
 
-void ExpectSameResult(const sim::TrackingResult& a,
-                      const sim::TrackingResult& b) {
-  EXPECT_EQ(a.n, b.n);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.broadcasts, b.broadcasts);
-  EXPECT_EQ(a.violation_steps, b.violation_steps);
-  EXPECT_EQ(a.max_rel_error, b.max_rel_error);  // bitwise, not approximate
-  EXPECT_EQ(a.final_sum, b.final_sum);
-  EXPECT_EQ(a.final_estimate, b.final_estimate);
-  ASSERT_EQ(a.curve.size(), b.curve.size());
-  for (size_t i = 0; i < a.curve.size(); ++i) {
-    EXPECT_EQ(a.curve[i].t, b.curve[i].t);
-    EXPECT_EQ(a.curve[i].messages, b.curve[i].messages);
-    EXPECT_EQ(a.curve[i].sum, b.curve[i].sum);
-    EXPECT_EQ(a.curve[i].estimate, b.curve[i].estimate);
-  }
-}
+using testing::ExpectSameResult;
 
 // Every assignment policy. Under round_robin every run has length 1; the
 // others also produce multi-update same-site runs (block: 64 long, so batch

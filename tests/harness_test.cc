@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/nonmonotonic_counter.h"
 #include "sim/protocol.h"
+#include "streams/bernoulli.h"
+#include "test_util.h"
 
 namespace nmc::sim {
 namespace {
@@ -202,6 +205,48 @@ TEST(CheckCallTest, MatchesCheckStepPerUpdate) {
       EXPECT_EQ(got.violation_steps, want.violation_steps);
       EXPECT_EQ(got.max_rel_error, want.max_rel_error);  // bitwise
       EXPECT_EQ(sum_got, sum_ref);
+    }
+  }
+}
+
+// ---- The pump's stream prefetch is unobservable ------------------------
+
+/// Runs the counter over `stream` (k = 4, 64-update blocks) in chunks of
+/// `batch_size`, with or without a curve.
+TrackingResult RunBlockCounter(const std::vector<double>& stream,
+                               int batch_size, int curve_points) {
+  const int64_t n = static_cast<int64_t>(stream.size());
+  core::NonMonotonicCounter counter(4, testing::DefaultOptions(n, 0.2, 404));
+  BlockCyclicAssignment psi(4, 64);
+  TrackingOptions options;
+  options.epsilon = 0.2;
+  options.curve_points = curve_points;
+  options.batch_size = batch_size;
+  return RunTracking(stream, &psi, &counter, options);
+}
+
+TEST(HarnessTest, BitIdenticalAcrossBatchSizesAroundPrefetchDistance) {
+  // The pump requests the stream 4 KiB (512 items) ahead of the chunk it
+  // pumps. Streams shorter than, at and past that distance, a default
+  // chunk (256 items) and both together must give the same result bit for
+  // bit at every chunk size (1, 7, 256 or 2048 items). Each stream is an
+  // exactly sized vector, so a read past its end is a heap overflow under
+  // AddressSanitizer.
+  const std::vector<double> source = streams::BernoulliStream(5000, 0.1, 77);
+  for (const size_t n : {1u, 255u, 256u, 257u, 511u, 512u, 513u, 767u, 768u,
+                         769u, 1023u, 1024u, 1025u, 5000u}) {
+    const std::vector<double> stream(source.begin(),
+                                     source.begin() + static_cast<long>(n));
+    ASSERT_EQ(stream.capacity(), n);
+    for (const int curve_points : {0, 16}) {
+      const TrackingResult want = RunBlockCounter(stream, 1, curve_points);
+      EXPECT_EQ(want.n, static_cast<int64_t>(n));
+      for (const int batch : {7, 256, 2048}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " batch=" << batch
+                                          << " curve=" << curve_points);
+        testing::ExpectSameResult(
+            RunBlockCounter(stream, batch, curve_points), want);
+      }
     }
   }
 }

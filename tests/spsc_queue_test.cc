@@ -10,16 +10,8 @@
 namespace nmc::common {
 namespace {
 
-TEST(SpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscQueue<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscQueue<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscQueue<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscQueue<int>(64).capacity(), 64u);
-  EXPECT_EQ(SpscQueue<int>(65).capacity(), 128u);
-}
-
 TEST(SpscQueueTest, FifoSingleThread) {
-  SpscQueue<int> queue(8);
+  SpscQueue<int> queue(RingCapacity<8>{});
   for (int i = 0; i < 8; ++i) EXPECT_TRUE(queue.TryPush(i));
   EXPECT_FALSE(queue.TryPush(99)) << "full queue must refuse";
   int out = -1;
@@ -34,7 +26,7 @@ TEST(SpscQueueTest, WraparoundAtCapacityBoundary) {
   // Capacity 4; drive the indices far past one lap so every slot is
   // reused many times and the monotonic-index-with-mask arithmetic is
   // exercised across the wrap.
-  SpscQueue<int64_t> queue(4);
+  SpscQueue<int64_t> queue(RingCapacity<4>{});
   int64_t next_push = 0;
   int64_t next_pop = 0;
   for (int round = 0; round < 100; ++round) {
@@ -50,7 +42,7 @@ TEST(SpscQueueTest, WraparoundAtCapacityBoundary) {
 }
 
 TEST(SpscQueueTest, PeekContiguousSplitsAtWrap) {
-  SpscQueue<int> queue(4);
+  SpscQueue<int> queue(RingCapacity<4>{});
   // Advance the ring so the next batch straddles the physical end:
   // push 3, pop 3 (head = tail = 3), then push 4 (slots 3, 0, 1, 2).
   int out = -1;
@@ -74,7 +66,7 @@ TEST(SpscQueueTest, PeekContiguousSplitsAtWrap) {
 }
 
 TEST(SpscQueueTest, TryPushSpanTakesWhatFits) {
-  SpscQueue<int> queue(8);
+  SpscQueue<int> queue(RingCapacity<8>{});
   std::vector<int> items(12);
   std::iota(items.begin(), items.end(), 0);
   EXPECT_EQ(queue.TryPushSpan(items), 8u);
@@ -91,8 +83,8 @@ TEST(SpscQueueTest, TryPushSpanTakesWhatFits) {
 }
 
 TEST(SpscQueueTest, BulkPushMatchesScalarPush) {
-  SpscQueue<int> bulk(16);
-  SpscQueue<int> scalar(16);
+  SpscQueue<int> bulk(RingCapacity<16>{});
+  SpscQueue<int> scalar(RingCapacity<16>{});
   std::vector<int> items(10);
   std::iota(items.begin(), items.end(), 100);
   ASSERT_EQ(bulk.TryPushSpan(items), items.size());
@@ -105,9 +97,8 @@ TEST(SpscQueueTest, BulkPushMatchesScalarPush) {
   EXPECT_FALSE(scalar.TryPop(&b));
 }
 
-// The RingCapacity tag bypasses the historical floor-of-2 rounding of the
-// min-capacity constructor (compile-time rejected unless a power of two),
-// so the degenerate one-slot ring is constructible and must ping-pong.
+// RingCapacity admits every power of two, 1 included, so the degenerate
+// one-slot ring is constructible and must ping-pong.
 TEST(SpscQueueTest, RingCapacityTagAllowsCapacityOne) {
   SpscQueue<int> queue(RingCapacity<1>{});
   EXPECT_EQ(queue.capacity(), 1u);
@@ -182,7 +173,7 @@ TEST(SpscQueueTest, TryPushSpanSplitsAtExactWrapCapacityTwo) {
 // race on the slot memory.
 TEST(SpscQueueTest, TwoThreadStress) {
   constexpr int64_t kItems = 200000;
-  SpscQueue<int64_t> queue(64);
+  SpscQueue<int64_t> queue(RingCapacity<64>{});
   std::thread producer([&queue]() {
     int64_t next = 0;
     while (next < kItems) {
