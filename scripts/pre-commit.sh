@@ -5,8 +5,8 @@
 #   ln -s ../../scripts/pre-commit.sh .git/hooks/pre-commit
 #
 # or run it by hand before committing. The lint is one repo run: every rule
-# (the token-pattern rules, the atomics discipline, the call-graph hot-path
-# scan and concurrency audit, the include-graph layering) over every file,
+# (the token-pattern rules, the atomics discipline, the call-graph
+# concurrency audit, the include-graph layering) over every file,
 # which covers the staged files and is sub-second, well inside the 30 s
 # budget run_static_analysis.sh enforces.
 #

@@ -24,7 +24,7 @@ class InvLogQMemo {
   double Get(double p) {
     if (p != p_) {
       p_ = p;
-      // nmc-lint: allow(NO_PER_UPDATE_TRANSCENDENTALS) memoized: once per distinct rate per protocol (the memo is shared by every site's skip sampler), not per update
+      // memoized: once per distinct rate per protocol (the memo is shared by every site's skip sampler), not per update
       inv_log_q_ = 1.0 / std::log1p(-p);
     }
     return inv_log_q_;

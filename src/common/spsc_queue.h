@@ -61,10 +61,20 @@ class SpscQueue {
   // nmc: reentrant
   size_t capacity() const { return mask_ + 1; }
 
-  /// Producer: enqueues one item; false when full (nothing written).
+  /// Either side: a snapshot of the queued count (exact only from within
+  /// the owning thread of one end; advisory across threads). Relaxed on
+  /// purpose: no slot access is ordered against this value, so there is no
+  /// pairing edge for an acquire to complete — nmc_race's mutation harness
+  /// requires every non-relaxed order here to be refutable when weakened.
   // nmc: reentrant
-  bool TryPush(const T& item) { return TryPushSpan({&item, 1}) == 1; }
+  size_t SizeApprox() const {
+    return static_cast<size_t>(tail_.load(std::memory_order_relaxed) -
+                               head_.load(std::memory_order_relaxed));
+  }
 
+  /// There is no scalar push or pop: one item is a one-item span, pushed
+  /// with TryPushSpan and taken with PeekContiguous(1) and Advance(1), the
+  /// calls nmc_race's spsc-wrap cases model-check.
   /// Producer: enqueues as many leading items of `items` as fit and
   /// returns the count (0 when full). Never blocks.
   // nmc: reentrant
@@ -88,16 +98,6 @@ class SpscQueue {
     return take;
   }
 
-  /// Consumer: dequeues one item; false when empty.
-  // nmc: reentrant
-  bool TryPop(T* out) {
-    const std::span<const T> view = PeekContiguous(1);
-    if (view.empty()) return false;
-    *out = view.front();
-    Advance(1);
-    return true;
-  }
-
   /// Consumer: a borrowed view of up to `max_items` queued items that are
   /// contiguous in the ring (a batch ending at the wrap point may be split
   /// across two calls). The view stays valid until Advance() consumes past
@@ -118,24 +118,13 @@ class SpscQueue {
   }
 
   /// Consumer: retires `count` items previously observed via
-  /// PeekContiguous (or TryPop), releasing their slots to the producer.
+  /// PeekContiguous, releasing their slots to the producer.
   // nmc: reentrant
   void Advance(size_t count) {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     NMC_CHECK_LE(count, static_cast<size_t>(cached_tail_ - head));
     head_.store(head + count, Policy::Order(OrderSite::kSpscHeadRelease,
                                             std::memory_order_release));
-  }
-
-  /// Either side: a snapshot of the queued count (exact only from within
-  /// the owning thread of one end; advisory across threads). Relaxed on
-  /// purpose: no slot access is ordered against this value, so there is no
-  /// pairing edge for an acquire to complete — nmc_race's mutation harness
-  /// requires every non-relaxed order here to be refutable when weakened.
-  // nmc: reentrant
-  size_t SizeApprox() const {
-    return static_cast<size_t>(tail_.load(std::memory_order_relaxed) -
-                               head_.load(std::memory_order_relaxed));
   }
 
  private:

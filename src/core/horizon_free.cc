@@ -36,7 +36,7 @@ void HorizonFreeCounter::Restart() {
   horizon_ *= kGrowthFactor;
   epoch.horizon_n = horizon_;
   epoch.seed = epoch_seed_++;
-  // nmc-lint: allow(NO_HEAP_IN_HOT_PATH) one allocation per epoch restart; the horizon grows geometrically, so this runs O(log n) times per trial, not per update
+  // one allocation per epoch restart; the horizon grows geometrically, so this runs O(log n) times per trial, not per update
   counter_ = std::make_unique<NonMonotonicCounter>(num_sites_, epoch);
   ++epochs_;
 }

@@ -82,7 +82,7 @@ double Phase1Rate(const CounterOptions& options, double estimate,
     const double eps_eff =
         scale == 1.0
             ? options.epsilon
-            // nmc-lint: allow(NO_PER_UPDATE_TRANSCENDENTALS) runs only in variance-adaptive runs (scale != 1.0) when the scale actually changed; the resulting rate is memoized in the RateCache
+            // runs only in variance-adaptive runs (scale != 1.0) when the scale actually changed; the resulting rate is memoized in the RateCache
             : options.epsilon / std::pow(scale, 1.0 / options.fbm_delta);
     const auto compute = [&] {
       return FbmRate(estimate, eps_eff, options.horizon_n, options.fbm_delta,
@@ -605,7 +605,7 @@ class NonMonotonicCounter::Coordinator : public sim::CoordinatorNode {
         // ablation quantifies this).
         const double d = options_.fbm_delta > 0.0 ? options_.fbm_delta : 2.0;
         const double scaled = options_.epsilon * std::fabs(total_sum_);
-        // nmc-lint: allow(NO_PER_UPDATE_TRANSCENDENTALS) stage decision runs once per sync round (OnExactState), not per update
+        // stage decision runs once per sync round (OnExactState), not per update
         return std::pow(scaled, d) >= static_cast<double>(num_sites_);
       }
       case StagePolicy::kAuto:
@@ -868,7 +868,7 @@ void NonMonotonicCounter::ActivatePhase2() {
   if (options_.phase2_auto_hyz_mode) {
     // Per-round cost: deterministic ~2k, sampled ~sqrt(kL) + L.
     const double k = static_cast<double>(num_sites());
-    // nmc-lint: allow(NO_PER_UPDATE_TRANSCENDENTALS) phase-2 activation is a once-per-trial transition, not per-update work
+    // phase-2 activation is a once-per-trial transition, not per-update work
     const double log_term = std::log(2.0 / hyz_options.delta);
     if (2.0 * k < std::sqrt(k * log_term) + log_term) {
       hyz_options.mode = hyz::HyzMode::kDeterministic;
@@ -883,12 +883,12 @@ void NonMonotonicCounter::ActivatePhase2() {
   hyz_options.channel.seed = options_.channel.seed + 1;
   hyz_options.initial_total = p0;
   positive_counter_ =
-      std::make_unique<hyz::HyzProtocol>(num_sites(), hyz_options);  // nmc-lint: allow(NO_HEAP_IN_HOT_PATH) phase-2 activation allocates the HYZ pair exactly once per trial
+      std::make_unique<hyz::HyzProtocol>(num_sites(), hyz_options);  // phase-2 activation allocates the HYZ pair exactly once per trial
   hyz_options.seed = seeder.NextU64();
   hyz_options.channel.seed = options_.channel.seed + 2;
   hyz_options.initial_total = n0;
   negative_counter_ =
-      std::make_unique<hyz::HyzProtocol>(num_sites(), hyz_options);  // nmc-lint: allow(NO_HEAP_IN_HOT_PATH) phase-2 activation allocates the HYZ pair exactly once per trial
+      std::make_unique<hyz::HyzProtocol>(num_sites(), hyz_options);  // phase-2 activation allocates the HYZ pair exactly once per trial
 }
 
 double NonMonotonicCounter::Estimate() const {

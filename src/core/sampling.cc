@@ -19,7 +19,7 @@ double LogHorizon(int64_t horizon_n) {
   thread_local double cached_log = 0.0;
   if (horizon_n != cached_n) {
     cached_log =
-        std::log(std::max<double>(static_cast<double>(horizon_n), 2.0));  // nmc-lint: allow(NO_PER_UPDATE_TRANSCENDENTALS) memoized: one log per horizon change (a run constant), served from the thread_local cache on every later update
+        std::log(std::max<double>(static_cast<double>(horizon_n), 2.0));  // memoized: one log per horizon change (a run constant), served from the thread_local cache on every later update
     cached_n = horizon_n;
   }
   return cached_log;
@@ -31,7 +31,7 @@ double PowLogHorizon(int64_t horizon_n, double exponent) {
   thread_local double cached_exponent = 0.0;
   thread_local double cached_pow = 0.0;
   if (horizon_n != cached_n || exponent != cached_exponent) {
-    // nmc-lint: allow(NO_PER_UPDATE_TRANSCENDENTALS) memoized: recomputed only when the horizon or exponent changes, both run constants
+    // memoized: recomputed only when the horizon or exponent changes, both run constants
     cached_pow = std::pow(LogHorizon(horizon_n), exponent);
     cached_n = horizon_n;
     cached_exponent = exponent;
@@ -63,7 +63,7 @@ double FbmRate(double estimate, double epsilon, int64_t horizon_n,
   if (scaled == 0.0) return 1.0;
   const double rate = alpha_delta *
                       PowLogHorizon(horizon_n, 1.0 + delta / 2.0) /
-                      std::pow(scaled, delta);  // nmc-lint: allow(NO_PER_UPDATE_TRANSCENDENTALS) rate recomputation, not per-update work: every per-update call site caches the result in core::RateCache until the estimate moves
+                      std::pow(scaled, delta);  // rate recomputation, not per-update work: every per-update call site caches the result in core::RateCache until the estimate moves
   return std::min(rate, 1.0);
 }
 

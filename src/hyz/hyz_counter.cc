@@ -220,7 +220,7 @@ class HyzProtocol::Coordinator : public sim::CoordinatorNode {
     // p * eps * base >= c*(sqrt(k L) + L), L = log(2/delta): the sqrt(kL)
     // term is the Gaussian part of the Bernstein bound and the additive L
     // covers the single-site heavy tail (dominant for k = O(L)).
-    // nmc-lint: allow(NO_PER_UPDATE_TRANSCENDENTALS) rate is set once per round at StartRound, not per update
+    // rate is set once per round at StartRound, not per update
     const double log_term = std::log(2.0 / options_.delta);
     const double denom = options_.epsilon * std::max(base, 1.0);
     const double rate =

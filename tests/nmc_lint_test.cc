@@ -159,36 +159,6 @@ TEST(NmcLintTest, RngFactoryFileIsExemptFromProvenance) {
   }
 }
 
-TEST(NmcLintTest, NoPerUpdateTranscendentals) {
-  CheckFixture("no_per_update_transcendentals.cc", "src/core/fixture.cc");
-}
-
-TEST(NmcLintTest, PerUpdateTranscendentalsScopedToProtocolCode) {
-  // src/streams is not protocol code — nothing there runs once per update
-  // through the pump's entry points. The fixture's allow annotation then
-  // correctly surfaces as stale.
-  const std::string content = ReadFixture("no_per_update_transcendentals.cc");
-  for (const lint::Finding& finding :
-       lint::LintContent("src/streams/fixture.cc", content)) {
-    EXPECT_EQ(finding.rule, "ALLOW_UNUSED") << lint::FormatFinding(finding);
-  }
-}
-
-TEST(NmcLintTest, NoHeapInHotPath) {
-  CheckFixture("no_heap_in_hot_path.cc", "src/sim/fixture.cc");
-}
-
-TEST(NmcLintTest, HeapRuleScopedToProtocolCode) {
-  // src/streams builds whole streams up front — per-update allocation
-  // pressure cannot arise there, so the same content is clean. (The
-  // fixture's allow annotation then correctly surfaces as stale.)
-  const std::string content = ReadFixture("no_heap_in_hot_path.cc");
-  for (const lint::Finding& finding :
-       lint::LintContent("src/streams/fixture.cc", content)) {
-    EXPECT_EQ(finding.rule, "ALLOW_UNUSED") << lint::FormatFinding(finding);
-  }
-}
-
 TEST(NmcLintTest, AtomicsDiscipline) {
   // Outside the modeled-concurrency scope only the ordering rules apply;
   // the EXPECT-RUNTIME markers (raw-atomic findings) are invisible to the
@@ -253,8 +223,7 @@ TEST(NmcLintTest, EveryEmittedRuleIsRegistered) {
       "no_unordered_iteration.cc", "no_map_in_hot_path.cc",
       "no_iostream_in_lib.cc", "include_hygiene.cc",
       "missing_pragma_once.h", "allow_annotations.cc",
-      "no_per_update_transcendentals.cc",
-      "no_heap_in_hot_path.cc",  "atomics_discipline.cc",
+      "atomics_discipline.cc",
   };
   std::vector<std::string> registered;
   for (const lint::RuleInfo& rule : lint::Rules()) {

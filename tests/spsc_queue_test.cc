@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,16 +12,32 @@
 namespace nmc::common {
 namespace {
 
+/// One item through the span calls, the ring's only push/pop: a one-item
+/// TryPushSpan, and a one-item PeekContiguous followed by Advance(1).
+template <typename T>
+bool PushOne(SpscQueue<T>& queue, std::type_identity_t<T> item) {
+  return queue.TryPushSpan(std::span<const T>(&item, 1)) == 1;
+}
+
+template <typename T>
+bool PopOne(SpscQueue<T>& queue, T* out) {
+  const std::span<const T> view = queue.PeekContiguous(1);
+  if (view.empty()) return false;
+  *out = view.front();
+  queue.Advance(1);
+  return true;
+}
+
 TEST(SpscQueueTest, FifoSingleThread) {
   SpscQueue<int> queue(RingCapacity<8>{});
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(queue.TryPush(i));
-  EXPECT_FALSE(queue.TryPush(99)) << "full queue must refuse";
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(PushOne(queue, i));
+  EXPECT_FALSE(PushOne(queue, 99)) << "full queue must refuse";
   int out = -1;
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(queue.TryPop(&out));
+    ASSERT_TRUE(PopOne(queue, &out));
     EXPECT_EQ(out, i);
   }
-  EXPECT_FALSE(queue.TryPop(&out)) << "empty queue must refuse";
+  EXPECT_FALSE(PopOne(queue, &out)) << "empty queue must refuse";
 }
 
 TEST(SpscQueueTest, WraparoundAtCapacityBoundary) {
@@ -30,9 +48,9 @@ TEST(SpscQueueTest, WraparoundAtCapacityBoundary) {
   int64_t next_push = 0;
   int64_t next_pop = 0;
   for (int round = 0; round < 100; ++round) {
-    while (queue.TryPush(next_push)) ++next_push;
+    while (PushOne(queue, next_push)) ++next_push;
     int64_t out = -1;
-    while (queue.TryPop(&out)) {
+    while (PopOne(queue, &out)) {
       ASSERT_EQ(out, next_pop);
       ++next_pop;
     }
@@ -46,9 +64,9 @@ TEST(SpscQueueTest, PeekContiguousSplitsAtWrap) {
   // Advance the ring so the next batch straddles the physical end:
   // push 3, pop 3 (head = tail = 3), then push 4 (slots 3, 0, 1, 2).
   int out = -1;
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.TryPush(i));
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.TryPop(&out));
-  for (int i = 10; i < 14; ++i) ASSERT_TRUE(queue.TryPush(i));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(PushOne(queue, i));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(PopOne(queue, &out));
+  for (int i = 10; i < 14; ++i) ASSERT_TRUE(PushOne(queue, i));
 
   // First peek stops at the wrap point: one item (slot 3).
   std::span<const int> view = queue.PeekContiguous(16);
@@ -72,29 +90,29 @@ TEST(SpscQueueTest, TryPushSpanTakesWhatFits) {
   EXPECT_EQ(queue.TryPushSpan(items), 8u);
   EXPECT_EQ(queue.TryPushSpan(std::span<const int>(items).subspan(8)), 0u);
   int out = -1;
-  ASSERT_TRUE(queue.TryPop(&out));
+  ASSERT_TRUE(PopOne(queue, &out));
   EXPECT_EQ(out, 0);
   // One slot freed: exactly one more fits.
   EXPECT_EQ(queue.TryPushSpan(std::span<const int>(items).subspan(8)), 1u);
   for (int expected = 1; expected <= 8; ++expected) {
-    ASSERT_TRUE(queue.TryPop(&out));
+    ASSERT_TRUE(PopOne(queue, &out));
     EXPECT_EQ(out, expected);
   }
 }
 
-TEST(SpscQueueTest, BulkPushMatchesScalarPush) {
+TEST(SpscQueueTest, BulkPushMatchesOneItemPushes) {
   SpscQueue<int> bulk(RingCapacity<16>{});
-  SpscQueue<int> scalar(RingCapacity<16>{});
+  SpscQueue<int> single(RingCapacity<16>{});
   std::vector<int> items(10);
   std::iota(items.begin(), items.end(), 100);
   ASSERT_EQ(bulk.TryPushSpan(items), items.size());
-  for (const int item : items) ASSERT_TRUE(scalar.TryPush(item));
+  for (const int item : items) ASSERT_TRUE(PushOne(single, item));
   int a = -1, b = -1;
-  while (bulk.TryPop(&a)) {
-    ASSERT_TRUE(scalar.TryPop(&b));
+  while (PopOne(bulk, &a)) {
+    ASSERT_TRUE(PopOne(single, &b));
     EXPECT_EQ(a, b);
   }
-  EXPECT_FALSE(scalar.TryPop(&b));
+  EXPECT_FALSE(PopOne(single, &b));
 }
 
 // RingCapacity admits every power of two, 1 included, so the degenerate
@@ -104,11 +122,11 @@ TEST(SpscQueueTest, RingCapacityTagAllowsCapacityOne) {
   EXPECT_EQ(queue.capacity(), 1u);
   int out = -1;
   for (int round = 0; round < 5; ++round) {
-    ASSERT_TRUE(queue.TryPush(round));
-    EXPECT_FALSE(queue.TryPush(99)) << "one-slot ring must refuse a second";
-    ASSERT_TRUE(queue.TryPop(&out));
+    ASSERT_TRUE(PushOne(queue, round));
+    EXPECT_FALSE(PushOne(queue, 99)) << "one-slot ring must refuse a second";
+    ASSERT_TRUE(PopOne(queue, &out));
     EXPECT_EQ(out, round);
-    EXPECT_FALSE(queue.TryPop(&out)) << "drained ring must refuse";
+    EXPECT_FALSE(PopOne(queue, &out)) << "drained ring must refuse";
   }
 }
 
@@ -118,7 +136,7 @@ TEST(SpscQueueTest, RingCapacityTagAllowsCapacityOne) {
 TEST(SpscQueueTest, PeekContiguousExactWrapCapacityOne) {
   SpscQueue<int> queue(RingCapacity<1>{});
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(queue.TryPush(i));
+    ASSERT_TRUE(PushOne(queue, i));
     const std::span<const int> view = queue.PeekContiguous(16);
     ASSERT_EQ(view.size(), 1u) << "view must stop at the wrap";
     EXPECT_EQ(view[0], i);
@@ -134,10 +152,10 @@ TEST(SpscQueueTest, PeekContiguousExactWrapCapacityOne) {
 TEST(SpscQueueTest, PeekContiguousExactWrapCapacityTwo) {
   SpscQueue<int> queue(RingCapacity<2>{});
   int out = -1;
-  ASSERT_TRUE(queue.TryPush(0));
-  ASSERT_TRUE(queue.TryPop(&out));  // park head/tail on slot 1
-  ASSERT_TRUE(queue.TryPush(10));   // slot 1
-  ASSERT_TRUE(queue.TryPush(11));   // wraps into slot 0
+  ASSERT_TRUE(PushOne(queue, 0));
+  ASSERT_TRUE(PopOne(queue, &out));  // park head/tail on slot 1
+  ASSERT_TRUE(PushOne(queue, 10));   // slot 1
+  ASSERT_TRUE(PushOne(queue, 11));   // wraps into slot 0
 
   std::span<const int> view = queue.PeekContiguous(2);
   ASSERT_EQ(view.size(), 1u) << "first view ends at the physical boundary";
@@ -152,19 +170,19 @@ TEST(SpscQueueTest, PeekContiguousExactWrapCapacityTwo) {
 }
 
 // TryPushSpan must split its batch at the seam of a capacity-2 ring the
-// same way scalar pushes would land, with nothing lost on either side.
+// same way one-item pushes would land, with nothing lost on either side.
 TEST(SpscQueueTest, TryPushSpanSplitsAtExactWrapCapacityTwo) {
   SpscQueue<int> queue(RingCapacity<2>{});
   int out = -1;
-  ASSERT_TRUE(queue.TryPush(0));
-  ASSERT_TRUE(queue.TryPop(&out));  // next write wraps after one slot
+  ASSERT_TRUE(PushOne(queue, 0));
+  ASSERT_TRUE(PopOne(queue, &out));  // next write wraps after one slot
   const std::vector<int> items = {20, 21, 22};
   EXPECT_EQ(queue.TryPushSpan(items), 2u) << "only the ring fits";
-  ASSERT_TRUE(queue.TryPop(&out));
+  ASSERT_TRUE(PopOne(queue, &out));
   EXPECT_EQ(out, 20);
-  ASSERT_TRUE(queue.TryPop(&out));
+  ASSERT_TRUE(PopOne(queue, &out));
   EXPECT_EQ(out, 21);
-  EXPECT_FALSE(queue.TryPop(&out));
+  EXPECT_FALSE(PopOne(queue, &out));
 }
 
 // Two-thread stress: a tight ring (capacity 64) forces constant
@@ -177,7 +195,7 @@ TEST(SpscQueueTest, TwoThreadStress) {
   std::thread producer([&queue]() {
     int64_t next = 0;
     while (next < kItems) {
-      if (queue.TryPush(next)) {
+      if (PushOne(queue, next)) {
         ++next;
       } else {
         std::this_thread::yield();

@@ -11,6 +11,8 @@
 
 #include "registry/builtin.h"
 #include "runtime/transport.h"
+#include "sim/assignment.h"
+#include "sim/harness.h"
 #include "sim/registry.h"
 #include "streams/bernoulli.h"
 
@@ -253,6 +255,73 @@ TEST(ThreadedRuntimeTest, SitesTakeTurnsOfKTurnUpdatesInRotation) {
     ASSERT_EQ(std::bit_cast<uint64_t>(result.transcript[t].value),
               std::bit_cast<uint64_t>(want[t].value))
         << "update " << t;
+  }
+}
+
+// The threads backend's accuracy check: equality with a checked sim run.
+// With every shard a whole number of turns, the threads coordinator's
+// consumption order is the turn rotation, which is exactly the stream that
+// BlockCyclicAssignment(k, kTurnUpdates) deals out. A protocol is a
+// function of its consumption order, so every thread-safe protocol must
+// send the same messages and end on the same estimate bits as on sim,
+// where the tracking checker judges every step.
+TEST(ThreadedRuntimeTest, EveryThreadSafeProtocolMatchesSimOnTheTurnOrder) {
+  registry::RegisterBuiltinProtocols();
+  const sim::ProtocolRegistry& registry = sim::ProtocolRegistry::Global();
+  const int k = 3;
+  const int64_t turns = 8;
+  const int64_t per_site = turns * kTurnUpdates;
+  const int64_t n = per_site * k;
+  for (const std::string& name : registry.Names()) {
+    if (!TransportSupports(TransportKind::kThreads, name)) continue;
+    SCOPED_TRACE(name);
+    // A drift of 0.2 takes the counter out of StraightSync into sampling.
+    const std::vector<double> stream =
+        registry.Traits(name)->monotonic_only
+            ? std::vector<double>(static_cast<size_t>(n), 1.0)
+            : streams::BernoulliStream(n, 0.2, 67);
+    const std::vector<std::vector<double>> shards = ShardRoundRobin(stream, k);
+    std::vector<double> turn_order;
+    for (int64_t r = 0; r < turns; ++r) {
+      for (const std::vector<double>& shard : shards) {
+        const auto begin = shard.begin() + r * kTurnUpdates;
+        turn_order.insert(turn_order.end(), begin, begin + kTurnUpdates);
+      }
+    }
+    ASSERT_EQ(static_cast<int64_t>(turn_order.size()), n);
+
+    const sim::ProtocolParams params = TestParams(n);
+    const std::unique_ptr<sim::Protocol> threaded =
+        registry.Create(name, k, params);
+    const ThreadedRunResult run =
+        RunThreaded(threaded.get(), shards, ThreadedRunOptions());
+    ASSERT_EQ(run.updates, n);
+
+    const std::unique_ptr<sim::Protocol> simulated =
+        registry.Create(name, k, params);
+    sim::BlockCyclicAssignment psi(k, kTurnUpdates);
+    sim::TrackingOptions options;
+    options.epsilon = params.epsilon;
+    const sim::TrackingResult checked =
+        sim::RunTracking(turn_order, &psi, simulated.get(), options);
+
+    const sim::MessageStats& a = threaded->stats();
+    const sim::MessageStats& b = simulated->stats();
+    EXPECT_EQ(a.total(), checked.messages);
+    EXPECT_EQ(a.site_to_coordinator, b.site_to_coordinator);
+    EXPECT_EQ(a.coordinator_to_site, b.coordinator_to_site);
+    EXPECT_EQ(a.broadcasts, b.broadcasts);
+    EXPECT_EQ(a.dropped, b.dropped);
+    EXPECT_EQ(a.delayed, b.delayed);
+    EXPECT_EQ(a.duplicated, b.duplicated);
+    EXPECT_EQ(a.arena_high_water_bytes, b.arena_high_water_bytes);
+    EXPECT_EQ(std::bit_cast<uint64_t>(run.final_published.estimate),
+              std::bit_cast<uint64_t>(checked.final_estimate));
+    // The intentionally broken baselines promise no epsilon guarantee
+    // (DESIGN.md §6); every other protocol must hold it at every step.
+    if (name != "periodic_sync" && name != "two_monotonic") {
+      EXPECT_EQ(checked.violation_steps, 0);
+    }
   }
 }
 

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "nmc_lint/scopes.h"
-#include "nmc_lint/token_match.h"
 
 namespace nmc::lint {
 
@@ -145,36 +144,22 @@ CallGraph CallGraph::Build(const std::vector<const FileSymbols*>& files) {
 
 // ---- roots and reachability -----------------------------------------------
 
-std::vector<size_t> CallGraph::HotPathRoots() const {
+std::vector<size_t> CallGraph::ReentrancyRoots() const {
+  auto named = [](const auto& table, const std::string& name) {
+    return std::any_of(std::begin(table), std::end(table),
+                       [&](const char* entry) { return name == entry; });
+  };
   std::vector<size_t> roots;
   for (size_t n = 0; n < nodes_.size(); ++n) {
-    if (InProtocolCode(nodes_[n].file) &&
-        std::any_of(std::begin(kHotPathEntryPoints),
-                    std::end(kHotPathEntryPoints), [&](const char* name) {
-                      return nodes_[n].name == name;
-                    })) {
-      roots.push_back(n);
-    }
-  }
-  return roots;
-}
-
-std::vector<size_t> CallGraph::ReentrancyRoots() const {
-  std::vector<size_t> roots = HotPathRoots();
-  for (size_t n = 0; n < nodes_.size(); ++n) {
     const FunctionSymbol& fn = nodes_[n];
-    const bool audit_class =
-        std::any_of(std::begin(kReentrantAuditClasses),
-                    std::end(kReentrantAuditClasses), [&](const char* name) {
-                      return fn.class_name == name;
-                    });
-    if ((audit_class && InLibraryCode(fn.file)) ||
+    if ((InProtocolCode(fn.file) &&
+         named(kReentrantAuditEntryPoints, fn.name)) ||
+        (InLibraryCode(fn.file) &&
+         named(kReentrantAuditClasses, fn.class_name)) ||
         fn.annotation == ThreadAnnotation::kReentrant) {
       roots.push_back(n);
     }
   }
-  std::sort(roots.begin(), roots.end());
-  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
   return roots;
 }
 
@@ -248,83 +233,6 @@ std::vector<FlowStep> CallGraph::ChainFlow(const Reachability& reach,
 
 // ---- interprocedural rules ------------------------------------------------
 
-namespace {
-
-/// Receivers the file reserves capacity for somewhere: `name.reserve(` or
-/// `name->reserve(`. Same-file rather than same-function on purpose: the
-/// sanctioned pattern is "constructor reserves, hot path pushes", and those
-/// live in different functions of one translation unit.
-std::vector<std::string> ReservedReceivers(const std::vector<Token>& code) {
-  std::vector<std::string> names;
-  for (size_t i = 0; i + 3 < code.size(); ++i) {
-    if (IsIdent(code, i) &&
-        (IsPunct(code, i + 1, ".") || IsPunct(code, i + 1, "->")) &&
-        IsIdent(code, i + 2, "reserve") && IsPunct(code, i + 3, "(")) {
-      names.push_back(code[i].text);
-    }
-  }
-  return names;
-}
-
-struct Hazard {
-  int line = 0;
-  std::string rule;
-  std::string what;    // the offending construct, e.g. "'log'"
-  std::string advice;  // how to take it off the per-update path
-  std::string note;    // final flow step
-};
-
-/// Hot-path hazards inside one function body. RunInterprocRules scans every
-/// function the propagation reaches, the entry points themselves included.
-std::vector<Hazard> ScanBodyHazards(const FileSymbols& file,
-                                    const FunctionSymbol& fn,
-                                    const std::vector<std::string>& reserved) {
-  std::vector<Hazard> hazards;
-  const std::vector<Token>& code = file.code;
-  auto is_reserved = [&](const std::string& name) {
-    return std::find(reserved.begin(), reserved.end(), name) != reserved.end();
-  };
-  for (size_t i = fn.body_begin; i < fn.body_end && i < code.size(); ++i) {
-    if (IsIdentIn(code, i, kTranscendentals) && IsPunct(code, i + 1, "(")) {
-      hazards.push_back({code[i].line, "NO_PER_UPDATE_TRANSCENDENTALS",
-                         "'" + code[i].text + "'",
-                         "amortize it (core::RateCache, geometric skip) or "
-                         "hoist it off the per-update path",
-                         "'" + code[i].text + "' call"});
-    } else if (IsIdent(code, i, "new")) {
-      hazards.push_back({code[i].line, "NO_HEAP_IN_HOT_PATH", "'new'",
-                         "preallocate in the constructor", "'new' expression"});
-    } else if (IsIdentIn(code, i, kHeapMakers) &&
-               (IsPunct(code, i + 1, "<") || IsPunct(code, i + 1, "("))) {
-      hazards.push_back({code[i].line, "NO_HEAP_IN_HOT_PATH",
-                         "'" + code[i].text + "'",
-                         "hoist the allocation out of the per-update path",
-                         "'" + code[i].text + "' call"});
-    } else if (i >= fn.body_begin + 2 && IsIdentIn(code, i, kGrowthCalls) &&
-               IsPunct(code, i + 1, "(") &&
-               (IsPunct(code, i - 1, ".") || IsPunct(code, i - 1, "->")) &&
-               IsIdent(code, i - 2) && !is_reserved(code[i - 2].text)) {
-      const std::string& receiver = code[i - 2].text;
-      hazards.push_back({code[i].line, "NO_HEAP_IN_HOT_PATH",
-                         "'" + receiver + "." + code[i].text + "'",
-                         "no reserve() on '" + receiver +
-                             "' anywhere in its file; reserve capacity up "
-                             "front",
-                         "'" + code[i].text + "' growth"});
-    } else if (!InHotPath(fn.file) && i + 3 < code.size() &&
-               IsIdent(code, i, "std") && IsPunct(code, i + 1, "::") &&
-               IsIdentIn(code, i + 2, kMapLike) && IsPunct(code, i + 3, "<")) {
-      hazards.push_back({code[i].line, "NO_MAP_IN_HOT_PATH",
-                         "node-based container std::" + code[i + 2].text,
-                         "use a flat vector/array",
-                         "std::" + code[i + 2].text + " use"});
-    }
-  }
-  return hazards;
-}
-
-}  // namespace
-
 void RunInterprocRules(const std::vector<const FileSymbols*>& files,
                        const CallGraph& graph,
                        std::map<std::string, std::vector<Finding>>*
@@ -339,45 +247,7 @@ void RunInterprocRules(const std::vector<const FileSymbols*>& files,
       total += files[fi]->functions.size();
     }
   }
-  std::map<std::string, std::vector<std::string>> reserved_by_file;
-  for (const FileSymbols* file : files) {
-    reserved_by_file[file->file] = ReservedReceivers(file->code);
-  }
-
-  // 1. Hot-path propagation: every function reachable from an entry point,
-  //    the entry point's own body (depth 0) included.
-  const Reachability hot = graph.ReachableFrom(graph.HotPathRoots());
-  for (size_t fi = 0; fi < files.size(); ++fi) {
-    const FileSymbols& file = *files[fi];
-    if (!InLibraryCode(file.file)) continue;
-    for (size_t k = 0; k < file.functions.size(); ++k) {
-      const size_t node = offsets[fi] + k;
-      if (!hot.Reached(node)) continue;
-      const FunctionSymbol& fn = file.functions[k];
-      const std::vector<size_t> chain = graph.ChainTo(hot, node);
-      const std::string where = fn.Display() + "()";
-      const std::string context =
-          hot.depth[node] == 0
-              ? " inside entry point " + where + " runs once per update; "
-              : " in " + where +
-                    " is reachable from a per-update hot-path entry point; ";
-      const std::string suffix =
-          hot.depth[node] == 0 ? "" : graph.RenderChain(chain);
-      for (const Hazard& hazard :
-           ScanBodyHazards(file, fn, reserved_by_file[file.file])) {
-        Finding finding;
-        finding.file = file.file;
-        finding.line = hazard.line;
-        finding.rule = hazard.rule;
-        finding.message = hazard.what + context + hazard.advice + suffix;
-        finding.flow = graph.ChainFlow(hot, chain, file.file, hazard.line,
-                                       hazard.note);
-        (*findings_by_file)[file.file].push_back(std::move(finding));
-      }
-    }
-  }
-
-  // 2. NO_STATIC_LOCAL_IN_REENTRANT: mutable function-local statics
+  // 1. NO_STATIC_LOCAL_IN_REENTRANT: mutable function-local statics
   //    anywhere the reentrancy audit can reach (depth 0 included — a static
   //    local directly in ProcessBatch is just as shared).
   const Reachability audit = graph.ReachableFrom(graph.ReentrancyRoots());
@@ -406,7 +276,7 @@ void RunInterprocRules(const std::vector<const FileSymbols*>& files,
     }
   }
 
-  // 3. THREAD_COMPAT: a declared-reentrant function may only call resolved
+  // 2. THREAD_COMPAT: a declared-reentrant function may only call resolved
   //    callees that are themselves declared reentrant.
   const std::vector<FunctionSymbol>& nodes = graph.nodes();
   for (size_t n = 0; n < nodes.size(); ++n) {

@@ -48,12 +48,10 @@ class CallGraph {
     return adjacency_;
   }
 
-  /// Hot-path roots: definitions of kHotPathEntryPoints names in protocol
-  /// code (InProtocolCode).
-  std::vector<size_t> HotPathRoots() const;
-
-  /// Reentrancy-audit roots: hot-path roots plus member functions of
-  /// kReentrantAuditClasses plus every `// nmc: reentrant` function.
+  /// Reentrancy-audit roots: definitions of kReentrantAuditEntryPoints
+  /// names in protocol code (InProtocolCode), member functions of
+  /// kReentrantAuditClasses in library code, and every `// nmc: reentrant`
+  /// function.
   std::vector<size_t> ReentrancyRoots() const;
 
   Reachability ReachableFrom(const std::vector<size_t>& roots) const;
@@ -80,13 +78,9 @@ class CallGraph {
 
 /// The interprocedural rules, appended into `findings_by_file` (keyed by
 /// repo-relative path):
-///   - the hot-path scan: NO_HEAP_IN_HOT_PATH,
-///     NO_PER_UPDATE_TRANSCENDENTALS and NO_MAP_IN_HOT_PATH hazards in a
-///     hot-path entry point's body or in any function it reaches, with
-///     the entry point → hazard chain in Finding::flow (and, one call or
-///     more away, in the message);
 ///   - NO_STATIC_LOCAL_IN_REENTRANT: mutable function-local statics in any
-///     function reachable from the reentrancy-audit roots;
+///     function reachable from the reentrancy-audit roots, with the
+///     root → static chain in Finding::flow and the message;
 ///   - THREAD_COMPAT: a `// nmc: reentrant` function calling a resolved
 ///     callee that is not itself annotated reentrant.
 /// Only src/ files participate (bench/tests own their processes).

@@ -38,25 +38,15 @@ const std::vector<RuleInfo> kAllRules = {
     {"NO_UNORDERED_ITERATION_IN_PROTOCOL",
      "no iteration over unordered containers in src/{core,hyz,baselines,sim}"},
     {"NO_MAP_IN_HOT_PATH",
-     "no std::map/std::multimap/std::deque in src/sim delivery paths or any "
-     "function a hot-path entry point reaches"},
+     "no std::map/std::multimap/std::deque in src/sim delivery paths"},
     {"NO_IOSTREAM_IN_LIB", "no std::cout/printf in library code"},
-    {"NO_PER_UPDATE_TRANSCENDENTALS",
-     "no log/exp/pow inside hot-path entry points (src/{core,hyz,baselines,"
-     "sim}) or any function they transitively call; hoist into a rate "
-     "helper or cache (see core::RateCache)"},
-    {"NO_HEAP_IN_HOT_PATH",
-     "no new/make_unique/make_shared, and no push_back/emplace_back on a "
-     "receiver the file never reserve()s, inside hot-path entry points "
-     "(src/{core,hyz,baselines,sim}) or any function they transitively "
-     "call"},
     {"NO_MUTABLE_GLOBAL_STATE",
      "no non-const namespace-scope data or non-const static data members in "
      "src/ — process-wide state a threaded runtime cannot tolerate "
      "undeclared"},
     {"NO_STATIC_LOCAL_IN_REENTRANT",
      "no mutable function-local statics in functions reachable from "
-     "hot-path entry points, Protocol/Network/BatchRng members, or "
+     "per-update entry points, Protocol/Network/BatchRng members, or "
      "// nmc: reentrant functions"},
     {"THREAD_COMPAT",
      "// nmc: reentrant / not-thread-safe(reason) contracts are "
@@ -877,10 +867,8 @@ FileAnalysis AnalyzeFile(const std::string& path, const std::string& content) {
 /// look unused when LintContent sees its file alone — ALLOW_UNUSED for them
 /// gates only in repo mode.
 constexpr const char* kCrossFileCapableRules[] = {
-    "LAYERING_VIOLATION",        "NO_INCLUDE_CYCLES",
-    "INCLUDE_DEPTH",             "NO_HEAP_IN_HOT_PATH",
-    "NO_PER_UPDATE_TRANSCENDENTALS", "NO_MAP_IN_HOT_PATH",
-    "NO_STATIC_LOCAL_IN_REENTRANT",  "THREAD_COMPAT"};
+    "LAYERING_VIOLATION", "NO_INCLUDE_CYCLES", "INCLUDE_DEPTH",
+    "NO_STATIC_LOCAL_IN_REENTRANT", "THREAD_COMPAT"};
 
 bool IsCrossFileCapable(const std::string& rule) {
   for (const char* name : kCrossFileCapableRules) {
@@ -949,11 +937,10 @@ std::string ReadFileOr(const std::filesystem::path& path, bool* ok) {
 }
 
 /// Interprocedural pass: the call graph over the analyzed library files'
-/// symbol tables, the hot-path propagation (entry-point bodies included) and
-/// the concurrency reachability/contract rules. Findings merge into the
-/// per-file lists *before* allowance application (like the include-graph
-/// rules) so an inline allow() at the flagged line works; one finding per
-/// (line, rule) is kept.
+/// symbol tables and the concurrency reachability/contract rules. Findings
+/// merge into the per-file lists *before* allowance application (like the
+/// include-graph rules) so an inline allow() at the flagged line works; one
+/// finding per (line, rule) is kept.
 void MergeInterprocFindings(std::map<std::string, FileAnalysis>* analyses) {
   std::vector<const FileSymbols*> symbol_files;
   for (const auto& [file, analysis] : *analyses) {

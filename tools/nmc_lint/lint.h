@@ -6,7 +6,7 @@
 namespace nmc::lint {
 
 /// One hop of an interprocedural call chain: where execution is and what
-/// happens there ("calls Foo::Bar", "'log' call"). Printed by
+/// happens there ("calls Foo::Bar", "static local 'hits'"). Printed by
 /// `nmc_lint --why`; the finding's message carries the same chain as text.
 struct FlowStep {
   std::string file;

@@ -7,8 +7,8 @@ namespace nmc::lint {
 // Path scopes and the shared name tables. Rule *scope* decisions use only
 // the repo-relative path prefix, so fixture tests can lint files "as if"
 // they lived anywhere. The token-pattern rules (lint.cc) and the call-graph
-// pass (call_graph.cc), which alone judges the hot-path entry points and
-// everything they reach, make the same decisions from the same predicates.
+// pass (call_graph.cc), which roots the reentrancy audit, make the same
+// decisions from the same predicates.
 
 inline bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
@@ -83,17 +83,17 @@ inline bool InModeledConcurrencyScope(const std::string& path) {
          path == "src/common/spsc_queue.h" || path == "src/common/seqlock.h";
 }
 
-/// Hot-path entry points: the per-update protocol calls, ProcessChunk
-/// taking psi's same-site runs, CheckCall (the tracking check over one
-/// protocol call's updates), the network delivery machinery they drive, and
-/// the sim pump with its assignment policy (PumpChunk, and psi's Assign,
-/// which writes a chunk's same-site runs into the pump's run buffer).
-/// Everything here runs once (or more) per stream update or chunk. These
-/// are the roots of the hot-path scan (NO_HEAP_IN_HOT_PATH,
-/// NO_PER_UPDATE_TRANSCENDENTALS, ...): a hazard in an entry point's own
-/// body, or anywhere in a call chain starting there, is paid O(n) times per
-/// trial.
-inline constexpr const char* kHotPathEntryPoints[] = {
+/// Entry points of the reentrancy audit (NO_STATIC_LOCAL_IN_REENTRANT):
+/// the per-update protocol calls, ProcessChunk taking psi's same-site runs,
+/// CheckCall (the tracking check over one protocol call's updates), the
+/// network delivery machinery they drive, and the sim pump with its
+/// assignment policy (PumpChunk, and psi's Assign, which writes a chunk's
+/// same-site runs into the pump's run buffer). Each runs once or more per
+/// stream update or chunk on whatever thread drives the protocol, so a
+/// static local anywhere below one is shared by every concurrent run.
+/// Their definitions in protocol code root the audit beside the
+/// kReentrantAuditClasses members.
+inline constexpr const char* kReentrantAuditEntryPoints[] = {
     "OnLocalUpdate", "ProcessUpdate",        "ProcessBatch",
     "ProcessChunk",  "ProcessRun",           "ConsumeRun",
     "DeliverAll",    "Route",                "BeginTickSlow",
@@ -108,11 +108,6 @@ inline constexpr const char* kHotPathEntryPoints[] = {
 inline constexpr const char* kReentrantAuditClasses[] = {
     "Protocol", "Network", "BatchRng", "SpscQueue", "Seqlock"};
 
-inline constexpr const char* kTranscendentals[] = {
-    "log1p", "log2", "log10", "log", "exp2", "expm1", "exp", "pow"};
-
-inline constexpr const char* kHeapMakers[] = {"make_unique", "make_shared"};
-inline constexpr const char* kGrowthCalls[] = {"push_back", "emplace_back"};
 inline constexpr const char* kMapLike[] = {"map", "multimap", "deque"};
 
 }  // namespace nmc::lint

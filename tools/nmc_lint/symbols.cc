@@ -360,8 +360,6 @@ class SymbolScanner {
       sym.name_space += qual;
     }
     const size_t body_close = MatchingClose(code_, body_open, BraceDelta);
-    sym.body_begin = body_open + 1;
-    sym.body_end = body_close;
     const size_t index = out_->functions.size();
     out_->functions.push_back(std::move(sym));
     ScanBody(index, body_open + 1, body_close);

@@ -35,8 +35,6 @@ struct FunctionSymbol {
   std::string name_space;  ///< "nmc::sim"; "" = global; "(anon)" segments
   std::string file;        ///< repo-relative path
   int line = 0;            ///< 1-based line of the name token
-  size_t body_begin = 0;   ///< code-token index just past the body '{'
-  size_t body_end = 0;     ///< code-token index of the matching '}'
   ThreadAnnotation annotation = ThreadAnnotation::kNone;
   int annotation_line = 0;
 
@@ -93,7 +91,7 @@ struct ThreadMarker {
 /// markers (already attached to their functions where possible).
 struct FileSymbols {
   std::string file;
-  std::vector<Token> code;  ///< the code token stream bodies index into
+  std::vector<Token> code;  ///< the code token stream the scan walks
   std::vector<FunctionSymbol> functions;  ///< in source order
   std::vector<CallSite> calls;            ///< in source order
   std::vector<StaticLocal> static_locals;

@@ -124,31 +124,46 @@ std::function<void(Runtime&)> MessagePassingPlainCell(bool synchronized) {
 
 // ---- SpscQueue litmus ---------------------------------------------------
 
+using ModelQueue = common::SpscQueue<uint64_t, ModelAtomicPolicy>;
+
+/// One item through the span calls the threads backend uses: a one-item
+/// TryPushSpan, and a one-item PeekContiguous followed by Advance(1).
+bool PushOne(ModelQueue& queue, uint64_t item) {
+  return queue.TryPushSpan(std::span<const uint64_t>(&item, 1)) == 1;
+}
+
+bool PopOne(ModelQueue& queue, uint64_t* out) {
+  const std::span<const uint64_t> view = queue.PeekContiguous(1);
+  if (view.empty()) return false;
+  *out = view.front();
+  queue.Advance(1);
+  return true;
+}
+
 /// Push `kItems` through a capacity-`kCap` ring so slots are reused: the
 /// head retire/refresh edge is what keeps the producer's overwrite of a
 /// slot ordered after the consumer's read of its previous occupant.
 template <size_t kCap, uint64_t kItems, int kTries>
 void SpscWrap(Runtime& rt) {
-  common::SpscQueue<uint64_t, ModelAtomicPolicy> queue(
-      common::RingCapacity<kCap>{});
+  ModelQueue queue(common::RingCapacity<kCap>{});
   uint64_t pushed = 0;
   std::vector<uint64_t> popped;
   rt.Thread([&] {
     uint64_t next = 1;
     for (int attempt = 0; attempt < kTries && next <= kItems; ++attempt) {
-      if (queue.TryPush(next)) ++next;
+      if (PushOne(queue, next)) ++next;
     }
     pushed = next - 1;
   });
   rt.Thread([&] {
     uint64_t out = 0;
     for (int attempt = 0; attempt < kTries; ++attempt) {
-      if (queue.TryPop(&out)) popped.push_back(out);
+      if (PopOne(queue, &out)) popped.push_back(out);
     }
   });
   rt.Run();
   uint64_t out = 0;
-  while (queue.TryPop(&out)) popped.push_back(out);
+  while (PopOne(queue, &out)) popped.push_back(out);
   rt.Check(popped.size() == pushed, "items lost or duplicated across wrap");
   for (size_t i = 0; i < popped.size(); ++i) {
     rt.Check(popped[i] == i + 1, "FIFO order violated across wrap");
@@ -160,12 +175,11 @@ void SpscWrap(Runtime& rt) {
 /// its batch at the ring boundary and PeekContiguous must hand out only
 /// contiguous, fully-published slots.
 void SpscSpanBatch(Runtime& rt) {
-  common::SpscQueue<uint64_t, ModelAtomicPolicy> queue(
-      common::RingCapacity<2>{});
+  ModelQueue queue(common::RingCapacity<2>{});
   // Offset head/tail so the span push wraps mid-batch.
   uint64_t setup = 0;
-  rt.Check(queue.TryPush(9), "setup push failed");
-  rt.Check(queue.TryPop(&setup) && setup == 9, "setup pop failed");
+  rt.Check(PushOne(queue, 9), "setup push failed");
+  rt.Check(PopOne(queue, &setup) && setup == 9, "setup pop failed");
   const std::array<uint64_t, 3> items = {1, 2, 3};
   size_t sent = 0;
   std::vector<uint64_t> got;
