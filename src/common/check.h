@@ -1,8 +1,5 @@
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
-
 /// \file
 /// Always-on invariant checking. The library does not use exceptions
 /// (contract violations are programming errors, not recoverable states), so
@@ -10,24 +7,36 @@
 /// aborts. Unlike assert(), these checks are active in release builds: the
 /// protocols are randomized and a silently corrupted invariant would
 /// invalidate every measured communication bound.
+///
+/// A check is one compare and a branch to one shared cold function; each
+/// site's location is a static record in data, not an immediate in .text.
 
-#define NMC_CHECK(cond)                                                      \
+namespace nmc::common {
+
+/// Where a check sits and what it tests; one constant record per site.
+struct CheckSite {
+  const char* file;
+  int line;
+  const char* text;
+};
+
+/// Prints "NMC_CHECK failed at <file>:<line>: <text>" to stderr and aborts.
+[[noreturn, gnu::cold, gnu::noinline]] void CheckFailed(const CheckSite* site);
+
+}  // namespace nmc::common
+
+// Parentheses, not braces: a check may sit inside another macro's argument.
+#define NMC_CHECK_IMPL(cond, text)                                           \
   do {                                                                       \
-    if (!(cond)) {                                                           \
-      std::fprintf(stderr, "NMC_CHECK failed at %s:%d: %s\n", __FILE__,      \
-                   __LINE__, #cond);                                         \
-      std::abort();                                                          \
+    if (!(cond)) [[unlikely]] {                                              \
+      static constexpr ::nmc::common::CheckSite nmc_check_site(              \
+          __FILE__, __LINE__, text);                                         \
+      ::nmc::common::CheckFailed(&nmc_check_site);                           \
     }                                                                        \
   } while (0)
 
-#define NMC_CHECK_OP(op, a, b)                                               \
-  do {                                                                       \
-    if (!((a)op(b))) {                                                       \
-      std::fprintf(stderr, "NMC_CHECK failed at %s:%d: %s %s %s\n",          \
-                   __FILE__, __LINE__, #a, #op, #b);                         \
-      std::abort();                                                          \
-    }                                                                        \
-  } while (0)
+#define NMC_CHECK(cond) NMC_CHECK_IMPL(cond, #cond)
+#define NMC_CHECK_OP(op, a, b) NMC_CHECK_IMPL((a)op(b), #a " " #op " " #b)
 
 #define NMC_CHECK_EQ(a, b) NMC_CHECK_OP(==, a, b)
 #define NMC_CHECK_NE(a, b) NMC_CHECK_OP(!=, a, b)
@@ -35,4 +44,3 @@
 #define NMC_CHECK_LE(a, b) NMC_CHECK_OP(<=, a, b)
 #define NMC_CHECK_GT(a, b) NMC_CHECK_OP(>, a, b)
 #define NMC_CHECK_GE(a, b) NMC_CHECK_OP(>=, a, b)
-

@@ -21,11 +21,6 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-int ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unfinished_;
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

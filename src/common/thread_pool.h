@@ -38,10 +38,6 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Number of tasks accepted and not yet finished (approximate; for tests
-  /// and monitoring only).
-  int pending() const;
-
   /// Enqueues `fn` and returns a future for its result. Safe to call from
   /// multiple threads. Must not be called after the destructor has begun.
   template <typename Fn>

@@ -156,8 +156,6 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
     return ConsumeSbc(values);
   }
 
-  bool in_sbc_stage() const { return in_sbc_stage_; }
-
   /// Absorbs one update in place when it provably sends nothing: the site
   /// is in SBC with a cached gap above 0. That is exactly what ConsumeSbc
   /// does with a one-update span in this state, minus the span plumbing.

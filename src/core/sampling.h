@@ -48,8 +48,6 @@ class RateCache {
     return rate_;
   }
 
-  void Invalidate() { valid_ = false; }
-
  private:
   bool valid_ = false;
   double key_estimate_ = 0.0;

@@ -1,5 +1,7 @@
 #include "regression/bayes_linreg.h"
 
+#include <cstddef>
+
 #include "common/check.h"
 
 namespace nmc::regression {

@@ -6,11 +6,6 @@
 
 namespace nmc::sim {
 
-ChannelVerdict PerfectChannel::Adjudicate(const Hop& hop) {
-  (void)hop;
-  return ChannelVerdict::Deliver();
-}
-
 BernoulliLossChannel::BernoulliLossChannel(double loss, double duplicate,
                                            uint64_t seed)
     : loss_(loss), duplicate_(duplicate), rng_(seed) {

@@ -49,14 +49,6 @@ class ChannelModel {
   virtual ChannelVerdict Adjudicate(const Hop& hop) = 0;
 };
 
-/// Delivers everything. Installing it is bit-identical to running with no
-/// channel at all; it exists so factory-built configurations can name the
-/// default explicitly.
-class PerfectChannel : public ChannelModel {
- public:
-  ChannelVerdict Adjudicate(const Hop& hop) override;
-};
-
 /// Drops each hop independently with probability `loss` and (optionally)
 /// duplicates each surviving hop with probability `duplicate`. One uniform
 /// draw per hop keeps the RNG stream aligned across loss rates.

@@ -21,8 +21,6 @@ double ReliableProtocol::Estimate() const { return inner_->Estimate(); }
 
 const MessageStats& ReliableProtocol::stats() const { return inner_->stats(); }
 
-bool ReliableProtocol::Resync() { return inner_->Resync(); }
-
 int64_t ReliableProtocol::FaultCount() const {
   const MessageStats& stats = inner_->stats();
   return stats.dropped + stats.delayed;

@@ -60,7 +60,6 @@ class ReliableProtocol : public Protocol {
   void ProcessUpdate(int site_id, double value) override;
   double Estimate() const override;
   const MessageStats& stats() const override;
-  bool Resync() override;
 
   const ReliableDiagnostics& diagnostics() const { return diagnostics_; }
   Protocol* inner() { return inner_.get(); }
