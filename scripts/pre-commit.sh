@@ -5,10 +5,10 @@
 #   ln -s ../../scripts/pre-commit.sh .git/hooks/pre-commit
 #
 # or run it by hand before committing. The lint is one repo run: every rule
-# (the token-pattern rules, the atomics discipline, the call-graph
-# concurrency audit, the include-graph layering) over every file,
-# which covers the staged files and is sub-second, well inside the 30 s
-# budget run_static_analysis.sh enforces.
+# (the token-pattern rules, the atomics discipline, the mutable-state
+# rule, the include-graph layering) over every file, which covers the
+# staged files and is sub-second, well inside the 30 s budget
+# run_static_analysis.sh enforces.
 #
 # Exit codes: 0 = clean (or nothing staged), 1 = findings or format diffs,
 #             2 = the lint tool would not build.

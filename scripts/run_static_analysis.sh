@@ -25,9 +25,9 @@
 #   5  -Werror build failed (new warnings)
 #   6  a sanitizer build or its ctest run failed
 #   7  (retired; the numbers after it keep their meaning)
-#   8  the full-repo lint took longer than the 30 s budget — the
-#      interprocedural pass is meant to be cheap enough to run on every
-#      commit; a blowup here is a performance regression in the linter
+#   8  the full-repo lint took longer than the 30 s budget — the lint is
+#      meant to be cheap enough to run on every commit; a blowup here is a
+#      performance regression in the linter
 #   9  the nmc_race model-check gate failed: a litmus test found a
 #      reachable violation / lost a pinned outcome, the exploration
 #      budget ran out, or a weakened memory order survived the mutation
@@ -51,8 +51,8 @@ done
 echo "== stage 1: nmc_lint =="
 cmake -B build -S . > /dev/null || exit 2
 cmake --build build -j "${JOBS}" --target nmc_lint > /dev/null || exit 2
-# One text pass under a wall-clock budget: the interprocedural pass must
-# stay fast enough for pre-commit.
+# One text pass under a wall-clock budget: the lint must stay fast enough
+# for pre-commit.
 LINT_BUDGET_SECONDS=30
 lint_start="$(date +%s)"
 ./build/tools/nmc_lint/nmc_lint --root="${REPO_ROOT}" \

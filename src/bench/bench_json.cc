@@ -152,6 +152,7 @@ struct BenchSession {
 };
 
 BenchSession& Session() {
+  // nmc-lint: allow(NO_MUTABLE_GLOBAL_STATE) per-process reporting state: one bench binary's flags, report and timer
   static BenchSession session;
   return session;
 }

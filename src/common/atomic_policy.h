@@ -74,10 +74,8 @@ struct StdAtomicPolicy {
    public:
     explicit SlotArray(size_t size) : slots_(std::make_unique<T[]>(size)) {}
 
-    // nmc: reentrant
     void Store(size_t index, const T& value) { slots_[index] = value; }
 
-    // nmc: reentrant
     std::span<const T> View(size_t begin, size_t count) const {
       return {&slots_[begin], count};
     }

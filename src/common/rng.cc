@@ -13,7 +13,6 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-// nmc: reentrant
 uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
@@ -23,7 +22,6 @@ Rng::Rng(uint64_t seed) {
   for (uint64_t& s : state_) s = SplitMix64(&sm);
 }
 
-// nmc: reentrant
 uint64_t Rng::NextU64() {
   const uint64_t result = RotL(state_[0] + state_[3], 23) + state_[0];
   const uint64_t t = state_[1] << 17;
@@ -36,7 +34,6 @@ uint64_t Rng::NextU64() {
   return result;
 }
 
-// nmc: reentrant
 double Rng::UniformDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
@@ -52,7 +49,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(value % range);
 }
 
-// nmc: reentrant
 bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -60,7 +60,6 @@ class Seqlock {
   Seqlock& operator=(const Seqlock&) = delete;
 
   /// Writer (single thread): publishes `value` as the next generation.
-  // nmc: reentrant
   void Publish(const T& value) {
     WriteBegin();
     uint64_t words[kWords];
@@ -71,7 +70,6 @@ class Seqlock {
 
   /// Reader (any thread): one snapshot attempt. False when a write was in
   /// flight or completed mid-copy — the copy is torn and *out is untouched.
-  // nmc: reentrant
   bool TryRead(T* out) const {
     const uint64_t before = seq_.load(Policy::Order(
         OrderSite::kSeqlockReadAcquire, std::memory_order_acquire));
@@ -89,7 +87,6 @@ class Seqlock {
   /// Reader (any thread): retries TryRead until a consistent snapshot
   /// lands. Wait-free in the serving sense: a reader is only ever retried
   /// past by a *completing* writer, never blocked by one.
-  // nmc: reentrant
   T Read() const {
     T out;
     while (!TryRead(&out)) {
@@ -103,7 +100,6 @@ class Seqlock {
   /// acquire protocol, never from ordering against this load — and
   /// nmc_race's mutation harness requires every non-relaxed order here to
   /// be refutable when weakened.
-  // nmc: reentrant
   uint64_t generation() const {
     return seq_.load(std::memory_order_relaxed) / 2;
   }
@@ -112,7 +108,6 @@ class Seqlock {
   // tests — production writers use Publish) ------------------------------
 
   /// Marks a write in flight: seq_ becomes odd, readers refuse.
-  // nmc: reentrant
   void WriteBegin() {
     seq_.store(seq_.load(std::memory_order_relaxed) + 1,
                std::memory_order_relaxed);
@@ -123,14 +118,12 @@ class Seqlock {
   }
 
   /// Stores payload word `index` of the in-flight write.
-  // nmc: reentrant
   void StoreWord(size_t index, uint64_t word) {
     words_[index].store(word, std::memory_order_relaxed);
   }
 
   /// Completes the in-flight write: seq_ returns to even, one generation
   /// later; the release store publishes every StoreWord before it.
-  // nmc: reentrant
   void WriteEnd() {
     seq_.store(seq_.load(std::memory_order_relaxed) + 1,
                Policy::Order(OrderSite::kSeqlockWriteRelease,

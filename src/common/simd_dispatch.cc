@@ -35,7 +35,6 @@ const char* SimdLevelName(SimdLevel level) {
   return "unknown";
 }
 
-// nmc: reentrant
 SimdLevel ActiveSimdLevel() {
   return g_active.load(std::memory_order_relaxed);
 }

@@ -58,7 +58,6 @@ class SpscQueue {
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
 
-  // nmc: reentrant
   size_t capacity() const { return mask_ + 1; }
 
   /// Either side: a snapshot of the queued count (exact only from within
@@ -66,7 +65,6 @@ class SpscQueue {
   /// purpose: no slot access is ordered against this value, so there is no
   /// pairing edge for an acquire to complete — nmc_race's mutation harness
   /// requires every non-relaxed order here to be refutable when weakened.
-  // nmc: reentrant
   size_t SizeApprox() const {
     return static_cast<size_t>(tail_.load(std::memory_order_relaxed) -
                                head_.load(std::memory_order_relaxed));
@@ -77,7 +75,6 @@ class SpscQueue {
   /// calls nmc_race's spsc-wrap cases model-check.
   /// Producer: enqueues as many leading items of `items` as fit and
   /// returns the count (0 when full). Never blocks.
-  // nmc: reentrant
   size_t TryPushSpan(std::span<const T> items) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     size_t free = capacity() - static_cast<size_t>(tail - cached_head_);
@@ -102,7 +99,6 @@ class SpscQueue {
   /// contiguous in the ring (a batch ending at the wrap point may be split
   /// across two calls). The view stays valid until Advance() consumes past
   /// it. Empty span when the queue is empty.
-  // nmc: reentrant
   std::span<const T> PeekContiguous(size_t max_items) {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     if (cached_tail_ == head) {
@@ -119,7 +115,6 @@ class SpscQueue {
 
   /// Consumer: retires `count` items previously observed via
   /// PeekContiguous, releasing their slots to the producer.
-  // nmc: reentrant
   void Advance(size_t count) {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     NMC_CHECK_LE(count, static_cast<size_t>(cached_tail_ - head));

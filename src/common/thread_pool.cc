@@ -34,10 +34,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop_front();
     }
     task();  // packaged_task captures any exception into the future
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --unfinished_;
-    }
   }
 }
 

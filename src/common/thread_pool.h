@@ -49,7 +49,6 @@ class ThreadPool {
     {
       std::lock_guard<std::mutex> lock(mu_);
       tasks_.emplace_back([task]() { (*task)(); });
-      ++unfinished_;
     }
     cv_.notify_one();
     return future;
@@ -61,11 +60,10 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> tasks_;
   std::vector<std::thread> workers_;
-  int unfinished_ = 0;
   bool stopping_ = false;
 };
 

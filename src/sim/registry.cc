@@ -12,6 +12,7 @@ ProtocolRegistry& ProtocolRegistry::Global() {
   // Magic-static init is itself thread-safe (C++11 [stmt.dcl]); the leaked
   // singleton then serializes its own accesses on mutex_, so first call may
   // come from any thread.
+  // nmc-lint: allow(NO_MUTABLE_GLOBAL_STATE) magic-static init is thread-safe, and the registry serializes every access on mutex_
   static ProtocolRegistry* registry = new ProtocolRegistry();
   return *registry;
 }

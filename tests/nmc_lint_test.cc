@@ -134,6 +134,27 @@ TEST(NmcLintTest, CompliantHeaderIsSilent) {
   CheckFixture("pragma_once_ok.h", "src/sim/pragma_once_ok.h");
 }
 
+TEST(NmcLintTest, NoMutableGlobalState) {
+  CheckFixture("mutable_state.cc", "src/common/fixture.cc");
+}
+
+TEST(NmcLintTest, MutableStateFindingsNameTheState) {
+  const std::string content = ReadFixture("mutable_state.cc");
+  const auto findings = lint::LintContent("src/common/fixture.cc", content);
+  ASSERT_EQ(findings.size(), 4u) << Describe(Actual(findings));
+  const char* named[] = {"namespace-scope variable 'g_mutable_counter'",
+                         "static data member 'Box::live_count_'",
+                         "function-local static 'serial' in Box::Next()",
+                         "function-local static 'calls' in CountCall()"};
+  for (size_t i = 0; i < findings.size(); ++i) {
+    EXPECT_NE(findings[i].message.find(named[i]), std::string::npos)
+        << findings[i].message;
+  }
+  // bench/tests/tools binaries own their process; the rule is src/ only.
+  EXPECT_TRUE(lint::LintContent("tests/fixture.cc", content).empty());
+  EXPECT_TRUE(lint::LintContent("tools/fixture.cc", content).empty());
+}
+
 TEST(NmcLintTest, AllowAnnotationHygiene) {
   CheckFixture("allow_annotations.cc", "src/core/fixture.cc");
 }
@@ -223,7 +244,7 @@ TEST(NmcLintTest, EveryEmittedRuleIsRegistered) {
       "no_unordered_iteration.cc", "no_map_in_hot_path.cc",
       "no_iostream_in_lib.cc", "include_hygiene.cc",
       "missing_pragma_once.h", "allow_annotations.cc",
-      "atomics_discipline.cc",
+      "atomics_discipline.cc", "mutable_state.cc",
   };
   std::vector<std::string> registered;
   for (const lint::RuleInfo& rule : lint::Rules()) {
@@ -283,8 +304,7 @@ TEST(NmcLintTest, RejectedLayerSpecIsALintIoFinding) {
 
 TEST(NmcLintTest, FormatFindingIsStable) {
   const lint::Finding finding{"src/sim/network.cc", 42, "NO_MAP_IN_HOT_PATH",
-                              "node-based container",
-                              {}};
+                              "node-based container"};
   EXPECT_EQ(lint::FormatFinding(finding),
             "src/sim/network.cc:42: NO_MAP_IN_HOT_PATH: node-based container");
 }

@@ -12,7 +12,6 @@
 #include <tuple>
 #include <vector>
 
-#include "nmc_lint/call_graph.h"
 #include "nmc_lint/include_graph.h"
 #include "nmc_lint/lexer.h"
 #include "nmc_lint/scopes.h"
@@ -24,7 +23,7 @@ namespace nmc::lint {
 namespace {
 
 // Path scopes, name tables, and token matchers live in scopes.h and
-// token_match.h, shared with the symbol/call-graph layers.
+// token_match.h, shared with the symbol scan.
 
 // ---- Rule registry --------------------------------------------------------
 
@@ -32,7 +31,7 @@ const std::vector<RuleInfo> kAllRules = {
     {"NO_UNSEEDED_RNG",
      "no std::random_device / rand() / srand, and every engine construction "
      "seeds from a parameter or a common/rng.h factory (src/, bench/, "
-     "tools/)"},
+     "tests/, tools/)"},
     {"NO_WALLCLOCK_IN_SIM",
      "no wall-clock reads in src/ outside src/bench timing code"},
     {"NO_UNORDERED_ITERATION_IN_PROTOCOL",
@@ -41,17 +40,9 @@ const std::vector<RuleInfo> kAllRules = {
      "no std::map/std::multimap/std::deque in src/sim delivery paths"},
     {"NO_IOSTREAM_IN_LIB", "no std::cout/printf in library code"},
     {"NO_MUTABLE_GLOBAL_STATE",
-     "no non-const namespace-scope data or non-const static data members in "
-     "src/ — process-wide state a threaded runtime cannot tolerate "
-     "undeclared"},
-    {"NO_STATIC_LOCAL_IN_REENTRANT",
-     "no mutable function-local statics in functions reachable from "
-     "per-update entry points, Protocol/Network/BatchRng members, or "
-     "// nmc: reentrant functions"},
-    {"THREAD_COMPAT",
-     "// nmc: reentrant / not-thread-safe(reason) contracts are "
-     "well-formed, attach to a definition, and a reentrant function only "
-     "calls reentrant functions"},
+     "no non-const namespace-scope data, non-const static data members or "
+     "mutable function-local statics in src/ — process-wide state a "
+     "threaded runtime cannot tolerate undeclared"},
     {"ATOMIC_ORDER_EXPLICIT",
      "every atomic load/store/RMW in src/ spells its memory_order "
      "argument; a defaulted (seq_cst) call hides the synchronization "
@@ -704,46 +695,30 @@ void CheckUnorderedIteration(const std::string& path,
 
 // ---- Concurrency-readiness per-file rules ---------------------------------
 
-/// NO_MUTABLE_GLOBAL_STATE plus the THREAD_COMPAT annotation-grammar checks
-/// — everything about the concurrency contracts that one file can decide
-/// alone (the reentrant-calls-reentrant edge check needs the call graph and
-/// runs in RunInterprocRules).
-void CheckSymbolRules(const std::string& path, const FileSymbols& symbols,
-                      std::vector<Finding>* findings) {
-  for (const MutableGlobal& global : symbols.mutable_globals) {
-    const std::string what =
-        global.is_static_member
-            ? "static data member '" + global.owner + "::" + global.name + "'"
-            : "namespace-scope variable '" + global.name + "'";
+/// NO_MUTABLE_GLOBAL_STATE: every piece of process-wide mutable state the
+/// file declares — namespace-scope data, static data members and
+/// function-local statics — wherever it sits and whoever calls it.
+void CheckMutableState(const std::string& path, const FileSymbols& symbols,
+                       std::vector<Finding>* findings) {
+  auto report = [&](int line, const std::string& what) {
     findings->push_back(
-        {path, global.line, "NO_MUTABLE_GLOBAL_STATE",
+        {path, line, "NO_MUTABLE_GLOBAL_STATE",
          "mutable " + what +
              " is process-wide shared state; make it const, pass it "
              "explicitly, or allow() it with the single-threaded "
              "justification"});
+  };
+  for (const MutableGlobal& global : symbols.mutable_globals) {
+    report(global.line,
+           global.is_static_member
+               ? "static data member '" + global.owner + "::" + global.name +
+                     "'"
+               : "namespace-scope variable '" + global.name + "'");
   }
-  for (const ThreadMarker& marker : symbols.markers) {
-    if (marker.kind == ThreadAnnotation::kNone) {
-      findings->push_back(
-          {path, marker.line, "THREAD_COMPAT",
-           "unknown thread-contract verb '" + marker.verb +
-               "'; known contracts: // nmc: reentrant and "
-               "// nmc: not-thread-safe(reason)"});
-      continue;
-    }
-    if (marker.kind == ThreadAnnotation::kNotThreadSafe &&
-        marker.reason.empty()) {
-      findings->push_back(
-          {path, marker.line, "THREAD_COMPAT",
-           "not-thread-safe contract carries no reason; write "
-           "// nmc: not-thread-safe(<why it is hostile>)"});
-    }
-    if (!marker.attached) {
-      findings->push_back(
-          {path, marker.line, "THREAD_COMPAT",
-           "thread-contract annotation attaches to no function definition "
-           "within two lines; move it onto the definition or delete it"});
-    }
+  for (const StaticLocal& local : symbols.static_locals) {
+    const std::string named = local.hint.empty() ? "" : " '" + local.hint + "'";
+    report(local.line,
+           "function-local static" + named + " in " + local.function + "()");
   }
 }
 
@@ -810,10 +785,6 @@ std::vector<Allowance> ParseAllowances(const std::vector<std::string>& lines) {
 struct FileAnalysis {
   std::vector<Finding> findings;  // pre-suppression
   std::vector<Allowance> allowances;
-  /// Symbol table for library files (src/) — feeds the per-file concurrency
-  /// rules here and the cross-TU call graph in LintRepo.
-  FileSymbols symbols;
-  bool has_symbols = false;
 };
 
 FileAnalysis AnalyzeFile(const std::string& path, const std::string& content) {
@@ -825,19 +796,15 @@ FileAnalysis AnalyzeFile(const std::string& path, const std::string& content) {
   analysis.allowances = ParseAllowances(lines);
 
   std::vector<Finding>* findings = &analysis.findings;
+  CheckUnseededRng(path, streams.code, findings);
   if (InLibraryCode(path)) {
-    analysis.symbols = BuildFileSymbols(path, content);
-    analysis.has_symbols = true;
-    CheckSymbolRules(path, analysis.symbols, findings);
-  }
-  if (InAtomicsDisciplineScope(path)) {
+    CheckMutableState(path, BuildFileSymbols(streams.code), findings);
     CheckAtomicOrderExplicit(path, streams.code, findings);
     CheckSeqCstJustified(path, streams.code, lines, findings);
   }
   if (InModeledConcurrencyScope(path)) {
     CheckRawAtomicInRuntime(path, streams.code, findings);
   }
-  if (InDeterminismScope(path)) CheckUnseededRng(path, streams.code, findings);
   if (InSimLibrary(path)) {
     CheckWallclock(path, streams.code, findings);
     CheckIostream(path, streams, findings);
@@ -862,13 +829,11 @@ FileAnalysis AnalyzeFile(const std::string& path, const std::string& content) {
   return analysis;
 }
 
-/// Rules whose findings can originate in a cross-file pass (include graph
-/// or a call chain through another file). An allow() for one of these may
-/// look unused when LintContent sees its file alone — ALLOW_UNUSED for them
-/// gates only in repo mode.
+/// Rules whose findings originate in the cross-file include-graph pass. An
+/// allow() for one of these looks unused when LintContent sees its file
+/// alone — ALLOW_UNUSED for them gates only in repo mode.
 constexpr const char* kCrossFileCapableRules[] = {
-    "LAYERING_VIOLATION", "NO_INCLUDE_CYCLES", "INCLUDE_DEPTH",
-    "NO_STATIC_LOCAL_IN_REENTRANT", "THREAD_COMPAT"};
+    "LAYERING_VIOLATION", "NO_INCLUDE_CYCLES", "INCLUDE_DEPTH"};
 
 bool IsCrossFileCapable(const std::string& rule) {
   for (const char* name : kCrossFileCapableRules) {
@@ -936,32 +901,6 @@ std::string ReadFileOr(const std::filesystem::path& path, bool* ok) {
   return buffer.str();
 }
 
-/// Interprocedural pass: the call graph over the analyzed library files'
-/// symbol tables and the concurrency reachability/contract rules. Findings
-/// merge into the per-file lists *before* allowance application (like the
-/// include-graph rules) so an inline allow() at the flagged line works; one
-/// finding per (line, rule) is kept.
-void MergeInterprocFindings(std::map<std::string, FileAnalysis>* analyses) {
-  std::vector<const FileSymbols*> symbol_files;
-  for (const auto& [file, analysis] : *analyses) {
-    if (analysis.has_symbols) symbol_files.push_back(&analysis.symbols);
-  }
-  const CallGraph graph = CallGraph::Build(symbol_files);
-  std::map<std::string, std::vector<Finding>> interproc;
-  RunInterprocRules(symbol_files, graph, &interproc);
-  for (auto& [file, findings] : interproc) {
-    std::vector<Finding>& kept = analyses->at(file).findings;
-    for (Finding& finding : findings) {
-      const bool duplicate =
-          std::any_of(kept.begin(), kept.end(), [&](const Finding& existing) {
-            return existing.line == finding.line &&
-                   existing.rule == finding.rule;
-          });
-      if (!duplicate) kept.push_back(std::move(finding));
-    }
-  }
-}
-
 void SortByFileLineRule(std::vector<Finding>* findings) {
   std::sort(findings->begin(), findings->end(),
             [](const Finding& a, const Finding& b) {
@@ -978,10 +917,7 @@ const std::vector<RuleInfo>& Rules() { return kAllRules; }
 
 std::vector<Finding> LintContent(const std::string& path,
                                  const std::string& content) {
-  std::map<std::string, FileAnalysis> analyses;
-  analyses.emplace(path, AnalyzeFile(path, content));
-  MergeInterprocFindings(&analyses);
-  FileAnalysis& analysis = analyses.at(path);
+  FileAnalysis analysis = AnalyzeFile(path, content);
   return ApplyAllowances(path, std::move(analysis.findings),
                          std::move(analysis.allowances),
                          /*repo_mode=*/false);
@@ -1028,7 +964,6 @@ std::vector<Finding> LintRepo(const RepoLintOptions& options,
     }
   }
 
-  MergeInterprocFindings(&analyses);
   for (auto& [file, analysis] : analyses) {
     std::vector<Finding> kept = ApplyAllowances(
         file, std::move(analysis.findings), std::move(analysis.allowances),

@@ -5,27 +5,12 @@
 
 namespace nmc::lint {
 
-/// One hop of an interprocedural call chain: where execution is and what
-/// happens there ("calls Foo::Bar", "static local 'hits'"). Printed by
-/// `nmc_lint --why`; the finding's message carries the same chain as text.
-struct FlowStep {
-  std::string file;
-  int line = 0;
-  std::string note;
-
-  bool operator==(const FlowStep&) const = default;
-};
-
 /// One rule violation (or annotation-hygiene problem) at a specific line.
 struct Finding {
   std::string file;  ///< Repo-relative path, as passed to LintContent.
   int line = 0;      ///< 1-based line number.
   std::string rule;  ///< Rule ID, e.g. "NO_UNSEEDED_RNG".
   std::string message;
-  /// Entry-point → … → finding chain for findings produced by the
-  /// interprocedural propagation; empty for direct findings (the default
-  /// member initializer keeps four-element aggregate inits warning-free).
-  std::vector<FlowStep> flow = {};
 
   bool operator==(const Finding&) const = default;
 };
@@ -40,20 +25,18 @@ struct RuleInfo {
 const std::vector<RuleInfo>& Rules();
 
 /// Lints `content` as if it lived at repo-relative `path`, running every
-/// single-file rule plus the interprocedural pass over this one file's
-/// functions. Scope decisions (which rules apply) use only the path prefix,
-/// so fixture tests can lint a testdata file "as if" it were in src/sim/.
-/// The include-graph rules (layering, cycles, depth) and call chains that
-/// cross files run only through LintRepo. Findings are sorted by
-/// (line, rule).
+/// single-file rule. Scope decisions (which rules apply) use only the path
+/// prefix, so fixture tests can lint a testdata file "as if" it were in
+/// src/sim/. The include-graph rules (layering, cycles, depth) run only
+/// through LintRepo. Findings are sorted by (line, rule).
 std::vector<Finding> LintContent(const std::string& path,
                                  const std::string& content);
 
-/// Full repo run: single-file rules over every collected file, the
-/// interprocedural pass over the whole call graph, and the include-graph
-/// rules (LAYERING_VIOLATION, NO_INCLUDE_CYCLES, INCLUDE_DEPTH) against the
-/// layer spec. Graph findings attach to the offending #include line and are
-/// suppressible by the same inline allow annotations as everything else.
+/// Full repo run: single-file rules over every collected file and the
+/// include-graph rules (LAYERING_VIOLATION, NO_INCLUDE_CYCLES,
+/// INCLUDE_DEPTH) against the layer spec. Graph findings attach to the
+/// offending #include line and are suppressible by the same inline allow
+/// annotations as everything else.
 /// An unreadable collected file is one LINT_IO finding at line 0.
 struct RepoLintOptions {
   std::string repo_root;

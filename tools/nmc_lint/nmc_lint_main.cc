@@ -8,16 +8,13 @@
 //                           are unioned with the directory scan so every
 //                           built TU is covered (default:
 //                           <root>/build/compile_commands.json if present)
-//   --why RULE FILE:LINE    print the finding at FILE:LINE for RULE and
-//                           the shortest entry-point call chain that
-//                           produced it, then exit (0 = found)
 //   --list-rules            print rule IDs + summaries and exit
 //   roots...                repo-relative directories to lint (default:
 //                           src bench tests tools)
 //
-// Every run is a repo run: the single-file rules, the call-graph pass and
-// the include-graph rules over every file under the roots, so one entry
-// serves CI, ctest and the pre-commit hook. The include graph is checked
+// Every run is a repo run: the single-file rules and the include-graph
+// rules over every file under the roots, so one entry serves CI, ctest and
+// the pre-commit hook. The include graph is checked
 // against the layer spec at <root>/tools/nmc_lint/layers.txt when that file
 // exists. The only way to suppress a finding is an inline allow()
 // annotation with a reason (README.md, "Static analysis").
@@ -25,7 +22,6 @@
 // Exit codes: 0 = clean, 1 = findings printed, 2 = usage or I/O error.
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -37,8 +33,6 @@ int main(int argc, char** argv) {
   std::string root = fs::current_path().string();
   std::string compile_commands;
   bool compile_commands_set = false;
-  std::string why_rule;
-  std::string why_location;
   std::vector<std::string> roots;
 
   for (int i = 1; i < argc; ++i) {
@@ -54,13 +48,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--compile-commands=", 0) == 0) {
       compile_commands = arg.substr(19);
       compile_commands_set = true;
-    } else if (arg == "--why") {
-      if (i + 2 >= argc) {
-        std::fprintf(stderr, "nmc_lint: --why needs RULE and FILE:LINE\n");
-        return 2;
-      }
-      why_rule = argv[++i];
-      why_location = argv[++i];
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "nmc_lint: unknown flag %s\n", arg.c_str());
       return 2;
@@ -90,41 +77,6 @@ int main(int argc, char** argv) {
   if (files_linted == 0) {
     std::fprintf(stderr, "nmc_lint: no files found under --root=%s\n",
                  root.c_str());
-    return 2;
-  }
-
-  if (!why_rule.empty()) {
-    // --why RULE FILE:LINE — explain one finding: where it is and, for
-    // interprocedural findings, the shortest entry-point chain that
-    // reaches it.
-    const size_t colon = why_location.rfind(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "nmc_lint: --why location must be FILE:LINE\n");
-      return 2;
-    }
-    const std::string why_file = why_location.substr(0, colon);
-    const int why_line = std::atoi(why_location.c_str() + colon + 1);
-    for (const nmc::lint::Finding& finding : findings) {
-      if (finding.rule != why_rule || finding.file != why_file ||
-          finding.line != why_line) {
-        continue;
-      }
-      std::printf("%s\n", nmc::lint::FormatFinding(finding).c_str());
-      if (finding.flow.empty()) {
-        std::printf("  direct finding; no interprocedural chain\n");
-      } else {
-        for (size_t j = 0; j < finding.flow.size(); ++j) {
-          const nmc::lint::FlowStep& step = finding.flow[j];
-          std::printf("  #%zu %s:%d: %s\n", j, step.file.c_str(), step.line,
-                      step.note.c_str());
-        }
-      }
-      return 0;
-    }
-    std::fprintf(stderr,
-                 "nmc_lint: no %s finding at %s (suppressed findings have "
-                 "no chain; check allow())\n",
-                 why_rule.c_str(), why_location.c_str());
     return 2;
   }
 

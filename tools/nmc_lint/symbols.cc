@@ -1,9 +1,6 @@
 #include "nmc_lint/symbols.h"
 
-#include <algorithm>
 #include <cctype>
-#include <regex>
-#include <sstream>
 #include <string>
 
 #include "nmc_lint/token_match.h"
@@ -15,24 +12,10 @@ namespace {
 // The symbol scanner is a single forward pass over the code token stream
 // with a stack of *declaration* scopes (namespaces, classes, enum bodies).
 // Function bodies never go on the stack: when a definition header is
-// recognized, the body's balanced token range is recorded on the symbol,
-// scanned for static locals and call sites, and skipped in one step — so
-// the main loop only ever parses declaration context. Deliberately
-// heuristic where C++ demands a real frontend (see DESIGN.md §11); every
-// decision is deterministic in the token stream alone.
-
-constexpr const char* kCallKeywords[] = {
-    "if",      "for",         "while",    "switch",   "return",
-    "sizeof",  "alignof",     "alignas",  "decltype", "noexcept",
-    "catch",   "new",         "delete",   "throw",    "defined",
-    "assert",  "co_return",   "co_await", "co_yield", "typeid",
-    "requires"};
-
-/// Identifiers that may directly precede a call-looking `name(` without
-/// turning it into a declaration (`return foo(x)` vs `int foo(x)`).
-constexpr const char* kExprKeywords[] = {"return", "throw",     "else",
-                                         "do",     "co_return", "co_yield",
-                                         "case",   "goto"};
+// recognized, the body's balanced token range is scanned for static locals
+// and skipped in one step — so the main loop only ever parses declaration
+// context. Deliberately heuristic where C++ demands a real frontend (see
+// DESIGN.md §11); every decision is deterministic in the token stream alone.
 
 constexpr const char* kDeclSkipToSemi[] = {"using", "typedef", "friend",
                                            "static_assert"};
@@ -59,8 +42,8 @@ struct Frame {
 
 class SymbolScanner {
  public:
-  SymbolScanner(const std::string& path, FileSymbols* out)
-      : path_(path), out_(out), code_(out->code) {}
+  SymbolScanner(const std::vector<Token>& code, FileSymbols* out)
+      : out_(out), code_(code) {}
 
   void Run() {
     size_t i = 0;
@@ -212,7 +195,7 @@ class SymbolScanner {
         saw_operator = true;
       } else if (IsPunct(code_, i, "(") && i > start &&
                  (IsIdent(code_, i - 1) || saw_operator)) {
-        return ParseCallableTail(start, i, saw_operator);
+        return ParseCallableTail(i, saw_operator);
       } else if (IsPunct(code_, i, "=") && !saw_operator) {
         RecordVariable(start, i, saw_const, saw_static);
         return SkipToSemi(i);
@@ -260,8 +243,8 @@ class SymbolScanner {
   }
 
   /// From `open` (the '(' of a callable-looking declarator), decide
-  /// declaration vs definition and record the symbol + body scan.
-  size_t ParseCallableTail(size_t /*start*/, size_t open, bool is_operator) {
+  /// declaration vs definition and scan a definition's body.
+  size_t ParseCallableTail(size_t open, bool is_operator) {
     const size_t close = MatchingClose(code_, open, ParenDelta);
     if (close >= code_.size()) return code_.size();
     size_t i = close + 1;
@@ -319,97 +302,52 @@ class SymbolScanner {
       }
     }
     if (!IsPunct(code_, i, "{")) return SkipToSemi(open);  // declaration
-    return RecordFunction(open, i, is_operator);
+    const size_t body_close = MatchingClose(code_, i, BraceDelta);
+    ScanBody(FunctionName(open, is_operator), i + 1, body_close);
+    return body_close < code_.size() ? body_close + 1 : code_.size();
   }
 
-  size_t RecordFunction(size_t open, size_t body_open, bool is_operator) {
-    FunctionSymbol sym;
-    sym.file = path_;
-    // Name + qualifier chain, read backwards from the '('.
-    size_t j = open;  // token after the name going backwards
-    std::vector<std::string> quals;
-    if (is_operator) {
-      sym.name = "operator";
-      sym.line = code_[open].line;
-    } else {
-      --j;  // the name token
-      sym.name = code_[j].text;
-      sym.line = code_[j].line;
-      if (j >= 1 && IsPunct(code_, j - 1, "~")) sym.name = "~" + sym.name;
-      while (j >= 2 && IsPunct(code_, j - 1, "::") && IsIdent(code_, j - 2)) {
-        quals.insert(quals.begin(), code_[j - 2].text);
-        j -= 2;
+  /// "Class::name" or "name" for the definition whose '(' is at `open`:
+  /// the class is the enclosing class scope, or else the capitalized
+  /// qualifier of an out-of-class `Cls::Name(...)`.
+  std::string FunctionName(size_t open, bool is_operator) const {
+    std::string name = "operator";
+    std::string qual;
+    if (!is_operator) {
+      const size_t j = open - 1;  // the name token
+      name = code_[j].text;
+      if (j >= 1 && IsPunct(code_, j - 1, "~")) name = "~" + name;
+      if (j >= 2 && IsPunct(code_, j - 1, "::") && IsIdent(code_, j - 2)) {
+        qual = code_[j - 2].text;
       }
     }
     const Frame* cls = InnermostClass();
     if (cls != nullptr) {
-      sym.class_name = cls->name;
-    } else if (!quals.empty() && StartsUpper(quals.back())) {
-      sym.class_name = quals.back();
-      quals.pop_back();
+      return cls->name.empty() ? name : cls->name + "::" + name;
     }
-    for (const Frame& frame : stack_) {
-      if (frame.kind != Frame::Kind::kNamespace || frame.name.empty()) {
-        continue;
-      }
-      if (!sym.name_space.empty()) sym.name_space += "::";
-      sym.name_space += frame.name;
-    }
-    for (const std::string& qual : quals) {
-      if (!sym.name_space.empty()) sym.name_space += "::";
-      sym.name_space += qual;
-    }
-    const size_t body_close = MatchingClose(code_, body_open, BraceDelta);
-    const size_t index = out_->functions.size();
-    out_->functions.push_back(std::move(sym));
-    ScanBody(index, body_open + 1, body_close);
-    return body_close < code_.size() ? body_close + 1 : code_.size();
+    if (StartsUpper(qual)) return qual + "::" + name;
+    return name;
   }
 
   // ---- function bodies ----------------------------------------------------
 
-  void ScanBody(size_t function_index, size_t begin, size_t end) {
+  void ScanBody(const std::string& function, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      if (IsIdent(code_, i, "static")) {
-        RecordStaticLocal(function_index, i, end);
-        continue;
-      }
-      if (!IsIdent(code_, i) || !IsPunct(code_, i + 1, "(")) continue;
-      if (IsIdentIn(code_, i, kCallKeywords)) continue;
-      const std::string& name = code_[i].text;
-      if (LooksLikeMacro(name)) continue;
-      // `Type name(args)` is a declaration, not a call — unless the
-      // preceding identifier is an expression keyword (`return foo(x)`).
-      if (i > begin && IsIdent(code_, i - 1) &&
-          !IsIdentIn(code_, i - 1, kExprKeywords)) {
-        continue;
-      }
-      CallSite call;
-      call.caller_index = function_index;
-      call.name = name;
-      call.line = code_[i].line;
-      size_t j = i;
-      while (j >= 2 && IsPunct(code_, j - 1, "::") && IsIdent(code_, j - 2)) {
-        call.quals.insert(call.quals.begin(), code_[j - 2].text);
-        j -= 2;
-      }
-      call.member_call =
-          j >= 1 && (IsPunct(code_, j - 1, ".") || IsPunct(code_, j - 1, "->"));
-      out_->calls.push_back(std::move(call));
+      if (IsIdent(code_, i, "static")) RecordStaticLocal(function, i, end);
     }
   }
 
-  void RecordStaticLocal(size_t function_index, size_t i, size_t end) {
+  void RecordStaticLocal(const std::string& function, size_t i, size_t end) {
     // `static const`/`static constexpr` locals are immutable after their
     // (thread-safe) init; `thread_local` state is per-thread. Both are
-    // reentrancy-compatible and exempt.
+    // exempt.
     if (IsIdent(code_, i + 1, "const") || IsIdent(code_, i + 1, "constexpr") ||
         IsIdent(code_, i + 1, "thread_local") ||
         (i > 0 && IsIdent(code_, i - 1, "thread_local"))) {
       return;
     }
     StaticLocal local;
-    local.function_index = function_index;
+    local.function = function;
     local.line = code_[i].line;
     for (size_t j = i + 1; j < end && j < i + 16; ++j) {
       if (IsPunct(code_, j, ";") || IsPunct(code_, j, "=") ||
@@ -435,78 +373,16 @@ class SymbolScanner {
     return !stack_.empty() && stack_.back().kind == Frame::Kind::kOpaque;
   }
 
-  const std::string& path_;
   FileSymbols* out_;
   const std::vector<Token>& code_;
   std::vector<Frame> stack_;
 };
 
-// ---- thread markers -------------------------------------------------------
-
-std::vector<ThreadMarker> ParseThreadMarkers(const std::string& content) {
-  // `// nmc: verb` or `// nmc: verb(argument)` — note the bare `nmc:`
-  // marker; `nmc-lint: allow(...)` is a different namespace and never
-  // matches here.
-  static const std::regex kMarkerRe(
-      R"(//\s*nmc:\s*([A-Za-z0-9_-]+)\s*(?:\(([^)]*)\))?)");
-  std::vector<ThreadMarker> markers;
-  std::istringstream lines(content);
-  std::string line;
-  int line_number = 0;
-  while (std::getline(lines, line)) {
-    ++line_number;
-    std::smatch match;
-    if (!std::regex_search(line, match, kMarkerRe)) continue;
-    ThreadMarker marker;
-    marker.line = line_number;
-    const size_t first = line.find_first_not_of(" \t");
-    const bool comment_only =
-        first != std::string::npos && line.compare(first, 2, "//") == 0;
-    marker.target_line = comment_only ? line_number + 1 : line_number;
-    marker.verb = match[1].str();
-    marker.reason = match[2].matched ? match[2].str() : "";
-    // `// nmc: seq-cst(reason)` belongs to the atomics-discipline rule
-    // (SEQ_CST_JUSTIFIED validates it in place), not the thread-contract
-    // grammar — skip it here so it is not reported as an unknown verb.
-    if (marker.verb == "seq-cst") continue;
-    if (marker.verb == "reentrant") {
-      marker.kind = ThreadAnnotation::kReentrant;
-    } else if (marker.verb == "not-thread-safe") {
-      marker.kind = ThreadAnnotation::kNotThreadSafe;
-    } else {
-      marker.kind = ThreadAnnotation::kNone;
-    }
-    markers.push_back(std::move(marker));
-  }
-  return markers;
-}
-
-void AttachMarkers(FileSymbols* symbols) {
-  for (ThreadMarker& marker : symbols->markers) {
-    if (marker.kind == ThreadAnnotation::kNone) continue;  // unknown verb
-    for (FunctionSymbol& fn : symbols->functions) {
-      if (fn.line >= marker.target_line && fn.line <= marker.target_line + 2) {
-        fn.annotation = marker.kind;
-        fn.annotation_line = marker.line;
-        marker.attached = true;
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace
 
-FileSymbols BuildFileSymbols(const std::string& path,
-                             const std::string& content) {
+FileSymbols BuildFileSymbols(const std::vector<Token>& code) {
   FileSymbols symbols;
-  symbols.file = path;
-  for (const Token& token : Lex(content)) {
-    if (IsCodeToken(token)) symbols.code.push_back(token);
-  }
-  symbols.markers = ParseThreadMarkers(content);
-  SymbolScanner(path, &symbols).Run();
-  AttachMarkers(&symbols);
+  SymbolScanner(code, &symbols).Run();
   return symbols;
 }
 

@@ -8,7 +8,7 @@
 namespace nmc::lint {
 
 // Small token-sequence matchers shared by the single-file rules (lint.cc)
-// and the symbol/call-graph layers. All take the "code" stream (identifiers,
+// and the symbol scan (symbols.cc). All take the "code" stream (identifiers,
 // numbers, punctuation — literals and comments already dropped) and an
 // index; out-of-range indices simply fail to match.
 

@@ -1,6 +1,6 @@
 // nmc_sim — command-line driver for the tracking protocols.
 //
-// Runs any protocol of the library against any input model with full
+// Runs the tracking protocols against the input models with full
 // control over the parameters, and prints a per-trial table (optionally
 // CSV) plus a summary. The tool is how you explore regimes that the fixed
 // E1..E12 benches don't sweep.
@@ -24,7 +24,6 @@
 #include "common/table.h"
 #include "core/horizon_free.h"
 #include "core/nonmonotonic_counter.h"
-#include "hyz/hyz_counter.h"
 #include "runtime/run.h"
 #include "sim/assignment.h"
 #include "streams/adversarial.h"
@@ -36,8 +35,8 @@ namespace {
 
 constexpr char kUsage[] = R"(nmc_sim — continuous distributed counting simulator
 
-  --protocol=NAME   counter (default) | horizon_free | hyz | exact |
-                    periodic | two_monotonic
+  --protocol=NAME   counter (default) | horizon_free | exact | periodic |
+                    two_monotonic (±1 models only: not fractional, fbm)
   --model=NAME      iid (default) | fractional | permuted | fbm |
                     alternating | sawtooth
   --n=INT           stream length (default 65536)
@@ -122,12 +121,6 @@ std::unique_ptr<nmc::sim::Protocol> MakeProtocol(
     }
     return std::make_unique<nmc::core::NonMonotonicCounter>(k, options);
   }
-  if (protocol == "hyz") {
-    nmc::hyz::HyzOptions options;
-    options.epsilon = eps;
-    options.seed = seed;
-    return std::make_unique<nmc::hyz::HyzProtocol>(k, options);
-  }
   if (protocol == "exact") {
     return std::make_unique<nmc::baselines::ExactSyncProtocol>(k);
   }
@@ -180,6 +173,17 @@ int main(int argc, char** argv) {
   const std::string psi_name = flags.GetString("psi", "round_robin");
   const bool csv = flags.GetBool("csv", false);
   const int64_t curve_points = flags.GetInt("curve", 0);
+  // two_monotonic splits a ±1 stream into two monotonic counts; the
+  // fractional and fbm models emit real values.
+  const std::string model = flags.GetString("model", "iid");
+  if (flags.GetString("protocol", "counter") == "two_monotonic" &&
+      (model == "fractional" || model == "fbm")) {
+    std::fprintf(stderr,
+                 "--protocol=two_monotonic needs ±1 input; --model=%s gives "
+                 "real values\n",
+                 model.c_str());
+    return 1;
+  }
   if (trials < 1) {
     // Flags are validated in trial 0, so a run needs one.
     std::fprintf(stderr, "--trials must be at least 1\n");
