@@ -122,7 +122,8 @@ void SweepN() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  nmc::bench::InitBench(argc, argv, "bench_e10_regression");
+  nmc::bench::InitBench(argc, argv, "bench_e10_regression",
+                        /*applies_channel=*/false);
   Banner("E10 — Section 5.2: distributed Bayesian linear regression",
          "Õ(sqrt(k n) d^2/eps) messages to track the posterior continuously");
   SweepDim();

@@ -86,7 +86,8 @@ void ImpliedFailureAcrossN() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  nmc::bench::InitBench(argc, argv, "bench_e13_failure_model");
+  nmc::bench::InitBench(argc, argv, "bench_e13_failure_model",
+                        /*applies_channel=*/false);
   Banner("E13 — the sampling law's failure model, computed exactly",
          "per-sync failure = E[(1-p)^T], T the eps-ball exit time");
   ThreeWayAgreement();

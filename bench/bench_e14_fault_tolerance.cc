@@ -364,7 +364,8 @@ bool SocketSweeps() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  nmc::bench::InitBench(argc, argv, "bench_e14_fault_tolerance");
+  nmc::bench::InitBench(argc, argv, "bench_e14_fault_tolerance",
+                        /*applies_channel=*/false);
   if (nmc::bench::BenchTransport() ==
       nmc::runtime::TransportKind::kSockets) {
     const bool ok = SocketSweeps();

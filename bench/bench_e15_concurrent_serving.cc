@@ -231,7 +231,8 @@ bool VerifyLinearizable(const E15Options& options, TransportKind kind) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> rest;
-  nmc::bench::InitBenchRest(argc, argv, "bench_e15_concurrent_serving", &rest);
+  nmc::bench::InitBenchRest(argc, argv, "bench_e15_concurrent_serving", &rest,
+                            /*applies_channel=*/false);
   const E15Options options = ParseOwnFlags(rest);
   nmc::registry::RegisterBuiltinProtocols();
   if (!nmc::runtime::TransportSupports(TransportKind::kSim,

@@ -124,7 +124,8 @@ void Phase2SwitchScaling() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  nmc::bench::InitBench(argc, argv, "bench_e3_drift");
+  nmc::bench::InitBench(argc, argv, "bench_e3_drift",
+                        /*applies_channel=*/false);
   Banner("E3 — Theorem 3.3: k-site counter with unknown drift",
          "messages = Õ(min{sqrt(k)/(eps|mu|), sqrt(k n)/eps, n}) + Õ(k)");
   SweepMu();

@@ -61,7 +61,8 @@ void SweepThreshold() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  nmc::bench::InitBench(argc, argv, "bench_e7_k_inputs");
+  nmc::bench::InitBench(argc, argv, "bench_e7_k_inputs",
+                        /*applies_channel=*/false);
   Banner("E7 — Lemma 4.4: the tracking-k-inputs communication game",
          "deciding sign(total) when |total| >= c*sqrt(k) needs Theta(k) msgs");
   SweepSampledFraction();

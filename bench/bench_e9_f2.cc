@@ -106,7 +106,8 @@ void SweepK() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  nmc::bench::InitBench(argc, argv, "bench_e9_f2");
+  nmc::bench::InitBench(argc, argv, "bench_e9_f2",
+                        /*applies_channel=*/false);
   Banner("E9 — Corollary 5.1: F2 tracking with decrements (fast AMS + counters)",
          "Õ(sqrt(k n)/eps^2) messages; LB Omega(min{sqrt(k n)/eps, n})");
   SweepN();

@@ -465,7 +465,6 @@ void BM_TallySigns(benchmark::State& state) {
 BENCHMARK(BM_TallySigns)->Arg(64)->Arg(1024);
 
 void BM_RngU64(benchmark::State& state) {
-  // nmc-lint: allow(NO_UNSEEDED_RNG) fixed seed; measures throughput only.
   nmc::common::Rng rng(5);
   for (auto _ : state) benchmark::DoNotOptimize(rng.NextU64());
 }
@@ -474,7 +473,6 @@ BENCHMARK(BM_RngU64);
 void BM_Fft(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<std::complex<double>> data(n);
-  // nmc-lint: allow(NO_UNSEEDED_RNG) fixed seed keeps the FFT input stable across runs so timings are comparable
   nmc::common::Rng rng(7);
   for (auto& x : data) x = {rng.Gaussian(), rng.Gaussian()};
   for (auto _ : state) {
@@ -525,7 +523,8 @@ BENCHMARK(BM_AmsUpdate);
 int main(int argc, char** argv) {
   nmc::bench::BenchFlagValues values;
   std::vector<std::string> rest;
-  nmc::bench::PeelBenchFlags(argc, argv, "bench_micro", &values, &rest);
+  nmc::bench::PeelBenchFlags(argc, argv, "bench_micro", &values, &rest,
+                             /*applies_channel=*/false);
 
   std::vector<std::string> args;
   args.reserve(rest.size() + 3);

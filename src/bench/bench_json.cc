@@ -188,7 +188,8 @@ bool IsSharedBenchFlag(const std::string& token) {
 
 /// Reads every shared flag out of `flags` (marking each as queried) into
 /// *values. Returns false with *error set on a semantically bad value that
-/// common::Flags cannot classify itself (an unknown --channel kind).
+/// common::Flags cannot classify itself (an unknown --channel kind, a
+/// channel parameter out of range).
 bool ConsumeBenchFlags(const common::Flags& flags, BenchFlagValues* values,
                        std::string* error) {
   values->threads = flags.Threads();
@@ -213,6 +214,23 @@ bool ConsumeBenchFlags(const common::Flags& flags, BenchFlagValues* values,
   channel.max_delay = flags.GetInt("delay_max", channel.max_delay);
   channel.seed = static_cast<uint64_t>(
       flags.GetInt("channel_seed", static_cast<int64_t>(channel.seed)));
+  // The channel models abort on these; reject them with the flag's name.
+  const auto reject = [&](const char* flag, const char* range) {
+    *error = std::string("--") + flag + " expects a value " + range +
+             ", got '" + flags.GetString(flag, "") + "'";
+    return false;
+  };
+  if (!(channel.loss >= 0.0 && channel.loss < 1.0)) {
+    return reject("loss", "in [0, 1)");
+  }
+  if (!(channel.duplicate >= 0.0 && channel.duplicate < 1.0)) {
+    return reject("dup", "in [0, 1)");
+  }
+  if (!(channel.delay_probability >= 0.0 &&
+        channel.delay_probability <= 1.0)) {
+    return reject("delay_prob", "in [0, 1]");
+  }
+  if (channel.max_delay < 1) return reject("delay_max", ">= 1");
 
   const std::string transport = flags.GetString("transport", "sim");
   if (!runtime::ParseTransportKind(transport, &values->transport)) {
@@ -237,7 +255,7 @@ std::string BenchFlagHelp() {
 
 void PeelBenchFlags(int argc, const char* const* argv,
                     const std::string& bench_name, BenchFlagValues* values,
-                    std::vector<std::string>* rest) {
+                    std::vector<std::string>* rest, bool applies_channel) {
   std::vector<const char*> ours;
   ours.push_back(argc > 0 ? argv[0] : "bench");
   for (int i = 1; i < argc; ++i) {
@@ -266,18 +284,23 @@ void PeelBenchFlags(int argc, const char* const* argv,
                  flags.Malformed().front().c_str());
     std::exit(2);
   }
+  if (!applies_channel && values->channel.faulty()) {
+    std::fprintf(stderr, "%s: --channel: this bench installs no channel\n",
+                 bench_name.c_str());
+    std::exit(2);
+  }
 }
 
 void InitBenchRest(int argc, const char* const* argv,
                    const std::string& bench_name,
-                   std::vector<std::string>* rest) {
+                   std::vector<std::string>* rest, bool applies_channel) {
   BenchSession& session = Session();
   session.initialized = true;
   session.report.bench = bench_name;
   session.start = std::chrono::steady_clock::now();
 
   BenchFlagValues values;
-  PeelBenchFlags(argc, argv, bench_name, &values, rest);
+  PeelBenchFlags(argc, argv, bench_name, &values, rest, applies_channel);
   session.report.threads = values.threads;
   session.json_out = values.json_out;
   session.channel = values.channel;
@@ -298,9 +321,9 @@ void InitBenchRest(int argc, const char* const* argv,
 }
 
 void InitBench(int argc, const char* const* argv,
-               const std::string& bench_name) {
+               const std::string& bench_name, bool applies_channel) {
   std::vector<std::string> rest;
-  InitBenchRest(argc, argv, bench_name, &rest);
+  InitBenchRest(argc, argv, bench_name, &rest, applies_channel);
   if (!rest.empty()) {
     std::fprintf(stderr, "%s: unknown flag %s (%s)\n", bench_name.c_str(),
                  rest.front().c_str(), BenchFlagHelp().c_str());

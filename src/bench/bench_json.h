@@ -87,18 +87,22 @@ struct BenchFlagValues {
 /// to *rest in order, for binaries that forward leftovers to another
 /// library (bench_micro -> google-benchmark). Prints to stderr and exits 2
 /// on a malformed shared-flag value, so every binary rejects bad input the
-/// same way.
+/// same way. A bench whose runs never read the channel passes
+/// applies_channel = false, and then a faulty --channel exits 2 too rather
+/// than being silently ignored.
 void PeelBenchFlags(int argc, const char* const* argv,
                     const std::string& bench_name, BenchFlagValues* values,
-                    std::vector<std::string>* rest);
+                    std::vector<std::string>* rest, bool applies_channel);
 
 /// "supported: --threads=N, ..." — generated from the same table
 /// PeelBenchFlags parses with, so help text can never drift from parsing.
 std::string BenchFlagHelp();
 
 /// Parses the shared bench flags from argv (see BenchFlagValues). Exits
-/// with status 2 on malformed or unknown flags.
-void InitBench(int argc, const char* const* argv, const std::string& bench_name);
+/// with status 2 on malformed or unknown flags, and on a faulty --channel
+/// when applies_channel is false (see PeelBenchFlags).
+void InitBench(int argc, const char* const* argv, const std::string& bench_name,
+               bool applies_channel = true);
 
 /// InitBench for binaries with their own flags on top of the shared set:
 /// shared flags initialize the session as in InitBench, everything else is
@@ -106,7 +110,8 @@ void InitBench(int argc, const char* const* argv, const std::string& bench_name)
 /// itself.
 void InitBenchRest(int argc, const char* const* argv,
                    const std::string& bench_name,
-                   std::vector<std::string>* rest);
+                   std::vector<std::string>* rest,
+                   bool applies_channel = true);
 
 /// Thread count resolved by InitBench (1 before InitBench is called).
 int BenchThreads();

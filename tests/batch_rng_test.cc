@@ -21,11 +21,6 @@
 namespace nmc {
 namespace {
 
-/// Every seed in this file routes through a test-local factory whose
-/// construction site takes the seed as a traceable parameter; a
-/// statistical flake is then fixed by varying one literal at the call.
-common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
-
 using common::BatchRng;
 using common::kBatchRngLanes;
 using common::SimdLevel;
@@ -56,7 +51,7 @@ TEST(BatchRngTest, LaneDecomposition) {
   std::vector<uint64_t> got(kBatchRngLanes * 64);
   batch.FillU64(std::span<uint64_t>(got));
   for (int lane = 0; lane < kBatchRngLanes; ++lane) {
-    common::Rng rng = MakeRng(BatchRng::LaneSeed(seed, lane));
+    common::Rng rng(BatchRng::LaneSeed(seed, lane));
     for (size_t i = static_cast<size_t>(lane); i < got.size();
          i += kBatchRngLanes) {
       ASSERT_EQ(got[i], rng.NextU64()) << "lane " << lane << " element " << i;

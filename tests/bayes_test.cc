@@ -13,11 +13,6 @@
 namespace nmc::regression {
 namespace {
 
-/// Every seed in this file routes through a test-local factory whose
-/// construction site takes the seed as a traceable parameter; a
-/// statistical flake is then fixed by varying one literal at the call.
-common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
-
 BayesLinRegOptions ModelOptions(int dim) {
   BayesLinRegOptions options;
   options.dim = dim;
@@ -160,7 +155,7 @@ TEST(DistributedLinRegTest, CommunicationSublinearInEntryStreams) {
 TEST(ConditioningTest, CollinearFeaturesAmplifyTrackedMeanError) {
   const int64_t n = 4000;
   const int dim = 2;
-  common::Rng rng = MakeRng(29);
+  common::Rng rng(29);
 
   auto run_with_collinearity = [&](double collinearity_noise) {
     // x2 = x1 + noise: smaller noise -> worse conditioning.

@@ -21,11 +21,6 @@
 namespace nmc::sim {
 namespace {
 
-/// Every seed in this file routes through a test-local factory whose
-/// construction site takes the seed as a traceable parameter; a
-/// statistical flake is then fixed by varying one literal at the call.
-common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
-
 Hop HopFrom(int site_id, int64_t tick, bool to_coordinator) {
   Hop hop;
   hop.to_coordinator = to_coordinator;
@@ -326,7 +321,7 @@ TEST(ZeroLossChannelIdentityTest, InstalledZeroLossChannelIsBitIdentical) {
   }
   channeled.SetChannel(std::make_unique<BernoulliLossChannel>(0.0, 0.0, 3));
 
-  common::Rng rng = MakeRng(5);
+  common::Rng rng(5);
   for (int i = 0; i < 200; ++i) {
     Message m;
     m.type = static_cast<int>(rng.UniformInt(0, 5));
@@ -381,7 +376,7 @@ TEST(FaultDeterminismTest, LossyCounterRunsAreReproducible) {
     options.channel.loss = 0.05;
     options.channel.seed = 3;
     core::NonMonotonicCounter counter(3, options);
-    common::Rng rng = MakeRng(41);
+    common::Rng rng(41);
     std::vector<double> estimates;
     for (int i = 0; i < 1500; ++i) {
       counter.ProcessUpdate(i % 3, rng.Bernoulli(0.5) ? 1.0 : -1.0);

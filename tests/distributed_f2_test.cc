@@ -13,11 +13,6 @@
 namespace nmc::sketch {
 namespace {
 
-/// Every seed in this file routes through a test-local factory whose
-/// construction site takes the seed as a traceable parameter; a
-/// statistical flake is then fixed by varying one literal at the call.
-common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
-
 DistributedF2Options Options(int64_t n) {
   DistributedF2Options options;
   options.cols = 128;
@@ -124,7 +119,7 @@ TEST(DistributedF2Test, HeavyItemsFindsThePlantedHead) {
   const int64_t universe = 64;
   DistributedF2Tracker tracker(2, Options(20000));
   sim::RoundRobinAssignment psi(2);
-  common::Rng rng = MakeRng(31);
+  common::Rng rng(31);
   int64_t t = 0;
   for (int64_t i = 0; i < 3000; ++i, ++t) {
     tracker.ProcessUpdate(psi.NextSite(t, 1),

@@ -19,11 +19,6 @@
 namespace nmc {
 namespace {
 
-/// Every seed in this file routes through a test-local factory whose
-/// construction site takes the seed as a traceable parameter; a
-/// statistical flake is then fixed by varying one literal at the call.
-common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
-
 using nmc::testing::DefaultOptions;
 
 // ---------------------------------------------------------------------------
@@ -83,7 +78,7 @@ TEST(HorizonFreeTest, EstimateContinuousAcrossRestarts) {
   options.initial_horizon = 256;
   core::HorizonFreeCounter counter(2, options);
   double sum = 0.0;
-  common::Rng rng = MakeRng(6);
+  common::Rng rng(6);
   for (int64_t t = 0; t < 1000; ++t) {
     const double v = rng.Sign(0.7);
     counter.ProcessUpdate(static_cast<int>(t % 2), v);
@@ -124,7 +119,7 @@ TEST(ForceSyncTest, MakesCoordinatorExactInSbcStage) {
   sim::RoundRobinAssignment psi(4);
   // Drive |S| up so the counter enters SBC (estimate goes stale).
   double sum = 0.0;
-  common::Rng rng = MakeRng(10);
+  common::Rng rng(10);
   for (int64_t t = 0; t < n; ++t) {
     const double v = rng.Sign(0.9);
     counter.ProcessUpdate(psi.NextSite(t, v), v);

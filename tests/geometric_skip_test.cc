@@ -14,11 +14,6 @@
 namespace nmc::common {
 namespace {
 
-/// Every seed in this file routes through a test-local factory whose
-/// construction site takes the seed as a traceable parameter; a
-/// statistical flake is then fixed by varying one literal at the call.
-common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
-
 /// The first n log-tails of BatchRng(seed): element i of the stream the
 /// sampler reads.
 std::vector<double> ShadowTails(uint64_t seed, size_t n) {
@@ -155,7 +150,7 @@ TEST(GeometricSkipTest, AdvanceAndTakeCandidateWalkTheGap) {
 TEST(GeometricSkipTest, ForkedSiteFeedsAreIndependent) {
   // Protocol sites seed their feeds from forked RNGs. Two sites' gap
   // sequences must not be correlated copies of each other.
-  common::Rng seeder = MakeRng(99);
+  common::Rng seeder(99);
   common::Rng site1 = seeder.Fork();
   common::Rng site2 = seeder.Fork();
   BatchRng batch1(site1.NextU64());

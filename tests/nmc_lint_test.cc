@@ -165,21 +165,6 @@ TEST(NmcLintTest, RawStringLiteralsAreInvisible) {
   CheckFixture("raw_string_literals.cc", "src/sim/fixture.cc");
 }
 
-TEST(NmcLintTest, RngSeedProvenance) {
-  CheckFixture("rng_provenance.cc", "src/core/fixture.cc");
-}
-
-TEST(NmcLintTest, RngFactoryFileIsExemptFromProvenance) {
-  // src/common/rng.{h,cc} implement the factory the rule points at; engine
-  // constructions there are the one sanctioned spelling. The banned-source
-  // half (random_device etc.) still applies — the fixture has none.
-  const std::string content = ReadFixture("rng_provenance.cc");
-  for (const lint::Finding& finding :
-       lint::LintContent("src/common/rng.cc", content)) {
-    EXPECT_EQ(finding.rule, "ALLOW_UNUSED") << lint::FormatFinding(finding);
-  }
-}
-
 TEST(NmcLintTest, AtomicsDiscipline) {
   // Outside the modeled-concurrency scope only the ordering rules apply;
   // the EXPECT-RUNTIME markers (raw-atomic findings) are invisible to the

@@ -24,11 +24,6 @@
 namespace nmc::sim {
 namespace {
 
-/// Every seed in this file routes through a test-local factory whose
-/// construction site takes the seed as a traceable parameter; a
-/// statistical flake is then fixed by varying one literal at the call.
-common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
-
 const char* const kBuiltinNames[] = {
     "counter",      "counter_drift",     "exact_sync",    "horizon_free",
     "hyz",          "hyz_deterministic", "periodic_sync", "two_monotonic",
@@ -91,7 +86,7 @@ TEST(RegistryTest, CreateReportsTheRequestedTopology) {
 /// returns the estimate after every update plus the final message count.
 std::pair<std::vector<double>, int64_t> Trace(Protocol* protocol,
                                               const ProtocolTraits& traits) {
-  common::Rng rng = MakeRng(71);
+  common::Rng rng(71);
   std::vector<double> estimates;
   const int k = protocol->num_sites();
   for (int i = 0; i < 1200; ++i) {

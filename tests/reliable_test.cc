@@ -20,11 +20,6 @@
 namespace nmc::sim {
 namespace {
 
-/// Every seed in this file routes through a test-local factory whose
-/// construction site takes the seed as a traceable parameter; a
-/// statistical flake is then fixed by varying one literal at the call.
-common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
-
 std::unique_ptr<core::NonMonotonicCounter> MakeCounter(
     int num_sites, const ChannelConfig& channel, uint64_t seed) {
   core::CounterOptions options;
@@ -58,7 +53,7 @@ TEST(ReliableProtocolTest, ProcessBatchConsumesOneUpdatePerCall) {
 
 TEST(ReliableProtocolTest, PerfectChannelNeverTriggersRecovery) {
   ReliableProtocol protocol(MakeCounter(3, ChannelConfig{}, 7));
-  common::Rng rng = MakeRng(3);
+  common::Rng rng(3);
   for (int i = 0; i < 2000; ++i) {
     protocol.ProcessUpdate(i % 3, rng.Sign(0.5));
   }
@@ -74,7 +69,7 @@ TEST(ReliableProtocolTest, PerfectChannelNeverTriggersRecovery) {
 TEST(ReliableProtocolTest, CounterRecoversExactlyWithinDeadlineUnderLoss) {
   ReliableProtocol protocol(MakeCounter(4, LossChannel(0.1, 11), 13));
   const int64_t deadline = protocol.RecoveryDeadlineTicks();
-  common::Rng rng = MakeRng(99);
+  common::Rng rng(99);
   int64_t true_sum = 0;
   int64_t pending_since = -1;
   int64_t seen_recoveries = 0;
@@ -144,7 +139,7 @@ TEST(ReliableProtocolTest, RecoversAfterCrashWindow) {
   // The schedule sums to 703 ticks >> the 100-tick crash window, so
   // retries are still pending when the site returns.
   ASSERT_GT(protocol.RecoveryDeadlineTicks(), 200);
-  common::Rng rng = MakeRng(7);
+  common::Rng rng(7);
   int64_t true_sum = 0;
   for (int i = 0; i < 1000; ++i) {
     const int value = rng.Sign(0.5);
@@ -168,7 +163,7 @@ TEST(ReliableProtocolTest, UnsupportedInnerLatchesAfterOneAttempt) {
   auto inner =
       std::make_unique<baselines::ExactSyncProtocol>(2, LossChannel(0.2, 31));
   ReliableProtocol protocol(std::move(inner));
-  common::Rng rng = MakeRng(17);
+  common::Rng rng(17);
   for (int i = 0; i < 500; ++i) {
     protocol.ProcessUpdate(i % 2, rng.Sign(0.5));
   }

@@ -29,9 +29,8 @@ namespace {
 
 const std::vector<RuleInfo> kAllRules = {
     {"NO_UNSEEDED_RNG",
-     "no std::random_device / rand() / srand, and every engine construction "
-     "seeds from a parameter or a common/rng.h factory (src/, bench/, "
-     "tests/, tools/)"},
+     "no std::random_device / rand() / srand (src/, bench/, tests/, tools/); "
+     "whether the seed reaches the coins is tests/seed_reach_test.cc's job"},
     {"NO_WALLCLOCK_IN_SIM",
      "no wall-clock reads in src/ outside src/bench timing code"},
     {"NO_UNORDERED_ITERATION_IN_PROTOCOL",
@@ -286,317 +285,7 @@ void CheckRawAtomicInRuntime(const std::string& path,
   }
 }
 
-// ---- NO_UNSEEDED_RNG: banned sources + seed provenance --------------------
-
-/// Engines whose construction demands a traceable seed.
-constexpr const char* kStdEngines[] = {
-    "mt19937",       "mt19937_64",   "minstd_rand",   "minstd_rand0",
-    "default_random_engine",         "knuth_b",       "ranlux24",
-    "ranlux48",      "ranlux24_base", "ranlux48_base"};
-
-/// Identifiers that taint a seed expression outright.
-constexpr const char* kTaintedSources[] = {"random_device", "rand", "srand",
-                                           "time", "clock", "getpid"};
-
-/// common/rng.h methods that yield derived, provenance-clean seeds or
-/// engines when called on an already-clean Rng.
-constexpr const char* kRngFactoryMethods[] = {"Fork", "NextU64", "UniformInt"};
-
-/// Type-ish leading tokens that mark a parenthesized list as a parameter
-/// list (a declaration), not a seed expression.
-constexpr const char* kTypeKeywords[] = {
-    "const",  "unsigned", "signed", "uint64_t", "uint32_t", "int64_t",
-    "int32_t", "size_t",  "int",    "long",     "short",    "double",
-    "float",  "bool",     "char",   "auto",     "void",     "uint8_t",
-    "int8_t", "uint16_t", "int16_t"};
-
-/// Scope-tracking provenance checker. One forward pass maintains a stack of
-/// function scopes (parameter names harvested from definition headers,
-/// locals classified as they are assigned) and, at every engine
-/// construction, classifies the seed expression:
-///   clean  — every leaf identifier is a parameter, a clean local, a member
-///            (trailing '_', repo convention), or a method call on a clean
-///            object (the common/rng.h factories); literals may mix in
-///            (the `seed ^ kSalt` pattern);
-///   dirty  — a leaf resolves to none of those (an unseeded global, an
-///            entropy source, an unknown free function);
-///   literal-only — a hard-coded seed: deterministic, but untraceable to
-///            any caller, so trials cannot be varied or decorrelated.
-/// Deliberately lexical: constructor *member-init lists* are not analyzed
-/// (the member's value was classified where it was computed), and helper
-/// functions are not traced across files — the seed must be clean at the
-/// construction site's own scope, which is exactly what a reviewer sees.
-class RngProvenanceChecker {
- public:
-  RngProvenanceChecker(const std::string& path,
-                       const std::vector<Token>& code,
-                       std::vector<Finding>* findings)
-      : path_(path), code_(code), findings_(findings) {}
-
-  void Run() {
-    for (size_t i = 0; i < code_.size(); ++i) {
-      MaintainScopes(i);
-      TrackAssignment(i);
-      CheckConstruction(i);
-    }
-  }
-
- private:
-  struct Scope {
-    int entry_depth = 0;  // brace depth the scope's body lives at
-    std::vector<std::string> params;
-    std::map<std::string, bool> locals;  // name -> provenance-clean
-  };
-
-  void MaintainScopes(size_t i) {
-    if (IsPunct(code_, i, "{")) {
-      ++depth_;
-      if (pending_params_ && pending_brace_index_ == i) {
-        scopes_.push_back({depth_, std::move(pending_names_), {}});
-        pending_params_ = false;
-      }
-      return;
-    }
-    if (IsPunct(code_, i, "}")) {
-      if (!scopes_.empty() && scopes_.back().entry_depth == depth_) {
-        scopes_.pop_back();
-      }
-      --depth_;
-      return;
-    }
-    // Function-definition header: `name ( params ) [qualifiers] {` — also
-    // lambda headers `] ( params ) ... {`. Harvest parameter names so the
-    // body can resolve them.
-    const bool header_start =
-        (IsIdent(code_, i) || IsPunct(code_, i, "]")) &&
-        IsPunct(code_, i + 1, "(");
-    if (!header_start) return;
-    int paren_depth = 0;
-    size_t j = i + 1;
-    std::vector<std::string> names;
-    for (; j < code_.size(); ++j) {
-      paren_depth += ParenDelta(code_[j]);
-      if (paren_depth == 0) break;
-      if (paren_depth == 1 && IsIdent(code_, j) &&
-          (IsPunct(code_, j + 1, ",") || IsPunct(code_, j + 1, ")") ||
-           IsPunct(code_, j + 1, "="))) {
-        names.push_back(code_[j].text);
-      }
-    }
-    if (j >= code_.size() || names.empty()) return;
-    // Skip trailing qualifiers; a ctor init list runs to the body brace.
-    size_t k = j + 1;
-    while (k < code_.size() &&
-           (IsIdent(code_, k, "const") || IsIdent(code_, k, "noexcept") ||
-            IsIdent(code_, k, "override") || IsIdent(code_, k, "final"))) {
-      ++k;
-    }
-    if (IsPunct(code_, k, ":")) {
-      int d = 0;
-      for (; k < code_.size(); ++k) {
-        d += ParenDelta(code_[k]);
-        if (d == 0 && IsPunct(code_, k, "{")) break;
-        if (d == 0 && IsPunct(code_, k, ";")) return;  // not a definition
-      }
-    }
-    if (!IsPunct(code_, k, "{")) return;
-    // The last entry of a ctor member-init list (`..., network_(n) {`) also
-    // looks like a header ending at the body brace; the real header claimed
-    // that brace first and keeps it.
-    if (pending_params_ && pending_brace_index_ == k) return;
-    pending_params_ = true;
-    pending_brace_index_ = k;
-    pending_names_ = std::move(names);
-  }
-
-  void TrackAssignment(size_t i) {
-    if (scopes_.empty() || !IsIdent(code_, i) || !IsPunct(code_, i + 1, "=")) {
-      return;
-    }
-    // `name = expr ;` — record whether expr is provenance-clean. Statement
-    // ends at the first ';' outside parentheses.
-    size_t end = i + 2;
-    int paren_depth = 0;
-    while (end < code_.size()) {
-      paren_depth += ParenDelta(code_[end]);
-      if (paren_depth == 0 && IsPunct(code_, end, ";")) break;
-      ++end;
-    }
-    const Verdict v = Classify(i + 2, end);
-    scopes_.back().locals[code_[i].text] = v == Verdict::kClean;
-  }
-
-  void CheckConstruction(size_t i) {
-    if (!IsIdent(code_, i)) return;
-    const bool is_std_engine = IsIdentIn(code_, i, kStdEngines);
-    const bool is_rng = code_[i].text == "Rng";
-    if (!is_std_engine && !is_rng) return;
-    // Qualification: `std::mt19937` / `common::Rng` / bare `Rng`.
-    if (i >= 2 && IsPunct(code_, i - 1, "::")) {
-      const std::string& qual = code_[i - 2].text;
-      if (is_std_engine && qual != "std") return;
-      if (is_rng && qual != "common") return;
-    }
-    size_t args_open;  // index of '(' or '{' carrying the seed expression
-    if (IsPunct(code_, i + 1, "(")) {
-      args_open = i + 1;  // temporary: Rng(expr)
-    } else if (IsIdent(code_, i + 1) &&
-               (IsPunct(code_, i + 2, "(") || IsPunct(code_, i + 2, "{"))) {
-      args_open = i + 2;  // named: Rng name(expr) / Rng name{expr}
-    } else if (is_std_engine && IsIdent(code_, i + 1) &&
-               IsPunct(code_, i + 2, ";")) {
-      findings_->push_back(
-          {path_, code_[i].line, "NO_UNSEEDED_RNG",
-           "default-constructed " + code_[i].text +
-               " uses the implementation's fixed default seed; seed it from "
-               "a parameter or a common/rng.h factory"});
-      return;
-    } else {
-      return;  // reference/pointer/template-argument position, not a ctor
-    }
-    const char open = code_[args_open].text[0];
-    const char close = open == '(' ? ')' : '}';
-    size_t end = args_open + 1;
-    int group_depth = 1;
-    while (end < code_.size() && group_depth > 0) {
-      if (code_[end].kind == TokenKind::kPunct) {
-        if (code_[end].text[0] == open && code_[end].text.size() == 1) {
-          ++group_depth;
-        } else if (code_[end].text[0] == close &&
-                   code_[end].text.size() == 1) {
-          --group_depth;
-        }
-      }
-      if (group_depth == 0) break;
-      ++end;
-    }
-    if (end >= code_.size()) return;
-    const size_t args_begin = args_open + 1;
-    if (args_begin == end) {
-      // `Rng Fork()` is a function declaration; `std::mt19937 gen()` is the
-      // most vexing parse. Only braced `std::mt19937 gen{}` is a real
-      // (default, unseeded) construction.
-      if (is_std_engine && open == '{') {
-        findings_->push_back(
-            {path_, code_[i].line, "NO_UNSEEDED_RNG",
-             "default-constructed " + code_[i].text +
-                 " uses the implementation's fixed default seed; seed it "
-                 "from a parameter or a common/rng.h factory"});
-      }
-      return;
-    }
-    if (IsIdentIn(code_, args_begin, kTypeKeywords) ||
-        (IsIdent(code_, args_begin) && IsIdent(code_, args_begin + 1))) {
-      return;  // parameter list: `explicit Rng(uint64_t seed)` etc.
-    }
-    const Verdict verdict = Classify(args_begin, end);
-    // A named construction declares a local whose own provenance downstream
-    // code may lean on: `Rng seeder(options.seed); Rng rng(seeder.NextU64());`
-    if (args_open == i + 2 && !scopes_.empty()) {
-      scopes_.back().locals[code_[i + 1].text] = verdict == Verdict::kClean;
-    }
-    switch (verdict) {
-      case Verdict::kClean:
-        return;
-      case Verdict::kDirty:
-        findings_->push_back(
-            {path_, code_[i].line, "NO_UNSEEDED_RNG",
-             "seed of this " + code_[i].text +
-                 " does not trace to a function/ctor parameter or a "
-                 "common/rng.h factory ('" + dirty_leaf_ + "')"});
-        return;
-      case Verdict::kLiteralOnly:
-        findings_->push_back(
-            {path_, code_[i].line, "NO_UNSEEDED_RNG",
-             "hard-coded seed for this " + code_[i].text +
-                 "; thread the seed in from the caller (function/ctor "
-                 "parameter or common/rng.h factory) so trials can vary it"});
-        return;
-    }
-  }
-
-  enum class Verdict { kClean, kDirty, kLiteralOnly };
-
-  /// Classifies the expression spanning code tokens [begin, end).
-  Verdict Classify(size_t begin, size_t end) {
-    bool saw_clean = false;
-    for (size_t i = begin; i < end; ++i) {
-      if (!IsIdent(code_, i)) continue;
-      const std::string& name = code_[i].text;
-      if (IsIdentIn(code_, i, kTaintedSources)) {
-        dirty_leaf_ = name;
-        return Verdict::kDirty;
-      }
-      // Engine type names inside the expression (`rng = Rng(seed)`) are not
-      // leaves; the nested construction is judged by CheckConstruction.
-      if (name == "Rng" || IsIdentIn(code_, i, kStdEngines)) continue;
-      if (name == "static_cast" || name == "sizeof" || name == "nullptr" ||
-          name == "true" || name == "false" || name == "this" ||
-          IsIdentIn(code_, i, kTypeKeywords)) {
-        if (name == "this") saw_clean = true;
-        continue;
-      }
-      // Member/method position: `base.name` — provenance rides on `base`.
-      if (i > begin && (IsPunct(code_, i - 1, ".") ||
-                        IsPunct(code_, i - 1, "->"))) {
-        continue;
-      }
-      // Qualifier position: `ns::name` — judge the full qualified leaf.
-      if (IsPunct(code_, i + 1, "::")) continue;
-      if (i > begin && IsPunct(code_, i - 1, "::")) {
-        dirty_leaf_ = code_[i - 2].text + "::" + name;
-        return Verdict::kDirty;  // qualified globals have no local provenance
-      }
-      // Free-function call: not a factory we know.
-      if (IsPunct(code_, i + 1, "(")) {
-        bool factory = IsIdentIn(code_, i, kRngFactoryMethods);
-        if (!factory) {
-          dirty_leaf_ = name + "()";
-          return Verdict::kDirty;
-        }
-        saw_clean = true;
-        continue;
-      }
-      if (ResolvesClean(name)) {
-        saw_clean = true;
-        continue;
-      }
-      dirty_leaf_ = name;
-      return Verdict::kDirty;
-    }
-    return saw_clean ? Verdict::kClean : Verdict::kLiteralOnly;
-  }
-
-  bool ResolvesClean(const std::string& name) {
-    if (!name.empty() && name.back() == '_') return true;  // member, by style
-    // A ctor's member-init list runs before its body scope is pushed; the
-    // parameters harvested from the header are already pending.
-    if (pending_params_ &&
-        std::find(pending_names_.begin(), pending_names_.end(), name) !=
-            pending_names_.end()) {
-      return true;
-    }
-    for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
-      const auto local = scope->locals.find(name);
-      if (local != scope->locals.end()) return local->second;
-      if (std::find(scope->params.begin(), scope->params.end(), name) !=
-          scope->params.end()) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  const std::string& path_;
-  const std::vector<Token>& code_;
-  std::vector<Finding>* findings_;
-  int depth_ = 0;
-  std::vector<Scope> scopes_;
-  bool pending_params_ = false;
-  size_t pending_brace_index_ = 0;
-  std::vector<std::string> pending_names_;
-  std::string dirty_leaf_;
-};
+// ---- NO_UNSEEDED_RNG ------------------------------------------------------
 
 void CheckUnseededRng(const std::string& path, const std::vector<Token>& code,
                       std::vector<Finding>* findings) {
@@ -608,9 +297,6 @@ void CheckUnseededRng(const std::string& path, const std::vector<Token>& code,
     } else if (IsIdent(code, i, "rand") && IsPunct(code, i + 1, "(")) {
       findings->push_back({path, code[i].line, "NO_UNSEEDED_RNG", message});
     }
-  }
-  if (!IsRngFactory(path)) {
-    RngProvenanceChecker(path, code, findings).Run();
   }
 }
 

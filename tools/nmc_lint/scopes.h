@@ -34,11 +34,11 @@ inline bool InHotPath(const std::string& path) {
   return StartsWith(path, "src/sim/");
 }
 
-/// Everything the linter looks at, and the determinism scope
-/// (NO_UNSEEDED_RNG): everything that can influence a recorded result —
-/// the library, the bench drivers, the CLI tools, and tests/. Tests only
-/// *check* results, but an unseeded RNG in a test still makes the check
-/// itself unreproducible, which is how flakes are born.
+/// Everything the linter looks at, and the scope of NO_UNSEEDED_RNG's
+/// banned entropy sources: the library, the bench binaries, the CLI tools
+/// and tests/. An entropy source in a test makes the check itself
+/// unreproducible. Whether a seed actually reaches the coins is not a
+/// lexical property; tests/seed_reach_test.cc checks it at run time.
 inline bool InRepoCode(const std::string& path) {
   return StartsWith(path, "src/") || StartsWith(path, "bench/") ||
          StartsWith(path, "tests/") || StartsWith(path, "tools/");
@@ -51,13 +51,6 @@ inline bool InRepoCode(const std::string& path) {
 /// seq_cst atomics for scaffolding; library code states every ordering.
 inline bool InLibraryCode(const std::string& path) {
   return StartsWith(path, "src/");
-}
-
-/// The RNG implementation itself is the one place allowed to spell engine
-/// constructors — it *is* the factory the provenance rule points everyone
-/// at.
-inline bool IsRngFactory(const std::string& path) {
-  return path == "src/common/rng.h" || path == "src/common/rng.cc";
 }
 
 /// Files whose concurrency must be expressed through the atomics policy

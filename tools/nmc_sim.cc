@@ -11,6 +11,8 @@
 //   nmc_sim --protocol=two_monotonic --model=permuted --trials=5 --csv
 //   nmc_sim --help
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -36,7 +38,8 @@ namespace {
 constexpr char kUsage[] = R"(nmc_sim — continuous distributed counting simulator
 
   --protocol=NAME   counter (default) | horizon_free | exact | periodic |
-                    two_monotonic (±1 models only: not fractional, fbm)
+                    two_monotonic (±1 input only: not fractional, fbm,
+                    or the oscillating and skewed multisets)
   --model=NAME      iid (default) | fractional | permuted | fbm |
                     alternating | sawtooth
   --n=INT           stream length (default 65536)
@@ -80,6 +83,12 @@ std::vector<double> MakeStream(const nmc::common::Flags& flags, int64_t n,
   }
   if (model == "permuted") {
     const std::string multiset = flags.GetString("multiset", "balanced");
+    if (multiset != "balanced" && multiset != "biased" &&
+        multiset != "oscillating" && multiset != "skewed" &&
+        multiset != "blocks") {
+      std::fprintf(stderr, "unknown --multiset=%s\n", multiset.c_str());
+      std::exit(1);
+    }
     return nmc::streams::RandomlyPermuted(
         nmc::streams::MakeAdversaryMultiset(multiset, n), seed);
   }
@@ -173,20 +182,19 @@ int main(int argc, char** argv) {
   const std::string psi_name = flags.GetString("psi", "round_robin");
   const bool csv = flags.GetBool("csv", false);
   const int64_t curve_points = flags.GetInt("curve", 0);
-  // two_monotonic splits a ±1 stream into two monotonic counts; the
-  // fractional and fbm models emit real values.
-  const std::string model = flags.GetString("model", "iid");
-  if (flags.GetString("protocol", "counter") == "two_monotonic" &&
-      (model == "fractional" || model == "fbm")) {
-    std::fprintf(stderr,
-                 "--protocol=two_monotonic needs ±1 input; --model=%s gives "
-                 "real values\n",
-                 model.c_str());
-    return 1;
-  }
-  if (trials < 1) {
-    // Flags are validated in trial 0, so a run needs one.
-    std::fprintf(stderr, "--trials must be at least 1\n");
+  const std::string protocol_name = flags.GetString("protocol", "counter");
+  // Values the library would abort on. Flags are validated in trial 0, so
+  // a run needs one.
+  const char* range_error =
+      n < 1                  ? "--n must be at least 1"
+      : k < 1                ? "--k must be at least 1"
+      : !(eps > 0.0)         ? "--eps must be positive"
+      : trials < 1           ? "--trials must be at least 1"
+      : protocol_name == "periodic" && flags.GetInt("period", 64) < 1
+          ? "--period must be at least 1"
+          : nullptr;
+  if (range_error != nullptr) {
+    std::fprintf(stderr, "%s\n", range_error);
     return 1;
   }
 
@@ -207,6 +215,22 @@ int main(int argc, char** argv) {
     // been queried: reject typos before any output (the curve dump below
     // prints and returns inside this trial).
     if (trial == 0 && !FlagsValid(flags)) return 1;
+    // two_monotonic splits a ±1 stream into two monotonic counts; every
+    // trial's stream comes from the same model, so trial 0's decides.
+    if (trial == 0 && protocol_name == "two_monotonic" &&
+        std::any_of(stream.begin(), stream.end(),
+                    [](double v) { return std::fabs(v) != 1.0; })) {
+      const std::string model = flags.GetString("model", "iid");
+      const std::string source =
+          model == "permuted"
+              ? model + " --multiset=" + flags.GetString("multiset", "balanced")
+              : model;
+      std::fprintf(stderr,
+                   "--protocol=two_monotonic needs ±1 input; --model=%s gives "
+                   "real values\n",
+                   source.c_str());
+      return 1;
+    }
     nmc::sim::TrackingOptions tracking;
     tracking.epsilon = eps;
     if (trial == 0 && curve_points > 0) {
